@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -401,25 +402,39 @@ class LatticeBall(TruncatedGroup):
         if radius < 0:
             raise ConstructionError(f"lattice radius must be nonnegative, got {radius}")
         self.dim = dim
-        forms = []
+        size = 0
         for r in range(radius + 1):
-            sphere = sorted(self._sphere(dim, r))
-            forms.extend(sphere)
-            if len(forms) > MAX_BALL_SIZE:
+            size += self._sphere_size(dim, r)
+            if size > MAX_BALL_SIZE:
                 raise ConstructionError(
                     f"lattice ball dim={dim} radius={radius} exceeds {MAX_BALL_SIZE} elements"
                 )
+        forms = [p for r in range(radius + 1) for p in sorted(self._sphere(dim, r))]
         super().__init__(forms, radius, f"Z^{dim}ball{radius}")
 
     @staticmethod
+    def _sphere_size(dim, r):
+        """Number of integer points with L1 norm exactly r: choose k nonzero
+        coordinates, split r into k positive parts and pick k signs."""
+        if r == 0:
+            return 1
+        return sum(math.comb(dim, k) * math.comb(r - 1, k - 1) * 2**k for k in range(1, min(dim, r) + 1))
+
+    @staticmethod
     def _sphere(dim, r):
-        """All integer points with L1 norm exactly r."""
-        if dim == 1:
-            return [(0,)] if r == 0 else [(-r,), (r,)]
+        """All integer points with L1 norm exactly r, in no particular order."""
+        if r == 0:
+            return [(0,) * dim]
         points = []
-        for first in range(-r, r + 1):
-            for rest in LatticeBall._sphere(dim - 1, r - abs(first)):
-                points.append((first,) + rest)
+        for k in range(1, min(dim, r) + 1):
+            for support in itertools.combinations(range(dim), k):
+                for cuts in itertools.combinations(range(1, r), k - 1):
+                    parts = [b - a for a, b in zip((0,) + cuts, cuts + (r,))]
+                    for signs in itertools.product((1, -1), repeat=k):
+                        point = [0] * dim
+                        for i, x, sign in zip(support, parts, signs):
+                            point[i] = sign * x
+                        points.append(tuple(point))
         return points
 
     def family_key(self):

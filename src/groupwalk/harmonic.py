@@ -14,19 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import ConstructionError
-from .linalg import (
-    GF2System,
-    normalize_leading,
-    rational_matmul,
-    rational_nullspace,
-    rational_solve,
-)
+from .linalg import GF2System, normalize_leading, rational_solve
 from .measures import is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
     apply,
     eigenspace,
+    exact_kernel,
     left_operator,
     right_operator,
 )
@@ -170,14 +165,6 @@ def _require_exact_finite(group, mu, what):
         raise ValueError(f"{what} requires exact rational weights; use eigenspace for floats")
 
 
-def _fixed_space_basis(op, sign):
-    """Exact basis of ker(P - sign I), deterministically normalized."""
-    mat = [row[:] for row in op.exact_matrix()]
-    for i in range(len(mat)):
-        mat[i][i] -= Fraction(sign)
-    return [normalize_leading(vec) for vec in rational_nullspace(mat)]
-
-
 def _constant_first(vectors, n):
     """Re-basis a space so the all-ones vector (when present) comes first."""
     ones = [Fraction(1)] * n
@@ -205,8 +192,7 @@ def harmonic_space(group, mu, side="right"):
     """Exact basis of the fixed space {f : P f = f}; contains the constant 1."""
     _require_exact_finite(group, mu, "harmonic_space")
     op = right_operator(group, mu) if side == "right" else left_operator(group, mu)
-    basis = _fixed_space_basis(op, 1)
-    basis = _constant_first(basis, group.order)
+    basis = _constant_first([f.values for f in eigenspace(op, 1)], group.order)
     return [GroupFunction(group, v) for v in basis]
 
 
@@ -214,18 +200,14 @@ def anti_harmonic_space(group, mu, side="right"):
     """Exact basis of {f : P f = -f}; empty when -1 is not an eigenvalue."""
     _require_exact_finite(group, mu, "anti_harmonic_space")
     op = right_operator(group, mu) if side == "right" else left_operator(group, mu)
-    return [GroupFunction(group, v) for v in _fixed_space_basis(op, -1)]
+    return eigenspace(op, -1)
 
 
 def jointly_biharmonic_space(group, mu):
     """Exact basis of {f : mu * f * mu = f}."""
     _require_exact_finite(group, mu, "jointly_biharmonic_space")
-    left = left_operator(group, mu).exact_matrix()
-    right = right_operator(group, mu).exact_matrix()
-    mat = rational_matmul(left, right)
-    for i in range(group.order):
-        mat[i][i] -= Fraction(1)
-    basis = [normalize_leading(v) for v in rational_nullspace(mat)]
+    ops = [left_operator(group, mu), right_operator(group, mu)]
+    basis = [normalize_leading(v) for v in exact_kernel(ops, 1)]
     basis = _constant_first(basis, group.order)
     return [GroupFunction(group, v) for v in basis]
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import ConstructionError
-from .linalg import float_nullspace, normalize_leading, rational_nullspace
+from .linalg import ComputationError, certified_nullspace, float_nullspace, normalize_leading
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
@@ -32,6 +32,7 @@ __all__ = [
     "apply",
     "apply_truncated",
     "spectrum",
+    "exact_kernel",
     "eigenspace",
     "superoperator",
     "super_apply",
@@ -39,10 +40,6 @@ __all__ = [
     "fourier_coefficient",
     "eigen_operator_to_function",
 ]
-
-
-class ComputationError(RuntimeError):
-    """A numerical routine failed; carries the failing context."""
 
 
 def _is_exact_value(x):
@@ -121,7 +118,11 @@ class GroupFunction:
 
 
 class ConvolutionOperator:
-    """Dense convolution operator on a finite group."""
+    """Convolution operator on a finite group, stored as weighted permutations.
+
+    (P f)(g) = sum over the support of mu(h) f(perm_h[g]), where perm_h[g]
+    is g*h for the right walk and h*g for the left walk.
+    """
 
     def __init__(self, group, measure, side):
         self.group = group
@@ -130,12 +131,20 @@ class ConvolutionOperator:
         self.exact = measure.exact
         self._float_matrix = None
         self._exact_matrix = None
+        self._stencil = None
 
-    def _step(self, g, h):
-        """Index the operator averages f over, for state g and step h."""
-        if self.side == "right":
-            return self.group.mul(g, h)
-        return self.group.mul(h, g)
+    def stencil(self):
+        """[(weight, perm)] with one int64 permutation array per support element."""
+        if self._stencil is None:
+            mul, elements = self.group.mul, range(self.group.order)
+            self._stencil = []
+            for h, w in self.measure.weights.items():
+                if self.side == "right":
+                    perm = [mul(g, h) for g in elements]
+                else:
+                    perm = [mul(h, g) for g in elements]
+                self._stencil.append((w, np.array(perm, dtype=np.int64)))
+        return self._stencil
 
     def exact_matrix(self):
         """Row-stochastic Fraction matrix: rows index g, columns index x."""
@@ -144,9 +153,9 @@ class ConvolutionOperator:
         if self._exact_matrix is None:
             n = self.group.order
             rows = [[Fraction(0)] * n for _ in range(n)]
-            for h, w in self.measure.weights.items():
-                for g in range(n):
-                    rows[g][self._step(g, h)] += w
+            for w, perm in self.stencil():
+                for g, x in enumerate(perm.tolist()):
+                    rows[g][x] += w
             self._exact_matrix = rows
         return self._exact_matrix
 
@@ -154,9 +163,8 @@ class ConvolutionOperator:
         if self._float_matrix is None:
             n = self.group.order
             mat = np.zeros((n, n))
-            for h, w in self.measure.weights.items():
-                for g in range(n):
-                    mat[g, self._step(g, h)] += float(w)
+            for w, perm in self.stencil():
+                mat[np.arange(n), perm] += float(w)
             self._float_matrix = mat
         return self._float_matrix
 
@@ -193,9 +201,9 @@ def apply(op, f):
     group = op.group
     if op.exact and f.is_exact:
         out = [Fraction(0)] * group.order
-        for h, w in op.measure.weights.items():
-            for g in range(group.order):
-                out[g] += w * f.values[op._step(g, h)]
+        values = f.values
+        for w, perm in op.stencil():
+            out = [acc + w * values[x] for acc, x in zip(out, perm.tolist())]
         return GroupFunction(group, out)
     vec = f.as_array()
     return GroupFunction(group, list(op.as_array() @ vec))
@@ -285,11 +293,51 @@ def _sort_key(z):
     return (-round(abs(z), 9), round(angle, 9))
 
 
+def _roots(parent, idx):
+    root = parent[idx]
+    while True:
+        up = parent[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
+
+
+def _clusters(values):
+    """Single-linkage clusters of complex values at CLUSTER_TOL.
+
+    Each cluster lists its indices in (re, im) order, and clusters come in
+    the order of their first member.  A sweep over the real-sorted values
+    compares each value with the successors whose real parts lie within
+    CLUSTER_TOL, one offset at a time, and joins close pairs in a
+    union-find forest whose parents point to smaller sorted positions, so
+    every root is the first member of its cluster.
+    """
+    order = np.lexsort((values.imag, values.real))
+    z = values[order]
+    n = len(z)
+    parent = np.arange(n)
+    for d in range(1, n):
+        if not (z.real[d:] - z.real[:-d] <= CLUSTER_TOL).any():
+            break
+        lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL)
+        hi = lo + d
+        while lo.size:
+            a, b = _roots(parent, lo), _roots(parent, hi)
+            apart = a != b
+            parent[np.maximum(a, b)[apart]] = np.minimum(a, b)[apart]
+            lo, hi = lo[apart], hi[apart]
+    clusters = {}
+    for i, root in zip(order.tolist(), _roots(parent, np.arange(n)).tolist()):
+        clusters.setdefault(root, []).append(i)
+    return list(clusters.values())
+
+
 def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     """Full eigenvalue report with residual certificates.
 
-    Eigenvalues within 1e-7 of each other are clustered into one record
-    whose multiplicity is the cluster size; the peripheral list keeps every
+    Eigenvalues joined by a chain of steps of at most CLUSTER_TOL (1e-7)
+    form one record whose value is their mean and whose multiplicity is the
+    cluster size; the peripheral list keeps every
     representative with modulus >= 1 - peripheral_tol.
     """
     a = op.as_array()
@@ -314,39 +362,65 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
             f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e} "
             f"for the {op.side} operator on {op.group.name}"
         )
-    order = sorted(range(len(eigvals)), key=lambda i: (eigvals[i].real, eigvals[i].imag))
-    clusters = []
-    for i in order:
-        z = complex(eigvals[i])
-        if clusters and abs(z - clusters[-1][0][0]) <= CLUSTER_TOL:
-            clusters[-1][0].append(z)
-            clusters[-1][1].append(residuals[i])
-        else:
-            clusters.append(([z], [residuals[i]]))
     records = []
-    for values, res in clusters:
+    for members in _clusters(eigvals):
+        values = [complex(eigvals[i]) for i in members]
         rep = sum(values) / len(values)
-        records.append(EigenvalueRecord(rep, len(values), max(res)))
+        records.append(EigenvalueRecord(rep, len(values), max(residuals[i] for i in members)))
     records.sort(key=lambda r: _sort_key(r.value))
     peripheral = [r.value for r in records if abs(r.value) >= 1.0 - peripheral_tol]
     return SpectralReport(records, peripheral, tol, peripheral_tol)
 
 
+def exact_kernel(ops, lam):
+    """Canonical exact basis of ker(P - lam I) for P = ops[0] o ops[1] o ...
+
+    The composite is the stencil of all products of the operators' terms;
+    its matrix is built modulo each prime straight from those weighted
+    permutations and eliminated by linalg.certified_nullspace.  Every
+    returned vector is certified by exact application of the operators.
+    Vectors are the canonical free-column basis of rational_nullspace.
+    """
+    group = ops[0].group
+    n = group.order
+    rows = np.arange(n)
+    terms = [(Fraction(1), rows)]
+    for op in ops:
+        terms = [(w * v, q[perm]) for w, perm in terms for v, q in op.stencil()]
+
+    def residues(p):
+        mat = np.zeros((n, n), dtype=np.int64)
+        for w, perm in terms:
+            if w.denominator % p == 0:
+                return None
+            mat[rows, perm] += w.numerator * pow(w.denominator, -1, p) % p
+        mat[rows, rows] -= lam
+        return mat % p
+
+    def certify(basis):
+        for vec in basis:
+            f = GroupFunction(group, vec)
+            for op in reversed(ops):
+                f = apply(op, f)
+            if f.values != [lam * x for x in vec]:
+                return False
+        return True
+
+    return certified_nullspace(n, residues, certify)
+
+
 def eigenspace(op, lam, tol=1e-9):
     """Basis of the lam-eigenspace of a convolution operator.
 
-    Exact rational elimination when the measure is rational and lam is 1 or
-    -1; otherwise a floating rank-revealing nullspace.  Basis vectors are
+    Exact when the measure is rational and lam is 1 or -1: exact_kernel
+    eliminates modulo primes and certifies P v = lam v for every vector.
+    Otherwise a floating rank-revealing nullspace.  Basis vectors are
     normalized so the entry at the identity is 1 when nonzero, else the
     first nonzero entry is 1.  Returns [] when lam is not an eigenvalue.
     """
     group = op.group
     if op.exact and lam in (1, -1):
-        lam = Fraction(lam)
-        mat = [row[:] for row in op.exact_matrix()]
-        for i in range(group.order):
-            mat[i][i] -= lam
-        basis = rational_nullspace(mat)
+        basis = exact_kernel([op], int(lam))
         return [GroupFunction(group, normalize_leading(vec)) for vec in basis]
     a = op.as_array().astype(complex) - complex(lam) * np.eye(group.order)
     cols = float_nullspace(a, tol)

@@ -135,6 +135,19 @@ def test_analyze_ball_character_and_verify(tmp_path, capsys):
     assert checks["interior_size"]["value"] == 11
 
 
+def test_analyze_high_dimensional_lattice_exits_zero(tmp_path, capsys):
+    axis = [1] + [0] * 1199
+    config = {
+        "group": {"kind": "lattice", "dim": 1200, "radius": 1},
+        "measure": [{"g": json.dumps(axis), "w": "1/2"}, {"g": json.dumps([-x for x in axis]), "w": "1/2"}],
+        "tasks": ["character"],
+    }
+    code, out, _ = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 0
+    values = json.loads(out)["results"]["character"]["character"]["values"]
+    assert len(values) == 2401 and values.count(-1) == 2
+
+
 def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
     config = {
         "group": {"kind": "cyclic", "n": 5},

@@ -234,6 +234,15 @@ def test_lattice_ball_counts():
     assert LatticeBall(1, 50).order == 101
 
 
+def test_lattice_ball_high_dimension_builds_without_recursion():
+    # one point at the origin and two per axis at radius 1
+    ball = LatticeBall(1200, 1)
+    assert ball.order == 2401
+    assert ball.canonical_form(0) == (0,) * 1200
+    with pytest.raises(ConstructionError, match="exceeds"):
+        LatticeBall(1200, 3)
+
+
 def test_lattice_mul_and_exit():
     ball = LatticeBall(2, 2)
     a = ball.index_of_form((1, 0))

@@ -154,6 +154,32 @@ def test_biharmonic_contains_constants_even_when_not_generating():
         assert apply(left_operator(g, mu), apply(right_operator(g, mu), f)).values == f.values
 
 
+def test_biharmonic_matches_dense_product_elimination():
+    # the pre-modular computation: Fraction RREF of left x right - I
+    from groupwalk.harmonic import _constant_first
+    from groupwalk.linalg import normalize_leading, rational_matmul, rational_rref
+    from groupwalk.operators import left_operator
+
+    rng = random.Random(19)
+    groups = [CyclicGroup(6), DihedralGroup(4), DihedralGroup(5), SymmetricGroup(3), QuaternionGroup()]
+    for group in groups:
+        for size in (1, 2, 3):
+            mu = random_rational_measure(group, rng, size)
+            n = group.order
+            prod = rational_matmul(left_operator(group, mu).exact_matrix(), right_operator(group, mu).exact_matrix())
+            mat = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(prod)]
+            rref, pivots = rational_rref(mat)
+            oracle = []
+            for free in (c for c in range(n) if c not in pivots):
+                vec = [F(0)] * n
+                vec[free] = F(1)
+                for row, col in enumerate(pivots):
+                    vec[col] = -rref[row][free]
+                oracle.append(normalize_leading(vec))
+            got = [f.values for f in jointly_biharmonic_space(group, mu)]
+            assert got == _constant_first(oracle, n)
+
+
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_pure_anti():

@@ -1,19 +1,23 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from groupwalk import linalg
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
     FreeBall,
     LatticeBall,
+    ProductGroup,
     QuaternionGroup,
     SymmetricGroup,
 )
+from groupwalk.linalg import normalize_leading, rational_rref
 from groupwalk.measures import delta, make_measure, uniform
 from groupwalk.operators import (
     GroupFunction,
@@ -143,6 +147,57 @@ def test_spectrum_matches_circulant_characters():
             assert abs(a - b) < 1e-8
 
 
+def fourier_eigenvalues(group, mu):
+    """mu^(chi) = sum_h mu(h) chi(h) over the characters of Z_a x Z_b x ..."""
+    orders = [f.order for f in group.factors] if isinstance(group, ProductGroup) else [group.order]
+    out = []
+    for ks in itertools.product(*(range(n) for n in orders)):
+        total = 0j
+        for h, w in mu.weights.items():
+            coords = group._decode(h) if isinstance(group, ProductGroup) else [h]
+            phase = sum(k * c / n for k, c, n in zip(ks, coords, orders))
+            total += float(w) * cmath.exp(2j * cmath.pi * phase)
+        out.append(total)
+    return out
+
+
+def test_spectrum_d3_conjugate_doubles_form_one_record_each():
+    g = DihedralGroup(3)
+    mu = make_measure(g, [(2, F(1, 3)), (1, F(2, 3))])
+    report = spectrum(right_operator(g, mu))
+    assert [r.multiplicity for r in report.eigenvalues] == [2, 2, 2]
+
+
+def test_spectrum_multiplicities_sum_to_order():
+    rng = random.Random(31)
+    groups = [DihedralGroup(n) for n in range(3, 9)] + [SymmetricGroup(3), SymmetricGroup(4), QuaternionGroup()]
+    for group in groups:
+        for _ in range(4):
+            mu = random_rational_measure(group, rng, rng.randint(1, 4))
+            report = spectrum(right_operator(group, mu))
+            assert sum(r.multiplicity for r in report.eigenvalues) == group.order
+
+
+def test_spectrum_matches_fourier_oracle_with_multiplicities():
+    rng = random.Random(8)
+    z8z8 = ProductGroup([CyclicGroup(8), CyclicGroup(8)])
+    z6z4 = ProductGroup([CyclicGroup(6), CyclicGroup(4)])
+    cases = [
+        (z8z8, uniform(z8z8, [z8z8._encode([1, 0]), z8z8._encode([0, 1])])),
+        (z6z4, random_rational_measure(z6z4, rng, 3)),
+    ]
+    for n in (16, 32):
+        g = CyclicGroup(n)
+        cases.append((g, make_measure(g, [(1, F(1, 4)), (n // 2 + 1, F(1, 4)), (2, F(1, 2))])))
+        cases.append((g, random_rational_measure(g, rng, 3)))
+    for group, mu in cases:
+        report = spectrum(right_operator(group, mu))
+        oracle = fourier_eigenvalues(group, mu)
+        for rec in report.eigenvalues:
+            assert sum(abs(z - rec.value) < 1e-6 for z in oracle) == rec.multiplicity
+        assert sum(r.multiplicity for r in report.eigenvalues) == group.order
+
+
 def test_spectrum_z3_delta_is_cube_roots():
     g = CyclicGroup(3)
     report = spectrum(right_operator(g, delta(g, 1)))
@@ -171,6 +226,54 @@ def test_eigenspace_exact_pm1():
     assert len(minus) == 1
     assert minus[0].values == [F(1), F(-1), F(1), F(-1)]
     assert minus[0].is_exact
+
+
+def fraction_eigenspace(op, lam):
+    """Dense Fraction elimination of P - lam I, the pre-modular computation."""
+    n = op.group.order
+    mat = [[x - (lam if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(op.exact_matrix())]
+    rref, pivots = rational_rref(mat)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [F(0)] * n
+        vec[free] = F(1)
+        for row, col in enumerate(pivots):
+            vec[col] = -rref[row][free]
+        basis.append(normalize_leading(vec))
+    return basis
+
+
+def test_eigenspace_matches_fraction_elimination_on_corpus():
+    from groupwalk.verify import default_corpus_groups, random_symmetric_generating_measure
+
+    rng = random.Random(12)
+    for group in default_corpus_groups():
+        measures = [random_symmetric_generating_measure(group, rng), random_rational_measure(group, rng, 2)]
+        for mu in measures:
+            for op in (right_operator(group, mu), left_operator(group, mu)):
+                for lam in (1, -1):
+                    got = [f.values for f in eigenspace(op, lam)]
+                    assert got == fraction_eigenspace(op, lam)
+
+
+def test_eigenspace_order_one_group():
+    g = CyclicGroup(1)
+    op = right_operator(g, delta(g, 0))
+    assert [f.values for f in eigenspace(op, 1)] == [[F(1)]]
+    assert eigenspace(op, -1) == []
+
+
+def test_eigenspace_survives_denominator_and_unlucky_primes(monkeypatch):
+    # 3 divides the weight denominators and is skipped; modulo 2 the weight
+    # 2/3 vanishes and the walk becomes a permutation with a larger fixed
+    # space, which the exact certificate rejects
+    g = DihedralGroup(3)
+    mu = make_measure(g, [(1, F(2, 3)), (3, F(1, 3))])
+    expected = {lam: [f.values for f in eigenspace(right_operator(g, mu), lam)] for lam in (1, -1)}
+    monkeypatch.setattr(linalg, "_PRIMES", (3, 2) + linalg._PRIMES)
+    for lam in (1, -1):
+        op = right_operator(g, mu)
+        assert [f.values for f in eigenspace(op, lam)] == expected[lam] == fraction_eigenspace(op, lam)
 
 
 def test_eigenspace_float_and_absent():
