@@ -22,16 +22,12 @@ from .harmonic import (
     peripheral_boundary,
 )
 from .measures import MeasureError, is_generating, is_symmetric, measure_from_json
-from .operators import (
-    ComputationError,
-    apply_truncated,
-    right_operator,
-    spectrum,
-)
+from .operators import ComputationError, right_operator, spectrum
 from .verify import (
     SUITE_NAMES,
     CheckRecord,
     VerificationReport,
+    ball_sign_records,
     fixture_theorem_checks,
     foguel_decay,
     root_of_unity_check,
@@ -227,7 +223,7 @@ def _task_biharmonic(group, mu, config):
 
 def _task_boundary(group, mu, config):
     try:
-        basis = peripheral_boundary(group, mu, tol=config.tol)
+        basis = peripheral_boundary(group, mu)
     except ValueError as exc:
         raise ConfigError(f"measure: {exc}") from exc
     return basis.to_json()
@@ -242,51 +238,20 @@ def _task_foguel(group, mu, config):
     }
 
 
-def _ball_verify_records(group, mu):
-    """Convolution identities against the sign character on a ball truncation."""
-    records = []
-    chi = find_anti_character(group, mu)
-    if chi is None:
-        records.append(
-            CheckRecord(
-                "config", "sign_character", "none", "n/a", True,
-                note="observation: no character is -1 on the support",
-            )
-        )
-        return records
-    f = chi.as_function()
-    right_applied, interior = apply_truncated(group, mu, f, "right")
-    left_applied, _ = apply_truncated(group, mu, f, "left")
-    records.append(CheckRecord("config", "interior_size", len(interior), ">= 0", True))
-    right_ok = all(right_applied.values[g] == -f.values[g] for g in interior)
-    left_ok = all(left_applied.values[g] == -f.values[g] for g in interior)
-    records.append(
-        CheckRecord(
-            "config", "right_convolution_negates_character",
-            "exact" if right_ok else "violated", "exact", right_ok,
-        )
-    )
-    records.append(
-        CheckRecord(
-            "config", "left_convolution_negates_character",
-            "exact" if left_ok else "violated", "exact", left_ok,
-        )
-    )
-    both, both_interior = apply_truncated(group, mu, right_applied, "left")
-    both_ok = all(both.values[g] == f.values[g] for g in both_interior)
-    records.append(
-        CheckRecord(
-            "config", "two_sided_convolution_restores",
-            "exact" if both_ok else "violated", "exact", both_ok,
-            note=f"interior={len(both_interior)}",
-        )
-    )
-    return records
-
-
 def _task_verify(group, mu, config):
     if group.is_truncated:
-        records = _ball_verify_records(group, mu)
+        chi = find_anti_character(group, mu)
+        if chi is None:
+            records = [
+                CheckRecord(
+                    "config", "sign_character", "none", "n/a", True,
+                    note="observation: no character is -1 on the support",
+                )
+            ]
+        else:
+            records = ball_sign_records(
+                "config", group, mu, chi.as_function(), suffix="_character"
+            )
     elif mu.exact and is_symmetric(mu) and is_generating(mu):
         records = fixture_theorem_checks("config", group, mu)
     elif is_generating(mu):

@@ -40,7 +40,6 @@ __all__ = [
     "find_anti_character",
     "character_from_extremal",
     "factor_anti_harmonic",
-    "char_multiply",
     "peripheral_boundary",
     "diamond",
     "monotone_abs_check",
@@ -359,42 +358,37 @@ def character_from_extremal(f, mu, tol=1e-9):
     return chi
 
 
-def _check_anti_character(chi, mu):
+def factor_anti_harmonic(f, chi, mu, tol=1e-9):
+    """Factor an anti-harmonic f as f1 * chi with f1 harmonic; returns f1.
+
+    chi must be -1 on the support of mu.  Since chi * chi = 1, the inverse
+    map is the plain product h * chi of a harmonic h with the character.
+    """
     for s in mu.support():
         if chi(s) != -1:
             raise ValueError(f"character is not -1 on support element {s}")
-
-
-def factor_anti_harmonic(f, chi, mu, tol=1e-9):
-    """Factor an anti-harmonic f as f1 * chi with f1 harmonic; returns f1."""
-    group = f.group
     exact = mu.exact and f.is_exact
-    _check_anti_character(chi, mu)
-    r_op = right_operator(group, mu)
-    rf = apply(r_op, f)
-    if not _close(rf, -f if exact else GroupFunction(group, [-float(v) for v in f.values]), exact, tol):
+    r_op = right_operator(f.group, mu)
+    if not _close(apply(r_op, f), -f, exact, tol):
         raise ValueError("factor_anti_harmonic needs f * mu = -f")
     f1 = f * chi.as_function()
-    rf1 = apply(r_op, f1)
-    if not _close(rf1, f1, exact, tol):
+    if not _close(apply(r_op, f1), f1, exact, tol):
         raise ComputationError("factored part failed to be harmonic")
     return f1
 
 
-def char_multiply(h, chi, mu, tol=1e-9):
-    """Multiply a harmonic h by an anti character; returns the anti-harmonic h*chi."""
-    group = h.group
-    exact = mu.exact and h.is_exact
-    _check_anti_character(chi, mu)
-    r_op = right_operator(group, mu)
-    rh = apply(r_op, h)
-    if not _close(rh, h, exact, tol):
-        raise ValueError("char_multiply needs a harmonic h")
-    out = h * chi.as_function()
-    rout = apply(r_op, out)
-    if not _close(rout, -out if exact else GroupFunction(group, [-float(v) for v in out.values]), exact, tol):
-        raise ComputationError("product failed to be anti-harmonic")
-    return out
+def _gram(cols):
+    return [[sum(ci * cj for ci, cj in zip(c1, c2)) for c2 in cols] for c1 in cols]
+
+
+def _projection_coefficients(cols, gram, values):
+    """Exact coefficients over cols of the orthogonal projection of values
+    onto their span; gram is _gram(cols)."""
+    rhs = [sum(c * v for c, v in zip(col, values)) for col in cols]
+    coeffs = rational_solve(gram, rhs)
+    if coeffs is None:
+        raise ComputationError("eigenspace Gram system was singular")
+    return coeffs
 
 
 def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
@@ -424,11 +418,7 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
         return GroupFunction.constant(group, zero)
     if exact:
         cols = [b.values for b in basis]
-        gram = [[sum(ci * cj for ci, cj in zip(c1, c2)) for c2 in cols] for c1 in cols]
-        rhs = [sum(c * v for c, v in zip(col, product.values)) for col in cols]
-        coeffs = rational_solve(gram, rhs)
-        if coeffs is None:
-            raise ComputationError("eigenspace Gram system was singular")
+        coeffs = _projection_coefficients(cols, _gram(cols), product.values)
         values = [Fraction(0)] * group.order
         for c, col in zip(coeffs, cols):
             values = [v + c * x for v, x in zip(values, col)]
@@ -438,8 +428,13 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
     return GroupFunction(group, list(mat @ coeffs))
 
 
-def peripheral_boundary(group, mu, tol=1e-9):
-    """Basis of the +1 and -1 eigenspaces together with the diamond table."""
+def peripheral_boundary(group, mu):
+    """Basis of the +1 and -1 eigenspaces together with the diamond table.
+
+    Entry (i, j) projects f_i * f_j orthogonally onto the block of sign
+    tag_i * tag_j, the same projection diamond makes, solved once against
+    that block's Gram matrix.
+    """
     _require_exact_finite(group, mu, "peripheral_boundary")
     if not is_symmetric(mu):
         raise ValueError("peripheral_boundary requires a symmetric measure")
@@ -450,23 +445,18 @@ def peripheral_boundary(group, mu, tol=1e-9):
     functions = har + anti
     tags = [1] * len(har) + [-1] * len(anti)
     dim = len(functions)
-    blocks = {1: har, -1: anti}
-    offsets = {1: 0, -1: len(har)}
+    blocks = {}
+    for tag, offset, block in ((1, 0, har), (-1, len(har), anti)):
+        cols = [b.values for b in block]
+        blocks[tag] = (offset, cols, _gram(cols))
     table = []
-    for i in range(dim):
+    for fi, ti in zip(functions, tags):
         row = []
-        for j in range(dim):
-            target = tags[i] * tags[j]
-            prod = diamond(mu, functions[i], tags[i], functions[j], tags[j], tol)
-            block = blocks[target]
+        for fj, tj in zip(functions, tags):
+            offset, cols, gram = blocks[ti * tj]
+            sol = _projection_coefficients(cols, gram, (fi * fj).values)
             coeffs = [Fraction(0)] * dim
-            if block:
-                mat = [[b.values[g] for b in block] for g in group.elements()]
-                sol = rational_solve(mat, prod.values)
-                if sol is None:
-                    raise ComputationError("diamond product left the boundary span")
-                for k, c in enumerate(sol):
-                    coeffs[offsets[target] + k] = c
+            coeffs[offset:offset + len(sol)] = sol
             row.append(coeffs)
         table.append(row)
     return BoundaryBasis(group, mu, functions, tags, table, dim)
@@ -481,9 +471,7 @@ def monotone_abs_check(f, mu, n_steps, tol=1e-9):
     group = f.group
     exact = mu.exact and f.is_exact
     op = right_operator(group, mu)
-    rf = apply(op, f)
-    neg = -f if exact else GroupFunction(group, [-float(v) for v in f.values])
-    if not _close(rf, neg, exact, tol):
+    if not _close(apply(op, f), -f, exact, tol):
         raise ValueError("monotone_abs_check needs f * mu = -f")
     if f.sup_norm() > 1 + tol:
         raise ValueError("monotone_abs_check needs sup norm <= 1")

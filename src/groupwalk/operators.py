@@ -1,9 +1,12 @@
 """Convolution Markov operators, their spectra, and the matrix-level lift.
 
 The right operator sends f to f * mu (steps multiply on the right), the
-left operator sends f to mu * f.  Both are row-stochastic matrices over the
-group's element indices.  The matrix-level lift acts on order-by-order
-arrays by weighted conjugation with regular-representation permutations.
+left operator sends f to mu * f.  Both are weighted sums of permutations of
+the group's element indices, one per support element, and
+`ConvolutionOperator.stencil()` is the one place those permutations are
+built.  Exact and float application, the dense and mod-p matrices and the
+matrix-level lift `OperatorOnMatrices` (weighted conjugation of
+order-by-order arrays by the same permutations) are all derived from it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
     "spectrum",
     "exact_kernel",
     "eigenspace",
-    "superoperator",
-    "super_apply",
     "conditional_expectation",
     "fourier_coefficient",
     "eigen_operator_to_function",
@@ -134,16 +135,17 @@ class ConvolutionOperator:
         self._stencil = None
 
     def stencil(self):
-        """[(weight, perm)] with one int64 permutation array per support element."""
+        """[(weight, perm)] with one int64 permutation array per support
+        element, in sorted support order; perm[g] is g*h (right) or h*g (left)."""
         if self._stencil is None:
             mul, elements = self.group.mul, range(self.group.order)
             self._stencil = []
-            for h, w in self.measure.weights.items():
+            for h in self.measure.support():
                 if self.side == "right":
                     perm = [mul(g, h) for g in elements]
                 else:
                     perm = [mul(h, g) for g in elements]
-                self._stencil.append((w, np.array(perm, dtype=np.int64)))
+                self._stencil.append((self.measure.weights[h], np.array(perm, dtype=np.int64)))
         return self._stencil
 
     def exact_matrix(self):
@@ -206,7 +208,7 @@ def apply(op, f):
             out = [acc + w * values[x] for acc, x in zip(out, perm.tolist())]
         return GroupFunction(group, out)
     vec = f.as_array()
-    return GroupFunction(group, list(op.as_array() @ vec))
+    return GroupFunction(group, list(sum(float(w) * vec[perm] for w, perm in op.stencil())))
 
 
 def apply_truncated(group, mu, f, side):
@@ -441,7 +443,8 @@ class OperatorOnMatrices:
 
     side "right": T -> sum_g mu(g) rho_g T rho_g^*, which on diagonal
     arrays reproduces f -> f * mu.  side "left": T -> sum_g mu(g)
-    lambda_g^* T lambda_g, reproducing f -> mu * f on diagonals.
+    lambda_g^* T lambda_g, reproducing f -> mu * f on diagonals.  The terms
+    are the stencil of the convolution operator on the same side.
     """
 
     def __init__(self, group, measure, side):
@@ -457,52 +460,41 @@ class OperatorOnMatrices:
         self.group = group
         self.measure = measure
         self.side = side
-        self.terms = []
-        for g, w in sorted(measure.weights.items()):
-            if side == "right":
-                perm = [group.mul(i, g) for i in group.elements()]
-            else:
-                perm = [group.mul(g, i) for i in group.elements()]
-            self.terms.append((w, perm))
+        self.terms = ConvolutionOperator(group, measure, side).stencil()
 
     def apply(self, T):
         n = self.group.order
         if isinstance(T, np.ndarray):
             out = np.zeros_like(T, dtype=complex if np.iscomplexobj(T) else float)
             for w, perm in self.terms:
-                idx = np.asarray(perm)
-                out += float(w) * T[np.ix_(idx, idx)]
+                out += float(w) * T[np.ix_(perm, perm)]
             return out
         exact = self.measure.exact and all(_is_exact_value(x) for row in T for x in row)
         zero = Fraction(0) if exact else 0.0
         out = [[zero] * n for _ in range(n)]
         for w, perm in self.terms:
             weight = w if exact else float(w)
+            perm = perm.tolist()
             for i in range(n):
                 for j in range(n):
                     out[i][j] += weight * T[perm[i]][perm[j]]
         return out
 
     def matrix(self):
-        """Dense float matrix acting on row-major vectorized arrays."""
+        """Dense float matrix acting on row-major vectorized arrays.
+
+        Row i*n + j holds weight w at column perm[i]*n + perm[j] for each
+        term; distinct terms never share an entry.
+        """
         n = self.group.order
         mat = np.zeros((n * n, n * n))
+        rows = np.arange(n * n)
         for w, perm in self.terms:
-            for i in range(n):
-                for j in range(n):
-                    mat[i * n + j, perm[i] * n + perm[j]] += float(w)
+            mat[rows, (perm[:, None] * n + perm).ravel()] += float(w)
         return mat
 
     def __repr__(self):
         return f"<OperatorOnMatrices {self.side} on {self.group.name}>"
-
-
-def superoperator(group, mu, side):
-    return OperatorOnMatrices(group, mu, side)
-
-
-def super_apply(s_op, T):
-    return s_op.apply(T)
 
 
 def conditional_expectation(group, T):
@@ -534,7 +526,7 @@ def eigen_operator_to_function(T, lam, mu, tol=1e-9):
     norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise ValueError("zero array has no eigenfunction")
-    s_op = superoperator(group, mu, "right")
+    s_op = OperatorOnMatrices(group, mu, "right")
     residual = float(np.linalg.norm(s_op.apply(arr) - complex(lam) * arr))
     if residual > tol * norm:
         raise ValueError(
@@ -549,9 +541,9 @@ def eigen_operator_to_function(T, lam, mu, tol=1e-9):
             best_g, best_f, best_norm = g, f, f_norm
     if best_g is None:
         raise ValueError("all Fourier coefficients vanish; array is numerically zero")
-    op = right_operator(group, mu)
     vec = best_f.as_array()
-    res = float(np.max(np.abs(op.as_array() @ vec - complex(lam) * vec)))
+    image = apply(right_operator(group, mu), best_f).as_array()
+    res = float(np.max(np.abs(image - complex(lam) * vec)))
     if res > tol * max(1.0, best_norm):
         raise ValueError(
             f"Fourier coefficient violates the eigen relation beyond tol (residual {res:.3e})"

@@ -29,12 +29,12 @@ from groupwalk.linalg import float_nullspace
 from groupwalk.measures import convolve, min_return, uniform
 from groupwalk.operators import (
     GroupFunction,
+    OperatorOnMatrices,
     apply,
     apply_truncated,
     eigen_operator_to_function,
     right_operator,
     spectrum,
-    superoperator,
 )
 from groupwalk.verify import (
     CorpusSpec,
@@ -245,7 +245,7 @@ def test_08_matrix_level_operators(corpus):
     solution_count = 0
     for fid, group, mu in small:
         n = group.order
-        s_right = superoperator(group, mu, "right")
+        s_right = OperatorOnMatrices(group, mu, "right")
         evals, evecs = np.linalg.eigh(s_right.matrix())
         for i, lam in enumerate(evals):
             if abs(lam) < 1 - 1e-8:
@@ -262,8 +262,8 @@ def test_08_matrix_level_operators(corpus):
 
         nu = convolve(mu, mu)  # symmetric, so the identity carries mass
         assert group.identity in nu.weights
-        s_r = superoperator(group, nu, "right")
-        s_l = superoperator(group, nu, "left")
+        s_r = OperatorOnMatrices(group, nu, "right")
+        s_l = OperatorOnMatrices(group, nu, "left")
         joint = s_r.matrix() @ s_l.matrix()
         basis = float_nullspace(joint - np.eye(n * n), tol=1e-9)
         for j in range(basis.shape[1]):

@@ -135,6 +135,25 @@ def test_analyze_ball_character_and_verify(tmp_path, capsys):
     assert checks["interior_size"]["value"] == 11
 
 
+def test_analyze_free_ball_verify_checks_each_side_on_its_own_interior(tmp_path, capsys):
+    # mu = delta_a: the left and right interiors of the radius-2 ball differ
+    config = {
+        "group": {"kind": "free", "rank": 2, "radius": 2},
+        "measure": [{"g": "a", "w": "1"}],
+        "tasks": ["verify"],
+    }
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 0, err
+    checks = json.loads(out)["results"]["verify"]["checks"]
+    assert [c["quantity"] for c in checks] == [
+        "interior_size",
+        "right_convolution_negates_character",
+        "left_convolution_negates_character",
+        "two_sided_convolution_restores",
+    ]
+    assert all(c["passed"] for c in checks)
+
+
 def test_analyze_high_dimensional_lattice_exits_zero(tmp_path, capsys):
     axis = [1] + [0] * 1199
     config = {

@@ -18,7 +18,6 @@ from groupwalk.groups import (
 from groupwalk.harmonic import (
     Character,
     anti_harmonic_space,
-    char_multiply,
     character_from_extremal,
     decompose,
     diamond,
@@ -32,6 +31,7 @@ from groupwalk.harmonic import (
 )
 from groupwalk.measures import make_measure, uniform
 from groupwalk.operators import ComputationError, GroupFunction, apply, right_operator
+from groupwalk.verify import CorpusSpec, corpus_fixtures
 
 F = Fraction
 
@@ -368,12 +368,12 @@ def test_char_multiply_round_trip():
     mu = uniform(g, [1, 5])
     chi = find_anti_character(g, mu)
     h = GroupFunction(g, [F(5, 7)] * 6)
-    anti = char_multiply(h, chi, mu)
+    anti = h * chi.as_function()
     assert apply(right_operator(g, mu), anti).values == [-v for v in anti.values]
     back = factor_anti_harmonic(anti, chi, mu)
     assert back.values == h.values
-    with pytest.raises(ValueError):
-        char_multiply(chi.as_function(), chi, mu)  # chi itself is not harmonic
+    # chi itself is anti-harmonic and factors through itself to the constant 1
+    assert factor_anti_harmonic(chi.as_function(), chi, mu).values == [1] * 6
 
 
 # ---------------------------------------------------------------- diamond
@@ -491,6 +491,22 @@ def _compose(basis, coeffs, idx, left_side):
         for t in range(dim):
             out[t] += weight * cell[t]
     return out
+
+
+def test_boundary_table_matches_diamond():
+    groups = [CyclicGroup(6), CyclicGroup(8), DihedralGroup(4), QuaternionGroup()]
+    fixtures = [(g, mu) for _, g, mu in corpus_fixtures(CorpusSpec(groups, 3, seed=5))]
+    fixtures.append((CyclicGroup(6), uniform(CyclicGroup(6), [1, 5])))
+    anti_seen = 0
+    for group, mu in fixtures:
+        basis = peripheral_boundary(group, mu)
+        anti_seen += -1 in basis.tags
+        for i, (fi, ti) in enumerate(zip(basis.functions, basis.tags)):
+            for j, (fj, tj) in enumerate(zip(basis.functions, basis.tags)):
+                cell = basis.table[i][j]
+                assert all(c == 0 for c, t in zip(cell, basis.tags) if t != ti * tj)
+                assert basis.product(i, j).values == diamond(mu, fi, ti, fj, tj).values
+    assert anti_seen >= 2
 
 
 def test_boundary_rejects_non_symmetric_or_non_generating():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupwalk import linalg
 from groupwalk.groups import (
@@ -18,9 +20,11 @@ from groupwalk.groups import (
     SymmetricGroup,
 )
 from groupwalk.linalg import normalize_leading, rational_rref
-from groupwalk.measures import delta, make_measure, uniform
+from groupwalk.measures import convolve, delta, make_measure, uniform
 from groupwalk.operators import (
+    ConvolutionOperator,
     GroupFunction,
+    OperatorOnMatrices,
     apply,
     apply_truncated,
     conditional_expectation,
@@ -30,8 +34,6 @@ from groupwalk.operators import (
     left_operator,
     right_operator,
     spectrum,
-    super_apply,
-    superoperator,
 )
 
 F = Fraction
@@ -369,13 +371,61 @@ def test_apply_truncated_rejects_deep_support():
         apply_truncated(ball, mu, f, "right")
 
 
+# ---------------------------------------------------------------- stencil
+
+STENCIL_GROUPS = [
+    CyclicGroup(5),
+    DihedralGroup(3),
+    DihedralGroup(4),
+    QuaternionGroup(),
+    SymmetricGroup(3),
+    ProductGroup([CyclicGroup(2), CyclicGroup(3)]),
+]
+
+
+@st.composite
+def walks(draw):
+    """(group, measure, side); half the measures are mu * mu, whose weights
+    dict is filled in product order rather than sorted order."""
+    group = draw(st.sampled_from(STENCIL_GROUPS))
+    support = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    mu = make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
+    if draw(st.booleans()):
+        mu = convolve(mu, mu)
+    return group, mu, draw(st.sampled_from(["right", "left"]))
+
+
+@given(walks(), st.integers(0, 2**32 - 1), st.lists(st.integers(-9, 9), min_size=12, max_size=12))
+def test_stencil_apply_matches_dense_matrices(walk, seed, numerators):
+    group, mu, side = walk
+    n = group.order
+    op = ConvolutionOperator(group, mu, side)
+    # right: perm[e] = e * h = h; left: perm[e] = h * e = h
+    assert [int(perm[group.identity]) for _, perm in op.stencil()] == mu.support()
+
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal(n)
+    for vec in (real, real + 1j * rng.standard_normal(n)):
+        got = np.array(apply(op, GroupFunction(group, list(vec))).values)
+        assert np.allclose(got, op.as_array() @ vec, rtol=0.0, atol=1e-12)
+
+    values = [F(k, 1 + i % 5) for i, k in enumerate(numerators[:n])]
+    expected = [sum(a * v for a, v in zip(row, values)) for row in op.exact_matrix()]
+    assert apply(op, GroupFunction(group, values)).values == expected
+
+    lift = OperatorOnMatrices(group, mu, side)
+    arr = rng.standard_normal((n, n))
+    assert np.allclose(lift.matrix() @ arr.ravel(), lift.apply(arr).ravel(), rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- matrix level
 
 def test_superoperator_unital_and_trace_preserving():
     g = CyclicGroup(6)
     mu = uniform(g, [1, 5])
     for side in ("right", "left"):
-        s = superoperator(g, mu, side)
+        s = OperatorOnMatrices(g, mu, side)
         eye = np.eye(6)
         assert np.allclose(s.apply(eye), eye)
         rng = np.random.default_rng(0)
@@ -386,7 +436,7 @@ def test_superoperator_unital_and_trace_preserving():
 def test_superoperator_positive_on_psd():
     g = DihedralGroup(3)
     mu = uniform(g, [1, 3])
-    s = superoperator(g, mu, "right")
+    s = OperatorOnMatrices(g, mu, "right")
     rng = np.random.default_rng(8)
     for _ in range(5):
         b = rng.standard_normal((6, 6))
@@ -400,10 +450,10 @@ def test_superoperator_diagonal_action_matches_convolution():
     g = DihedralGroup(3)
     mu = uniform(g, [1, 3, 4])
     f = GroupFunction(g, [F(k, 3) for k in range(6)])
-    right_diag = super_apply(superoperator(g, mu, "right"), np.diag(f.as_array()))
+    right_diag = OperatorOnMatrices(g, mu, "right").apply(np.diag(f.as_array()))
     expected = apply(right_operator(g, mu), f).as_array()
     assert np.allclose(np.diagonal(right_diag), expected)
-    left_diag = super_apply(superoperator(g, mu, "left"), np.diag(f.as_array()))
+    left_diag = OperatorOnMatrices(g, mu, "left").apply(np.diag(f.as_array()))
     expected_left = apply(left_operator(g, mu), f).as_array()
     assert np.allclose(np.diagonal(left_diag), expected_left)
 
@@ -411,7 +461,7 @@ def test_superoperator_diagonal_action_matches_convolution():
 def test_superoperator_exact_rows():
     g = CyclicGroup(3)
     mu = uniform(g, [1])
-    s = superoperator(g, mu, "right")
+    s = OperatorOnMatrices(g, mu, "right")
     t = [[F(i * 3 + j) for j in range(3)] for i in range(3)]
     out = s.apply(t)
     for i in range(3):
@@ -421,7 +471,7 @@ def test_superoperator_exact_rows():
 
 def test_superoperator_order_cap():
     with pytest.raises(ConstructionError):
-        superoperator(SymmetricGroup(4), uniform(SymmetricGroup(4), [1]), "right")
+        OperatorOnMatrices(SymmetricGroup(4), uniform(SymmetricGroup(4), [1]), "right")
 
 
 def test_conditional_expectation_intertwines():
@@ -429,7 +479,7 @@ def test_conditional_expectation_intertwines():
     # eigen-arrays down to eigenfunctions
     g = DihedralGroup(3)
     mu = uniform(g, [1, 3])
-    s = superoperator(g, mu, "right")
+    s = OperatorOnMatrices(g, mu, "right")
     op = right_operator(g, mu)
     rng = np.random.default_rng(14)
     for _ in range(5):
