@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_ORDER = 1 << 16
 MAX_BALL_SIZE = 1 << 20
@@ -32,6 +33,7 @@ __all__ = [
     "FreeBall",
     "build_group",
     "closure",
+    "generating_set",
     "parse_element",
     "format_element",
 ]
@@ -262,20 +264,12 @@ class TableGroup(FiniteGroup):
                 raise ConstructionError(f"table row {i} has entries outside 0..{n - 1}")
             if len(set(row)) != n:
                 raise ConstructionError(f"table is not a Latin square: row {i} repeats entries")
-        for c in range(n):
-            col = [rows[r][c] for r in range(n)]
+        for c, col in enumerate(zip(*rows)):
             if len(set(col)) != n:
                 raise ConstructionError(f"table is not a Latin square: column {c} repeats entries")
         if rows[0] != list(range(n)) or [rows[r][0] for r in range(n)] != list(range(n)):
             raise ConstructionError("index 0 must be a two-sided identity")
-        self._inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if rows[g][h] == 0:
-                    self._inv[g] = h
-                    break
-        if any(i is None for i in self._inv):
-            raise ConstructionError("some element has no inverse")
+        self._inv = [row.index(0) for row in rows]  # every Latin row holds 0 once
         self.table = rows
         self.order = n
         self.name = name
@@ -283,16 +277,15 @@ class TableGroup(FiniteGroup):
         self._check_axioms()
 
     def _check_associativity(self):
-        n = self.order
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(4096))
-        t = self.table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ConstructionError(f"table is not associative at ({a}, {b}, {c})")
+        """Light's test: (x*t)*y = x*(t*y) for all x, y and each t of a
+        generating set.  The elements t passing it are closed under the
+        product, so passing on generators proves associativity exactly."""
+        t = np.array(self.table, dtype=np.int32)
+        for g in generating_set(self):
+            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
+            if bad.size:
+                a, c = bad[0].tolist()
+                raise ConstructionError(f"table is not associative at ({a}, {g}, {c})")
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -580,6 +573,17 @@ def closure(group, seed_elements):
                     nxt.append(p)
         frontier = nxt
     return sorted(reached)
+
+
+def generating_set(group):
+    """Greedy generating set of a finite group: in index order, each element
+    that the closure of the elements chosen so far has not reached joins."""
+    gens, reached = [], {group.identity}
+    for g in group.elements():
+        if g not in reached:
+            gens.append(g)
+            reached = set(closure(group, gens))
+    return gens
 
 
 def format_element(group, a):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError
+from .groups import ConstructionError, generating_set
 from .linalg import GF2System, normalize_leading, rational_solve
 from .measures import is_generating, is_symmetric
 from .operators import (
@@ -261,11 +261,13 @@ def decompose(f, mu, tol=1e-9):
 def find_anti_character(group, mu):
     """Sign character that is -1 on the support of mu, or None.
 
-    Finite groups solve the full GF(2) system over one unknown per element
-    (all products as equations, support entries pinned to 1) and return the
-    lexicographically smallest solution.  Ball truncations use one unknown
-    per family generator; free-group generators carry no relations and
-    lattice relations are vacuous.
+    Finite groups solve a GF(2) system over one unknown per element
+    (x_e = 0 and x_{g*t} = x_g + x_t for every g and each t of
+    generating_set, whose solutions are exactly the homomorphisms to Z/2;
+    support entries pinned to 1) and return the lexicographically smallest
+    solution.  Ball truncations use one unknown per family generator;
+    free-group generators carry no relations and lattice relations are
+    vacuous.
     """
     if group.is_truncated:
         return _find_anti_character_family(group, mu)
@@ -275,11 +277,10 @@ def find_anti_character(group, mu):
             f"character search supports order <= {MAX_CHARACTER_ORDER}, got {n}"
         )
     system = GF2System()
-    for g in range(n):
-        for h in range(n):
-            mask = (1 << g) ^ (1 << h) ^ (1 << group.mul(g, h))
-            if not system.add(mask, 0):
-                return None
+    system.add(1 << group.identity, 0)
+    for t in generating_set(group):
+        for g in range(n):
+            system.add((1 << g) ^ (1 << t) ^ (1 << group.mul(g, t)), 0)
     for s in mu.support():
         if not system.add(1 << s, 1):
             return None

@@ -4,9 +4,13 @@ The right operator sends f to f * mu (steps multiply on the right), the
 left operator sends f to mu * f.  Both are weighted sums of permutations of
 the group's element indices, one per support element, and
 `ConvolutionOperator.stencil()` is the one place those permutations are
-built.  Exact and float application, the dense and mod-p matrices and the
-matrix-level lift `OperatorOnMatrices` (weighted conjugation of
-order-by-order arrays by the same permutations) are all derived from it.
+built (on ball truncations a product that leaves the ball is written as -1).
+The private `_gather` is the one place a stencil is applied: `apply`,
+`apply_truncated`, the matrix-level lift `OperatorOnMatrices` (weighted
+conjugation of order-by-order arrays, applied through the lifted
+permutations perm[i]*n + perm[j]), the spectrum residuals and, through
+`apply`, every exact certificate.  The dense and mod-p matrices are built
+from the same stencil.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from .groups import ConstructionError
 from .linalg import ComputationError, certified_nullspace, float_nullspace, normalize_leading
+from .measures import GroupMeasure
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
@@ -45,6 +50,32 @@ __all__ = [
 
 def _is_exact_value(x):
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+def _as_array(values):
+    if any(isinstance(v, complex) for v in values):
+        return np.array([complex(v) for v in values])
+    return np.array([float(v) for v in values])
+
+
+def _gather(terms, values, exact):
+    """sum_h w_h * values[perm_h] over a stencil [(w_h, perm_h)], as an array.
+
+    Exact: values are ints and Fractions; the sum runs on Python-int
+    numerators over one common denominator in an object array, and the
+    result holds Fractions.  Otherwise values is a float or complex array
+    (sequences are converted) and the terms are added in stencil order
+    starting from 0.
+    """
+    if not exact:
+        vec = values if isinstance(values, np.ndarray) else _as_array(values)
+        return sum(float(w) * vec[perm] for w, perm in terms)
+    den = math.lcm(*(v.denominator for v in values))
+    nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+    scale = math.lcm(*(w.denominator for w, _ in terms))
+    total = sum(w.numerator * (scale // w.denominator) * nums[perm] for w, perm in terms)
+    den *= scale
+    return np.array([Fraction(x, den) for x in total], dtype=object)
 
 
 class GroupFunction:
@@ -79,9 +110,7 @@ class GroupFunction:
         return max(abs(v) for v in self.values if v is not None)
 
     def as_array(self):
-        if any(isinstance(v, complex) for v in self.values):
-            return np.array([complex(v) for v in self.values])
-        return np.array([float(v) for v in self.values])
+        return _as_array(self.values)
 
     def __add__(self, other):
         self._check_peer(other)
@@ -135,8 +164,9 @@ class ConvolutionOperator:
         self._stencil = None
 
     def stencil(self):
-        """[(weight, perm)] with one int64 permutation array per support
-        element, in sorted support order; perm[g] is g*h (right) or h*g (left)."""
+        """[(weight, perm)] with one int64 index array per support element,
+        in sorted support order; perm[g] is g*h (right) or h*g (left), and
+        -1 where that product leaves a ball truncation."""
         if self._stencil is None:
             mul, elements = self.group.mul, range(self.group.order)
             self._stencil = []
@@ -145,7 +175,8 @@ class ConvolutionOperator:
                     perm = [mul(g, h) for g in elements]
                 else:
                     perm = [mul(h, g) for g in elements]
-                self._stencil.append((self.measure.weights[h], np.array(perm, dtype=np.int64)))
+                perm = np.array([-1 if x is None else x for x in perm], dtype=np.int64)
+                self._stencil.append((self.measure.weights[h], perm))
         return self._stencil
 
     def exact_matrix(self):
@@ -200,15 +231,7 @@ def apply(op, f):
         raise ValueError("function and operator live on different groups")
     if f.is_partial:
         raise ValueError("apply needs a total function; apply_truncated handles partial ones")
-    group = op.group
-    if op.exact and f.is_exact:
-        out = [Fraction(0)] * group.order
-        values = f.values
-        for w, perm in op.stencil():
-            out = [acc + w * values[x] for acc, x in zip(out, perm.tolist())]
-        return GroupFunction(group, out)
-    vec = f.as_array()
-    return GroupFunction(group, list(sum(float(w) * vec[perm] for w, perm in op.stencil())))
+    return GroupFunction(op.group, list(_gather(op.stencil(), f.values, op.exact and f.is_exact)))
 
 
 def apply_truncated(group, mu, f, side):
@@ -230,33 +253,22 @@ def apply_truncated(group, mu, f, side):
         )
     if f.group is not group:
         raise ValueError("function and ball live on different groups")
-    steps = []
-    for h, w in sorted(mu.weights.items()):
+    weights = {}
+    for h, w in mu.weights.items():
         form = mu.group.canonical_form(h)
         if mu.group.length_form(form) > 1:
             raise ValueError("truncated measures must be supported on word length <= 1")
-        steps.append((form, w))
+        weights[group.index_of_form(form)] = w
+    if None in weights:  # a step leaves the ball from every point (radius 0)
+        return GroupFunction(group, [None] * group.order), []
+    terms = ConvolutionOperator(group, GroupMeasure(group, weights, mu.exact), side).stencil()
+    # index -1 (a product outside the ball) reads the undefined last slot
+    defined = np.array([v is not None for v in f.values] + [False])
+    inside = np.logical_and.reduce([defined[perm] for _, perm in terms])
     exact = mu.exact and all(v is None or _is_exact_value(v) for v in f.values)
-    zero = Fraction(0) if exact else 0.0
-    values = []
-    interior = []
-    for g in group.elements():
-        g_form = group.canonical_form(g)
-        acc = zero
-        ok = True
-        for h_form, w in steps:
-            prod = group.mul_forms(g_form, h_form) if side == "right" else group.mul_forms(h_form, g_form)
-            idx = group.index_of_form(prod)
-            if idx is None or f.values[idx] is None:
-                ok = False
-                break
-            acc = acc + w * f.values[idx]
-        if ok:
-            values.append(acc)
-            interior.append(g)
-        else:
-            values.append(None)
-    return GroupFunction(group, values), interior
+    total = _gather(terms, [0 if v is None else v for v in f.values] + [0], exact)
+    values = [v if ok else None for v, ok in zip(total.tolist(), inside.tolist())]
+    return GroupFunction(group, values), np.flatnonzero(inside).tolist()
 
 
 @dataclass(frozen=True)
@@ -357,7 +369,8 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     residuals = []
     for i in range(len(eigvals)):
         v = eigvecs[:, i]
-        residuals.append(float(np.linalg.norm(a @ v - eigvals[i] * v) / np.linalg.norm(v)))
+        image = _gather(op.stencil(), v, False)
+        residuals.append(float(np.linalg.norm(image - eigvals[i] * v) / np.linalg.norm(v)))
     worst = max(residuals, default=0.0)
     if worst > tol:
         raise ComputationError(
@@ -460,25 +473,22 @@ class OperatorOnMatrices:
         self.group = group
         self.measure = measure
         self.side = side
-        self.terms = ConvolutionOperator(group, measure, side).stencil()
+        n = group.order
+        # the stencil lifted to row-major arrays: entry (i, j) reads (perm[i], perm[j])
+        self.terms = [
+            (w, (perm[:, None] * n + perm).ravel())
+            for w, perm in ConvolutionOperator(group, measure, side).stencil()
+        ]
 
     def apply(self, T):
+        """Apply to an order-by-order array: ndarrays give ndarrays and
+        nested lists give nested lists, exact when the measure and every
+        list entry are exact."""
         n = self.group.order
-        if isinstance(T, np.ndarray):
-            out = np.zeros_like(T, dtype=complex if np.iscomplexobj(T) else float)
-            for w, perm in self.terms:
-                out += float(w) * T[np.ix_(perm, perm)]
-            return out
-        exact = self.measure.exact and all(_is_exact_value(x) for row in T for x in row)
-        zero = Fraction(0) if exact else 0.0
-        out = [[zero] * n for _ in range(n)]
-        for w, perm in self.terms:
-            weight = w if exact else float(w)
-            perm = perm.tolist()
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += weight * T[perm[i]][perm[j]]
-        return out
+        flat = T.ravel() if isinstance(T, np.ndarray) else [x for row in T for x in row]
+        exact = self.measure.exact and all(_is_exact_value(x) for x in flat)
+        out = _gather(self.terms, flat, exact).reshape(n, n)
+        return out if isinstance(T, np.ndarray) else out.tolist()
 
     def matrix(self):
         """Dense float matrix acting on row-major vectorized arrays.
@@ -489,8 +499,8 @@ class OperatorOnMatrices:
         n = self.group.order
         mat = np.zeros((n * n, n * n))
         rows = np.arange(n * n)
-        for w, perm in self.terms:
-            mat[rows, (perm[:, None] * n + perm).ravel()] += float(w)
+        for w, cols in self.terms:
+            mat[rows, cols] += float(w)
         return mat
 
     def __repr__(self):
@@ -499,8 +509,6 @@ class OperatorOnMatrices:
 
 def conditional_expectation(group, T):
     """Diagonal of an array, as a function on the group."""
-    if isinstance(T, np.ndarray):
-        return GroupFunction(group, list(np.diagonal(T)))
     return GroupFunction(group, [T[i][i] for i in range(group.order)])
 
 
@@ -508,8 +516,6 @@ def fourier_coefficient(group, T, g):
     """Diagonal of T * lambda_g^*: values[i] = T[i, g^-1 i]."""
     ginv = group.inv(g)
     cols = [group.mul(ginv, i) for i in group.elements()]
-    if isinstance(T, np.ndarray):
-        return GroupFunction(group, [T[i, cols[i]] for i in group.elements()])
     return GroupFunction(group, [T[i][cols[i]] for i in group.elements()])
 
 

@@ -179,10 +179,8 @@ def foguel_decay(group, mu, eps=1e-6, n_max=500):
     if group.is_truncated:
         raise ConstructionError("foguel_decay requires a finite group")
     n = group.order
-    mat = np.zeros((n, n))
-    cols = np.arange(n)
-    for w, perm in left_operator(group, mu).stencil():
-        mat[perm, cols] += float(w)
+    # column-stochastic: (mat @ nu)(x) = sum_h mu(h) nu(h^-1 x) is mu * nu
+    mat = np.ascontiguousarray(left_operator(group, mu).as_array().T)
     vec = np.zeros(n)
     for h, w in mu.weights.items():
         vec[h] = float(w)
@@ -319,8 +317,7 @@ def alternating_group(n=4):
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    group = TableGroup(table, name=f"A{n}")
-    return group
+    return TableGroup(table, name=f"A{n}")
 
 
 def default_corpus_groups():
@@ -448,10 +445,6 @@ def nonsymmetric_fixtures():
     return fixtures
 
 
-def _sup_gap(values_a, values_b):
-    return max(abs(a - b) for a, b in zip(values_a, values_b))
-
-
 def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORDER):
     """All structural checks for one symmetric generating fixture."""
     records = []
@@ -473,23 +466,18 @@ def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORD
     bi_basis = jointly_biharmonic_space(group, mu)
     left_op = left_operator(group, mu)
     right_op = right_operator(group, mu)
-    split_ok = True
-    for f in bi_basis:
+
+    def splits(f):
         try:
             dec = decompose(f, mu)
         except Exception:
-            split_ok = False
-            break
-        if dec.constant is None:
-            split_ok = False
-            break
-        t1 = dec.anti_part
-        if apply(right_op, t1).values != [-v for v in t1.values]:
-            split_ok = False
-            break
-        if apply(left_op, t1).values != [-v for v in t1.values]:
-            split_ok = False
-            break
+            return False
+        minus = [-v for v in dec.anti_part.values]
+        return dec.constant is not None and all(
+            apply(op, dec.anti_part).values == minus for op in (right_op, left_op)
+        )
+
+    split_ok = all(splits(f) for f in bi_basis)
     records.append(
         CheckRecord(
             fixture_id,

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupwalk.groups import (
     ConstructionError,
@@ -16,6 +18,7 @@ from groupwalk.groups import (
     build_group,
     closure,
     format_element,
+    generating_set,
     parse_element,
 )
 
@@ -139,6 +142,27 @@ def test_table_group_rejects_non_associative_loop():
         TableGroup(loop)
 
 
+def cayley_table(group):
+    return [[group.mul(a, b) for b in group.elements()] for a in group.elements()]
+
+
+def test_table_group_rejects_non_associative_latin_square_of_order_256():
+    # swap the intercalate {3, 131} of the Z256 table at rows 1 and 129,
+    # columns 2 and 130: still a Latin square with identity and inverses,
+    # but now (1*2)*1 = 131*1 = 132 while 1*(2*1) = 1*3 = 4
+    table = cayley_table(CyclicGroup(256))
+    table[1][2], table[1][130] = table[1][130], table[1][2]
+    table[129][2], table[129][130] = table[129][130], table[129][2]
+    with pytest.raises(ConstructionError, match="not associative"):
+        TableGroup(table)
+
+
+def test_table_group_accepts_cayley_tables():
+    for g in (DihedralGroup(4), SymmetricGroup(3), QuaternionGroup(), CyclicGroup(256)):
+        t = TableGroup(cayley_table(g))
+        assert t.order == g.order
+
+
 def test_product_group_is_z6_in_disguise():
     g = ProductGroup([CyclicGroup(2), CyclicGroup(3)])
     assert g.order == 6
@@ -186,6 +210,22 @@ def test_closure_is_fixpoint():
 def test_closure_of_reflection_is_small():
     g = DihedralGroup(5)
     assert closure(g, [5]) == [0, 5]
+
+
+def test_generating_set_is_greedy_in_index_order():
+    assert generating_set(CyclicGroup(1)) == []
+    assert generating_set(CyclicGroup(12)) == [1]
+    assert generating_set(DihedralGroup(4)) == [1, 4]  # r, then s
+    assert generating_set(ProductGroup([CyclicGroup(2)] * 3)) == [1, 2, 4]
+
+
+@given(st.sampled_from([DihedralGroup(6), SymmetricGroup(4), QuaternionGroup(),
+                        ProductGroup([CyclicGroup(2), CyclicGroup(4), CyclicGroup(3)])]))
+def test_generating_set_generates_without_redundancy(group):
+    gens = generating_set(group)
+    assert closure(group, gens) == list(group.elements())
+    for i, g in enumerate(gens):
+        assert g not in closure(group, gens[:i]) and g != group.identity
 
 
 # ---------------------------------------------------------------- ball truncations
@@ -287,6 +327,33 @@ def test_format_parse_round_trip_free():
     for a in range(ball.order):
         assert parse_element(ball, format_element(ball, a)) == a
     assert parse_element(ball, "aA") == 0  # unreduced input reduces to identity
+
+
+AXIOM_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(12),
+    DihedralGroup(7),
+    SymmetricGroup(4),
+    QuaternionGroup(),
+    ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+    TableGroup(cayley_table(ProductGroup([QuaternionGroup(), CyclicGroup(3)]))),
+]
+
+
+@given(st.sampled_from(AXIOM_GROUPS), st.data())
+def test_group_axioms_on_drawn_triples(group, data):
+    a, b, c = (data.draw(st.integers(0, group.order - 1)) for _ in range(3))
+    e = group.identity
+    assert group.mul(a, e) == a == group.mul(e, a)
+    assert group.mul(a, group.inv(a)) == e == group.mul(group.inv(a), a)
+    assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+
+
+@given(st.sampled_from(AXIOM_GROUPS + [LatticeBall(1, 4), LatticeBall(3, 2), FreeBall(1, 3), FreeBall(3, 2)]),
+       st.data())
+def test_parse_inverts_format(group, data):
+    a = data.draw(st.integers(0, group.order - 1))
+    assert parse_element(group, format_element(group, a)) == a
 
 
 def test_parse_rejects_garbage():

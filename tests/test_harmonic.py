@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupwalk.groups import (
     ConstructionError,
@@ -29,7 +31,8 @@ from groupwalk.harmonic import (
     monotone_abs_check,
     peripheral_boundary,
 )
-from groupwalk.measures import make_measure, uniform
+from groupwalk.linalg import GF2System
+from groupwalk.measures import delta, make_measure, uniform
 from groupwalk.operators import ComputationError, GroupFunction, apply, right_operator
 from groupwalk.verify import CorpusSpec, corpus_fixtures
 
@@ -51,6 +54,20 @@ def enumerate_sign_characters(group):
         ):
             out.append(list(values))
     return out
+
+
+def all_products_character(group, mu):
+    """Lex-min sign character -1 on the support from the GF(2) system with
+    one equation x_g + x_h + x_{g*h} = 0 per pair (g, h), or None."""
+    n = group.order
+    system = GF2System()
+    for g in range(n):
+        for h in range(n):
+            system.add((1 << g) ^ (1 << h) ^ (1 << group.mul(g, h)), 0)
+    for s in mu.support():
+        system.add(1 << s, 1)
+    bits = system.lex_min_solution(n)
+    return None if bits is None else [1 if b == 0 else -1 for b in bits]
 
 
 def cesaro_projection(op_matrix, lam, vec, squarings=40):
@@ -240,6 +257,37 @@ def test_find_anti_character_matches_exhaustive_search():
                 bits = lambda vals: [0 if v == 1 else 1 for v in vals]
                 assert bits(chi.values) == min(bits(c) for c in matching)
                 chi.validate()
+
+
+CHARACTER_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(2),
+    CyclicGroup(8),
+    CyclicGroup(9),
+    DihedralGroup(4),
+    DihedralGroup(5),
+    QuaternionGroup(),
+    SymmetricGroup(4),
+    ProductGroup([CyclicGroup(2), CyclicGroup(2), CyclicGroup(2)]),
+    ProductGroup([CyclicGroup(2), CyclicGroup(6)]),
+    ProductGroup([QuaternionGroup(), CyclicGroup(2)]),
+    ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+]
+
+
+@given(st.sampled_from(CHARACTER_GROUPS), st.data())
+def test_find_anti_character_matches_all_products_system(group, data):
+    support = data.draw(
+        st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True)
+    )
+    mu = uniform(group, support)
+    chi = find_anti_character(group, mu)
+    assert (None if chi is None else chi.values) == all_products_character(group, mu)
+
+
+def test_find_anti_character_trivial_group_has_none():
+    g = CyclicGroup(1)
+    assert find_anti_character(g, delta(g, 0)) is None
 
 
 def test_find_anti_character_lex_min_among_two():

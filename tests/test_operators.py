@@ -371,6 +371,65 @@ def test_apply_truncated_rejects_deep_support():
         apply_truncated(ball, mu, f, "right")
 
 
+def truncated_step_oracle(group, mu, f, side):
+    """One truncated step by canonical forms, element by element: the loop
+    apply_truncated ran before it gathered over the ball's stencil."""
+    steps = [(mu.group.canonical_form(h), w) for h, w in sorted(mu.weights.items())]
+    exact = mu.exact and all(v is None or isinstance(v, (int, F)) for v in f.values)
+    values, interior = [], []
+    for g in group.elements():
+        g_form = group.canonical_form(g)
+        acc = F(0) if exact else 0.0
+        for h_form, w in steps:
+            prod = group.mul_forms(g_form, h_form) if side == "right" else group.mul_forms(h_form, g_form)
+            idx = group.index_of_form(prod)
+            if idx is None or f.values[idx] is None:
+                values.append(None)
+                break
+            acc = acc + w * f.values[idx]
+        else:
+            values.append(acc)
+            interior.append(g)
+    return values, interior
+
+
+def _ball(family, size, radius):
+    return LatticeBall(size, radius) if family == "lattice" else FreeBall(size, radius)
+
+
+@st.composite
+def truncated_steps(draw):
+    """(ball, measure, function, side): lattice dims 1-3 or free ranks 1-2,
+    radii 0-4, the measure on the same ball or on another ball of the
+    family, exact (numerators up to 2^80) or float values with None holes."""
+    family = draw(st.sampled_from(["lattice", "free"]))
+    size = draw(st.integers(1, 3 if family == "lattice" else 2))
+    ball = _ball(family, size, draw(st.integers(0, 4)))
+    home = ball if draw(st.booleans()) else _ball(family, size, draw(st.integers(0, 4)))
+    steps = [h for h in home.elements() if home.length(h) <= 1]
+    support = draw(st.lists(st.sampled_from(steps), min_size=1, max_size=len(steps), unique=True))
+    weights = draw(st.lists(st.integers(1, 7), min_size=len(support), max_size=len(support)))
+    if draw(st.booleans()):
+        mu = make_measure(home, [(h, F(w, sum(weights))) for h, w in zip(support, weights)])
+    else:
+        mu = make_measure(home, [(h, w / sum(weights)) for h, w in zip(support, weights)])
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    holes = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    if draw(st.booleans()):
+        draw_value = lambda: F(rng.randrange(-(2**80), 2**80), rng.randint(1, 2**20))  # noqa: E731
+    else:
+        draw_value = lambda: rng.uniform(-1e3, 1e3)  # noqa: E731
+    values = [None if rng.random() < holes else draw_value() for _ in ball.elements()]
+    return ball, mu, GroupFunction(ball, values), draw(st.sampled_from(["right", "left"]))
+
+
+@given(truncated_steps())
+def test_apply_truncated_matches_canonical_form_loop(step):
+    ball, mu, f, side = step
+    stepped, interior = apply_truncated(ball, mu, f, side)
+    assert (stepped.values, interior) == truncated_step_oracle(ball, mu, f, side)
+
+
 # ---------------------------------------------------------------- stencil
 
 STENCIL_GROUPS = [
@@ -417,6 +476,29 @@ def test_stencil_apply_matches_dense_matrices(walk, seed, numerators):
     lift = OperatorOnMatrices(group, mu, side)
     arr = rng.standard_normal((n, n))
     assert np.allclose(lift.matrix() @ arr.ravel(), lift.apply(arr).ravel(), rtol=0.0, atol=1e-12)
+
+
+@given(walks(), st.integers(0, 2**32 - 1))
+def test_matrix_lift_nested_lists_match_ndarrays(walk, seed):
+    group, mu, side = walk
+    n = group.order
+    lift = OperatorOnMatrices(group, mu, side)
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((n, n))
+    for arr in (real, real + 1j * rng.standard_normal((n, n))):
+        out = lift.apply(arr)
+        assert isinstance(out, np.ndarray) and out.dtype == arr.dtype
+        assert lift.apply(arr.tolist()) == out.tolist()
+
+    exact = [[F(int(k), 7) for k in row] for row in rng.integers(-50, 50, (n, n))]
+    expected = [
+        [sum(w * exact[perm[i]][perm[j]] for w, perm in ConvolutionOperator(group, mu, side).stencil())
+         for j in range(n)]
+        for i in range(n)
+    ]
+    out = lift.apply(exact)
+    assert out == expected
+    assert all(isinstance(x, F) for row in out for x in row)
 
 
 # ---------------------------------------------------------------- matrix level
