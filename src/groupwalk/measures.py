@@ -35,12 +35,17 @@ class MeasureError(ValueError):
 
 
 class GroupMeasure:
-    """Finitely supported probability measure on a group's element indices."""
+    """Finitely supported probability measure on a group's element indices.
+
+    `_operators` holds the measure's memoised convolution operators by side
+    (filled by `operators.right_operator` / `left_operator`).
+    """
 
     def __init__(self, group, weights, exact):
         self.group = group
         self.weights = dict(weights)
         self.exact = exact
+        self._operators = {}
 
     def support(self):
         return sorted(self.weights)

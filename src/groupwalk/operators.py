@@ -11,6 +11,13 @@ conjugation of order-by-order arrays, applied through the lifted
 permutations perm[i]*n + perm[j]), the spectrum residuals and, through
 `apply`, every exact certificate.  The dense and mod-p matrices are built
 from the same stencil.
+
+`right_operator` and `left_operator` return one memoised operator per
+(measure, side), kept on the measure, so every task on one measure shares
+its stencil, its read-only dense matrix and its eigenvalues: `spectrum`
+runs the eigensolver once per operator and keeps the eigenvalues and
+eigenpair residuals (not the eigenvectors).  Dense allocations are
+estimated first and refused above DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .measures import GroupMeasure
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
+DENSE_BYTES_BUDGET = 1 << 30
 
 __all__ = [
     "ComputationError",
@@ -39,6 +47,7 @@ __all__ = [
     "left_operator",
     "apply",
     "apply_truncated",
+    "require_dense_budget",
     "spectrum",
     "exact_kernel",
     "eigenspace",
@@ -46,6 +55,18 @@ __all__ = [
     "fourier_coefficient",
     "eigen_operator_to_function",
 ]
+
+
+def require_dense_budget(shape, itemsize, what):
+    """Refuse a dense array of `shape` with `itemsize`-byte entries when it
+    would exceed DENSE_BYTES_BUDGET; call before allocating."""
+    nbytes = math.prod(shape) * itemsize
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise ConstructionError(
+            f"{what} needs a dense {' x '.join(map(str, shape))} array of "
+            f"{nbytes / 2**20:.1f} MiB, over the dense-matrix budget "
+            f"DENSE_BYTES_BUDGET = {DENSE_BYTES_BUDGET / 2**20:.1f} MiB"
+        )
 
 
 def _is_exact_value(x):
@@ -162,6 +183,7 @@ class ConvolutionOperator:
         self._float_matrix = None
         self._exact_matrix = None
         self._stencil = None
+        self._eigen = None
 
     def stencil(self):
         """[(weight, perm)] with one int64 index array per support element,
@@ -193,13 +215,47 @@ class ConvolutionOperator:
         return self._exact_matrix
 
     def as_array(self):
+        """Dense float matrix (rows g, columns x), built once and read-only:
+        the operator is shared by every task on its measure."""
         if self._float_matrix is None:
             n = self.group.order
+            require_dense_budget((n, n), 8, f"the {self.side} operator on {self.group.name}")
             mat = np.zeros((n, n))
             for w, perm in self.stencil():
                 mat[np.arange(n), perm] += float(w)
+            mat.flags.writeable = False
             self._float_matrix = mat
         return self._float_matrix
+
+    def eigenvalues(self):
+        """(eigenvalues, residuals) of the dense matrix, computed once.
+
+        residuals[i] is |P v_i - lambda_i v_i| / |v_i| for the solver's i-th
+        eigenvector; the eigenvectors themselves are not kept.
+        """
+        if self._eigen is None:
+            a = self.as_array()
+            n = self.group.order
+            require_dense_budget((n, n), 16, f"the eigenvectors of {self!r}")
+            symmetric = bool(np.allclose(a, a.T, atol=1e-12, rtol=0.0))
+            try:
+                if symmetric:
+                    eigvals, eigvecs = np.linalg.eigh(a)
+                    eigvals = eigvals.astype(complex)
+                else:
+                    eigvals, eigvecs = np.linalg.eig(a)
+            except np.linalg.LinAlgError as exc:
+                raise ComputationError(
+                    f"eigensolver failed for the {self.side} operator on {self.group.name}: {exc}"
+                ) from exc
+            residuals = []
+            for i in range(len(eigvals)):
+                v = eigvecs[:, i]
+                image = _gather(self.stencil(), v, False)
+                residuals.append(float(np.linalg.norm(image - eigvals[i] * v) / np.linalg.norm(v)))
+            eigvals.flags.writeable = False
+            self._eigen = (eigvals, tuple(residuals))
+        return self._eigen
 
     def __repr__(self):
         return f"<ConvolutionOperator {self.side} on {self.group.name}>"
@@ -210,16 +266,27 @@ def _require_finite(group, what):
         raise ConstructionError(f"{what} requires a finite group; use apply_truncated on balls")
 
 
+def _operator(group, mu, side):
+    """mu's memoised operator on one side; uncached when mu lives on
+    another group object."""
+    if group is not mu.group:
+        return ConvolutionOperator(group, mu, side)
+    op = mu._operators.get(side)
+    if op is None:
+        op = mu._operators[side] = ConvolutionOperator(group, mu, side)
+    return op
+
+
 def right_operator(group, mu):
-    """Operator f -> f * mu with entries[g][x] = mu(g^-1 x)."""
+    """Operator f -> f * mu with entries[g][x] = mu(g^-1 x), one per measure."""
     _require_finite(group, "right_operator")
-    return ConvolutionOperator(group, mu, "right")
+    return _operator(group, mu, "right")
 
 
 def left_operator(group, mu):
-    """Operator f -> mu * f with entries[g][x] = mu(x g^-1)."""
+    """Operator f -> mu * f with entries[g][x] = mu(x g^-1), one per measure."""
     _require_finite(group, "left_operator")
-    return ConvolutionOperator(group, mu, "left")
+    return _operator(group, mu, "left")
 
 
 def apply(op, f):
@@ -261,7 +328,8 @@ def apply_truncated(group, mu, f, side):
         weights[group.index_of_form(form)] = w
     if None in weights:  # a step leaves the ball from every point (radius 0)
         return GroupFunction(group, [None] * group.order), []
-    terms = ConvolutionOperator(group, GroupMeasure(group, weights, mu.exact), side).stencil()
+    measure = mu if mu.group is group else GroupMeasure(group, weights, mu.exact)
+    terms = _operator(group, measure, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.array([v is not None for v in f.values] + [False])
     inside = np.logical_and.reduce([defined[perm] for _, perm in terms])
@@ -352,25 +420,11 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     Eigenvalues joined by a chain of steps of at most CLUSTER_TOL (1e-7)
     form one record whose value is their mean and whose multiplicity is the
     cluster size; the peripheral list keeps every
-    representative with modulus >= 1 - peripheral_tol.
+    representative with modulus >= 1 - peripheral_tol.  The eigensolve is
+    the operator's (done once); the residuals are checked against this
+    call's tol.
     """
-    a = op.as_array()
-    symmetric = bool(np.allclose(a, a.T, atol=1e-12, rtol=0.0))
-    try:
-        if symmetric:
-            eigvals, eigvecs = np.linalg.eigh(a)
-            eigvals = eigvals.astype(complex)
-        else:
-            eigvals, eigvecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"eigensolver failed for the {op.side} operator on {op.group.name}: {exc}"
-        ) from exc
-    residuals = []
-    for i in range(len(eigvals)):
-        v = eigvecs[:, i]
-        image = _gather(op.stencil(), v, False)
-        residuals.append(float(np.linalg.norm(image - eigvals[i] * v) / np.linalg.norm(v)))
+    eigvals, residuals = op.eigenvalues()
     worst = max(residuals, default=0.0)
     if worst > tol:
         raise ComputationError(
@@ -398,6 +452,7 @@ def exact_kernel(ops, lam):
     """
     group = ops[0].group
     n = group.order
+    require_dense_budget((n, n), 8, f"the mod-p kernel matrix on {group.name}")
     rows = np.arange(n)
     terms = [(Fraction(1), rows)]
     for op in ops:
@@ -477,7 +532,7 @@ class OperatorOnMatrices:
         # the stencil lifted to row-major arrays: entry (i, j) reads (perm[i], perm[j])
         self.terms = [
             (w, (perm[:, None] * n + perm).ravel())
-            for w, perm in ConvolutionOperator(group, measure, side).stencil()
+            for w, perm in _operator(group, measure, side).stencil()
         ]
 
     def apply(self, T):

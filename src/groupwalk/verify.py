@@ -51,6 +51,7 @@ from .operators import (
     apply,
     apply_truncated,
     left_operator,
+    require_dense_budget,
     right_operator,
     spectrum,
 )
@@ -174,27 +175,23 @@ def foguel_decay(group, mu, eps=1e-6, n_max=500):
 
     When the identity carries mass the sequence must reach eps; otherwise
     the result is observational (bipartite walks stay at 1).  Distances are
-    computed in floating point.
+    computed in floating point, from one table holding mu^1..mu^(n_max+1).
     """
     if group.is_truncated:
         raise ConstructionError("foguel_decay requires a finite group")
     n = group.order
+    require_dense_budget((n_max + 1, n), 8, f"the foguel power table on {group.name}")
     # column-stochastic: (mat @ nu)(x) = sum_h mu(h) nu(h^-1 x) is mu * nu
     mat = np.ascontiguousarray(left_operator(group, mu).as_array().T)
-    vec = np.zeros(n)
+    powers = np.zeros((n_max + 1, n))
     for h, w in mu.weights.items():
-        vec[h] = float(w)
-    distances = []
-    first_below = None
-    current = vec
-    for step in range(1, n_max + 1):
-        nxt = mat @ current
-        d = 0.5 * float(np.abs(current - nxt).sum())
-        distances.append(d)
-        if first_below is None and d <= eps:
-            first_below = step
-        current = nxt
-    return FoguelDecayResult(distances, first_below, group.identity in mu.weights)
+        powers[0, h] = float(w)
+    for k in range(n_max):
+        np.dot(mat, powers[k], out=powers[k + 1])
+    distances = 0.5 * np.abs(powers[:-1] - powers[1:]).sum(axis=1)
+    below = np.flatnonzero(distances <= eps)
+    first_below = int(below[0]) + 1 if below.size else None
+    return FoguelDecayResult(distances.tolist(), first_below, group.identity in mu.weights)
 
 
 def root_of_unity_check(group, mu, tol=1e-6, cap=None):
@@ -381,8 +378,13 @@ class CorpusSpec:
 
 def corpus_fixtures(spec=None):
     """Deterministic fixture list [(fixture_id, group, measure)]."""
+    return list(_iter_corpus(spec))
+
+
+def _iter_corpus(spec):
+    """The corpus fixtures one at a time, so the suites that walk it drop
+    each measure (and its memoised operators) after its checks."""
     spec = spec or CorpusSpec()
-    fixtures = []
     for group in spec.resolved_groups():
         rng = random.Random(f"{spec.seed}|{group.name}")
         for i in range(spec.measures_per_group):
@@ -393,8 +395,7 @@ def corpus_fixtures(spec=None):
                 raise
             except Exception as exc:  # construction must never fail silently
                 raise FixtureConstructionError(f"{fid}: {exc}") from exc
-            fixtures.append((fid, group, mu))
-    return fixtures
+            yield fid, group, mu
 
 
 def nonsymmetric_fixtures():
@@ -589,7 +590,7 @@ def _operator_fixed_records(fixture_id, group, nu, tol=1e-8):
 def run_theorem_suite(corpus=None):
     """Theorem checks across the whole corpus; deterministic given the seed."""
     report = VerificationReport("theorems")
-    for fid, group, mu in corpus_fixtures(corpus):
+    for fid, group, mu in _iter_corpus(corpus):
         report.records.extend(fixture_theorem_checks(fid, group, mu))
     for fid, group, mu in nonsymmetric_fixtures():
         sub = root_of_unity_check(group, mu)
@@ -673,7 +674,7 @@ def examples_suite():
 def foguel_suite(corpus=None):
     """Decay of tv(mu^n, mu^(n+1)) whenever the identity carries mass."""
     report = VerificationReport("foguel")
-    for fid, group, mu in corpus_fixtures(corpus):
+    for fid, group, mu in _iter_corpus(corpus):
         result = foguel_decay(group, mu)
         in_range = all(-1e-12 <= d <= 1 + 1e-12 for d in result.distances)
         if result.identity_in_support:
@@ -730,7 +731,7 @@ def revuz_suite(seed=0, trials=100, corpus=None):
             rec.fixture = f"stochastic_pair_{trial:03d}"
         report.records.extend(sub.records)
     corpus = corpus or CorpusSpec(seed=seed)
-    for fid, group, mu in corpus_fixtures(corpus):
+    for fid, group, mu in _iter_corpus(corpus):
         if group.identity not in mu.weights:
             continue
         t1 = right_operator(group, mu).as_array()

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from groupwalk import operators
 from groupwalk.cli import (
     AnalysisConfig,
     ConfigError,
@@ -181,7 +183,39 @@ def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
     assert all(c["passed"] for c in checks)
 
 
+def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
+    config = parse_config(
+        {
+            "group": {"kind": "cyclic", "n": 64},
+            "measure": [{"g": "1", "w": 0.5}, {"g": "3", "w": 0.3}, {"g": "10", "w": 0.2}],
+            "tasks": ["spectrum", "verify"],
+            "options": {"exact": False},
+        }
+    )
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    report = run_analysis(config)
+    assert calls == [(64, 64)]
+    assert report["results"]["verify"]["passed"]
+    assert sum(r["multiplicity"] for r in report["results"]["spectrum"]["eigenvalues"]) == 64
+
+
 # ---------------------------------------------------------------- error paths
+
+def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch):
+    config = {
+        "group": {"kind": "cyclic", "n": 16},
+        "measure": [{"g": "1", "w": 0.5}, {"g": "15", "w": 0.5}],
+        "tasks": ["spectrum"],
+        "options": {"exact": False},
+    }
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 16 * 16 - 1)
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 2
+    assert out == ""
+    assert "DENSE_BYTES_BUDGET" in err and "16 x 16" in err
+
 
 def test_analyze_rejects_bad_measure_sum(tmp_path, capsys):
     config = {

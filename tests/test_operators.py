@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import linalg
+from groupwalk import linalg, operators
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
@@ -22,6 +22,7 @@ from groupwalk.groups import (
 from groupwalk.linalg import normalize_leading, rational_rref
 from groupwalk.measures import convolve, delta, make_measure, uniform
 from groupwalk.operators import (
+    ComputationError,
     ConvolutionOperator,
     GroupFunction,
     OperatorOnMatrices,
@@ -294,6 +295,67 @@ def test_spectrum_requires_finite():
         right_operator(ball, mu)
 
 
+# ---------------------------------------------------------------- memoised operators
+
+def test_operators_are_memoised_per_measure_and_side():
+    g = DihedralGroup(4)
+    mu = make_measure(g, [(1, F(1, 2)), (4, F(1, 2))])
+    right = right_operator(g, mu)
+    assert right_operator(g, mu) is right
+    assert left_operator(g, mu) is left_operator(g, mu)
+    others = [
+        left_operator(g, mu),
+        right_operator(g, uniform(g, [1, 4])),  # an equal but distinct measure
+        right_operator(g, mu.as_float()),
+    ]
+    assert all(op is not right for op in others)
+    assert len({id(op) for op in others}) == 3
+    twin = DihedralGroup(4)  # mu lives on another group object: no caching
+    assert right_operator(twin, mu) is not right_operator(twin, mu)
+
+
+def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
+    g = CyclicGroup(12)
+    mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
+    op = right_operator(g, mu)
+    first = spectrum(op)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    with pytest.raises(ComputationError, match="exceeds tol"):
+        spectrum(op, tol=1e-300)
+    second = spectrum(op)
+    assert calls == []  # both calls reuse the operator's eigensolve
+    assert second.to_json() == first.to_json()
+    assert second.to_json() == spectrum(ConvolutionOperator(g, mu, "right")).to_json()
+    assert calls == [(12, 12)]
+
+
+def test_dense_matrix_is_shared_and_read_only():
+    g = CyclicGroup(5)
+    op = right_operator(g, uniform(g, [1, 4]))
+    mat = op.as_array()
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+    assert right_operator(g, op.measure).as_array() is mat
+    assert mat[0, 1] == 0.5
+
+
+def test_dense_allocations_refused_over_budget(monkeypatch):
+    g = CyclicGroup(6)
+    mu = uniform(g, [1, 5])
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36 - 1)
+    with pytest.raises(ConstructionError, match="DENSE_BYTES_BUDGET"):
+        right_operator(g, mu).as_array()
+    with pytest.raises(ConstructionError, match="mod-p kernel matrix"):
+        eigenspace(left_operator(g, mu), 1)
+    # the float matrix fits exactly; its complex eigenvectors do not
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36)
+    assert right_operator(g, mu).as_array().shape == (6, 6)
+    with pytest.raises(ConstructionError, match="eigenvectors"):
+        spectrum(right_operator(g, mu))
+
+
 # ---------------------------------------------------------------- truncated steps
 
 def test_apply_truncated_line_parity():
@@ -348,6 +410,25 @@ def test_apply_truncated_radius_zero_has_empty_interior():
     stepped, interior = apply_truncated(point, mu, f, "right")
     assert interior == []
     assert stepped.values == [None]
+
+
+def test_ball_sign_records_build_each_side_once(monkeypatch):
+    from groupwalk.verify import ball_sign_records
+
+    ball = FreeBall(2, 3)
+    mu = uniform(ball, [ball.index_of_form(w) for w in [(1,), (-1,), (2,), (-2,)]])
+    f = GroupFunction(ball, [F((-1) ** ball.length(g)) for g in ball.elements()])
+    built = []
+    init = ConvolutionOperator.__init__
+
+    def counting_init(self, group, measure, side):
+        built.append(side)
+        init(self, group, measure, side)
+
+    monkeypatch.setattr(ConvolutionOperator, "__init__", counting_init)
+    records = ball_sign_records("F2ball3", ball, mu, f)
+    assert all(r.passed for r in records)
+    assert sorted(built) == ["left", "right"]
 
 
 def test_apply_truncated_rejects_cross_family():

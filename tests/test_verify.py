@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from groupwalk import operators
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
     LatticeBall,
+    QuaternionGroup,
     SymmetricGroup,
 )
 from groupwalk.measures import (
@@ -22,6 +26,7 @@ from groupwalk.measures import (
     tv_distance,
     uniform,
 )
+from groupwalk.operators import left_operator
 from groupwalk.verify import (
     CheckRecord,
     CorpusSpec,
@@ -80,6 +85,60 @@ def test_foguel_matches_exact_convolution_oracle():
         exact = tv_distance(power, nxt)
         assert result.distances[n - 1] == pytest.approx(float(exact), abs=1e-12)
         power = nxt
+
+
+def foguel_step_oracle(group, mu, eps, n_max):
+    """The step-by-step loop: one matvec and one distance per power."""
+    mat = np.ascontiguousarray(left_operator(group, mu).as_array().T)
+    current = np.zeros(group.order)
+    for h, w in mu.weights.items():
+        current[h] = float(w)
+    distances, first_below = [], None
+    for step in range(1, n_max + 1):
+        nxt = mat @ current
+        d = 0.5 * float(np.abs(current - nxt).sum())
+        distances.append(d)
+        if first_below is None and d <= eps:
+            first_below = step
+        current = nxt
+    return distances, first_below
+
+
+FOGUEL_GROUPS = [
+    CyclicGroup(4),
+    CyclicGroup(9),
+    DihedralGroup(5),
+    QuaternionGroup(),
+    SymmetricGroup(4),
+    CyclicGroup(300),  # rows longer than numpy's pairwise-summation block
+]
+
+
+@given(
+    st.sampled_from(FOGUEL_GROUPS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([1e-2, 1e-6, 1e-12]),
+    st.integers(1, 150),
+)
+def test_foguel_decay_matches_step_loop(group, seed, exact, eps, n_max):
+    rng = random.Random(seed)
+    support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
+    weights = [rng.randint(1, 7) for _ in support]
+    mu = make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
+    if not exact:
+        mu = mu.as_float()
+    result = foguel_decay(group, mu, eps=eps, n_max=n_max)
+    assert (result.distances, result.first_below) == foguel_step_oracle(group, mu, eps, n_max)
+
+
+def test_foguel_power_table_refused_over_budget(monkeypatch):
+    g = CyclicGroup(4)
+    # the 4 x 4 operator fits, the 501 x 4 table of powers does not
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 1000)
+    with pytest.raises(ConstructionError, match="foguel power table.*DENSE_BYTES_BUDGET"):
+        foguel_decay(g, uniform(g, [0, 1]))
+    assert foguel_decay(g, uniform(g, [0, 1]), n_max=10).first_below is None
 
 
 def test_foguel_rejects_truncated_group():
@@ -246,6 +305,19 @@ def test_corpus_is_seed_deterministic():
     assert [(fid, mu.weights) for fid, _, mu in a] == [(fid, mu.weights) for fid, _, mu in b]
     c = corpus_fixtures(CorpusSpec(seed=4, measures_per_group=4))
     assert [mu.weights for _, _, mu in a] != [mu.weights for _, _, mu in c]
+
+
+def test_corpus_fixtures_list_matches_sampler_loop():
+    groups = [CyclicGroup(6), DihedralGroup(4), QuaternionGroup()]
+    fixtures = corpus_fixtures(CorpusSpec(groups=groups, measures_per_group=4, seed=11))
+    assert isinstance(fixtures, list)
+    expected = []
+    for group in groups:
+        rng = random.Random(f"11|{group.name}")
+        for i in range(4):
+            mu = random_symmetric_generating_measure(group, rng)
+            expected.append((f"{group.name}/sym{i:02d}", group, mu))
+    assert fixtures == expected
 
 
 def test_sampler_rejects_impossible_group():
