@@ -379,8 +379,8 @@ def main(argv=None):
     except (MeasureError, ConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ComputationError, np.linalg.LinAlgError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except (ComputationError, np.linalg.LinAlgError, MemoryError, RecursionError) as exc:
+        print(f"computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

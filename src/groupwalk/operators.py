@@ -14,23 +14,24 @@ from the same stencil.
 
 `right_operator` and `left_operator` return one memoised operator per
 (measure, side), kept on the measure, so every task on one measure shares
-its stencil, its read-only dense matrix and its eigenvalues: `spectrum`
-runs the eigensolver once per operator and keeps the eigenvalues and
-eigenpair residuals (not the eigenvectors).  Dense allocations are
+its stencil, its read-only dense matrix and its eigenvalues and eigenpair
+residuals, solved once: by one FFT (characters) on cyclic groups and their
+products, by LAPACK on the dense matrix elsewhere.  Dense allocations are
 estimated first and refused above DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError
+from .groups import ConstructionError, CyclicGroup, ProductGroup
 from .linalg import ComputationError, certified_nullspace, float_nullspace, normalize_leading
-from .measures import GroupMeasure
+from .measures import GroupMeasure, is_symmetric
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
@@ -177,13 +178,20 @@ class ConvolutionOperator:
 
     def __init__(self, group, measure, side):
         self.group = group
-        self.measure = measure
         self.side = side
+        self.weights = measure.weights
         self.exact = measure.exact
+        self.symmetric = is_symmetric(measure)
+        self._measure = weakref.ref(measure)
         self._float_matrix = None
         self._exact_matrix = None
         self._stencil = None
         self._eigen = None
+
+    @property
+    def measure(self):
+        """The measure while it lives (held weakly: its memo holds this operator)."""
+        return self._measure()
 
     def stencil(self):
         """[(weight, perm)] with one int64 index array per support element,
@@ -192,13 +200,13 @@ class ConvolutionOperator:
         if self._stencil is None:
             mul, elements = self.group.mul, range(self.group.order)
             self._stencil = []
-            for h in self.measure.support():
+            for h in sorted(self.weights):
                 if self.side == "right":
                     perm = [mul(g, h) for g in elements]
                 else:
                     perm = [mul(h, g) for g in elements]
                 perm = np.array([-1 if x is None else x for x in perm], dtype=np.int64)
-                self._stencil.append((self.measure.weights[h], perm))
+                self._stencil.append((self.weights[h], perm))
         return self._stencil
 
     def exact_matrix(self):
@@ -228,37 +236,65 @@ class ConvolutionOperator:
         return self._float_matrix
 
     def eigenvalues(self):
-        """(eigenvalues, residuals) of the dense matrix, computed once.
-
-        residuals[i] is |P v_i - lambda_i v_i| / |v_i| for the solver's i-th
-        eigenvector; the eigenvectors themselves are not kept.
-        """
+        """(eigenvalues, residuals), computed once; residuals[i] is
+        |P v_i - lambda_i v_i| / |v_i| for the i-th eigenvector (not kept)."""
         if self._eigen is None:
-            a = self.as_array()
-            n = self.group.order
-            require_dense_budget((n, n), 16, f"the eigenvectors of {self!r}")
-            symmetric = bool(np.allclose(a, a.T, atol=1e-12, rtol=0.0))
-            try:
-                if symmetric:
-                    eigvals, eigvecs = np.linalg.eigh(a)
-                    eigvals = eigvals.astype(complex)
-                else:
-                    eigvals, eigvecs = np.linalg.eig(a)
-            except np.linalg.LinAlgError as exc:
-                raise ComputationError(
-                    f"eigensolver failed for the {self.side} operator on {self.group.name}: {exc}"
-                ) from exc
-            residuals = []
-            for i in range(len(eigvals)):
-                v = eigvecs[:, i]
-                image = _gather(self.stencil(), v, False)
-                residuals.append(float(np.linalg.norm(image - eigvals[i] * v) / np.linalg.norm(v)))
+            orders = _cyclic_orders(self.group)
+            eigvals, residuals = self._character_eigen(orders) if orders else self._dense_eigen()
             eigvals.flags.writeable = False
             self._eigen = (eigvals, tuple(residuals))
         return self._eigen
 
+    def _character_eigen(self, orders):
+        """The character chi_k(x) = exp(2 pi i sum_j k_j x_j / n_j) of the
+        mixed-radix coordinates x has P chi_k = lambda_k chi_k exactly, with
+        lambda_k = sum_h mu(h) chi_k(h) read off one fftn at index -k.  Its
+        residual |P chi_k - lambda_k chi_k| / |chi_k| is |lambda_k - sum_h
+        mu(h) chi_k(h)|, the sum evaluated directly in O(n |S|).  Symmetric
+        measures keep real parts only, as eigh does."""
+        support = sorted(self.weights)
+        weights = [float(self.weights[h]) for h in support]
+        table = np.bincount(support, weights, self.group.order)
+        eigvals = np.fft.fftn(table.reshape(orders))[np.ix_(*[-np.arange(n) % n for n in orders])]
+        real = np.ix_(*[np.arange(n) * 2 % n == 0 for n in orders])  # k = -k: chi_k is real
+        eigvals[real] = eigvals[real].real
+        eigvals = (eigvals.real.astype(complex) if self.symmetric else eigvals).ravel()
+        ks = np.indices(orders)
+        direct = sum(
+            w * np.exp(2j * np.pi * sum(k * x % n / n for k, x, n in zip(ks, coords, orders)))
+            for w, *coords in zip(weights, *np.unravel_index(support, orders))
+        )
+        return eigvals, np.abs(eigvals - direct.ravel()).tolist()
+
+    def _dense_eigen(self):
+        a = self.as_array()
+        n = self.group.order
+        require_dense_budget((n, n), 16, f"the eigenvectors of {self!r}")
+        try:
+            if self.symmetric:
+                eigvals, eigvecs = np.linalg.eigh(a)
+                eigvals = eigvals.astype(complex)
+            else:
+                eigvals, eigvecs = np.linalg.eig(a)
+        except np.linalg.LinAlgError as exc:
+            raise ComputationError(
+                f"eigensolver failed for the {self.side} operator on {self.group.name}: {exc}"
+            ) from exc
+        return eigvals, [
+            float(np.linalg.norm(_gather(self.stencil(), v, False) - lam * v) / np.linalg.norm(v))
+            for lam, v in zip(eigvals, eigvecs.T)
+        ]
+
     def __repr__(self):
         return f"<ConvolutionOperator {self.side} on {self.group.name}>"
+
+
+def _cyclic_orders(group):
+    """[n_1, n_2, ...] for Z_n1 x Z_n2 x ... (nested products flattened), else None."""
+    if isinstance(group, CyclicGroup):
+        return [group.n]
+    parts = [_cyclic_orders(f) for f in group.factors] if isinstance(group, ProductGroup) else [None]
+    return None if None in parts else [n for part in parts for n in part]
 
 
 def _require_finite(group, what):
@@ -371,8 +407,9 @@ class SpectralReport:
 
 
 def _sort_key(z):
-    angle = math.atan2(z.imag, z.real) % (2 * math.pi)
-    return (-round(abs(z), 9), round(angle, 9))
+    # an angle rounding to 2 pi is 0: the sign of an imaginary rounding error cannot move it
+    angle = round(math.atan2(z.imag, z.real) % (2 * math.pi), 9) % round(2 * math.pi, 9)
+    return (-round(abs(z), 9), angle)
 
 
 def _roots(parent, idx):

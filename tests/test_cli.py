@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from groupwalk import operators
+from groupwalk import cli, operators
 from groupwalk.cli import (
     AnalysisConfig,
     ConfigError,
@@ -186,8 +186,8 @@ def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
 def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
     config = parse_config(
         {
-            "group": {"kind": "cyclic", "n": 64},
-            "measure": [{"g": "1", "w": 0.5}, {"g": "3", "w": 0.3}, {"g": "10", "w": 0.2}],
+            "group": {"kind": "dihedral", "n": 32},  # not abelian: LAPACK runs
+            "measure": [{"g": "1", "w": 0.5}, {"g": "3", "w": 0.3}, {"g": "40", "w": 0.2}],
             "tasks": ["spectrum", "verify"],
             "options": {"exact": False},
         }
@@ -205,8 +205,8 @@ def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
 
 def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch):
     config = {
-        "group": {"kind": "cyclic", "n": 16},
-        "measure": [{"g": "1", "w": 0.5}, {"g": "15", "w": 0.5}],
+        "group": {"kind": "dihedral", "n": 8},  # not abelian: the dense matrix is built
+        "measure": [{"g": "1", "w": 0.5}, {"g": "7", "w": 0.5}],
         "tasks": ["spectrum"],
         "options": {"exact": False},
     }
@@ -215,6 +215,43 @@ def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert "DENSE_BYTES_BUDGET" in err and "16 x 16" in err
+
+
+def test_analyze_character_spectrum_runs_past_the_dense_budget(tmp_path, capsys):
+    measure = [{"g": "1", "w": 0.5}, {"g": "29999", "w": 0.3}, {"g": "30007", "w": 0.2}]
+    cyclic = {
+        "group": {"kind": "cyclic", "n": 60000},
+        "measure": measure,
+        "tasks": ["spectrum"],
+        "options": {"exact": False},
+    }
+    out_path = tmp_path / "report.json"
+    code, _, err = run_main(
+        capsys, ["analyze", write_config(tmp_path, cyclic), "--out", str(out_path)]
+    )
+    assert code == 0, err
+    records = json.loads(out_path.read_text())["results"]["spectrum"]["eigenvalues"]
+    assert sum(r["multiplicity"] for r in records) == 60000
+    # the same order on a dihedral group still needs LAPACK on a dense matrix
+    dihedral = dict(cyclic, group={"kind": "dihedral", "n": 30000})
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, dihedral, "d.json")])
+    assert code == 2
+    assert out == ""
+    assert "DENSE_BYTES_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "error", [MemoryError(), RecursionError("maximum recursion depth exceeded")]
+)
+def test_main_reports_resource_errors_in_one_line(tmp_path, capsys, monkeypatch, error):
+    def fail(group, mu, config):
+        raise error
+
+    monkeypatch.setitem(cli._TASK_RUNNERS, "spectrum", fail)
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, Z4_CONFIG)])
+    assert code == 1
+    assert out == ""
+    assert err == f"computation failed: {str(error) or type(error).__name__}\n"
 
 
 def test_analyze_rejects_bad_measure_sum(tmp_path, capsys):

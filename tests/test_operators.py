@@ -1,6 +1,8 @@
 import cmath
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -315,7 +317,7 @@ def test_operators_are_memoised_per_measure_and_side():
 
 
 def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
-    g = CyclicGroup(12)
+    g = DihedralGroup(6)  # not abelian: the spectrum comes from LAPACK
     mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
     op = right_operator(g, mu)
     first = spectrum(op)
@@ -333,7 +335,8 @@ def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
 
 def test_dense_matrix_is_shared_and_read_only():
     g = CyclicGroup(5)
-    op = right_operator(g, uniform(g, [1, 4]))
+    mu = uniform(g, [1, 4])  # the operator holds its measure weakly
+    op = right_operator(g, mu)
     mat = op.as_array()
     with pytest.raises(ValueError):
         mat[0, 0] = 1.0
@@ -342,8 +345,8 @@ def test_dense_matrix_is_shared_and_read_only():
 
 
 def test_dense_allocations_refused_over_budget(monkeypatch):
-    g = CyclicGroup(6)
-    mu = uniform(g, [1, 5])
+    g = DihedralGroup(3)  # not abelian: the spectrum needs dense eigenvectors
+    mu = uniform(g, [1, 2])
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36 - 1)
     with pytest.raises(ConstructionError, match="DENSE_BYTES_BUDGET"):
         right_operator(g, mu).as_array()
@@ -354,6 +357,116 @@ def test_dense_allocations_refused_over_budget(monkeypatch):
     assert right_operator(g, mu).as_array().shape == (6, 6)
     with pytest.raises(ConstructionError, match="eigenvectors"):
         spectrum(right_operator(g, mu))
+
+
+def test_memoised_operator_dies_with_its_measure_without_gc():
+    g = CyclicGroup(8)
+    mu = uniform(g, [1, 7])
+    op = right_operator(g, mu)
+    spectrum(op)
+    op.as_array()
+    assert op.measure is mu
+    alive = weakref.ref(op)
+    gc.disable()
+    try:
+        del op, mu
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------- character spectra
+
+def _lapack_spectrum(group, mu):
+    """Oracle: the dense LAPACK spectrum of a fresh right operator."""
+    op = ConvolutionOperator(group, mu, "right")
+    op._eigen = op._dense_eigen()
+    return spectrum(op)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        CyclicGroup(64),
+        ProductGroup([ProductGroup([CyclicGroup(4), CyclicGroup(1)]), CyclicGroup(6)]),
+    ],
+    ids=lambda g: g.name,
+)
+def test_character_spectrum_builds_no_dense_matrix(group, monkeypatch):
+    def refuse(a):
+        raise AssertionError("LAPACK called on an abelian group")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    mu = make_measure(group, [(1, 0.5), (2, 0.3), (group.order - 1, 0.2)])
+    for op in (right_operator(group, mu), left_operator(group, mu)):
+        report = spectrum(op)
+        assert op._float_matrix is None
+        assert sum(rec.multiplicity for rec in report.eigenvalues) == group.order
+        assert report.peripheral == [1]
+
+
+def test_spectrum_lists_one_first_whatever_its_rounding():
+    g = ProductGroup([CyclicGroup(3), CyclicGroup(6), CyclicGroup(6)])
+    mu = make_measure(g, [(8, 1.0)])  # a step of order 6: 1 has multiplicity 18
+    for report in (spectrum(right_operator(g, mu)), _lapack_spectrum(g, mu)):
+        assert abs(report.eigenvalues[0].value - 1) < 1e-12
+        assert report.eigenvalues[0].multiplicity == 18
+
+
+@st.composite
+def abelian_walks(draw):
+    """(group, measure) on a cyclic group or a product of 2-3 cyclic
+    factors (possibly nested, possibly with a Z1 factor); exact or float
+    weights, symmetric or not, with or without the identity, generating or
+    not, or the unit-invariant {a, u*a, 2b} measure on Z_n (n = 2^m) whose
+    spectrum has complex double eigenvalues."""
+    shape = draw(st.sampled_from(["cyclic", "product", "nested", "unit"]))
+    exact = draw(st.booleans())
+    weight = st.integers(1, 9) if exact else st.floats(1.0, 2.0)
+    if shape == "unit":
+        n = draw(st.sampled_from([8, 16, 32, 64]))
+        group = CyclicGroup(n)
+        a = 2 * draw(st.integers(0, n // 2 - 1)) + 1
+        shared = draw(weight)
+        raw = {a: shared, (n // 2 + 1) * a % n: shared, 2 * draw(st.integers(1, n // 2 - 1)): draw(weight)}
+    else:
+        if shape == "cyclic":
+            group = CyclicGroup(draw(st.integers(1, 64)))
+        else:
+            size = 3 if shape == "nested" else draw(st.integers(2, 3))
+            factors = [CyclicGroup(n) for n in draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))]
+            if shape == "nested":
+                factors = draw(st.sampled_from([
+                    [ProductGroup(factors[:2]), factors[2]],
+                    [factors[0], ProductGroup(factors[1:])],
+                ]))
+            group = ProductGroup(factors)
+        support = draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=5))
+        support.discard(0)
+        if draw(st.booleans()) or not support:
+            support.add(0)
+        symmetric = draw(st.booleans())
+        raw = {}
+        for h in sorted(support):
+            raw[h] = raw.get(h) or draw(weight)
+            if symmetric:
+                raw[group.inv(h)] = raw[h]
+    total = sum(raw.values())
+    mu = make_measure(group, [(h, F(w, total) if exact else w / total) for h, w in raw.items()])
+    return group, mu
+
+
+@given(abelian_walks())
+def test_character_spectrum_matches_lapack(walk):
+    group, mu = walk
+    fast, slow = spectrum(right_operator(group, mu)), _lapack_spectrum(group, mu)
+    assert [r.multiplicity for r in fast.eigenvalues] == [r.multiplicity for r in slow.eigenvalues]
+    for r, s in zip(fast.eigenvalues, slow.eigenvalues):
+        assert abs(r.value - s.value) <= 1e-12
+    assert len(fast.peripheral) == len(slow.peripheral)
+    for z, w in zip(fast.peripheral, slow.peripheral):
+        assert abs(z - w) <= 1e-12
 
 
 # ---------------------------------------------------------------- truncated steps
