@@ -3,7 +3,10 @@
 A function is harmonic when f * mu = f, anti-harmonic when f * mu = -f, and
 jointly bi-harmonic when mu * f * mu = f.  Anti-harmonic functions are tied
 to sign characters that are -1 on the support; the peripheral boundary
-packages the +1 and -1 eigenspaces with their projected product.
+packages the +1 and -1 eigenspaces with their projected product.  The
+exact eigenspaces are read off the connected classes of the walk
+(operators.component_kernel): indicators of the classes for +1, +-1
+colourings of the bipartite classes for -1.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import ConstructionError, generating_set
-from .linalg import GF2System, normalize_leading, rational_solve
+from .linalg import GF2System, rational_solve
 from .measures import is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
     apply,
+    component_kernel,
     eigenspace,
-    exact_kernel,
     left_operator,
     right_operator,
 )
@@ -164,35 +167,13 @@ def _require_exact_finite(group, mu, what):
         raise ValueError(f"{what} requires exact rational weights; use eigenspace for floats")
 
 
-def _constant_first(vectors, n):
-    """Re-basis a space so the all-ones vector (when present) comes first."""
-    ones = [Fraction(1)] * n
-    candidates = [ones] + [list(v) for v in vectors]
-    basis = []
-    reduced_rows = []  # (pivot index, vector) in echelon form
-    for cand in candidates:
-        vec = list(cand)
-        for pivot, row in reduced_rows:
-            if vec[pivot] != 0:
-                factor = vec[pivot] / row[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            continue
-        reduced_rows.append((pivot, vec))
-        basis.append(cand)
-    if len(basis) != len(vectors):
-        # the ones vector was not in the span; keep the original basis
-        return [list(v) for v in vectors]
-    return basis
-
-
 def harmonic_space(group, mu, side="right"):
-    """Exact basis of the fixed space {f : P f = f}; contains the constant 1."""
+    """Exact basis of the fixed space {f : P f = f}: the constant 1, then
+    the indicators of every connected class but the last (the last is 1
+    minus the others), in eigenspace's class order."""
     _require_exact_finite(group, mu, "harmonic_space")
     op = right_operator(group, mu) if side == "right" else left_operator(group, mu)
-    basis = _constant_first([f.values for f in eigenspace(op, 1)], group.order)
-    return [GroupFunction(group, v) for v in basis]
+    return [GroupFunction.constant(group, Fraction(1))] + eigenspace(op, 1)[:-1]
 
 
 def anti_harmonic_space(group, mu, side="right"):
@@ -203,12 +184,11 @@ def anti_harmonic_space(group, mu, side="right"):
 
 
 def jointly_biharmonic_space(group, mu):
-    """Exact basis of {f : mu * f * mu = f}."""
+    """Exact basis of {f : mu * f * mu = f}, laid out as in harmonic_space
+    over the classes of the two-sided walk g -> h1 g h2."""
     _require_exact_finite(group, mu, "jointly_biharmonic_space")
     ops = [left_operator(group, mu), right_operator(group, mu)]
-    basis = [normalize_leading(v) for v in exact_kernel(ops, 1)]
-    basis = _constant_first(basis, group.order)
-    return [GroupFunction(group, v) for v in basis]
+    return [GroupFunction.constant(group, Fraction(1))] + component_kernel(ops, 1)[:-1]
 
 
 def _as_common(f, exact):
@@ -226,7 +206,9 @@ def decompose(f, mu, tol=1e-9):
 
     T0 = (f + f*mu)/2 is fixed by P, T1 = (f - f*mu)/2 is negated by P.
     When mu is symmetric and generating and f is jointly bi-harmonic, T0
-    must be constant and its value is returned as `constant`.
+    must be constant and its value is returned as `constant`.  Raises
+    ValueError when f * mu * mu != f, and ComputationError when that T0 is
+    not constant.
     """
     group = f.group
     if group.is_truncated:

@@ -1,29 +1,21 @@
 """Exact and floating linear-algebra kernels shared across the package.
 
-Exact nullspaces come from one certified modular kernel: elimination modulo
-word-size primes in numpy int64, rational reconstruction of the canonical
-basis, and an exact check of every vector by the caller.  The Fraction
-routines (RREF, solve) serve small systems and act as the test oracle.  The
-floating routines are thin wrappers over numpy decompositions.
+The Fraction routines (RREF, nullspace, solve) serve small systems and act
+as the test oracle for the exact eigenspaces, which come from connected
+classes (operators.component_kernel), not from elimination.  GF2System
+solves the sign-character systems.  The floating routines are thin
+wrappers over numpy decompositions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
 
 import numpy as np
-
-# Primes below 2**31, so products of two residues fit in int64.
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-)
 
 __all__ = [
     "ComputationError",
     "rational_rref",
-    "certified_nullspace",
     "rational_nullspace",
     "rational_solve",
     "rational_matmul",
@@ -63,133 +55,25 @@ def rational_rref(matrix):
     return rows, pivots
 
 
-def _rref_mod(a, p):
-    """Reduced row echelon form of an int64 matrix modulo p, in place.
-
-    Pivots are chosen as the first nonzero entry at or below the current
-    rank, as in rational_rref.  Returns the pivot columns.
-    """
-    nrows, ncols = a.shape
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        nonzero = np.flatnonzero(a[rank:, col])
-        if nonzero.size == 0:
-            continue
-        row = rank + int(nonzero[0])
-        if row != rank:
-            a[[rank, row]] = a[[row, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
-        targets = np.flatnonzero(a[:, col])
-        targets = targets[targets != rank]
-        if targets.size:
-            factors = a[targets, col][:, None]
-            a[targets, col:] = (a[targets, col:] - factors * a[rank, col:]) % p
-        pivots.append(col)
-    return pivots
-
-
-def _reconstruct(u, modulus, bound):
-    """The fraction a/b with |a|, b <= bound and a = b*u mod modulus, or None
-    (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982)."""
-    r0, r1, t0, t1 = modulus, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _basis_from_residues(ncols, pivots, free, block, modulus):
-    """Canonical nullspace basis rebuilt from the RREF entries of the free
-    columns (block[i][j] is row i, free column j, modulo modulus)."""
-    bound = isqrt(modulus // 2)
-    basis = [[Fraction(0)] * ncols for _ in free]
-    for vec, col in zip(basis, free):
-        vec[col] = Fraction(1)
-    rows, cols = np.nonzero(block)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        value = _reconstruct(-int(block[i, j]) % modulus, modulus, bound)
-        if value is None:
-            return None
-        basis[j][pivots[i]] = value
-    return basis
-
-
-def certified_nullspace(ncols, residues, certify):
-    """Canonical basis of the right nullspace of an exact rational matrix.
-
-    The matrix is given only through ``residues(p)``, which returns it
-    reduced modulo the prime p as an int64 array (or None when p divides a
-    denominator).  Each prime is eliminated in numpy; the basis is rebuilt
-    by rational reconstruction, combining primes by CRT while a prime keeps
-    the same pivots, and returned once ``certify(basis)`` confirms exactly
-    that every vector lies in the kernel.
-
-    The answer is the basis rational_nullspace defines: one vector per free
-    column, with a 1 there and support on earlier pivot columns only.  The
-    mod-p rank never exceeds the rational rank, so k certified vectors of a
-    k-dimensional mod-p kernel prove the dimension; each vector shows its
-    free column depends on earlier columns, so the free columns, and with
-    them the vectors, are the rational ones.  A prime that drops the rank
-    yields a basis that fails the certificate, and the next prime is tried.
-    """
-    best = None
-    for p in _PRIMES:
-        matrix = residues(p)
-        if matrix is None:
-            continue
-        pivots = _rref_mod(matrix, p)
-        free = sorted(set(range(ncols)) - set(pivots))
-        block = matrix[: len(pivots), free]
-        key = pivots + [ncols] * (ncols - len(pivots))
-        if best is None or key < best:
-            # the first prime, or every earlier one lost rank on a prefix
-            best, acc, modulus = key, block.astype(object), p
-        elif key == best:
-            lift = (block - (acc % p).astype(np.int64)) % p * pow(modulus % p, -1, p) % p
-            acc, modulus = acc + modulus * lift.astype(object), modulus * p
-        else:
-            continue
-        basis = _basis_from_residues(ncols, pivots, free, acc, modulus)
-        if basis is not None and certify(basis):
-            return basis
-    raise ComputationError(f"no prime certified the nullspace of a matrix with {ncols} columns")
-
-
-def _fraction_mod(x, p):
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        return None
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def rational_nullspace(matrix):
     """Basis of the right nullspace of a Fraction matrix.
 
     One vector per free column, in increasing column order: the vector has a
-    1 at its free column and back-substituted pivot entries, which makes the
-    output canonical.  Computed by certified_nullspace and checked against
-    every row exactly.
+    1 at its free column and the pivot entries back-substituted from
+    rational_rref, which makes the output canonical.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-
-    def residues(p):
-        rows = [[_fraction_mod(x, p) for x in row] for row in matrix]
-        if any(x is None for row in rows for x in row):
-            return None
-        return np.array(rows, dtype=np.int64)
-
-    def certify(basis):
-        return all(sum(a * b for a, b in zip(row, vec)) == 0 for vec in basis for row in matrix)
-
-    return certified_nullspace(ncols, residues, certify)
+    rref, pivots = rational_rref(matrix)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in enumerate(pivots):
+            vec[col] = -rref[row][free]
+        basis.append(vec)
+    return basis
 
 
 def rational_solve(matrix, rhs):

@@ -9,8 +9,10 @@ The private `_gather` is the one place a stencil is applied: `apply`,
 `apply_truncated`, the matrix-level lift `OperatorOnMatrices` (weighted
 conjugation of order-by-order arrays, applied through the lifted
 permutations perm[i]*n + perm[j]), the spectrum residuals and, through
-`apply`, every exact certificate.  The dense and mod-p matrices are built
-from the same stencil.
+`apply`, every exact certificate.  The dense matrix is built from the same
+stencil, and so are the exact +-1 eigenspaces: `component_kernel` reads
+them off the connected classes of the graph g -- perm[g], labelled by the
+same numpy union-find that clusters eigenvalues.
 
 `right_operator` and `left_operator` return one memoised operator per
 (measure, side), kept on the measure, so every task on one measure shares
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import ConstructionError, CyclicGroup, ProductGroup
-from .linalg import ComputationError, certified_nullspace, float_nullspace, normalize_leading
+from .linalg import ComputationError, float_nullspace, normalize_leading
 from .measures import GroupMeasure, is_symmetric
 
 PERIPHERAL_TOL = 1e-8
@@ -50,7 +52,7 @@ __all__ = [
     "apply_truncated",
     "require_dense_budget",
     "spectrum",
-    "exact_kernel",
+    "component_kernel",
     "eigenspace",
     "conditional_expectation",
     "fourier_coefficient",
@@ -413,12 +415,25 @@ def _sort_key(z):
 
 
 def _roots(parent, idx):
-    root = parent[idx]
+    """Roots of idx in a union-find forest whose parents point to smaller
+    indices.  Pointer jumping first flattens the whole forest in place, so
+    a chain of depth d takes log2(d) passes."""
     while True:
-        up = parent[root]
-        if np.array_equal(up, root):
-            return root
-        root = up
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent[idx]
+        parent[:] = grand
+
+
+def _union(parent, lo, hi):
+    """Join the classes of lo[i] and hi[i] for every i.  Each round hooks
+    every larger root under the smallest root it is paired with, so a root
+    stays the smallest member of its class."""
+    while lo.size:
+        a, b = _roots(parent, lo), _roots(parent, hi)
+        apart = a != b
+        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        lo, hi = lo[apart], hi[apart]
 
 
 def _clusters(values):
@@ -439,12 +454,7 @@ def _clusters(values):
         if not (z.real[d:] - z.real[:-d] <= CLUSTER_TOL).any():
             break
         lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL)
-        hi = lo + d
-        while lo.size:
-            a, b = _roots(parent, lo), _roots(parent, hi)
-            apart = a != b
-            parent[np.maximum(a, b)[apart]] = np.minimum(a, b)[apart]
-            lo, hi = lo[apart], hi[apart]
+        _union(parent, lo, lo + d)
     clusters = {}
     for i, root in zip(order.tolist(), _roots(parent, np.arange(n)).tolist()):
         clusters.setdefault(root, []).append(i)
@@ -478,57 +488,86 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     return SpectralReport(records, peripheral, tol, peripheral_tol)
 
 
-def exact_kernel(ops, lam):
-    """Canonical exact basis of ker(P - lam I) for P = ops[0] o ops[1] o ...
+_ENTRIES = {0: Fraction(0), 1: Fraction(1), -1: Fraction(-1)}
 
-    The composite is the stencil of all products of the operators' terms;
-    its matrix is built modulo each prime straight from those weighted
-    permutations and eliminated by linalg.certified_nullspace.  Every
-    returned vector is certified by exact application of the operators.
-    Vectors are the canonical free-column basis of rational_nullspace.
+
+def _classes(n, perms):
+    """Each index's class label in the graph with edges g -- perm[g]: the
+    smallest index of its connected class."""
+    parent = np.arange(n)
+    for perm in perms:
+        _union(parent, np.arange(n), perm)
+    return _roots(parent, np.arange(n))
+
+
+def component_kernel(ops, lam):
+    """Exact basis of ker(P - lam I) for P = ops[0] o ops[1] o ... and lam = +-1.
+
+    P is a positive combination of the composite stencil's permutations
+    (g -> q[perm[g]] over every pair of terms), so eigenspace's theorem
+    applies to the graph g -- perm(g).  A class is bipartite exactly when
+    g and (g, 1) fall in different classes of the double cover
+    (g, 0) -- (perm(g), 1).  The basis holds one vector per class (per
+    bipartite class for -1), ordered by each class's largest index: its
+    indicator, or its colouring with +1 at the class's smallest index.
+    This is the canonical free-column basis of rational_nullspace, scaled
+    by normalize_leading.  Every vector is certified by exact application
+    of the operators.
     """
     group = ops[0].group
     n = group.order
-    require_dense_budget((n, n), 8, f"the mod-p kernel matrix on {group.name}")
-    rows = np.arange(n)
-    terms = [(Fraction(1), rows)]
+    perms = [np.arange(n)]
     for op in ops:
-        terms = [(w * v, q[perm]) for w, perm in terms for v, q in op.stencil()]
-
-    def residues(p):
-        mat = np.zeros((n, n), dtype=np.int64)
-        for w, perm in terms:
-            if w.denominator % p == 0:
-                return None
-            mat[rows, perm] += w.numerator * pow(w.denominator, -1, p) % p
-        mat[rows, rows] -= lam
-        return mat % p
-
-    def certify(basis):
-        for vec in basis:
-            f = GroupFunction(group, vec)
-            for op in reversed(ops):
-                f = apply(op, f)
-            if f.values != [lam * x for x in vec]:
-                return False
-        return True
-
-    return certified_nullspace(n, residues, certify)
+        perms = [q[perm] for perm in perms for _, q in op.stencil()]
+    if lam == 1:
+        classes, signs = _classes(n, perms), np.ones(n, dtype=np.int64)
+        kept = np.ones(n, dtype=bool)
+    else:
+        cover = _classes(2 * n, [np.concatenate([perm + n, perm]) for perm in perms])
+        even, odd = cover[:n], cover[n:]
+        classes = np.minimum(even, odd)
+        signs = np.where(even == classes, 1, -1)
+        kept = even != odd
+    last = np.full(n, -1)
+    np.maximum.at(last, classes[kept], np.arange(n)[kept])
+    labels = np.flatnonzero(last >= 0)
+    labels = labels[np.argsort(last[labels])]
+    require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis on {group.name}")
+    basis = []
+    for label in labels.tolist():
+        codes = np.where(classes == label, signs, 0).tolist()
+        f = GroupFunction(group, [_ENTRIES[c] for c in codes])
+        image = f
+        for op in reversed(ops):
+            image = apply(op, image)
+        if image.values != [_ENTRIES[lam * c] for c in codes]:
+            raise ComputationError(
+                f"class vector {len(basis)} on {group.name} failed P f = {lam} f"
+            )
+        basis.append(f)
+    return basis
 
 
 def eigenspace(op, lam, tol=1e-9):
     """Basis of the lam-eigenspace of a convolution operator.
 
-    Exact when the measure is rational and lam is 1 or -1: exact_kernel
-    eliminates modulo primes and certifies P v = lam v for every vector.
-    Otherwise a floating rank-revealing nullspace.  Basis vectors are
-    normalized so the entry at the identity is 1 when nonzero, else the
-    first nonzero entry is 1.  Returns [] when lam is not an eigenvalue.
+    Exact when the measure is rational and lam is 1 or -1, by the maximum
+    principle for the doubly stochastic P = sum_h w_h perm_h with every
+    w_h > 0 (Seneta, Non-negative Matrices and Markov Chains, 1981, ch. 1;
+    Horn and Johnson, Matrix Analysis, ch. 8): P f = f exactly when f is
+    constant on each connected class of the graph g -- perm_h(g), and
+    P f = -f exactly when f is, on each class, a multiple of a +-1
+    colouring that flips along every edge, and 0 on the classes that have
+    none.  The dimension (the number of classes, or of bipartite classes)
+    rests on this theorem; component_kernel labels the classes and
+    certifies P v = lam v exactly for every vector.  Otherwise a floating
+    rank-revealing nullspace.  Basis vectors are normalized so the entry at the identity
+    is 1 when nonzero, else the first nonzero entry is 1.  Returns [] when
+    lam is not an eigenvalue.
     """
     group = op.group
     if op.exact and lam in (1, -1):
-        basis = exact_kernel([op], int(lam))
-        return [GroupFunction(group, normalize_leading(vec)) for vec in basis]
+        return component_kernel([op], int(lam))
     a = op.as_array().astype(complex) - complex(lam) * np.eye(group.order)
     cols = float_nullspace(a, tol)
     out = []

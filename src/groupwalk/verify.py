@@ -46,6 +46,7 @@ from .measures import (
     uniform,
 )
 from .operators import (
+    ComputationError,
     GroupFunction,
     OperatorOnMatrices,
     apply,
@@ -471,7 +472,7 @@ def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORD
     def splits(f):
         try:
             dec = decompose(f, mu)
-        except Exception:
+        except (ValueError, ComputationError):
             return False
         minus = [-v for v in dec.anti_part.values]
         return dec.constant is not None and all(

@@ -240,6 +240,19 @@ def test_analyze_character_spectrum_runs_past_the_dense_budget(tmp_path, capsys)
     assert "DENSE_BYTES_BUDGET" in err
 
 
+def test_analyze_refuses_biharmonic_basis_over_budget(tmp_path, capsys):
+    # delta at the identity fixes every function: 20000 classes, a 20000 x 20000 basis
+    config = {
+        "group": {"kind": "cyclic", "n": 20000},
+        "measure": [{"g": "0", "w": "1"}],
+        "tasks": ["biharmonic"],
+    }
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 2
+    assert out == ""
+    assert "DENSE_BYTES_BUDGET" in err and "20000 x 20000" in err
+
+
 @pytest.mark.parametrize(
     "error", [MemoryError(), RecursionError("maximum recursion depth exceeded")]
 )

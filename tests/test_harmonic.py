@@ -31,9 +31,9 @@ from groupwalk.harmonic import (
     monotone_abs_check,
     peripheral_boundary,
 )
-from groupwalk.linalg import GF2System
+from groupwalk.linalg import GF2System, normalize_leading, rational_matmul, rational_nullspace, rational_rref
 from groupwalk.measures import delta, make_measure, uniform
-from groupwalk.operators import ComputationError, GroupFunction, apply, right_operator
+from groupwalk.operators import ComputationError, GroupFunction, apply, left_operator, right_operator
 from groupwalk.verify import CorpusSpec, corpus_fixtures
 
 F = Fraction
@@ -171,30 +171,77 @@ def test_biharmonic_contains_constants_even_when_not_generating():
         assert apply(left_operator(g, mu), apply(right_operator(g, mu), f)).values == f.values
 
 
-def test_biharmonic_matches_dense_product_elimination():
-    # the pre-modular computation: Fraction RREF of left x right - I
-    from groupwalk.harmonic import _constant_first
-    from groupwalk.linalg import normalize_leading, rational_matmul, rational_rref
-    from groupwalk.operators import left_operator
+def test_biharmonic_basis_at_order_65536():
+    n = 32768
+    g = DihedralGroup(n)  # index j + n*k for r^j s^k
+    basis = jointly_biharmonic_space(g, uniform(g, [1, n - 1, n]))  # r, r^-1, s
+    assert len(basis) == 2
+    assert basis[0].values == [F(1)] * g.order
+    # g -> h1 g h2 keeps the parity of j + k: the odd class is the first indicator
+    assert basis[1].values == [F((x % n + x // n) % 2) for x in range(g.order)]
 
+
+def constant_first(vectors, n):
+    """Greedy re-basis of a space so the all-ones vector comes first."""
+    ones = [F(1)] * n
+    basis = []
+    reduced_rows = []  # (pivot index, vector) in echelon form
+    for cand in [ones] + vectors:
+        vec = list(cand)
+        for pivot, row in reduced_rows:
+            if vec[pivot] != 0:
+                factor = vec[pivot] / row[pivot]
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
+        if pivot is not None:
+            reduced_rows.append((pivot, vec))
+            basis.append(cand)
+    assert len(basis) == len(vectors)  # the ones vector lies in the space
+    return basis
+
+
+def dense_biharmonic_basis(group, mu):
+    """Fraction RREF of left x right - I: the canonical free-column basis,
+    normalized, re-based with the constant first."""
+    n = group.order
+    prod = rational_matmul(left_operator(group, mu).exact_matrix(), right_operator(group, mu).exact_matrix())
+    mat = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(prod)]
+    rref, pivots = rational_rref(mat)
+    oracle = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [F(0)] * n
+        vec[free] = F(1)
+        for row, col in enumerate(pivots):
+            vec[col] = -rref[row][free]
+        oracle.append(normalize_leading(vec))
+    return constant_first(oracle, n)
+
+
+def test_biharmonic_matches_dense_product_elimination():
     rng = random.Random(19)
     groups = [CyclicGroup(6), DihedralGroup(4), DihedralGroup(5), SymmetricGroup(3), QuaternionGroup()]
     for group in groups:
         for size in (1, 2, 3):
             mu = random_rational_measure(group, rng, size)
-            n = group.order
-            prod = rational_matmul(left_operator(group, mu).exact_matrix(), right_operator(group, mu).exact_matrix())
-            mat = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(prod)]
-            rref, pivots = rational_rref(mat)
-            oracle = []
-            for free in (c for c in range(n) if c not in pivots):
-                vec = [F(0)] * n
-                vec[free] = F(1)
-                for row, col in enumerate(pivots):
-                    vec[col] = -rref[row][free]
-                oracle.append(normalize_leading(vec))
             got = [f.values for f in jointly_biharmonic_space(group, mu)]
-            assert got == _constant_first(oracle, n)
+            assert got == dense_biharmonic_basis(group, mu)
+
+
+@given(
+    st.sampled_from([CyclicGroup(1), CyclicGroup(5), CyclicGroup(8), DihedralGroup(3), DihedralGroup(4),
+                     QuaternionGroup(), SymmetricGroup(3), ProductGroup([CyclicGroup(2), CyclicGroup(3)])]),
+    st.lists(st.tuples(st.integers(0, 23), st.integers(1, 6)), min_size=1, max_size=4),
+)
+def test_biharmonic_and_harmonic_match_dense_elimination(group, entries):
+    # drawn supports: non-symmetric, non-generating, lazy or not
+    weights = {g % group.order: w for g, w in entries}
+    total = sum(weights.values())
+    mu = make_measure(group, [(g, F(w, total)) for g, w in weights.items()])
+    assert [f.values for f in jointly_biharmonic_space(group, mu)] == dense_biharmonic_basis(group, mu)
+    for side, op in (("right", right_operator(group, mu)), ("left", left_operator(group, mu))):
+        mat = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(op.exact_matrix())]
+        oracle = constant_first([normalize_leading(v) for v in rational_nullspace(mat)], group.order)
+        assert [f.values for f in harmonic_space(group, mu, side)] == oracle
 
 
 # ---------------------------------------------------------------- decompose

