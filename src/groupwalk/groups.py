@@ -3,6 +3,14 @@
 Every group exposes dense 0-based element indices with the identity at
 index 0.  Finite kinds are total; ball truncations have a partial product
 that returns ``None`` when the result leaves the ball.
+
+Walk stencils come from whole-permutation products: `right_perm(h)` and
+`left_perm(h)` return g*h and h*g for every element g at once, as one int64
+array with -1 where a ball product leaves the ball.  Cyclic, dihedral and
+product groups compute them arithmetically, tables read a column or row,
+lattice balls look shifted points up in a sorted key array, and free balls
+walk the parent and child tables of the BFS that built them.  The
+per-element `mul` stays for parsing, small loops and as the test oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +123,14 @@ class FiniteGroup:
     def inv(self, a):
         raise NotImplementedError
 
+    def right_perm(self, h):
+        """perm[g] = g*h for every element g, as one int64 array."""
+        return np.array([self.mul(g, h) for g in self.elements()], dtype=np.int64)
+
+    def left_perm(self, h):
+        """perm[g] = h*g for every element g, as one int64 array."""
+        return np.array([self.mul(h, g) for g in self.elements()], dtype=np.int64)
+
     def _check_axioms(self):
         """Cheap identity/inverse sanity pass, run at construction."""
         e = self.identity
@@ -148,6 +164,11 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a):
         return (-a) % self.n
 
+    def right_perm(self, h):
+        return (np.arange(self.n) + h) % self.n
+
+    left_perm = right_perm
+
 
 class DihedralGroup(FiniteGroup):
     """Symmetries of a regular n-gon; index j + n*k for rotation^j reflect^k."""
@@ -174,6 +195,19 @@ class DihedralGroup(FiniteGroup):
         n = self.n
         j, k = a % n, a // n
         return ((-j) % n) if k == 0 else a
+
+    def _products(self, a, b):
+        """mul over index arrays, elementwise."""
+        n = self.n
+        j1, k1 = a % n, a // n
+        j2, k2 = b % n, b // n
+        return (j1 + np.where(k1 == 0, j2, -j2)) % n + n * ((k1 + k2) % 2)
+
+    def right_perm(self, h):
+        return self._products(np.arange(self.order), h)
+
+    def left_perm(self, h):
+        return self._products(h, np.arange(self.order))
 
 
 class SymmetricGroup(FiniteGroup):
@@ -248,7 +282,8 @@ class QuaternionGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table over indices."""
+    """Group given by an explicit multiplication table over indices, held as
+    one int64 array: table[a, b] = a*b."""
 
     def __init__(self, table, name="table"):
         n = len(table)
@@ -270,7 +305,7 @@ class TableGroup(FiniteGroup):
         if rows[0] != list(range(n)) or [rows[r][0] for r in range(n)] != list(range(n)):
             raise ConstructionError("index 0 must be a two-sided identity")
         self._inv = [row.index(0) for row in rows]  # every Latin row holds 0 once
-        self.table = rows
+        self.table = np.array(rows, dtype=np.int64)
         self.order = n
         self.name = name
         self._check_associativity()
@@ -280,7 +315,7 @@ class TableGroup(FiniteGroup):
         """Light's test: (x*t)*y = x*(t*y) for all x, y and each t of a
         generating set.  The elements t passing it are closed under the
         product, so passing on generators proves associativity exactly."""
-        t = np.array(self.table, dtype=np.int32)
+        t = self.table
         for g in generating_set(self):
             bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
             if bad.size:
@@ -288,10 +323,16 @@ class TableGroup(FiniteGroup):
                 raise ConstructionError(f"table is not associative at ({a}, {g}, {c})")
 
     def mul(self, a, b):
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a):
         return self._inv[a]
+
+    def right_perm(self, h):
+        return self.table[:, h].copy()
+
+    def left_perm(self, h):
+        return self.table[h].copy()
 
 
 class ProductGroup(FiniteGroup):
@@ -333,9 +374,28 @@ class ProductGroup(FiniteGroup):
     def inv(self, a):
         return self._encode([f.inv(x) for f, x in zip(self.factors, self._decode(a))])
 
+    def _combine(self, perms):
+        """Mixed-radix product of one factor permutation per factor: the
+        grid sum of perm_i * stride_i, flattened first factor major."""
+        out = np.zeros((), dtype=np.int64)
+        for f, perm in zip(self.factors, perms):
+            out = out[..., None] * f.order + perm
+        return out.ravel()
+
+    def right_perm(self, h):
+        return self._combine([f.right_perm(c) for f, c in zip(self.factors, self._decode(h))])
+
+    def left_perm(self, h):
+        return self._combine([f.left_perm(c) for f, c in zip(self.factors, self._decode(h))])
+
 
 class TruncatedGroup:
-    """Ball truncation of an infinite family: partial product, total inverse."""
+    """Ball truncation of an infinite family: partial product, total inverse.
+
+    Subclasses give `right_perm(h)` and `left_perm(h)` (-1 where a product
+    leaves the ball) and `parity(forced)`, the per-element parity of the
+    letters on the generator axes marked in the 0/1 array forced.
+    """
 
     is_truncated = True
     identity = 0
@@ -359,6 +419,8 @@ class TruncatedGroup:
 
     def index_of_form(self, form):
         """Index of a canonical form, or None when it lies outside the ball."""
+        if self.length_form(form) > self.radius:
+            return None
         return self.index.get(form)
 
     def mul_forms(self, u, v):
@@ -385,7 +447,13 @@ class TruncatedGroup:
 
 
 class LatticeBall(TruncatedGroup):
-    """Integer lattice Z^dim truncated to the word-length (L1) ball."""
+    """Integer lattice Z^dim truncated to the word-length (L1) ball.
+
+    Points are ordered by length, then lexicographically.  Besides the
+    tuple forms the ball holds them as one (order, dim) int32 array, and
+    for lookups a sorted array of fixed-width byte keys: each coordinate as
+    big-endian unsigned x + radius, so a key is exact for every dim.
+    """
 
     family = "lattice"
 
@@ -402,8 +470,16 @@ class LatticeBall(TruncatedGroup):
                 raise ConstructionError(
                     f"lattice ball dim={dim} radius={radius} exceeds {MAX_BALL_SIZE} elements"
                 )
-        forms = [p for r in range(radius + 1) for p in sorted(self._sphere(dim, r))]
-        super().__init__(forms, radius, f"Z^{dim}ball{radius}")
+        from .operators import require_dense_budget  # operators imports this module
+
+        # every coordinate is held twice: in the array and as a tuple slot
+        require_dense_budget((size, dim), 8, f"the forms of lattice ball dim={dim} radius={radius}")
+        coords = self._ball_points(dim, radius)
+        super().__init__(list(map(tuple, coords.tolist())), radius, f"Z^{dim}ball{radius}")
+        self._coords = coords
+        keys = self._keys(coords)
+        self._key_order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._key_order]
 
     @staticmethod
     def _sphere_size(dim, r):
@@ -414,21 +490,34 @@ class LatticeBall(TruncatedGroup):
         return sum(math.comb(dim, k) * math.comb(r - 1, k - 1) * 2**k for k in range(1, min(dim, r) + 1))
 
     @staticmethod
-    def _sphere(dim, r):
-        """All integer points with L1 norm exactly r, in no particular order."""
-        if r == 0:
-            return [(0,) * dim]
-        points = []
-        for k in range(1, min(dim, r) + 1):
-            for support in itertools.combinations(range(dim), k):
-                for cuts in itertools.combinations(range(1, r), k - 1):
-                    parts = [b - a for a, b in zip((0,) + cuts, cuts + (r,))]
-                    for signs in itertools.product((1, -1), repeat=k):
-                        point = [0] * dim
-                        for i, x, sign in zip(support, parts, signs):
-                            point[i] = sign * x
-                        points.append(tuple(point))
-        return points
+    def _ball_points(dim, radius):
+        """Every point of L1 length <= radius as an int32 array, ordered by
+        length, then lexicographically.  The points grow one axis at a time:
+        a partial point with budget b = radius - |x_1| - ... - |x_i| spawns
+        x_(i+1) = -b..b in increasing order, which lists the full points
+        lexicographically; a stable sort by length follows."""
+        budget = np.array([radius])
+        parents, axes = [], []
+        for _ in range(dim):
+            counts = 2 * budget + 1
+            parent = np.repeat(np.arange(len(budget)), counts)
+            starts = np.cumsum(counts) - counts
+            x = np.arange(counts.sum()) - np.repeat(starts + budget, counts)
+            parents.append(parent)
+            axes.append(x)
+            budget = budget[parent] - np.abs(x)
+        coords = np.empty((len(budget), dim), dtype=np.int32)
+        rows = np.arange(len(budget))
+        for i in reversed(range(dim)):
+            coords[:, i] = axes[i][rows]
+            rows = parents[i][rows]
+        return coords[np.argsort(radius - budget, kind="stable")]
+
+    def _keys(self, points):
+        """One fixed-width byte key per row of points inside the ball."""
+        width = next(w for w in (1, 2, 4) if 2 * self.radius < 256**w)
+        cells = np.ascontiguousarray(points + self.radius, dtype=f">u{width}")
+        return cells.view(np.dtype((np.void, width * self.dim))).ravel()
 
     def family_key(self):
         return ("lattice", self.dim)
@@ -442,10 +531,22 @@ class LatticeBall(TruncatedGroup):
     def length_form(self, u):
         return sum(abs(x) for x in u)
 
-    def index_of_form(self, form):
-        if self.length_form(form) > self.radius:
-            return None
-        return self.index.get(form)
+    def right_perm(self, h):
+        """perm[g] = g + h.  Every point of L1 length <= radius is in the
+        ball, so those are looked up in the sorted keys; the rest are -1."""
+        shifted = self._coords + self._coords[h]
+        inside = np.abs(shifted).sum(axis=1) <= self.radius
+        perm = np.full(self.order, -1, dtype=np.int64)
+        found = np.searchsorted(self._sorted_keys, self._keys(shifted[inside]))
+        perm[inside] = self._key_order[found]
+        return perm
+
+    left_perm = right_perm
+
+    def parity(self, forced):
+        """Per element, the number of unit steps along the axes where
+        forced is 1, mod 2."""
+        return (np.abs(self._coords) @ np.asarray(forced, dtype=np.int64)) % 2
 
 
 class FreeBall(TruncatedGroup):
@@ -453,7 +554,11 @@ class FreeBall(TruncatedGroup):
 
     Words are tuples of signed letters (+i for the i-th generator, -i for
     its inverse, 1-based) and are enumerated in shortlex order with
-    letters ordered a < a^-1 < b < b^-1 < ...
+    letters ordered a < a^-1 < b < b^-1 < ...  Slot s, 0-based in that
+    order, holds the letter s//2 + 1, negated when s is odd, so slot s ^ 1
+    holds its inverse.  The BFS that enumerates the ball keeps, per word,
+    its parent (the word without its last letter), the slot of its last
+    letter and its child per slot (-1 where none is in the ball).
     """
 
     family = "free"
@@ -464,26 +569,32 @@ class FreeBall(TruncatedGroup):
         if radius < 0:
             raise ConstructionError(f"free radius must be nonnegative, got {radius}")
         self.rank = rank
-        letters = []
-        for i in range(1, rank + 1):
-            letters.extend((i, -i))
-        self._letters = letters
-        forms = [()]
-        sphere = [()]
-        for _ in range(radius):
-            nxt = []
-            for word in sphere:
-                for letter in letters:
-                    if word and word[-1] == -letter:
-                        continue
-                    nxt.append(word + (letter,))
-            forms.extend(nxt)
-            sphere = nxt
-            if len(forms) > MAX_BALL_SIZE:
+        slots = 2 * rank
+        starts = [0, 1]
+        for depth in range(radius):
+            starts.append(starts[-1] + slots * (slots - 1) ** depth)
+            if starts[-1] > MAX_BALL_SIZE:
                 raise ConstructionError(
                     f"free ball rank={rank} radius={radius} exceeds {MAX_BALL_SIZE} elements"
                 )
+        order = starts[-1]
+        parent = np.full(order, -1, dtype=np.int64)
+        last = np.full(order, -1, dtype=np.int64)
+        for lo, hi, top in zip(starts, starts[1:], starts[2:]):
+            words = np.repeat(np.arange(lo, hi), slots)
+            letter = np.tile(np.arange(slots), hi - lo)
+            keep = letter != last[words] ^ 1
+            parent[hi:top] = words[keep]
+            last[hi:top] = letter[keep]
+        child = np.full((order, slots), -1, dtype=np.int64)
+        child[parent[1:], last[1:]] = np.arange(1, order)
+        letters = np.where(last % 2, -(last // 2 + 1), last // 2 + 1)
+        forms = [()]
+        for p, letter in zip(parent[1:].tolist(), letters[1:].tolist()):
+            forms.append(forms[p] + (letter,))
         super().__init__(forms, radius, f"F{rank}ball{radius}")
+        self._parent, self._last, self._child = parent, last, child
+        self._spheres = list(zip(starts, starts[1:]))
 
     def family_key(self):
         return ("free", self.rank)
@@ -503,10 +614,49 @@ class FreeBall(TruncatedGroup):
     def length_form(self, u):
         return len(u)
 
-    def index_of_form(self, form):
-        if len(form) > self.radius:
-            return None
-        return self.index.get(form)
+    def _slots(self, h):
+        return [2 * abs(x) - 2 + (x < 0) for x in self.forms[h]]
+
+    def _right_step(self, g, s):
+        """g*l for the letter l in slot s, over index arrays g (and s): the
+        parent where l cancels the last letter, else the child."""
+        return np.where(self._last[g] == s ^ 1, self._parent[g], self._child[g, s])
+
+    def _left_letter(self, s):
+        """l*g for the letter l in slot s and every word g, one sphere at a
+        time: l*(p*t) = (l*p)*t, where l*p is in the ball because p is
+        shorter than the radius."""
+        out = np.empty(self.order, dtype=np.int64)
+        out[0] = self._child[0, s]
+        for lo, hi in self._spheres[1:]:
+            out[lo:hi] = self._right_step(out[self._parent[lo:hi]], self._last[lo:hi])
+        return out
+
+    def _through(self, steps):
+        """Follow one-letter permutations in turn.  A product inside the
+        ball never leaves it on the way (lengths fall while letters cancel,
+        then rise), so a -1 on the way is final."""
+        perm = np.arange(self.order)
+        for step in steps:
+            inside = perm >= 0
+            perm[inside] = step[perm[inside]]
+        return perm
+
+    def right_perm(self, h):
+        everyone = np.arange(self.order)
+        return self._through([self._right_step(everyone, s) for s in self._slots(h)])
+
+    def left_perm(self, h):
+        return self._through([self._left_letter(s) for s in reversed(self._slots(h))])
+
+    def parity(self, forced):
+        """Per word, the number of its letters on the generators where
+        forced is 1, mod 2, one sphere at a time from the parents."""
+        forced = np.asarray(forced, dtype=np.int64)
+        out = np.zeros(self.order, dtype=np.int64)
+        for lo, hi in self._spheres[1:]:
+            out[lo:hi] = out[self._parent[lo:hi]] ^ forced[self._last[lo:hi] // 2]
+        return out
 
 
 def build_group(spec):

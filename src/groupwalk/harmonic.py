@@ -261,8 +261,8 @@ def find_anti_character(group, mu):
     system = GF2System()
     system.add(1 << group.identity, 0)
     for t in generating_set(group):
-        for g in range(n):
-            system.add((1 << g) ^ (1 << t) ^ (1 << group.mul(g, t)), 0)
+        for g, gt in enumerate(group.right_perm(t).tolist()):
+            system.add((1 << g) ^ (1 << t) ^ (1 << gt), 0)
     for s in mu.support():
         if not system.add(1 << s, 1):
             return None
@@ -273,10 +273,9 @@ def find_anti_character(group, mu):
 
 
 def _find_anti_character_family(group, mu):
-    rank = group.rank if group.family == "free" else group.dim
-    forced = [0] * rank
+    forced = np.zeros(group.family_key()[1], dtype=np.int64)
     for s in mu.support():
-        form = mu.group.canonical_form(s) if mu.group is not group else group.canonical_form(s)
+        form = mu.group.canonical_form(s)
         length = group.length_form(form)
         if length == 0:
             return None  # identity in the support forces chi(e) = -1
@@ -287,15 +286,7 @@ def _find_anti_character_family(group, mu):
         else:
             axis = next(i for i, x in enumerate(form) if x != 0)
             forced[axis] = 1
-    values = []
-    for g in group.elements():
-        form = group.canonical_form(g)
-        if group.family == "free":
-            parity = sum(forced[abs(letter) - 1] for letter in form) % 2
-        else:
-            parity = sum(forced[i] * abs(x) for i, x in enumerate(form)) % 2
-        values.append(1 if parity == 0 else -1)
-    chi = Character(group, values)
+    chi = Character(group, (1 - 2 * group.parity(forced)).tolist())
     chi.validate(sample=4096)
     return chi
 

@@ -3,8 +3,11 @@
 The right operator sends f to f * mu (steps multiply on the right), the
 left operator sends f to mu * f.  Both are weighted sums of permutations of
 the group's element indices, one per support element, and
-`ConvolutionOperator.stencil()` is the one place those permutations are
-built (on ball truncations a product that leaves the ball is written as -1).
+`ConvolutionOperator.stencil()` is the one place a measure becomes those
+permutations.  Each is one whole-permutation product of the group,
+`right_perm(h)` or `left_perm(h)`, built by array arithmetic or lookups
+rather than one `mul` per element (on ball truncations a product that
+leaves the ball is written as -1).
 The private `_gather` is the one place a stencil is applied: `apply`,
 `apply_truncated`, the matrix-level lift `OperatorOnMatrices` (weighted
 conjugation of order-by-order arrays, applied through the lifted
@@ -198,17 +201,15 @@ class ConvolutionOperator:
     def stencil(self):
         """[(weight, perm)] with one int64 index array per support element,
         in sorted support order; perm[g] is g*h (right) or h*g (left), and
-        -1 where that product leaves a ball truncation."""
+        -1 where that product leaves a ball truncation.  Each perm is one
+        whole-permutation product of the group, budgeted before it is built."""
         if self._stencil is None:
-            mul, elements = self.group.mul, range(self.group.order)
-            self._stencil = []
-            for h in sorted(self.weights):
-                if self.side == "right":
-                    perm = [mul(g, h) for g in elements]
-                else:
-                    perm = [mul(h, g) for g in elements]
-                perm = np.array([-1 if x is None else x for x in perm], dtype=np.int64)
-                self._stencil.append((self.weights[h], perm))
+            group = self.group
+            require_dense_budget(
+                (len(self.weights), group.order), 8, f"the {self.side} stencil on {group.name}"
+            )
+            perm = group.right_perm if self.side == "right" else group.left_perm
+            self._stencil = [(self.weights[h], perm(h)) for h in sorted(self.weights)]
         return self._stencil
 
     def exact_matrix(self):
@@ -645,8 +646,7 @@ def conditional_expectation(group, T):
 
 def fourier_coefficient(group, T, g):
     """Diagonal of T * lambda_g^*: values[i] = T[i, g^-1 i]."""
-    ginv = group.inv(g)
-    cols = [group.mul(ginv, i) for i in group.elements()]
+    cols = group.left_perm(group.inv(g)).tolist()
     return GroupFunction(group, [T[i][cols[i]] for i in group.elements()])
 
 

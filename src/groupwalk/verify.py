@@ -602,9 +602,9 @@ def run_theorem_suite(corpus=None):
 
 
 def _parity_function(ball):
-    return GroupFunction(
-        ball, [Fraction(-1) if ball.length(g) % 2 else Fraction(1) for g in ball.elements()]
-    )
+    """(-1)^length on a ball: the parity of the letters on every axis."""
+    parity = ball.parity(np.ones(ball.family_key()[1], dtype=np.int64))
+    return GroupFunction(ball, [Fraction(1 - 2 * p) for p in parity.tolist()])
 
 
 def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupwalk.groups import (
@@ -21,6 +23,8 @@ from groupwalk.groups import (
     generating_set,
     parse_element,
 )
+from groupwalk.measures import delta
+from groupwalk.operators import ConvolutionOperator
 
 
 # ---------------------------------------------------------------- oracles
@@ -236,6 +240,7 @@ def test_free_ball_counts_match_word_enumeration():
         words = reduced_words(rank, radius)
         assert ball.order == len(words)
         assert set(ball.forms) == set(words)
+        assert ball.forms == words  # shortlex, letters a < A < b < B < ...
 
 
 def test_free_ball_f2_r2_is_17():
@@ -271,6 +276,7 @@ def test_lattice_ball_counts():
         pts = lattice_points(dim, radius)
         assert ball.order == len(pts)
         assert set(ball.forms) == set(pts)
+        assert ball.forms == sorted(pts, key=lambda p: (sum(map(abs, p)), p))
     assert LatticeBall(1, 50).order == 101
 
 
@@ -281,6 +287,16 @@ def test_lattice_ball_high_dimension_builds_without_recursion():
     assert ball.canonical_form(0) == (0,) * 1200
     with pytest.raises(ConstructionError, match="exceeds"):
         LatticeBall(1200, 3)
+
+
+def test_lattice_forms_are_budgeted_before_they_are_built(monkeypatch):
+    # 981,401 points pass MAX_BALL_SIZE, but their forms hold 687 M coordinates
+    def unbudgeted(dim, radius):
+        raise AssertionError("forms built before the budget check")
+
+    monkeypatch.setattr(LatticeBall, "_ball_points", staticmethod(unbudgeted))
+    with pytest.raises(ConstructionError, match="DENSE_BYTES_BUDGET"):
+        LatticeBall(700, 2)
 
 
 def test_lattice_mul_and_exit():
@@ -408,3 +424,98 @@ def test_build_group_requires_positive_radius():
 def test_build_group_unknown_kind():
     with pytest.raises(ConstructionError):
         build_group(GroupSpec(kind="octonion"))
+
+
+# ---------------------------------------------------------------- whole-permutation products
+
+def mul_perms(group, h):
+    """(right, left) permutations of h by per-element mul, None as -1."""
+    def perm(values):
+        return [-1 if x is None else x for x in values]
+
+    elements = group.elements()
+    return perm(group.mul(g, h) for g in elements), perm(group.mul(h, g) for g in elements)
+
+
+def _nested_product():
+    inner = ProductGroup([CyclicGroup(2), TableGroup(cayley_table(SymmetricGroup(3)))])
+    return ProductGroup([DihedralGroup(2), ProductGroup([inner, QuaternionGroup()])])
+
+
+PERM_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(9),
+    DihedralGroup(1),
+    DihedralGroup(6),
+    SymmetricGroup(4),
+    QuaternionGroup(),
+    TableGroup(cayley_table(ProductGroup([QuaternionGroup(), CyclicGroup(3)]))),
+    ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+    _nested_product(),
+    *[LatticeBall(dim, radius) for dim in (1, 2, 3) for radius in range(5)],
+    *[FreeBall(rank, radius) for rank in (1, 2, 3) for radius in range(5)],
+]
+
+
+@pytest.mark.parametrize("group", PERM_GROUPS, ids=lambda g: g.name)
+@settings(max_examples=15)
+@given(st.data())
+def test_whole_permutation_products_match_mul(group, data):
+    h = data.draw(st.integers(0, group.order - 1))
+    right, left = group.right_perm(h), group.left_perm(h)
+    assert right.dtype == left.dtype == np.int64
+    assert (right.tolist(), left.tolist()) == mul_perms(group, h)
+
+
+@settings(max_examples=2)
+@given(st.data())
+def test_whole_permutation_products_on_a_ball_too_wide_for_int64_keys(data):
+    # a base-(2r+1) integer key of a point of Z^1200 would need 3^1200
+    ball = LatticeBall(1200, 1)
+    h = data.draw(st.integers(1, ball.order - 1))
+    right = [-1 if x is None else x for x in (ball.mul(g, h) for g in ball.elements())]
+    assert ball.right_perm(h).tolist() == right == ball.left_perm(h).tolist()  # abelian
+
+
+@pytest.mark.parametrize("ball", [g for g in PERM_GROUPS if g.is_truncated], ids=lambda g: g.name)
+@settings(max_examples=10)
+@given(st.data())
+def test_ball_parity_matches_form_loop(ball, data):
+    axes = ball.family_key()[1]
+    forced = data.draw(st.lists(st.integers(0, 1), min_size=axes, max_size=axes))
+    if ball.family == "free":
+        expected = [sum(forced[abs(x) - 1] for x in form) % 2 for form in ball.forms]
+    else:
+        expected = [sum(b * abs(x) for b, x in zip(forced, form)) % 2 for form in ball.forms]
+    assert ball.parity(np.array(forced)).tolist() == expected
+
+
+def test_table_group_holds_one_int_array():
+    source = ProductGroup([CyclicGroup(2), SymmetricGroup(3)])
+    group = TableGroup(cayley_table(source))
+    assert group.table.dtype == np.int64
+    assert group.table.tolist() == cayley_table(source)
+    product = group.mul(3, 4)
+    assert type(product) is int and product == source.mul(3, 4)
+
+
+def test_lattice_ball_near_max_size_steps_off_its_edge():
+    radius = 723
+    ball = LatticeBall(2, radius)
+    assert ball.order == 1_046_905
+    h = ball.index_of_form((1, 0))
+    [(_, perm)] = ConvolutionOperator(ball, delta(ball, h), "right").stencil()
+    # the points (x, y) with x >= 0 and x + |y| = radius step off the edge
+    assert np.count_nonzero(perm == -1) == 2 * radius + 1
+    for g in random.Random(0).sample(range(ball.order), 2000):
+        assert perm[g] == (-1 if ball.mul(g, h) is None else ball.mul(g, h))
+
+
+def test_free_ball_near_max_size_matches_mul_on_a_sample():
+    ball = FreeBall(2, 11)
+    assert ball.order == 354_293
+    a = ball.index_of_form((1,))
+    right, left = ball.right_perm(a), ball.left_perm(a)
+    for g in random.Random(0).sample(range(ball.order), 2000):
+        assert right[g] == (-1 if ball.mul(g, a) is None else ball.mul(g, a))
+        assert left[g] == (-1 if ball.mul(a, g) is None else ball.mul(a, g))

@@ -20,6 +20,8 @@ from groupwalk.groups import (
     ProductGroup,
     QuaternionGroup,
     SymmetricGroup,
+    TableGroup,
+    TruncatedGroup,
 )
 from groupwalk.linalg import normalize_leading, rational_rref
 from groupwalk.measures import convolve, delta, make_measure, uniform
@@ -356,6 +358,40 @@ def test_dense_allocations_refused_over_budget(monkeypatch):
     assert right_operator(g, mu).as_array().shape == (6, 6)
     with pytest.raises(ConstructionError, match="eigenvectors"):
         spectrum(right_operator(g, mu))
+
+
+def test_stencil_is_budgeted_before_it_is_built(monkeypatch):
+    # a full-support walk on Z16384 would need 16384 permutations of 16384
+    group = CyclicGroup(16384)
+
+    def unbudgeted(h):
+        raise AssertionError("permutation built before the budget check")
+
+    monkeypatch.setattr(group, "right_perm", unbudgeted)
+    op = right_operator(group, uniform(group, group.elements()))
+    with pytest.raises(ConstructionError, match="right stencil on Z16384.*DENSE_BYTES_BUDGET"):
+        op.stencil()
+
+
+@pytest.mark.parametrize("group", [
+    CyclicGroup(6),
+    DihedralGroup(5),
+    TableGroup([[(a + b) % 4 for b in range(4)] for a in range(4)]),
+    ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), CyclicGroup(3)])]),
+    LatticeBall(2, 3),
+    FreeBall(2, 3),
+], ids=lambda g: g.name)
+def test_stencil_calls_no_per_element_mul(group, monkeypatch):
+    mu = uniform(group, [1, 2, 3])
+
+    def per_element(self, a, b):
+        raise AssertionError("stencil called mul")
+
+    for cls in (CyclicGroup, DihedralGroup, TableGroup, ProductGroup, TruncatedGroup):
+        monkeypatch.setattr(cls, "mul", per_element)
+    for side in ("right", "left"):
+        stencil = ConvolutionOperator(group, mu, side).stencil()
+        assert [len(perm) for _, perm in stencil] == [group.order] * 3
 
 
 def test_memoised_operator_dies_with_its_measure_without_gc():
