@@ -72,7 +72,7 @@ class Character:
         return [g for g in self.group.elements() if self.values[g] == 1]
 
     def as_function(self):
-        return GroupFunction(self.group, list(self.values))
+        return GroupFunction._from_numerators(self.group, np.array(self.values, dtype=np.int64))
 
     def is_constant(self):
         return all(v == 1 for v in self.values)
@@ -132,12 +132,7 @@ class BoundaryBasis:
     dimension: int
 
     def product(self, i, j):
-        coeffs = self.table[i][j]
-        values = [Fraction(0)] * self.group.order
-        for c, fn in zip(coeffs, self.functions):
-            if c != 0:
-                values = [v + c * fv for v, fv in zip(values, fn.values)]
-        return GroupFunction(self.group, values)
+        return _combination(self.group, self.table[i][j], self.functions)
 
     def to_json(self):
         return {
@@ -191,14 +186,10 @@ def jointly_biharmonic_space(group, mu):
     return [GroupFunction.constant(group, Fraction(1))] + component_kernel(ops, 1)[:-1]
 
 
-def _as_common(f, exact):
-    return f if exact else GroupFunction(f.group, [float(v) for v in f.values])
-
-
 def _close(f, g, exact, tol):
     if exact:
-        return f.values == g.values
-    return max(abs(a - b) for a, b in zip(f.values, g.values)) <= tol
+        return f == g
+    return np.abs(f.as_array() - g.as_array()).max() <= tol
 
 
 def decompose(f, mu, tol=1e-9):
@@ -214,7 +205,8 @@ def decompose(f, mu, tol=1e-9):
     if group.is_truncated:
         raise ConstructionError("decompose requires a finite group")
     exact = mu.exact and f.is_exact
-    f = _as_common(f, exact)
+    if not exact:
+        f = GroupFunction._from_array(group, f.as_array())
     r_op = right_operator(group, mu)
     rf = apply(r_op, f)
     rrf = apply(r_op, rf)
@@ -227,12 +219,8 @@ def decompose(f, mu, tol=1e-9):
     if is_symmetric(mu) and is_generating(mu):
         lrf = apply(left_operator(group, mu), rf)
         if _close(lrf, f, exact, tol):
-            first = t0.values[0]
-            if exact:
-                uniform_value = all(v == first for v in t0.values)
-            else:
-                uniform_value = all(abs(v - first) <= tol for v in t0.values)
-            if not uniform_value:
+            first = t0[0]
+            if not _close(t0, GroupFunction.constant(group, first), exact, tol):
                 raise ComputationError(
                     "harmonic part of a jointly bi-harmonic function failed to be constant"
                 )
@@ -352,17 +340,25 @@ def factor_anti_harmonic(f, chi, mu, tol=1e-9):
 
 
 def _gram(cols):
-    return [[sum(ci * cj for ci, cj in zip(c1, c2)) for c2 in cols] for c1 in cols]
+    return [[c1.inner(c2) for c2 in cols] for c1 in cols]
 
 
-def _projection_coefficients(cols, gram, values):
-    """Exact coefficients over cols of the orthogonal projection of values
-    onto their span; gram is _gram(cols)."""
-    rhs = [sum(c * v for c, v in zip(col, values)) for col in cols]
-    coeffs = rational_solve(gram, rhs)
+def _projection_coefficients(cols, gram, f):
+    """Exact coefficients over the functions cols of the orthogonal
+    projection of f onto their span; gram is _gram(cols)."""
+    coeffs = rational_solve(gram, [col.inner(f) for col in cols])
     if coeffs is None:
         raise ComputationError("eigenspace Gram system was singular")
     return coeffs
+
+
+def _combination(group, coeffs, functions):
+    """sum c * f over exact coefficients and functions, on their numerators."""
+    total = GroupFunction.constant(group, Fraction(0))
+    for c, fn in zip(coeffs, functions):
+        if c != 0:
+            total = total + fn.scale(c)
+    return total
 
 
 def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
@@ -391,12 +387,8 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
         zero = Fraction(0) if exact else 0.0
         return GroupFunction.constant(group, zero)
     if exact:
-        cols = [b.values for b in basis]
-        coeffs = _projection_coefficients(cols, _gram(cols), product.values)
-        values = [Fraction(0)] * group.order
-        for c, col in zip(coeffs, cols):
-            values = [v + c * x for v, x in zip(values, col)]
-        return GroupFunction(group, values)
+        coeffs = _projection_coefficients(basis, _gram(basis), product)
+        return _combination(group, coeffs, basis)
     mat = np.column_stack([b.as_array() for b in basis])
     coeffs, *_ = np.linalg.lstsq(mat, product.as_array(), rcond=None)
     return GroupFunction(group, list(mat @ coeffs))
@@ -421,14 +413,13 @@ def peripheral_boundary(group, mu):
     dim = len(functions)
     blocks = {}
     for tag, offset, block in ((1, 0, har), (-1, len(har), anti)):
-        cols = [b.values for b in block]
-        blocks[tag] = (offset, cols, _gram(cols))
+        blocks[tag] = (offset, block, _gram(block))
     table = []
     for fi, ti in zip(functions, tags):
         row = []
         for fj, tj in zip(functions, tags):
             offset, cols, gram = blocks[ti * tj]
-            sol = _projection_coefficients(cols, gram, (fi * fj).values)
+            sol = _projection_coefficients(cols, gram, fi * fj)
             coeffs = [Fraction(0)] * dim
             coeffs[offset:offset + len(sol)] = sol
             row.append(coeffs)

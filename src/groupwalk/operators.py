@@ -17,6 +17,13 @@ stencil, and so are the exact +-1 eigenspaces: `component_kernel` reads
 them off the connected classes of the graph g -- perm[g], labelled by the
 same numpy union-find that clusters eigenvalues.
 
+An exact `GroupFunction` is an integer numerator array over one positive
+denominator (plus a `defined` mask for partial ball results); `_gather`
+sums the stencil on the numerators, in int64 when no partial sum can reach
+2**63 and on Python ints otherwise, and returns the numerators over the
+denominator times the weights' common denominator.  No exact step builds a
+Fraction per entry; the `values` list is only a read view.
+
 `right_operator` and `left_operator` return one memoised operator per
 (measure, side), kept on the measure, so every task on one measure shares
 its stencil, its read-only dense matrix and its eigenvalues and eigenpair
@@ -85,31 +92,74 @@ def _as_array(values):
     return np.array([float(v) for v in values])
 
 
-def _gather(terms, values, exact):
-    """sum_h w_h * values[perm_h] over a stencil [(w_h, perm_h)], as an array.
+_INT64_LIMIT = 1 << 63
 
-    Exact: values are ints and Fractions; the sum runs on Python-int
-    numerators over one common denominator in an object array, and the
-    result holds Fractions.  Otherwise values is a float or complex array
-    (sequences are converted) and the terms are added in stencil order
-    starting from 0.
-    """
-    if not exact:
-        vec = values if isinstance(values, np.ndarray) else _as_array(values)
-        return sum(float(w) * vec[perm] for w, perm in terms)
+
+def _max_abs(nums):
+    """max |x| over a numerator array (0 when empty), as a Python int."""
+    if not nums.size:
+        return 0
+    if nums.dtype == object:
+        return max(map(abs, nums.tolist()))
+    return int(np.abs(nums).max())
+
+
+def _fit(nums, bound):
+    """nums as int64 when `bound`, a bound on the modulus of every value to
+    be computed from them, is below 2**63; else as Python ints in an object
+    array, which cannot overflow."""
+    return nums.astype(np.int64 if bound < _INT64_LIMIT else object, copy=False)
+
+
+def _exact_parts(values):
+    """(numerators, denominator) of a sequence of ints and Fractions over
+    their least common denominator, or None when any entry is not exact."""
+    if not all(_is_exact_value(v) for v in values):
+        return None
     den = math.lcm(*(v.denominator for v in values))
-    nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return _fit(np.array(nums, dtype=object), max(map(abs, nums), default=0)), den
+
+
+def _to_float(nums, den):
+    """Each nums[i] / den as the nearest float, as float(Fraction) gives it."""
+    if den < 1 << 53 and _max_abs(nums) < 1 << 53:
+        return nums.astype(np.float64) / den
+    return np.array([x / den for x in nums.tolist()], dtype=np.float64)
+
+
+def _gather(terms, vec, den=None):
+    """sum_h w_h * vec[perm_h] over a stencil [(w_h, perm_h)].
+
+    Exact when den is given: vec holds integer numerators over den, and the
+    result is (numerators, den * scale) with scale the least common
+    denominator of the weights; the sum runs in int64 when max|vec| times
+    the sum of the scaled weights stays below 2**63, else on Python ints.
+    Otherwise vec is a float or complex array (sequences are converted) and
+    the terms are added in stencil order starting from 0.
+    """
+    if den is None:
+        vec = vec if isinstance(vec, np.ndarray) else _as_array(vec)
+        return sum(float(w) * vec[perm] for w, perm in terms)
     scale = math.lcm(*(w.denominator for w, _ in terms))
-    total = sum(w.numerator * (scale // w.denominator) * nums[perm] for w, perm in terms)
-    den *= scale
-    return np.array([Fraction(x, den) for x in total], dtype=object)
+    coeffs = [w.numerator * (scale // w.denominator) for w, _ in terms]
+    vec = _fit(vec, max(_max_abs(vec), 1) * sum(coeffs))
+    return sum(c * vec[perm] for c, (_, perm) in zip(coeffs, terms)), den * scale
 
 
 class GroupFunction:
     """Function on a group's element indices; values may be exact or floating.
 
-    Entries equal to None mark points where a partial result is undefined
-    (only produced by apply_truncated).
+    An exact function is one integer numerator array (int64, or Python
+    ints in an object array once a value could overflow int64) over one
+    positive denominator, kept reduced: the gcd of the denominator and
+    every numerator is 1, so equal functions have equal representations.
+    A float or complex function is one ndarray.  A partial result of
+    apply_truncated also carries a boolean `defined` mask (its undefined
+    entries hold 0).  `values` is the read view, built on first access: a
+    list with Fraction entries for exact results (the list given to the
+    constructor, as given), floats or complexes otherwise, and None where
+    the function is undefined.
     """
 
     def __init__(self, group, values):
@@ -118,44 +168,170 @@ class GroupFunction:
             raise ValueError(
                 f"function has {len(values)} values but {group.name} has {group.order} elements"
             )
+        defined = np.array([v is not None for v in values], dtype=bool)
+        filled = values if defined.all() else [0 if v is None else v for v in values]
+        parts = _exact_parts(filled)
+        if parts is None:
+            self._set(group, None, 1, _as_array(filled), defined)
+        else:
+            self._set(group, *parts, None, defined)
+        self._values = values
+
+    @classmethod
+    def _from_numerators(cls, group, nums, den=1, defined=None):
+        """An exact function from an integer array over a positive
+        denominator, reduced by their gcd; undefined entries must be 0."""
+        if den != 1:
+            common = math.gcd(den, int(np.gcd.reduce(nums)))
+            if common > 1:
+                nums, den = nums // common, den // common
+        if nums.dtype == object:
+            nums = _fit(nums, _max_abs(nums))
+        fn = cls.__new__(cls)
+        fn._set(group, nums, den, None, defined)
+        return fn
+
+    @classmethod
+    def _from_array(cls, group, array, defined=None):
+        """A float or complex function from an ndarray; undefined entries must be 0."""
+        fn = cls.__new__(cls)
+        fn._set(group, None, 1, array, defined)
+        return fn
+
+    def _set(self, group, nums, den, array, defined):
         self.group = group
-        self.values = values
+        self._nums = nums
+        self._den = den
+        self._array = array
+        self._defined = None if defined is None or defined.all() else defined
+        self._values = None
 
     @staticmethod
     def constant(group, value):
+        if _is_exact_value(value):
+            nums = _fit(np.full(group.order, value.numerator, dtype=object), abs(value.numerator))
+            return GroupFunction._from_numerators(group, nums, value.denominator)
         return GroupFunction(group, [value] * group.order)
 
     @property
+    def values(self):
+        if self._values is None:
+            if self._nums is not None:
+                den = self._den
+                values = [Fraction(x, den) for x in self._nums.tolist()]
+            else:
+                values = self._array.tolist()
+            if self._defined is not None:
+                values = [v if ok else None for v, ok in zip(values, self._defined.tolist())]
+            self._values = values
+        return self._values
+
+    def __getitem__(self, g):
+        """The value at index g, read without building `values`."""
+        if self._values is not None:
+            return self._values[g]
+        if self._defined is not None and not self._defined[g]:
+            return None
+        if self._nums is not None:
+            return Fraction(int(self._nums[g]), self._den)
+        return self._array[g].item()
+
+    @property
     def is_exact(self):
-        return all(_is_exact_value(v) for v in self.values)
+        return self._nums is not None
 
     @property
     def is_partial(self):
-        return any(v is None for v in self.values)
+        return self._defined is not None
 
     def sup_norm(self):
-        return max(abs(v) for v in self.values if v is not None)
+        if self._nums is not None:
+            return Fraction(_max_abs(self._nums), self._den)
+        return float(np.abs(self._array).max())
 
     def as_array(self):
-        return _as_array(self.values)
+        if self.is_partial:
+            raise ValueError("a partial function has no array")
+        return np.array(self._float())
+
+    def _float(self):
+        """Float (or complex) values, 0 where undefined; not to be written."""
+        if self._nums is not None:
+            return _to_float(self._nums, self._den)
+        return self._array
+
+    def _combine(self, pairs):
+        """sum c * f over [(c, f)] of exact total functions and int or
+        Fraction coefficients, on the numerators."""
+        den = math.lcm(*(c.denominator * f._den for c, f in pairs))
+        mults = [c.numerator * (den // (c.denominator * f._den)) for c, f in pairs]
+        dtype_bound = sum(abs(m) * max(_max_abs(f._nums), 1) for m, (_, f) in zip(mults, pairs))
+        total = sum(m * _fit(f._nums, dtype_bound) for m, (_, f) in zip(mults, pairs))
+        return GroupFunction._from_numerators(self.group, total, den)
 
     def __add__(self, other):
         self._check_peer(other)
-        return GroupFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        if self.is_exact and other.is_exact:
+            return self._combine([(1, self), (1, other)])
+        return GroupFunction._from_array(self.group, self._float() + other._float())
 
     def __sub__(self, other):
         self._check_peer(other)
-        return GroupFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
+        if self.is_exact and other.is_exact:
+            return self._combine([(1, self), (-1, other)])
+        return GroupFunction._from_array(self.group, self._float() - other._float())
 
     def __mul__(self, other):
         self._check_peer(other)
-        return GroupFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
+        if self.is_exact and other.is_exact:
+            bound = max(_max_abs(self._nums), 1) * max(_max_abs(other._nums), 1)
+            nums = _fit(self._nums, bound) * _fit(other._nums, bound)
+            return GroupFunction._from_numerators(self.group, nums, self._den * other._den)
+        return GroupFunction._from_array(self.group, self._float() * other._float())
 
     def __neg__(self):
-        return GroupFunction(self.group, [-v for v in self.values])
+        if self.is_exact:
+            out = self._combine([(-1, self)])
+        else:
+            out = GroupFunction._from_array(self.group, -self._array)
+        out._defined = self._defined
+        return out
 
     def scale(self, c):
-        return GroupFunction(self.group, [c * v for v in self.values])
+        """c * f; a partial function stays undefined where it was."""
+        if self.is_exact and _is_exact_value(c):
+            out = self._combine([(c, self)])
+        else:
+            factor = float(c) if isinstance(c, Fraction) else c
+            out = GroupFunction._from_array(self.group, factor * self._float())
+        out._defined = self._defined
+        return out
+
+    def equals_on(self, other, indices):
+        """Whether self and other take equal values (None where undefined)
+        at every index in indices."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if not (self.is_exact and other.is_exact):
+            return all(self[g] == other[g] for g in idx.tolist())
+        bound = max(
+            max(_max_abs(self._nums), 1) * other._den, max(_max_abs(other._nums), 1) * self._den
+        )
+        return bool(
+            np.array_equal(self._mask()[idx], other._mask()[idx])
+            and np.array_equal(
+                _fit(self._nums[idx], bound) * other._den,
+                _fit(other._nums[idx], bound) * self._den,
+            )
+        )
+
+    def inner(self, other):
+        """Exact sum over g of self(g) * other(g) for exact total functions."""
+        self._check_peer(other)
+        if not (self.is_exact and other.is_exact):
+            raise ValueError("inner needs exact functions")
+        bound = self.group.order * max(_max_abs(self._nums), 1) * max(_max_abs(other._nums), 1)
+        total = np.dot(_fit(self._nums, bound), _fit(other._nums, bound))
+        return Fraction(int(total), self._den * other._den)
 
     def _check_peer(self, other):
         if not isinstance(other, GroupFunction) or other.group is not self.group:
@@ -164,14 +340,21 @@ class GroupFunction:
             raise ValueError("arithmetic on partial functions is not defined")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupFunction)
-            and self.group is other.group
-            and self.values == other.values
-        )
+        if not isinstance(other, GroupFunction) or self.group is not other.group:
+            return False
+        if self.is_exact and other.is_exact:
+            return (
+                self._den == other._den
+                and np.array_equal(self._nums, other._nums)
+                and np.array_equal(self._mask(), other._mask())
+            )
+        return self.values == other.values
+
+    def _mask(self):
+        return np.ones(self.group.order, dtype=bool) if self._defined is None else self._defined
 
     def __repr__(self):
-        return f"<GroupFunction on {self.group.name} len={len(self.values)}>"
+        return f"<GroupFunction on {self.group.name} len={self.group.order}>"
 
 
 class ConvolutionOperator:
@@ -284,7 +467,7 @@ class ConvolutionOperator:
                 f"eigensolver failed for the {self.side} operator on {self.group.name}: {exc}"
             ) from exc
         return eigvals, [
-            float(np.linalg.norm(_gather(self.stencil(), v, False) - lam * v) / np.linalg.norm(v))
+            float(np.linalg.norm(_gather(self.stencil(), v) - lam * v) / np.linalg.norm(v))
             for lam, v in zip(eigvals, eigvecs.T)
         ]
 
@@ -337,7 +520,9 @@ def apply(op, f):
         raise ValueError("function and operator live on different groups")
     if f.is_partial:
         raise ValueError("apply needs a total function; apply_truncated handles partial ones")
-    return GroupFunction(op.group, list(_gather(op.stencil(), f.values, op.exact and f.is_exact)))
+    if op.exact and f.is_exact:
+        return GroupFunction._from_numerators(op.group, *_gather(op.stencil(), f._nums, f._den))
+    return GroupFunction._from_array(op.group, _gather(op.stencil(), f._float()))
 
 
 def apply_truncated(group, mu, f, side):
@@ -366,16 +551,20 @@ def apply_truncated(group, mu, f, side):
             raise ValueError("truncated measures must be supported on word length <= 1")
         weights[group.index_of_form(form)] = w
     if None in weights:  # a step leaves the ball from every point (radius 0)
-        return GroupFunction(group, [None] * group.order), []
+        nowhere = np.zeros(group.order, dtype=bool)
+        return GroupFunction._from_array(group, np.zeros(group.order), nowhere), []
     measure = mu if mu.group is group else GroupMeasure(group, weights, mu.exact)
     terms = _operator(group, measure, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
-    defined = np.array([v is not None for v in f.values] + [False])
+    defined = np.append(f._mask(), False)
     inside = np.logical_and.reduce([defined[perm] for _, perm in terms])
-    exact = mu.exact and all(v is None or _is_exact_value(v) for v in f.values)
-    total = _gather(terms, [0 if v is None else v for v in f.values] + [0], exact)
-    values = [v if ok else None for v, ok in zip(total.tolist(), inside.tolist())]
-    return GroupFunction(group, values), np.flatnonzero(inside).tolist()
+    if mu.exact and f.is_exact:
+        nums, den = _gather(terms, np.append(f._nums, 0), f._den)
+        out = GroupFunction._from_numerators(group, np.where(inside, nums, 0), den, inside)
+    else:
+        total = _gather(terms, np.append(f._float(), 0))
+        out = GroupFunction._from_array(group, np.where(inside, total, 0), inside)
+    return out, np.flatnonzero(inside).tolist()
 
 
 @dataclass(frozen=True)
@@ -415,6 +604,26 @@ def _sort_key(z):
     return (-round(abs(z), 9), angle)
 
 
+def _sort_order(values):
+    """The stable order of complex values by _sort_key, computed on arrays.
+
+    numpy's modulus and angle may differ from math's by a few ulps, which
+    moves a key rounded to 9 decimals only when the scaled value lies next
+    to a half; those few values take _sort_key itself, so every key equals
+    _sort_key's.
+    """
+    keys = []
+    fragile = np.zeros(len(values), dtype=bool)
+    for x in (np.abs(values), np.arctan2(values.imag, values.real) % (2 * math.pi)):
+        scaled = x * 1e9
+        fragile |= np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5
+        keys.append(np.rint(scaled) / 1e9)
+    mags, angles = -keys[0], keys[1] % round(2 * math.pi, 9)
+    for i in np.flatnonzero(fragile).tolist():
+        mags[i], angles[i] = _sort_key(complex(values[i]))
+    return np.lexsort((angles, mags))
+
+
 def _roots(parent, idx):
     """Roots of idx in a union-find forest whose parents point to smaller
     indices.  Pointer jumping first flattens the whole forest in place, so
@@ -440,12 +649,13 @@ def _union(parent, lo, hi):
 def _clusters(values):
     """Single-linkage clusters of complex values at CLUSTER_TOL.
 
-    Each cluster lists its indices in (re, im) order, and clusters come in
-    the order of their first member.  A sweep over the real-sorted values
-    compares each value with the successors whose real parts lie within
-    CLUSTER_TOL, one offset at a time, and joins close pairs in a
-    union-find forest whose parents point to smaller sorted positions, so
-    every root is the first member of its cluster.
+    Returns (members, labels): the indices of values grouped by cluster,
+    each cluster's in (re, im) order and clusters in the order of their
+    first member, and the cluster number of each.  A sweep over the
+    real-sorted values compares each value with the successors whose real
+    parts lie within CLUSTER_TOL, one offset at a time, and joins close
+    pairs in a union-find forest whose parents point to smaller sorted
+    positions, so every root is the first member of its cluster.
     """
     order = np.lexsort((values.imag, values.real))
     z = values[order]
@@ -456,10 +666,9 @@ def _clusters(values):
             break
         lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL)
         _union(parent, lo, lo + d)
-    clusters = {}
-    for i, root in zip(order.tolist(), _roots(parent, np.arange(n)).tolist()):
-        clusters.setdefault(root, []).append(i)
-    return list(clusters.values())
+    _, labels = np.unique(_roots(parent, np.arange(n)), return_inverse=True)
+    grouped = np.argsort(labels, kind="stable")
+    return order[grouped], labels[grouped]
 
 
 def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
@@ -479,17 +688,22 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
             f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e} "
             f"for the {op.side} operator on {op.group.name}"
         )
-    records = []
-    for members in _clusters(eigvals):
-        values = [complex(eigvals[i]) for i in members]
-        rep = sum(values) / len(values)
-        records.append(EigenvalueRecord(rep, len(values), max(residuals[i] for i in members)))
-    records.sort(key=lambda r: _sort_key(r.value))
+    members, labels = _clusters(eigvals)
+    sizes = np.bincount(labels)
+    # np.add.at adds in member order from 0, as sum() does; dividing each
+    # part by the size is what complex division by a real size does
+    sums = np.zeros(len(sizes), dtype=complex)
+    np.add.at(sums, labels, eigvals[members])
+    means = np.empty(len(sizes), dtype=complex)
+    means.real, means.imag = sums.real / sizes, sums.imag / sizes
+    worst = np.full(len(sizes), -np.inf)
+    np.maximum.at(worst, labels, np.array(residuals)[members])
+    values, counts, worst = means.tolist(), sizes.tolist(), worst.tolist()
+    records = [
+        EigenvalueRecord(values[i], counts[i], worst[i]) for i in _sort_order(means).tolist()
+    ]
     peripheral = [r.value for r in records if abs(r.value) >= 1.0 - peripheral_tol]
     return SpectralReport(records, peripheral, tol, peripheral_tol)
-
-
-_ENTRIES = {0: Fraction(0), 1: Fraction(1), -1: Fraction(-1)}
 
 
 def _classes(n, perms):
@@ -536,12 +750,11 @@ def component_kernel(ops, lam):
     require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis on {group.name}")
     basis = []
     for label in labels.tolist():
-        codes = np.where(classes == label, signs, 0).tolist()
-        f = GroupFunction(group, [_ENTRIES[c] for c in codes])
+        f = GroupFunction._from_numerators(group, np.where(classes == label, signs, 0))
         image = f
         for op in reversed(ops):
             image = apply(op, image)
-        if image.values != [_ENTRIES[lam * c] for c in codes]:
+        if image != f.scale(lam):
             raise ComputationError(
                 f"class vector {len(basis)} on {group.name} failed P f = {lam} f"
             )
@@ -618,8 +831,13 @@ class OperatorOnMatrices:
         list entry are exact."""
         n = self.group.order
         flat = T.ravel() if isinstance(T, np.ndarray) else [x for row in T for x in row]
-        exact = self.measure.exact and all(_is_exact_value(x) for x in flat)
-        out = _gather(self.terms, flat, exact).reshape(n, n)
+        parts = _exact_parts(flat) if self.measure.exact else None
+        if parts is None:
+            out = _gather(self.terms, flat)
+        else:
+            nums, den = _gather(self.terms, *parts)
+            out = np.array([Fraction(x, den) for x in nums.tolist()], dtype=object)
+        out = out.reshape(n, n)
         return out if isinstance(T, np.ndarray) else out.tolist()
 
     def matrix(self):

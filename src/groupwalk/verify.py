@@ -474,9 +474,9 @@ def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORD
             dec = decompose(f, mu)
         except (ValueError, ComputationError):
             return False
-        minus = [-v for v in dec.anti_part.values]
+        minus = -dec.anti_part
         return dec.constant is not None and all(
-            apply(op, dec.anti_part).values == minus for op in (right_op, left_op)
+            apply(op, dec.anti_part) == minus for op in (right_op, left_op)
         )
 
     split_ok = all(splits(f) for f in bi_basis)
@@ -513,7 +513,7 @@ def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORD
         factor_ok = True
         for f in anti:
             f1 = factor_anti_harmonic(f, chi, mu)
-            if apply(right_op, f1).values != list(f1.values):
+            if apply(right_op, f1) != f1:
                 factor_ok = False
         records.append(
             CheckRecord(
@@ -604,7 +604,7 @@ def run_theorem_suite(corpus=None):
 def _parity_function(ball):
     """(-1)^length on a ball: the parity of the letters on every axis."""
     parity = ball.parity(np.ones(ball.family_key()[1], dtype=np.int64))
-    return GroupFunction(ball, [Fraction(1 - 2 * p) for p in parity.tolist()])
+    return GroupFunction._from_numerators(ball, 1 - 2 * parity)
 
 
 def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
@@ -632,7 +632,7 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
         (f"left_convolution_negates{suffix}", left, left_interior, -1, ""),
         ("two_sided_convolution_restores", both, both_interior, 1, both_note),
     ):
-        ok = all(out.values[g] == sign * f.values[g] for g in interior)
+        ok = out.equals_on(f.scale(sign), interior)
         records.append(
             CheckRecord(fixture, name, "exact" if ok else "violated", "exact", ok, note=note)
         )
@@ -643,7 +643,7 @@ def _ball_sign_checks(records, fixture, ball, mu, expected_interior):
     f = _parity_function(ball)
     records.extend(ball_sign_records(fixture, ball, mu, f, expected_interior))
     chi = find_anti_character(ball, mu)
-    chi_ok = chi is not None and chi.values == [int(v) for v in f.values]
+    chi_ok = chi is not None and chi.as_function() == f
     records.append(
         CheckRecord(
             fixture, "sign_character_found", "parity" if chi_ok else "missing", "parity", chi_ok,

@@ -861,3 +861,47 @@ def test_eigen_operator_to_function_rejects_non_eigenvector():
         eigen_operator_to_function(np.ones((2, 2)), -1.0, mu)
     with pytest.raises(ValueError):
         eigen_operator_to_function(np.zeros((2, 2)), -1.0, mu)
+
+
+# ---------------------------------------------------------------- records
+
+
+def per_cluster_records(op):
+    """The records spectrum built one cluster at a time: the members'
+    complex sum from 0 over the size, the largest member residual, and a
+    sort by _sort_key."""
+    eigvals, residuals = op.eigenvalues()
+    members, labels = operators._clusters(eigvals)
+    records = []
+    for k in range(labels.max() + 1):
+        values = [complex(eigvals[i]) for i in members[labels == k]]
+        worst = max(residuals[i] for i in members[labels == k])
+        records.append((sum(values) / len(values), len(values), worst))
+    records.sort(key=lambda r: operators._sort_key(r[0]))
+    return [(repr(z.real), repr(z.imag), m, repr(res)) for z, m, res in records]
+
+
+@given(st.one_of(walks(), abelian_walks().map(lambda gm: (*gm, "right"))))
+def test_spectrum_records_match_per_cluster_loop(walk):
+    group, mu, side = walk
+    op = ConvolutionOperator(group, mu, side)
+    report = spectrum(op, tol=1e-6)
+    got = [(repr(r.value.real), repr(r.value.imag), r.multiplicity, repr(r.residual))
+           for r in report.eigenvalues]
+    assert got == per_cluster_records(op)
+
+
+@given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+def test_sort_order_matches_sort_key_next_to_rounding_halves(ticks, seed):
+    """Moduli and angles a hair from k + 1/2 in the ninth decimal, where a
+    one-ulp difference in numpy's abs or arctan2 would move the key."""
+    rng = random.Random(seed)
+    values = []
+    for k in ticks:
+        half = (abs(k) + 0.5) / 1e9
+        values.append(complex(half if k % 2 else -half, 0.0))
+        values.append(cmath.rect(rng.choice([1.0, half, 0.5]), half * 6))
+        values.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    values += values[: len(values) // 2]  # equal keys keep their order
+    expected = sorted(range(len(values)), key=lambda i: operators._sort_key(values[i]))
+    assert operators._sort_order(np.array(values)).tolist() == expected
