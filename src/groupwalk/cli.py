@@ -6,9 +6,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -148,7 +150,24 @@ def _jsonable(value):
 
 
 def _function_values(f):
-    return [_jsonable(v) for v in f.values]
+    """f's entries as the report writes them: "n" or "n/d" in lowest terms
+    for exact functions, read off the numerators (one gcd per entry, no
+    Fraction), floats or [re, im] otherwise, None where f is undefined."""
+    if f.is_exact:
+        nums, den = f._nums, f._den
+        if nums.dtype == object or den >= 1 << 63:
+            common = [math.gcd(x, den) for x in nums.tolist()]
+        else:
+            common = np.gcd(nums, den).tolist()
+        values = [
+            str(x // c) if c == den else f"{x // c}/{den // c}"
+            for x, c in zip(nums.tolist(), common)
+        ]
+    else:
+        values = [_jsonable(v) for v in f._array.tolist()]
+    if f.is_partial:
+        values = [v if ok else None for v, ok in zip(values, f._defined.tolist())]
+    return values
 
 
 def _build_inputs(config):
@@ -309,8 +328,65 @@ def _write_csv_tables(report, directory):
                 writer.writerow([n, d])
 
 
+def _json_float(x):
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _key(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_encode(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj, indent="\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), built in
+    fewer steps: a list of only ints, only strings or only finite floats is
+    joined in one pass, and a dict's scalar values are encoded inline."""
+    encode = _SCALARS.get(type(obj))
+    if encode is not None:
+        return encode(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {str}:
+            items = map(_SCALARS[kinds.pop()], obj)
+        elif kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            encode = _SCALARS.get(type(value))
+            text = encode(value) if encode is not None else _encode(value, inner)
+            items.append(f"{_key(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    for kind in (str, int, float):  # subclasses of the scalar types
+        if isinstance(obj, kind):
+            return _SCALARS[kind](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _encode(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -8,12 +8,13 @@ permutations.  Each is one whole-permutation product of the group,
 `right_perm(h)` or `left_perm(h)`, built by array arithmetic or lookups
 rather than one `mul` per element (on ball truncations a product that
 leaves the ball is written as -1).
-The private `_gather` is the one place a stencil is applied: `apply`,
-`apply_truncated`, the matrix-level lift `OperatorOnMatrices` (weighted
-conjugation of order-by-order arrays, applied through the lifted
-permutations perm[i]*n + perm[j]), the spectrum residuals and, through
-`apply`, every exact certificate.  The dense matrix is built from the same
-stencil, and so are the exact +-1 eigenspaces: `component_kernel` reads
+The private `_gather` applies every stencil: `apply`, `apply_truncated`,
+the matrix-level lift `OperatorOnMatrices` (weighted conjugation of
+order-by-order arrays, applied through the lifted permutations
+perm[i]*n + perm[j]), the spectrum residuals and, through `apply`, every
+exact certificate.  Only the foguel walk in `verify` sums stencil terms
+itself, in `_gather`'s order, over many measures' inverse left stencils at
+once.  The dense matrix is built from the same stencil, and so are the exact +-1 eigenspaces: `component_kernel` reads
 them off the connected classes of the graph g -- perm[g], labelled by the
 same numpy union-find that clusters eigenvalues.
 

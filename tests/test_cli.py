@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupwalk import cli, operators
 from groupwalk.cli import (
@@ -369,6 +371,46 @@ def test_parse_config_option_validation():
     assert config.tol == 1e-6
     assert config.max_power == 10
     assert config.exact is True
+
+
+# ---------------------------------------------------------------- report encoder
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(["\u00e9\u4e2d\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f']),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+        # homogeneous lists take the one-pass joins
+        st.lists(st.integers()),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+        st.lists(st.floats()),
+        st.lists(st.text()),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_encoder_matches_json_dumps(payload):
+    assert cli._encode(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_encoder_edge_cases_match_json_dumps():
+    cases = [
+        [], {}, (), [[]], {"a": {}}, [1, True], [1.0, 2], [float("inf"), 1.0],
+        {1: "int key", 2.5: "float key"}, {True: 1, False: 0}, {None: "null key"},
+        [np.float64(0.1), np.float64(float("nan"))], -0.0, 10**30,
+    ]
+    for payload in cases:
+        assert cli._encode(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for bad in ([np.int64(1)], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            cli._encode(bad)
 
 
 # ---------------------------------------------------------------- verify subcommand

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupwalk import cli
 from groupwalk.cli import main
 from groupwalk.groups import (
     CyclicGroup,
@@ -249,6 +250,49 @@ def test_biharmonic_split_builds_no_fraction_per_entry(monkeypatch, n):
 
 # ---------------------------------------------------------------- report bytes
 
+def fraction_formatted(f):
+    """The report's entries before numerator formatting: one Fraction (via
+    the `values` view) and one str per exact entry."""
+    return [cli._jsonable(v) for v in f.values]
+
+
+@given(partial_ball_steps(), st.booleans())
+def test_function_values_match_fraction_formatting_on_balls(step, exact):
+    ball, mu, side, values = step
+    if not exact:
+        mu = mu.as_float()
+    out, _ = apply_truncated(ball, mu, GroupFunction(ball, values), side)
+    assert cli._function_values(out) == fraction_formatted(out)
+
+
+@given(exact_walks(big=True))
+def test_function_values_match_fraction_formatting_on_python_ints(walk):
+    group, mu, side, values = walk
+    f = GroupFunction(group, values)
+    for _ in range(3):
+        f = apply(ConvolutionOperator(group, mu, side), f)
+    assert f._nums.dtype == object
+    assert cli._function_values(f) == fraction_formatted(f)
+    assert cli._function_values(f.scale(F(1, 2**70))) == fraction_formatted(f.scale(F(1, 2**70)))
+
+
+def test_function_values_of_float_and_complex_functions():
+    group = CyclicGroup(4)
+    for values in ([0.5, -1.0, 0.0, 2.25], [1j, 0.5 + 0j, -2.0 - 1j, 0j]):
+        f = GroupFunction(group, values)
+        assert cli._function_values(f) == fraction_formatted(f)
+
+
+def test_function_values_build_no_fraction(monkeypatch):
+    group = DihedralGroup(64)
+    f = GroupFunction._from_numerators(group, np.arange(-64, 64, dtype=np.int64), 12)
+    calls = _count_fractions(monkeypatch)
+    texts = cli._function_values(f)
+    monkeypatch.undo()
+    assert calls[0] == 0
+    assert texts == fraction_formatted(f) and texts[:3] == ["-16/3", "-21/4", "-31/6"]
+
+
 S4_CONFIG = {
     "group": {"kind": "symmetric", "n": 4},
     "measure": [{"g": "6", "w": "1/2"}, {"g": "2", "w": "1/3"}, {"g": "1", "w": "1/6"}],
@@ -275,12 +319,15 @@ BALL_CONFIG = {
          "56c4bebe195cd481b16766e5e74d0f4a4df389e45ec542597f1484f9d8f1f276"),
         (["analyze"], BALL_CONFIG,
          "c3f8cff6e52efef27b00a9d54fb5d2c5e2fabfc7233090cb9b3ea71e7872026d"),
+        (["verify", "foguel", "--seed", "0"], None,
+         "a57be67e52f85c575242ef7fc4f3fa38fcf331908cf170b52ff92dc6124e3df6"),
     ],
-    ids=["verify-examples", "s4-biharmonic-boundary", "ball-character-verify"],
+    ids=["verify-examples", "s4-biharmonic-boundary", "ball-character-verify", "verify-foguel"],
 )
 def test_report_bytes_match_pinned_digest(tmp_path, argv, config, digest):
-    """Digests of reports written by the Fraction-per-entry kernel: the
-    lazy `values` view and Fraction formatting must reproduce them."""
+    """Digests of reports written by the Fraction-per-entry kernel, the
+    dense foguel walk and json.dumps: the numerator formatting, the
+    stencil walk and the report encoder must reproduce them."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

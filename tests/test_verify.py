@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import operators
+from groupwalk import operators, verify
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
@@ -26,7 +26,7 @@ from groupwalk.measures import (
     tv_distance,
     uniform,
 )
-from groupwalk.operators import left_operator
+from groupwalk.operators import left_operator, right_operator
 from groupwalk.verify import (
     CheckRecord,
     CorpusSpec,
@@ -37,6 +37,7 @@ from groupwalk.verify import (
     exp_bound_check,
     fixture_theorem_checks,
     foguel_decay,
+    foguel_decays,
     foguel_suite,
     nonsymmetric_fixtures,
     random_symmetric_generating_measure,
@@ -87,21 +88,40 @@ def test_foguel_matches_exact_convolution_oracle():
         power = nxt
 
 
-def foguel_step_oracle(group, mu, eps, n_max):
-    """The step-by-step loop: one matvec and one distance per power."""
-    mat = np.ascontiguousarray(left_operator(group, mu).as_array().T)
+def _step_loop(group, mu, eps, n_max, step):
+    """One power at a time: distances and first_below from a step nu -> mu * nu."""
     current = np.zeros(group.order)
     for h, w in mu.weights.items():
         current[h] = float(w)
     distances, first_below = [], None
-    for step in range(1, n_max + 1):
-        nxt = mat @ current
+    for k in range(1, n_max + 1):
+        nxt = step(current)
         d = 0.5 * float(np.abs(current - nxt).sum())
         distances.append(d)
         if first_below is None and d <= eps:
-            first_below = step
+            first_below = k
         current = nxt
     return distances, first_below
+
+
+def foguel_step_oracle(group, mu, eps, n_max):
+    """The step loop through `_gather` over the inverse left stencil:
+    (mu * nu)(x) = sum_h mu(h) nu(h^-1 x)."""
+    inverse = []
+    for w, perm in left_operator(group, mu).stencil():
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(group.order)
+        inverse.append((w, inv))
+    return _step_loop(group, mu, eps, n_max, lambda nu: operators._gather(inverse, nu))
+
+
+def foguel_dense_oracle(group, mu, eps, n_max):
+    """The step loop through the dense column-stochastic matrix of mu * nu."""
+    n = group.order
+    mat = np.zeros((n, n))
+    for w, perm in left_operator(group, mu).stencil():
+        mat[perm, np.arange(n)] += float(w)
+    return _step_loop(group, mu, eps, n_max, lambda nu: mat @ nu)
 
 
 FOGUEL_GROUPS = [
@@ -114,29 +134,89 @@ FOGUEL_GROUPS = [
 ]
 
 
-@given(
+def _random_measure(group, rng, exact):
+    """A seeded measure, generally neither symmetric nor generating."""
+    support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
+    weights = [rng.randint(1, 7) for _ in support]
+    mu = make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
+    return mu if exact else mu.as_float()
+
+
+FOGUEL_CASE = (
     st.sampled_from(FOGUEL_GROUPS),
     st.integers(0, 2**32 - 1),
     st.booleans(),
     st.sampled_from([1e-2, 1e-6, 1e-12]),
     st.integers(1, 150),
 )
+
+
+@given(*FOGUEL_CASE)
 def test_foguel_decay_matches_step_loop(group, seed, exact, eps, n_max):
-    rng = random.Random(seed)
-    support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
-    weights = [rng.randint(1, 7) for _ in support]
-    mu = make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
-    if not exact:
-        mu = mu.as_float()
+    mu = _random_measure(group, random.Random(seed), exact)
     result = foguel_decay(group, mu, eps=eps, n_max=n_max)
     assert (result.distances, result.first_below) == foguel_step_oracle(group, mu, eps, n_max)
 
 
+@given(*FOGUEL_CASE)
+def test_foguel_decay_matches_dense_matvec_loop(group, seed, exact, eps, n_max):
+    mu = _random_measure(group, random.Random(seed), exact)
+    result = foguel_decay(group, mu, eps=eps, n_max=n_max)
+    distances, first_below = foguel_dense_oracle(group, mu, eps, n_max)
+    assert np.max(np.abs(np.array(result.distances) - distances)) <= 1e-12
+    if min(abs(d - eps) for d in distances) > 1e-13:  # no gap sits on the threshold
+        assert result.first_below == first_below
+
+
+@given(
+    st.sampled_from(FOGUEL_GROUPS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.booleans(), min_size=1, max_size=6),
+    st.integers(1, 80),
+)
+def test_foguel_decays_matches_one_walk_per_measure(group, seed, exact_flags, n_max):
+    """Mixed support sizes (weight-0 padding), exact and float weights."""
+    rng = random.Random(seed)
+    measures = [_random_measure(group, rng, exact) for exact in exact_flags]
+    batched = foguel_decays(group, measures, n_max=n_max)
+    for mu, result in zip(measures, batched):
+        alone = foguel_decay(group, mu, n_max=n_max)
+        assert result.distances == alone.distances
+        assert (result.first_below, result.identity_in_support) == (
+            alone.first_below, alone.identity_in_support,
+        )
+
+
+def test_foguel_decay_builds_no_dense_operator():
+    g = DihedralGroup(6)
+    mu = make_measure(g, [(0, F(1, 2)), (1, F(1, 4)), (6, F(1, 4))])
+    foguel_decay(g, mu)
+    foguel_decays(g, [mu, uniform(g, [1, 11])])
+    assert left_operator(g, mu)._float_matrix is None
+    assert right_operator(g, mu)._float_matrix is None
+
+
+def test_foguel_suite_walks_each_group_once(monkeypatch):
+    walks = []
+    real = verify.foguel_decays
+
+    def counting(group, measures, *args):
+        walks.append((group.name, len(measures)))
+        return real(group, measures, *args)
+
+    monkeypatch.setattr(verify, "foguel_decays", counting)
+    report = foguel_suite(TINY_CORPUS)
+    assert walks == [("Z4", 3), ("Z5", 3), ("Z4", 1)]  # the last is the bipartite control
+    assert [r.fixture for r in report.records] == [
+        "Z4/sym00", "Z4/sym01", "Z4/sym02", "Z5/sym00", "Z5/sym01", "Z5/sym02", "Z4/bipartite",
+    ]
+
+
 def test_foguel_power_table_refused_over_budget(monkeypatch):
     g = CyclicGroup(4)
-    # the 4 x 4 operator fits, the 501 x 4 table of powers does not
+    # the 2 x 4 stencil fits; the walk's tables plus 500 gaps do not, 10 gaps do
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 1000)
-    with pytest.raises(ConstructionError, match="foguel power table.*DENSE_BYTES_BUDGET"):
+    with pytest.raises(ConstructionError, match="foguel walk on Z4.*DENSE_BYTES_BUDGET"):
         foguel_decay(g, uniform(g, [0, 1]))
     assert foguel_decay(g, uniform(g, [0, 1]), n_max=10).first_below is None
 
