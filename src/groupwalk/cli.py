@@ -24,7 +24,7 @@ from .harmonic import (
     peripheral_boundary,
 )
 from .measures import MeasureError, is_generating, is_symmetric, measure_from_json
-from .operators import ComputationError, right_operator, spectrum
+from .operators import ComputationError, _function_values, right_operator, spectrum
 from .verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -147,27 +147,6 @@ def _jsonable(value):
     if isinstance(value, np.floating):
         return float(value)
     return value
-
-
-def _function_values(f):
-    """f's entries as the report writes them: "n" or "n/d" in lowest terms
-    for exact functions, read off the numerators (one gcd per entry, no
-    Fraction), floats or [re, im] otherwise, None where f is undefined."""
-    if f.is_exact:
-        nums, den = f._nums, f._den
-        if nums.dtype == object or den >= 1 << 63:
-            common = [math.gcd(x, den) for x in nums.tolist()]
-        else:
-            common = np.gcd(nums, den).tolist()
-        values = [
-            str(x // c) if c == den else f"{x // c}/{den // c}"
-            for x, c in zip(nums.tolist(), common)
-        ]
-    else:
-        values = [_jsonable(v) for v in f._array.tolist()]
-    if f.is_partial:
-        values = [v if ok else None for v, ok in zip(values, f._defined.tolist())]
-    return values
 
 
 def _build_inputs(config):

@@ -22,6 +22,8 @@ from .measures import is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
+    _function_values,
+    _operator,
     apply,
     component_kernel,
     eigenspace,
@@ -138,7 +140,7 @@ class BoundaryBasis:
         return {
             "dimension": self.dimension,
             "tags": list(self.tags),
-            "functions": [[str(v) for v in fn.values] for fn in self.functions],
+            "functions": [_function_values(fn) for fn in self.functions],
             "table": [[[str(c) for c in cell] for cell in row] for row in self.table],
         }
 
@@ -167,23 +169,24 @@ def harmonic_space(group, mu, side="right"):
     the indicators of every connected class but the last (the last is 1
     minus the others), in eigenspace's class order."""
     _require_exact_finite(group, mu, "harmonic_space")
-    op = right_operator(group, mu) if side == "right" else left_operator(group, mu)
+    op = _operator(group, mu, side)
     return [GroupFunction.constant(group, Fraction(1))] + eigenspace(op, 1)[:-1]
 
 
 def anti_harmonic_space(group, mu, side="right"):
     """Exact basis of {f : P f = -f}; empty when -1 is not an eigenvalue."""
     _require_exact_finite(group, mu, "anti_harmonic_space")
-    op = right_operator(group, mu) if side == "right" else left_operator(group, mu)
-    return eigenspace(op, -1)
+    return eigenspace(_operator(group, mu, side), -1)
 
 
 def jointly_biharmonic_space(group, mu):
     """Exact basis of {f : mu * f * mu = f}, laid out as in harmonic_space
     over the classes of the two-sided walk g -> h1 g h2."""
     _require_exact_finite(group, mu, "jointly_biharmonic_space")
-    ops = [left_operator(group, mu), right_operator(group, mu)]
-    return [GroupFunction.constant(group, Fraction(1))] + component_kernel(ops, 1)[:-1]
+    stencils = [left_operator(group, mu).stencil(), right_operator(group, mu).stencil()]
+    basis = component_kernel(stencils, group.order, 1, f"on {group.name}")[:-1]
+    one = GroupFunction.constant(group, Fraction(1))
+    return [one] + [GroupFunction._from_numerators(group, vec) for vec in basis]
 
 
 def _close(f, g, exact, tol):

@@ -11,12 +11,14 @@ leaves the ball is written as -1).
 The private `_gather` applies every stencil: `apply`, `apply_truncated`,
 the matrix-level lift `OperatorOnMatrices` (weighted conjugation of
 order-by-order arrays, applied through the lifted permutations
-perm[i]*n + perm[j]), the spectrum residuals and, through `apply`, every
-exact certificate.  Only the foguel walk in `verify` sums stencil terms
-itself, in `_gather`'s order, over many measures' inverse left stencils at
-once.  The dense matrix is built from the same stencil, and so are the exact +-1 eigenspaces: `component_kernel` reads
-them off the connected classes of the graph g -- perm[g], labelled by the
-same numpy union-find that clusters eigenvalues.
+perm[i]*n + perm[j]), the spectrum residuals and every exact certificate.
+Only the foguel walk in `verify` sums stencil terms itself, in `_gather`'s
+order, over many measures' inverse left stencils at once.  The dense
+matrix is built from the same stencil.  The exact +-1 eigenspaces of the
+walks and the exact +-1 arrays of the lift come from one kernel:
+`component_kernel` reads them off the connected classes of the graph
+x -- perm[x] of any stencil, over the n elements or the n^2 entries,
+labelled by the same numpy union-find that clusters eigenvalues.
 
 An exact `GroupFunction` is an integer numerator array over one positive
 denominator (plus a `defined` mask for partial ball results); `_gather`
@@ -94,6 +96,7 @@ def _as_array(values):
 
 
 _INT64_LIMIT = 1 << 63
+_CERTIFY_ENTRIES = 1 << 20  # entries of the class vectors certified in one block
 
 
 def _max_abs(nums):
@@ -358,6 +361,27 @@ class GroupFunction:
         return f"<GroupFunction on {self.group.name} len={self.group.order}>"
 
 
+def _function_values(f):
+    """f's entries as reports write them: "n" or "n/d" in lowest terms for
+    exact functions, read off the numerators (one gcd per entry, no
+    Fraction), floats or [re, im] otherwise, None where f is undefined."""
+    if f.is_exact:
+        nums, den = f._nums, f._den
+        if nums.dtype == object or den >= _INT64_LIMIT:
+            common = [math.gcd(x, den) for x in nums.tolist()]
+        else:
+            common = np.gcd(nums, den).tolist()
+        values = [
+            str(x // c) if c == den else f"{x // c}/{den // c}"
+            for x, c in zip(nums.tolist(), common)
+        ]
+    else:
+        values = [[v.real, v.imag] if isinstance(v, complex) else v for v in f._array.tolist()]
+    if f.is_partial:
+        values = [v if ok else None for v, ok in zip(values, f._defined.tolist())]
+    return values
+
+
 class ConvolutionOperator:
     """Convolution operator on a finite group, stored as weighted permutations.
 
@@ -366,6 +390,8 @@ class ConvolutionOperator:
     """
 
     def __init__(self, group, measure, side):
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         self.group = group
         self.side = side
         self.weights = measure.weights
@@ -537,7 +563,7 @@ def apply_truncated(group, mu, f, side):
     """
     if not group.is_truncated:
         raise ConstructionError("apply_truncated requires a ball truncation; use apply instead")
-    if side not in ("right", "left"):
+    if side not in ("right", "left"):  # checked here too: radius 0 returns before any operator
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if not mu.group.is_truncated or mu.group.family_key() != group.family_key():
         raise ValueError(
@@ -716,25 +742,40 @@ def _classes(n, perms):
     return _roots(parent, np.arange(n))
 
 
-def component_kernel(ops, lam):
-    """Exact basis of ker(P - lam I) for P = ops[0] o ops[1] o ... and lam = +-1.
+def _certified(stencils, vecs, lam):
+    """For each column v of the integer array vecs, whether P v = lam v
+    exactly for the composite P = stencils[0] o stencils[1] o ... (the last
+    acts first) of exact weighted-permutation stencils, summed by `_gather`
+    on all columns at once."""
+    image, den = vecs, 1
+    for terms in reversed(stencils):
+        image, den = _gather(terms, image, den)
+    return (image == lam * den * _fit(vecs, den * _max_abs(vecs))).all(axis=0)
+
+
+def component_kernel(stencils, n, lam, where):
+    """Exact basis of ker(P - lam I) for lam = +-1 and P = stencils[0] o
+    stencils[1] o ..., each stencil [(w, perm)] a positive exact combination
+    of permutations of n nodes: a convolution operator's stencil over the
+    group's elements, or the lifted terms of OperatorOnMatrices over the n^2
+    entries of an array.
 
     P is a positive combination of the composite stencil's permutations
     (g -> q[perm[g]] over every pair of terms), so eigenspace's theorem
     applies to the graph g -- perm(g).  A class is bipartite exactly when
     g and (g, 1) fall in different classes of the double cover
-    (g, 0) -- (perm(g), 1).  The basis holds one vector per class (per
+    (g, 0) -- (perm(g), 1).  The basis holds one int64 array per class (per
     bipartite class for -1), ordered by each class's largest index: its
     indicator, or its colouring with +1 at the class's smallest index.
     This is the canonical free-column basis of rational_nullspace, scaled
-    by normalize_leading.  Every vector is certified by exact application
-    of the operators.
+    by normalize_leading.  Every array is certified P v = lam v by exact
+    `_gather` sums; `where` names the nodes in messages ("on D4").
     """
-    group = ops[0].group
-    n = group.order
+    composites = math.prod(len(terms) for terms in stencils)
+    require_dense_budget((composites, n), 8, f"the composite stencil {where}")
     perms = [np.arange(n)]
-    for op in ops:
-        perms = [q[perm] for perm in perms for _, q in op.stencil()]
+    for terms in stencils:
+        perms = [q[perm] for perm in perms for _, q in terms]
     if lam == 1:
         classes, signs = _classes(n, perms), np.ones(n, dtype=np.int64)
         kept = np.ones(n, dtype=bool)
@@ -748,18 +789,17 @@ def component_kernel(ops, lam):
     np.maximum.at(last, classes[kept], np.arange(n)[kept])
     labels = np.flatnonzero(last >= 0)
     labels = labels[np.argsort(last[labels])]
-    require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis on {group.name}")
+    require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis {where}")
     basis = []
-    for label in labels.tolist():
-        f = GroupFunction._from_numerators(group, np.where(classes == label, signs, 0))
-        image = f
-        for op in reversed(ops):
-            image = apply(op, image)
-        if image != f.scale(lam):
+    step = max(1, _CERTIFY_ENTRIES // n)
+    for start in range(0, len(labels), step):
+        vecs = np.where(classes[:, None] == labels[start : start + step], signs[:, None], 0)
+        failed = np.flatnonzero(~_certified(stencils, vecs, lam))
+        if failed.size:
             raise ComputationError(
-                f"class vector {len(basis)} on {group.name} failed P f = {lam} f"
+                f"class vector {start + failed[0]} {where} failed P f = {lam} f"
             )
-        basis.append(f)
+        basis.extend(vecs.T.copy())
     return basis
 
 
@@ -776,13 +816,14 @@ def eigenspace(op, lam, tol=1e-9):
     none.  The dimension (the number of classes, or of bipartite classes)
     rests on this theorem; component_kernel labels the classes and
     certifies P v = lam v exactly for every vector.  Otherwise a floating
-    rank-revealing nullspace.  Basis vectors are normalized so the entry at the identity
-    is 1 when nonzero, else the first nonzero entry is 1.  Returns [] when
-    lam is not an eigenvalue.
+    rank-revealing nullspace.  Basis vectors are normalized so the entry at
+    the identity is 1 when nonzero, else the first nonzero entry is 1.
+    Returns [] when lam is not an eigenvalue.
     """
     group = op.group
     if op.exact and lam in (1, -1):
-        return component_kernel([op], int(lam))
+        basis = component_kernel([op.stencil()], group.order, int(lam), f"on {group.name}")
+        return [GroupFunction._from_numerators(group, vec) for vec in basis]
     a = op.as_array().astype(complex) - complex(lam) * np.eye(group.order)
     cols = float_nullspace(a, tol)
     out = []
@@ -794,37 +835,28 @@ def eigenspace(op, lam, tol=1e-9):
     return out
 
 
-MAX_SUPEROPERATOR_ORDER = 12
-
-
 class OperatorOnMatrices:
     """Weighted conjugation by regular-representation permutations.
 
     side "right": T -> sum_g mu(g) rho_g T rho_g^*, which on diagonal
     arrays reproduces f -> f * mu.  side "left": T -> sum_g mu(g)
     lambda_g^* T lambda_g, reproducing f -> mu * f on diagonals.  The terms
-    are the stencil of the convolution operator on the same side.
+    are the stencil of the convolution operator on the same side, lifted to
+    the n^2 entries; component_kernel reads the exact +-1 arrays off them.
     """
 
     def __init__(self, group, measure, side):
         if group.is_truncated:
             raise ConstructionError("matrix-level operators require a finite group")
-        if group.order > MAX_SUPEROPERATOR_ORDER:
-            raise ConstructionError(
-                f"matrix-level operators support order <= {MAX_SUPEROPERATOR_ORDER}, "
-                f"got {group.order}"
-            )
-        if side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         self.group = group
         self.measure = measure
         self.side = side
         n = group.order
-        # the stencil lifted to row-major arrays: entry (i, j) reads (perm[i], perm[j])
-        self.terms = [
-            (w, (perm[:, None] * n + perm).ravel())
-            for w, perm in _operator(group, measure, side).stencil()
-        ]
+        stencil = _operator(group, measure, side).stencil()
+        what = f"the lifted {side} stencil on {group.name}"
+        require_dense_budget((len(stencil), n * n), 8, what)
+        # entry (i, j) of a row-major array reads (perm[i], perm[j])
+        self.terms = [(w, (perm[:, None] * n + perm).ravel()) for w, perm in stencil]
 
     def apply(self, T):
         """Apply to an order-by-order array: ndarrays give ndarrays and
@@ -840,19 +872,6 @@ class OperatorOnMatrices:
             out = np.array([Fraction(x, den) for x in nums.tolist()], dtype=object)
         out = out.reshape(n, n)
         return out if isinstance(T, np.ndarray) else out.tolist()
-
-    def matrix(self):
-        """Dense float matrix acting on row-major vectorized arrays.
-
-        Row i*n + j holds weight w at column perm[i]*n + perm[j] for each
-        term; distinct terms never share an entry.
-        """
-        n = self.group.order
-        mat = np.zeros((n * n, n * n))
-        rows = np.arange(n * n)
-        for w, cols in self.terms:
-            mat[rows, cols] += float(w)
-        return mat
 
     def __repr__(self):
         return f"<OperatorOnMatrices {self.side} on {self.group.name}>"

@@ -51,8 +51,10 @@ from .operators import (
     ComputationError,
     GroupFunction,
     OperatorOnMatrices,
+    _certified,
     apply,
     apply_truncated,
+    component_kernel,
     left_operator,
     require_dense_budget,
     right_operator,
@@ -485,7 +487,7 @@ def nonsymmetric_fixtures():
     return fixtures
 
 
-def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORDER):
+def fixture_theorem_checks(fixture_id, group, mu):
     """All structural checks for one symmetric generating fixture."""
     records = []
     symmetric = is_symmetric(mu)
@@ -592,38 +594,30 @@ def fixture_theorem_checks(fixture_id, group, mu, ops_cap=OPERATOR_CHECK_MAX_ORD
         )
 
     # matrix-level: jointly fixed arrays of the squared walk are fixed per side
-    if group.order <= ops_cap:
+    if group.order <= OPERATOR_CHECK_MAX_ORDER:
         nu = convolve(mu, mu)
         if group.identity in nu.weights:
             records.extend(_operator_fixed_records(fixture_id, group, nu))
     return records
 
 
-def _operator_fixed_records(fixture_id, group, nu, tol=1e-8):
-    """Solve right*left T = T and check both factors fix every solution."""
-    s_right = OperatorOnMatrices(group, nu, "right")
-    s_left = OperatorOnMatrices(group, nu, "left")
-    mat = s_right.matrix() @ s_left.matrix()
-    basis = float_nullspace(mat - np.eye(mat.shape[0]), tol=1e-9)
-    records = []
-    n = group.order
-    worst = 0.0
-    for i in range(basis.shape[1]):
-        t = basis[:, i].reshape(n, n)
-        r_res = float(np.linalg.norm(s_right.apply(t) - t))
-        l_res = float(np.linalg.norm(s_left.apply(t) - t))
-        worst = max(worst, r_res, l_res)
-    records.append(
+def _operator_fixed_records(fixture_id, group, nu):
+    """The fixed arrays of right o left, one per class of the two lifted
+    stencils, each checked exactly to be fixed by each side alone."""
+    sides = [OperatorOnMatrices(group, nu, side).terms for side in ("right", "left")]
+    basis = component_kernel(sides, group.order**2, 1, f"of the lift on {group.name}")
+    columns = np.stack(basis, axis=1)
+    fixed = all(_certified([terms], columns, 1).all() for terms in sides)
+    return [
         CheckRecord(
             fixture_id,
             "operator_jointly_fixed_is_fixed",
-            float(worst),
-            tol,
-            bool(worst <= tol),
-            note=f"solutions={basis.shape[1]}",
+            "exact" if fixed else "violated",
+            "exact",
+            fixed,
+            note=f"solutions={len(basis)}",
         )
-    )
-    return records
+    ]
 
 
 def run_theorem_suite(corpus=None):

@@ -236,7 +236,7 @@ def test_07_odd_cycles_and_a4_have_trivial_structure():
     )
 
 
-def test_08_matrix_level_operators(corpus):
+def test_08_matrix_level_operators(corpus, dense_lift):
     small = [(fid, g, mu) for fid, g, mu in corpus if g.name in ("Z2", "Z3", "Z4", "S3")]
     assert len(small) == 80
     eigen_ok = True
@@ -246,7 +246,7 @@ def test_08_matrix_level_operators(corpus):
     for fid, group, mu in small:
         n = group.order
         s_right = OperatorOnMatrices(group, mu, "right")
-        evals, evecs = np.linalg.eigh(s_right.matrix())
+        evals, evecs = np.linalg.eigh(dense_lift(s_right))
         for i, lam in enumerate(evals):
             if abs(lam) < 1 - 1e-8:
                 continue
@@ -264,7 +264,7 @@ def test_08_matrix_level_operators(corpus):
         assert group.identity in nu.weights
         s_r = OperatorOnMatrices(group, nu, "right")
         s_l = OperatorOnMatrices(group, nu, "left")
-        joint = s_r.matrix() @ s_l.matrix()
+        joint = dense_lift(s_r) @ dense_lift(s_l)
         basis = float_nullspace(joint - np.eye(n * n), tol=1e-9)
         for j in range(basis.shape[1]):
             t = basis[:, j].reshape(n, n)

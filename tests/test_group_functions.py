@@ -27,11 +27,12 @@ from groupwalk.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from groupwalk.harmonic import decompose, jointly_biharmonic_space
+from groupwalk.harmonic import decompose, jointly_biharmonic_space, peripheral_boundary
 from groupwalk.measures import make_measure, uniform
 from groupwalk.operators import (
     ConvolutionOperator,
     GroupFunction,
+    _function_values,
     apply,
     apply_truncated,
 )
@@ -262,7 +263,7 @@ def test_function_values_match_fraction_formatting_on_balls(step, exact):
     if not exact:
         mu = mu.as_float()
     out, _ = apply_truncated(ball, mu, GroupFunction(ball, values), side)
-    assert cli._function_values(out) == fraction_formatted(out)
+    assert _function_values(out) == fraction_formatted(out)
 
 
 @given(exact_walks(big=True))
@@ -272,25 +273,37 @@ def test_function_values_match_fraction_formatting_on_python_ints(walk):
     for _ in range(3):
         f = apply(ConvolutionOperator(group, mu, side), f)
     assert f._nums.dtype == object
-    assert cli._function_values(f) == fraction_formatted(f)
-    assert cli._function_values(f.scale(F(1, 2**70))) == fraction_formatted(f.scale(F(1, 2**70)))
+    assert _function_values(f) == fraction_formatted(f)
+    assert _function_values(f.scale(F(1, 2**70))) == fraction_formatted(f.scale(F(1, 2**70)))
 
 
 def test_function_values_of_float_and_complex_functions():
     group = CyclicGroup(4)
     for values in ([0.5, -1.0, 0.0, 2.25], [1j, 0.5 + 0j, -2.0 - 1j, 0j]):
         f = GroupFunction(group, values)
-        assert cli._function_values(f) == fraction_formatted(f)
+        assert _function_values(f) == fraction_formatted(f)
 
 
 def test_function_values_build_no_fraction(monkeypatch):
     group = DihedralGroup(64)
     f = GroupFunction._from_numerators(group, np.arange(-64, 64, dtype=np.int64), 12)
     calls = _count_fractions(monkeypatch)
-    texts = cli._function_values(f)
+    texts = _function_values(f)
     monkeypatch.undo()
     assert calls[0] == 0
     assert texts == fraction_formatted(f) and texts[:3] == ["-16/3", "-21/4", "-31/6"]
+
+
+def test_boundary_json_formats_functions_without_fractions(monkeypatch):
+    group = DihedralGroup(256)  # order 512
+    mu = uniform(group, [1, 255, 256])  # r, r^-1, s
+    basis = peripheral_boundary(group, mu)
+    calls = _count_fractions(monkeypatch)
+    out = basis.to_json()
+    monkeypatch.undo()
+    assert out["functions"] == [[str(v) for v in fn.values] for fn in basis.functions]
+    # the table's coefficients are Fractions; the functions' 512 entries each are not
+    assert calls[0] <= 2 * basis.dimension**3, f"{calls[0]} Fractions for order {group.order}"
 
 
 S4_CONFIG = {
@@ -321,13 +334,21 @@ BALL_CONFIG = {
          "c3f8cff6e52efef27b00a9d54fb5d2c5e2fabfc7233090cb9b3ea71e7872026d"),
         (["verify", "foguel", "--seed", "0"], None,
          "a57be67e52f85c575242ef7fc4f3fa38fcf331908cf170b52ff92dc6124e3df6"),
+        (["verify", "theorems", "--seed", "0"], None,
+         "d345c5925061a1199c90ce0cc6a21213d8400369465bd7f7da202c28ac3d630b"),
     ],
-    ids=["verify-examples", "s4-biharmonic-boundary", "ball-character-verify", "verify-foguel"],
+    ids=[
+        "verify-examples", "s4-biharmonic-boundary", "ball-character-verify", "verify-foguel",
+        "verify-theorems",
+    ],
 )
 def test_report_bytes_match_pinned_digest(tmp_path, argv, config, digest):
     """Digests of reports written by the Fraction-per-entry kernel, the
     dense foguel walk and json.dumps: the numerator formatting, the
-    stencil walk and the report encoder must reproduce them."""
+    stencil walk and the report encoder must reproduce them.  The theorems
+    digest was taken once the operator-level records became exact (value
+    and threshold "exact"); with those 220 records masked it is the
+    report the dense SVD check wrote."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

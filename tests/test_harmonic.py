@@ -120,6 +120,16 @@ def test_space_dims_match_float_eigenvalue_counts():
             assert len(anti_harmonic_space(group, mu)) == minus
 
 
+def test_harmonic_spaces_reject_unknown_side():
+    g = DihedralGroup(3)
+    mu = delta(g, 3)  # the reflection s: the right and left classes differ
+    right = [f.values for f in harmonic_space(g, mu, "right")]
+    assert right != [f.values for f in harmonic_space(g, mu, "left")]
+    for space in (harmonic_space, anti_harmonic_space):
+        with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'Right'"):
+            space(g, mu, "Right")
+
+
 def test_harmonic_space_non_generating_measure():
     g = CyclicGroup(4)
     mu = uniform(g, [2])  # generates only {0, 2}

@@ -23,7 +23,7 @@ from groupwalk.groups import (
     TableGroup,
     TruncatedGroup,
 )
-from groupwalk.linalg import normalize_leading, rational_rref
+from groupwalk.linalg import float_nullspace, normalize_leading, rational_rref
 from groupwalk.measures import convolve, delta, make_measure, uniform
 from groupwalk.operators import (
     ComputationError,
@@ -32,6 +32,7 @@ from groupwalk.operators import (
     OperatorOnMatrices,
     apply,
     apply_truncated,
+    component_kernel,
     conditional_expectation,
     eigen_operator_to_function,
     eigenspace,
@@ -685,7 +686,7 @@ def walks(draw):
 
 
 @given(walks(), st.integers(0, 2**32 - 1), st.lists(st.integers(-9, 9), min_size=12, max_size=12))
-def test_stencil_apply_matches_dense_matrices(walk, seed, numerators):
+def test_stencil_apply_matches_dense_matrices(dense_lift, walk, seed, numerators):
     group, mu, side = walk
     n = group.order
     op = ConvolutionOperator(group, mu, side)
@@ -704,7 +705,8 @@ def test_stencil_apply_matches_dense_matrices(walk, seed, numerators):
 
     lift = OperatorOnMatrices(group, mu, side)
     arr = rng.standard_normal((n, n))
-    assert np.allclose(lift.matrix() @ arr.ravel(), lift.apply(arr).ravel(), rtol=0.0, atol=1e-12)
+    dense = dense_lift(lift)
+    assert np.allclose(dense @ arr.ravel(), lift.apply(arr).ravel(), rtol=0.0, atol=1e-12)
 
 
 @given(walks(), st.integers(0, 2**32 - 1))
@@ -738,11 +740,11 @@ KERNEL_GROUPS = [
 
 
 @st.composite
-def exact_walks(draw):
+def exact_walks(draw, groups=KERNEL_GROUPS):
     """(group, measure): positive integer weights on 1-4 drawn elements, so
     the measures are often non-symmetric and non-generating; half of them
     carry the identity (lazy walks)."""
-    group = draw(st.sampled_from(KERNEL_GROUPS))
+    group = draw(st.sampled_from(groups))
     drawn = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4))
     support = {g for g in drawn if g != group.identity}
     if draw(st.booleans()) or not support:
@@ -759,6 +761,58 @@ def test_exact_eigenspaces_match_fraction_elimination(walk):
         op = ConvolutionOperator(group, mu, side)
         for lam in (1, -1):
             assert [f.values for f in eigenspace(op, lam)] == fraction_eigenspace(op, lam)
+
+
+LIFT_GROUPS = [*KERNEL_GROUPS, CyclicGroup(12), DihedralGroup(6)]
+
+
+@given(exact_walks(LIFT_GROUPS))
+def test_lift_kernel_matches_dense_nullspace(dense_lift, walk):
+    """The class arrays of the lifted stencils span the nullspace of the
+    dense superoperator minus lam: +1 for right o left, +-1 for each side."""
+    group, mu = walk
+    size = group.order**2
+    right, left = (OperatorOnMatrices(group, mu, side) for side in ("right", "left"))
+    cases = [([right, left], 1)] + [([lift], lam) for lift in (right, left) for lam in (1, -1)]
+    for lifts, lam in cases:
+        basis = component_kernel([lift.terms for lift in lifts], size, lam, "of the lift")
+        dense = np.linalg.multi_dot([dense_lift(lift) for lift in lifts] + [np.eye(size)])
+        null = float_nullspace(dense - lam * np.eye(size), tol=1e-9)
+        assert len(basis) == null.shape[1]
+        if basis:
+            vecs = np.stack(basis, axis=1)
+            assert set(np.unique(vecs).tolist()) <= {-1, 0, 1}
+            # every array lies in the dense nullspace; disjoint supports make them independent
+            assert np.abs(vecs - null @ (null.conj().T @ vecs)).max() <= 1e-9
+            assert (np.count_nonzero(vecs, axis=1) <= 1).all()
+
+
+def test_lift_kernel_on_d128_has_one_array_per_class():
+    """On D128 (order 256, 65536 entries), nu = mu * mu with mu uniform on
+    {r, r^-1, s}: one fixed array of right o left per connected class of
+    the lifted stencils, labelled here by scipy's connected components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    group = DihedralGroup(128)
+    mu = uniform(group, [1, 127, 128])
+    nu = convolve(mu, mu)
+    sides = [OperatorOnMatrices(group, nu, side).terms for side in ("right", "left")]
+    size = group.order**2
+    basis = component_kernel(sides, size, 1, "of the lift on D128")
+    nodes = np.arange(size)
+    targets = np.concatenate([perm for terms in sides for _, perm in terms])
+    graph = coo_matrix(
+        (np.ones(len(targets)), (np.tile(nodes, len(targets) // size), targets)),
+        shape=(size, size),
+    )
+    count, labels = connected_components(graph, directed=False)
+    assert len(basis) == count
+    vecs = np.stack(basis)
+    assert (vecs.sum(axis=0) == 1).all() and set(np.unique(vecs).tolist()) == {0, 1}
+    # each array is the indicator of one scipy class
+    firsts = vecs.argmax(axis=1)
+    assert np.array_equal(vecs, (labels[None, :] == labels[firsts][:, None]).astype(vecs.dtype))
 
 
 # ---------------------------------------------------------------- matrix level
@@ -811,9 +865,22 @@ def test_superoperator_exact_rows():
             assert out[i][j] == t[g.mul(i, 1)][g.mul(j, 1)]
 
 
-def test_superoperator_order_cap():
-    with pytest.raises(ConstructionError):
-        OperatorOnMatrices(SymmetricGroup(4), uniform(SymmetricGroup(4), [1]), "right")
+def test_superoperator_refused_over_budget(monkeypatch):
+    group = SymmetricGroup(4)  # order 24: one lifted term of 24 * 24 entries
+    mu = uniform(group, [1])
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 24 * 24 - 1)
+    with pytest.raises(ConstructionError, match="lifted right stencil on S4.*DENSE_BYTES_BUDGET"):
+        OperatorOnMatrices(group, mu, "right")
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 24 * 24)
+    assert len(OperatorOnMatrices(group, mu, "right").terms) == 1
+    # right o left has 2 * 2 composite permutations of the 36 entries of a D3 array
+    d3 = DihedralGroup(3)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36 - 1)
+    sides = [OperatorOnMatrices(d3, uniform(d3, [1, 3]), side).terms for side in ("right", "left")]
+    with pytest.raises(ConstructionError, match="composite stencil of the lift.*DENSE_BYTES_BUDGET"):
+        component_kernel(sides, 36, 1, "of the lift on D3")
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36)
+    assert len(component_kernel(sides, 36, 1, "of the lift on D3")) == 3
 
 
 def test_conditional_expectation_intertwines():
