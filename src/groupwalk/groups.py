@@ -10,11 +10,13 @@ array with -1 where a ball product leaves the ball.  Cyclic, dihedral and
 product groups compute them arithmetically, tables read a column or row,
 lattice balls look shifted points up in a sorted key array, and free balls
 walk the parent and child tables of the BFS that built them.  The
-per-element `mul` stays for parsing, small loops and as the test oracle.
+per-element `mul` stays for parsing, small loops and as the test oracle;
+on a ball it follows the same arrays, which are all a ball holds.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -392,55 +394,30 @@ class ProductGroup(FiniteGroup):
 class TruncatedGroup:
     """Ball truncation of an infinite family: partial product, total inverse.
 
-    Subclasses give `right_perm(h)` and `left_perm(h)` (-1 where a product
-    leaves the ball) and `parity(forced)`, the per-element parity of the
-    letters on the generator axes marked in the 0/1 array forced.
+    Elements are indexed one sphere after another: sphere r (word length r)
+    holds the indices starts[r] .. starts[r + 1] - 1, so `length` is one
+    bisection.  A ball holds its elements as arrays only.  Subclasses
+    answer `canonical_form`, `index_of_form`, `mul` and `inv` from those
+    arrays, and give `generators()` (the positive family generators in the
+    ball), `right_perm(h)` and `left_perm(h)` (-1 where a product leaves the
+    ball) and `parity(forced)`, the per-element parity of the letters on
+    the generator axes marked in the 0/1 array forced.
     """
 
     is_truncated = True
     identity = 0
 
-    def __init__(self, forms, radius, name):
-        if len(forms) > MAX_BALL_SIZE:
-            raise ConstructionError(
-                f"ball size {len(forms)} exceeds the supported bound {MAX_BALL_SIZE}"
-            )
+    def __init__(self, starts, radius, name):
+        self._starts = starts
         self.radius = radius
-        self.forms = forms
-        self.index = {f: i for i, f in enumerate(forms)}
-        self.order = len(forms)
+        self.order = starts[-1]
         self.name = name
 
     def elements(self):
         return range(self.order)
 
-    def canonical_form(self, a):
-        return self.forms[a]
-
-    def index_of_form(self, form):
-        """Index of a canonical form, or None when it lies outside the ball."""
-        if self.length_form(form) > self.radius:
-            return None
-        return self.index.get(form)
-
-    def mul_forms(self, u, v):
-        raise NotImplementedError
-
-    def inv_form(self, u):
-        raise NotImplementedError
-
-    def length_form(self, u):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        """Product of two elements, None when the result leaves the ball."""
-        return self.index.get(self.mul_forms(self.forms[a], self.forms[b]))
-
-    def inv(self, a):
-        return self.index[self.inv_form(self.forms[a])]
-
     def length(self, a):
-        return self.length_form(self.forms[a])
+        return bisect.bisect_right(self._starts, a) - 1
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} size={self.order}>"
@@ -449,10 +426,14 @@ class TruncatedGroup:
 class LatticeBall(TruncatedGroup):
     """Integer lattice Z^dim truncated to the word-length (L1) ball.
 
-    Points are ordered by length, then lexicographically.  Besides the
-    tuple forms the ball holds them as one (order, dim) int32 array, and
-    for lookups a sorted array of fixed-width byte keys: each coordinate as
-    big-endian unsigned x + radius, so a key is exact for every dim.
+    Points are ordered by length, then lexicographically, and held as one
+    (order, dim) int32 array; lookups go through a sorted array of
+    fixed-width byte keys: each coordinate as big-endian unsigned
+    x + radius, so a key is exact for every dim.  In this order the unit
+    steps are the indices 1..2 dim (-e_i at 1 + i, +e_i at 2 dim - i), and
+    negation reverses each sphere.  The step permutations g -> g +- e_i are
+    built on first use, one key lookup per axis, and shared read-only by
+    `right_perm`, `left_perm` and `mul`.
     """
 
     family = "lattice"
@@ -463,23 +444,26 @@ class LatticeBall(TruncatedGroup):
         if radius < 0:
             raise ConstructionError(f"lattice radius must be nonnegative, got {radius}")
         self.dim = dim
-        size = 0
+        starts = [0]
         for r in range(radius + 1):
-            size += self._sphere_size(dim, r)
-            if size > MAX_BALL_SIZE:
+            starts.append(starts[-1] + self._sphere_size(dim, r))
+            if starts[-1] > MAX_BALL_SIZE:
                 raise ConstructionError(
                     f"lattice ball dim={dim} radius={radius} exceeds {MAX_BALL_SIZE} elements"
                 )
+        super().__init__(starts, radius, f"Z^{dim}ball{radius}")
         from .operators import require_dense_budget  # operators imports this module
 
-        # every coordinate is held twice: in the array and as a tuple slot
-        require_dense_budget((size, dim), 8, f"the forms of lattice ball dim={dim} radius={radius}")
-        coords = self._ball_points(dim, radius)
-        super().__init__(list(map(tuple, coords.tolist())), radius, f"Z^{dim}ball{radius}")
-        self._coords = coords
-        keys = self._keys(coords)
+        # every coordinate is held as an int32 and as the bytes of its key
+        self._width = next(w for w in (1, 2, 4) if 2 * radius < 256**w)
+        require_dense_budget(
+            (self.order, dim), 4 + self._width, f"the forms of lattice ball dim={dim} radius={radius}"
+        )
+        self._coords = self._ball_points(dim, radius)
+        keys = self._keys(self._coords)
         self._key_order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._key_order]
+        self._steps = {}
 
     @staticmethod
     def _sphere_size(dim, r):
@@ -515,31 +499,89 @@ class LatticeBall(TruncatedGroup):
 
     def _keys(self, points):
         """One fixed-width byte key per row of points inside the ball."""
-        width = next(w for w in (1, 2, 4) if 2 * self.radius < 256**w)
-        cells = np.ascontiguousarray(points + self.radius, dtype=f">u{width}")
-        return cells.view(np.dtype((np.void, width * self.dim))).ravel()
+        cells = np.ascontiguousarray(points + self.radius, dtype=f">u{self._width}")
+        return cells.view(np.dtype((np.void, self._width * self.dim))).ravel()
+
+    def _lookup(self, points):
+        """Indices of rows of points that all lie in the ball: one key lookup."""
+        return self._key_order[np.searchsorted(self._sorted_keys, self._keys(points))]
+
+    def _shifted(self, offset):
+        """perm[g] = g + offset.  Every point of L1 length <= radius is in
+        the ball, so those are looked up; the rest are -1."""
+        shifted = self._coords + offset
+        inside = np.abs(shifted).sum(axis=1) <= self.radius
+        perm = np.full(self.order, -1, dtype=np.int64)
+        perm[inside] = self._lookup(shifted[inside])
+        return perm
+
+    def _unit(self, axis, sign):
+        """Index of the unit step sign * e_axis."""
+        return 1 + axis if sign < 0 else 2 * self.dim - axis
+
+    def _step(self, h):
+        """The shared read-only permutation g -> g + h of a unit step h.
+        The +e_i step costs one key lookup, and -e_i is its inverse partial
+        permutation."""
+        step = self._steps.get(h)
+        if step is None:
+            axis = h - 1 if h <= self.dim else 2 * self.dim - h
+            plus = self._shifted(self._coords[self._unit(axis, 1)])
+            minus = np.full(self.order, -1, dtype=np.int64)
+            inside = plus >= 0
+            minus[plus[inside]] = np.flatnonzero(inside)
+            plus.flags.writeable = minus.flags.writeable = False
+            self._steps[self._unit(axis, 1)], self._steps[self._unit(axis, -1)] = plus, minus
+            step = self._steps[h]
+        return step
 
     def family_key(self):
         return ("lattice", self.dim)
 
-    def mul_forms(self, u, v):
-        return tuple(x + y for x, y in zip(u, v))
+    def generators(self):
+        """The unit steps e_1 .. e_dim (none at radius 0)."""
+        return [self._unit(axis, 1) for axis in range(self.dim)] if self.radius else []
 
-    def inv_form(self, u):
-        return tuple(-x for x in u)
+    def canonical_form(self, a):
+        return tuple(self._coords[a].tolist())
 
-    def length_form(self, u):
-        return sum(abs(x) for x in u)
+    def index_of_form(self, form):
+        """Index of a point given as dim integers, None outside the ball."""
+        if len(form) != self.dim or sum(abs(x) for x in form) > self.radius:
+            return None
+        return int(self._lookup(np.array([form], dtype=np.int32))[0])
+
+    def mul(self, a, b):
+        """a + b, None outside the ball, through the step permutations of
+        b's unit steps.  The steps toward zero come first, so the path stays
+        in the ball whenever a + b does."""
+        if 1 <= b <= 2 * self.dim:
+            g = self._step(b).item(a)
+            return None if g < 0 else g
+        x, y = self._coords[a].tolist(), self._coords[b].tolist()
+        if sum(abs(p + q) for p, q in zip(x, y)) > self.radius:
+            return None
+        toward, away = [], []
+        for axis, (p, q) in enumerate(zip(x, y)):
+            if q:
+                back = min(abs(p), abs(q)) if p * q < 0 else 0
+                step = self._step(self._unit(axis, q))
+                toward.append((step, back))
+                away.append((step, abs(q) - back))
+        for step, count in toward + away:
+            for _ in range(count):
+                a = step.item(a)
+        return a
+
+    def inv(self, a):
+        r = self.length(a)
+        return self._starts[r] + self._starts[r + 1] - 1 - a
 
     def right_perm(self, h):
-        """perm[g] = g + h.  Every point of L1 length <= radius is in the
-        ball, so those are looked up in the sorted keys; the rest are -1."""
-        shifted = self._coords + self._coords[h]
-        inside = np.abs(shifted).sum(axis=1) <= self.radius
-        perm = np.full(self.order, -1, dtype=np.int64)
-        found = np.searchsorted(self._sorted_keys, self._keys(shifted[inside]))
-        perm[inside] = self._key_order[found]
-        return perm
+        """perm[g] = g + h; a unit step returns its shared step permutation."""
+        if 1 <= h <= 2 * self.dim:
+            return self._step(h)
+        return self._shifted(self._coords[h])
 
     left_perm = right_perm
 
@@ -558,7 +600,8 @@ class FreeBall(TruncatedGroup):
     order, holds the letter s//2 + 1, negated when s is odd, so slot s ^ 1
     holds its inverse.  The BFS that enumerates the ball keeps, per word,
     its parent (the word without its last letter), the slot of its last
-    letter and its child per slot (-1 where none is in the ball).
+    letter and its child per slot (-1 where none is in the ball); these
+    three arrays are all the ball holds.
     """
 
     family = "free"
@@ -588,34 +631,77 @@ class FreeBall(TruncatedGroup):
             last[hi:top] = letter[keep]
         child = np.full((order, slots), -1, dtype=np.int64)
         child[parent[1:], last[1:]] = np.arange(1, order)
-        letters = np.where(last % 2, -(last // 2 + 1), last // 2 + 1)
-        forms = [()]
-        for p, letter in zip(parent[1:].tolist(), letters[1:].tolist()):
-            forms.append(forms[p] + (letter,))
-        super().__init__(forms, radius, f"F{rank}ball{radius}")
+        super().__init__(starts, radius, f"F{rank}ball{radius}")
         self._parent, self._last, self._child = parent, last, child
         self._spheres = list(zip(starts, starts[1:]))
 
     def family_key(self):
         return ("free", self.rank)
 
-    def mul_forms(self, u, v):
-        out = list(u)
-        for letter in v:
-            if out and out[-1] == -letter:
-                out.pop()
+    def generators(self):
+        """The letters a, b, ... (none at radius 0)."""
+        return list(range(1, 2 * self.rank, 2)) if self.radius else []
+
+    def _slots(self, a):
+        """The slots of the letters of word a, first letter first (the
+        one-letter words are 1 .. 2 rank, in slot order)."""
+        if a <= 2 * self.rank:
+            return [a - 1] if a else []
+        out = []
+        while a:
+            out.append(self._last.item(a))
+            a = self._parent.item(a)
+        return out[::-1]
+
+    def _reduce(self, slots, g=0):
+        """Index of the reduced form of g followed by the letters in slots,
+        None outside the ball.  Letters past the radius wait on a stack
+        until they cancel."""
+        over = []
+        for s in slots:
+            if over:
+                if over[-1] == s ^ 1:
+                    over.pop()
+                else:
+                    over.append(s)
+            elif self._last.item(g) == s ^ 1:
+                g = self._parent.item(g)
             else:
-                out.append(letter)
-        return tuple(out)
+                child = self._child.item(g, s)
+                if child < 0:
+                    over.append(s)
+                else:
+                    g = child
+        return None if over else g
 
-    def inv_form(self, u):
-        return tuple(-x for x in reversed(u))
+    def canonical_form(self, a):
+        return tuple(-(s // 2 + 1) if s % 2 else s // 2 + 1 for s in self._slots(a))
 
-    def length_form(self, u):
-        return len(u)
+    def index_of_form(self, form):
+        """Index of a reduced word given as signed letters, None when the
+        word is not reduced or lies outside the ball."""
+        if len(form) > self.radius:
+            return None
+        g = 0
+        for letter in form:
+            if not 1 <= abs(letter) <= self.rank:
+                return None
+            g = self._child.item(g, 2 * abs(letter) - 2 + (letter < 0))
+            if g < 0:
+                return None
+        return g
 
-    def _slots(self, h):
-        return [2 * abs(x) - 2 + (x < 0) for x in self.forms[h]]
+    def mul(self, a, b):
+        """Product of two words, None when it leaves the ball."""
+        return self._reduce(self._slots(b), a)
+
+    def inv(self, a):
+        """The inverse word: a's letters inverted, last letter first."""
+        out = 0
+        while a:
+            out = self._child.item(out, self._last.item(a) ^ 1)
+            a = self._parent.item(a)
+        return out
 
     def _right_step(self, g, s):
         """g*l for the letter l in slot s, over index arrays g (and s): the
@@ -776,7 +862,7 @@ def parse_element(group, text):
             raise ConstructionError(f"lattice point {text!r} lies outside the radius-{group.radius} ball")
         return idx
     if isinstance(group, FreeBall):
-        word = ()
+        slots = []
         for ch in text:
             if "a" <= ch <= "z":
                 letter = ord(ch) - ord("a") + 1
@@ -786,8 +872,8 @@ def parse_element(group, text):
                 raise ConstructionError(f"unknown letter {ch!r} in free-group word {text!r}")
             if abs(letter) > group.rank:
                 raise ConstructionError(f"letter {ch!r} exceeds rank {group.rank} in word {text!r}")
-            word = group.mul_forms(word, (letter,))
-        idx = group.index_of_form(word)
+            slots.append(2 * abs(letter) - 2 + (letter < 0))
+        idx = group._reduce(slots)
         if idx is None:
             raise ConstructionError(f"word {text!r} reduces outside the radius-{group.radius} ball")
         return idx

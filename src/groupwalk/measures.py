@@ -38,7 +38,8 @@ class GroupMeasure:
     """Finitely supported probability measure on a group's element indices.
 
     `_operators` holds the measure's memoised convolution operators by side
-    (filled by `operators.right_operator` / `left_operator`).
+    (filled by `operators.right_operator` / `left_operator`), and
+    `_generating` the memoised answer of `is_generating`.
     """
 
     def __init__(self, group, weights, exact):
@@ -46,6 +47,7 @@ class GroupMeasure:
         self.weights = dict(weights)
         self.exact = exact
         self._operators = {}
+        self._generating = None
 
     def support(self):
         return sorted(self.weights)
@@ -196,7 +198,9 @@ def is_generating(mu):
     group = mu.group
     if group.is_truncated:
         raise MeasureError("is_generating is only defined for finite groups")
-    return len(closure(group, mu.support())) == group.order
+    if mu._generating is None:
+        mu._generating = len(closure(group, mu.support())) == group.order
+    return mu._generating
 
 
 def min_return(mu, cap):

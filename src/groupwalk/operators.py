@@ -571,16 +571,17 @@ def apply_truncated(group, mu, f, side):
         )
     if f.group is not group:
         raise ValueError("function and ball live on different groups")
-    weights = {}
-    for h, w in mu.weights.items():
-        form = mu.group.canonical_form(h)
-        if mu.group.length_form(form) > 1:
-            raise ValueError("truncated measures must be supported on word length <= 1")
-        weights[group.index_of_form(form)] = w
-    if None in weights:  # a step leaves the ball from every point (radius 0)
-        nowhere = np.zeros(group.order, dtype=bool)
-        return GroupFunction._from_array(group, np.zeros(group.order), nowhere), []
-    measure = mu if mu.group is group else GroupMeasure(group, weights, mu.exact)
+    if any(mu.group.length(h) > 1 for h in mu.weights):
+        raise ValueError("truncated measures must be supported on word length <= 1")
+    measure = mu
+    if mu.group is not group:
+        weights = {
+            group.index_of_form(mu.group.canonical_form(h)): w for h, w in mu.weights.items()
+        }
+        if None in weights:  # a step leaves the ball from every point (radius 0)
+            nowhere = np.zeros(group.order, dtype=bool)
+            return GroupFunction._from_array(group, np.zeros(group.order), nowhere), []
+        measure = GroupMeasure(group, weights, mu.exact)
     terms = _operator(group, measure, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.append(f._mask(), False)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -26,32 +25,14 @@ from groupwalk.groups import (
 from groupwalk.measures import delta
 from groupwalk.operators import ConvolutionOperator
 
+from ball_reference import lattice_points, reduced_words, reference
+
 
 # ---------------------------------------------------------------- oracles
 
-def reduced_words(rank, radius):
-    """Independent enumeration of reduced words: BFS that never appends the
-    inverse of the last letter."""
-    letters = []
-    for i in range(1, rank + 1):
-        letters += [i, -i]
-    words = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                if w and w[-1] == -letter:
-                    continue
-                nxt.append(w + (letter,))
-        words += nxt
-        frontier = nxt
-    return words
-
-
-def lattice_points(dim, radius):
-    box = range(-radius, radius + 1)
-    return [p for p in itertools.product(box, repeat=dim) if sum(abs(x) for x in p) <= radius]
+def forms(ball):
+    """The ball's canonical forms, in index order."""
+    return [ball.canonical_form(a) for a in ball.elements()]
 
 
 # ---------------------------------------------------------------- finite groups
@@ -239,8 +220,8 @@ def test_free_ball_counts_match_word_enumeration():
         ball = FreeBall(rank, radius)
         words = reduced_words(rank, radius)
         assert ball.order == len(words)
-        assert set(ball.forms) == set(words)
-        assert ball.forms == words  # shortlex, letters a < A < b < B < ...
+        assert set(forms(ball)) == set(words)
+        assert forms(ball) == words  # shortlex, letters a < A < b < B < ...
 
 
 def test_free_ball_f2_r2_is_17():
@@ -251,7 +232,7 @@ def test_free_ball_f2_r6_is_1457():
     ball = FreeBall(2, 6)
     assert ball.order == 1457
     # interior = radius 5 ball
-    assert sum(1 for w in ball.forms if len(w) <= 5) == 485
+    assert sum(1 for w in forms(ball) if len(w) <= 5) == 485
 
 
 def test_free_mul_cancellation():
@@ -275,8 +256,8 @@ def test_lattice_ball_counts():
         ball = LatticeBall(dim, radius)
         pts = lattice_points(dim, radius)
         assert ball.order == len(pts)
-        assert set(ball.forms) == set(pts)
-        assert ball.forms == sorted(pts, key=lambda p: (sum(map(abs, p)), p))
+        assert set(forms(ball)) == set(pts)
+        assert forms(ball) == sorted(pts, key=lambda p: (sum(map(abs, p)), p))
     assert LatticeBall(1, 50).order == 101
 
 
@@ -387,6 +368,89 @@ def test_parse_rejects_garbage():
         parse_element(FreeBall(2, 2), "aaa")  # reduces outside the ball
 
 
+# ---------------------------------------------------------------- ball API against tuple forms
+
+ORACLE_BALLS = [
+    LatticeBall(1, 4),
+    LatticeBall(2, 3),
+    LatticeBall(3, 2),
+    LatticeBall(2, 0),
+    LatticeBall(1200, 1),
+    FreeBall(1, 3),
+    FreeBall(2, 3),
+    FreeBall(3, 2),
+    FreeBall(2, 0),
+]
+
+
+@st.composite
+def any_form(draw, ball):
+    """A form of the ball's family that may lie outside it: lattice points
+    with a few nonzero coordinates up to radius + 2 (or huge), and free
+    words of up to radius + 2 letters, reduced or not."""
+    if isinstance(ball, LatticeBall):
+        point = [0] * ball.dim
+        bound = draw(st.sampled_from([ball.radius + 2, 10**30]))
+        for _ in range(draw(st.integers(0, 3))):
+            point[draw(st.integers(0, ball.dim - 1))] = draw(st.integers(-bound, bound))
+        return tuple(point)
+    letters = st.integers(1, ball.rank).flatmap(lambda x: st.sampled_from([x, -x]))
+    return tuple(draw(st.lists(letters, max_size=ball.radius + 2)))
+
+
+@pytest.mark.parametrize("ball", ORACLE_BALLS, ids=lambda b: b.name)
+@settings(max_examples=60)
+@given(st.data())
+def test_ball_api_matches_the_tuple_reference(ball, data):
+    ref = reference(ball)
+    a, b = (data.draw(st.integers(0, ball.order - 1)) for _ in range(2))
+    assert ball.canonical_form(a) == ref.forms[a]
+    assert ball.index_of_form(ref.forms[a]) == a
+    assert ball.mul(a, b) == ref.mul(a, b)
+    assert ball.inv(a) == ref.inv(a)
+    assert ball.length(a) == ref.length(a)
+    assert format_element(ball, a) == ref.format(a)
+    assert parse_element(ball, ref.format(a)) == a
+    form = data.draw(any_form(ball))
+    assert ball.index_of_form(form) == ref.index_of_form(form)
+    text = ref.text(form)
+    expected = ref.parse(text)
+    if expected is None:
+        with pytest.raises(ConstructionError, match="outside"):
+            parse_element(ball, text)
+    else:
+        assert parse_element(ball, text) == expected
+
+
+def test_ball_forms_outside_the_ball_have_no_index():
+    lat = LatticeBall(2, 3)
+    assert lat.index_of_form((10**30, 0)) is None
+    assert lat.index_of_form((10**30, -(10**30))) is None
+    assert lat.index_of_form((1, 1, 0)) is None  # wrong dimension
+    with pytest.raises(ConstructionError, match="outside"):
+        parse_element(lat, f"[{10**30},0]")
+    free = FreeBall(2, 2)
+    assert free.index_of_form((1, -1)) is None  # not reduced
+    assert free.index_of_form((1, 1, 1)) is None
+    assert free.index_of_form((3,)) is None  # rank 2 has letters 1, 2 only
+    # unreduced text leaves the ball on the way and comes back
+    assert parse_element(free, "aaaAAAb") == free.index_of_form((2,))
+    assert parse_element(free, "abbbBBBa") == free.index_of_form((1, 1))
+    with pytest.raises(ConstructionError, match="outside"):
+        parse_element(free, "aaaAb")
+
+
+def test_ball_products_that_leave_the_ball_are_none():
+    lat = LatticeBall(2, 3)
+    far = lat.index_of_form((2, 1))
+    assert lat.mul(far, far) is None
+    assert lat.mul(far, lat.index_of_form((-2, 1))) == lat.index_of_form((0, 2))
+    free = FreeBall(2, 3)
+    w = free.index_of_form((1, 2, 1))
+    assert free.mul(w, w) is None
+    assert free.mul(w, free.inv(w)) == 0
+
+
 # ---------------------------------------------------------------- specs
 
 def test_group_spec_round_trip():
@@ -484,9 +548,9 @@ def test_ball_parity_matches_form_loop(ball, data):
     axes = ball.family_key()[1]
     forced = data.draw(st.lists(st.integers(0, 1), min_size=axes, max_size=axes))
     if ball.family == "free":
-        expected = [sum(forced[abs(x) - 1] for x in form) % 2 for form in ball.forms]
+        expected = [sum(forced[abs(x) - 1] for x in form) % 2 for form in reference(ball).forms]
     else:
-        expected = [sum(b * abs(x) for b, x in zip(forced, form)) % 2 for form in ball.forms]
+        expected = [sum(b * abs(x) for b, x in zip(forced, form)) % 2 for form in reference(ball).forms]
     assert ball.parity(np.array(forced)).tolist() == expected
 
 

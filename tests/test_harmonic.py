@@ -33,7 +33,14 @@ from groupwalk.harmonic import (
 )
 from groupwalk.linalg import GF2System, normalize_leading, rational_matmul, rational_nullspace, rational_rref
 from groupwalk.measures import delta, make_measure, uniform
-from groupwalk.operators import ComputationError, GroupFunction, apply, left_operator, right_operator
+from groupwalk.operators import (
+    ComputationError,
+    ConvolutionOperator,
+    GroupFunction,
+    apply,
+    left_operator,
+    right_operator,
+)
 from groupwalk.verify import CorpusSpec, corpus_fixtures
 
 F = Fraction
@@ -413,6 +420,83 @@ def test_character_validate_rejects_non_multiplicative():
     g = CyclicGroup(4)
     with pytest.raises(ValueError):
         Character(g, [1, -1, -1, 1]).validate()  # chi(1)*chi(1) != chi(2)
+
+
+def valid_characters(group):
+    """Every sign character of a small finite group, or on a ball the
+    parity characters of every choice of generator axes."""
+    if not group.is_truncated:
+        return enumerate_sign_characters(group)
+    axes = group.family_key()[1]
+    return [
+        (1 - 2 * group.parity(np.array(forced))).tolist()
+        for forced in itertools.product((0, 1), repeat=axes)
+    ]
+
+
+CERTIFIED_GROUPS = [
+    LatticeBall(2, 3),
+    LatticeBall(3, 2),
+    FreeBall(2, 3),
+    CyclicGroup(6),
+    DihedralGroup(4),
+    ProductGroup([CyclicGroup(2), CyclicGroup(4)]),
+]
+VALID_CHARACTERS = {group.name: valid_characters(group) for group in CERTIFIED_GROUPS}
+
+
+@pytest.mark.parametrize("group", CERTIFIED_GROUPS, ids=lambda g: g.name)
+@given(st.data())
+def test_character_certificate_rejects_every_single_flip(group, data):
+    # two homomorphisms to {+1, -1} never differ at exactly one element of
+    # these groups (order > 2, or a ball with both g and g^-1), so a flip
+    # is never a character
+    characters = VALID_CHARACTERS[group.name]
+    assert len(characters) >= 2
+    values = list(data.draw(st.sampled_from(characters)))
+    assert Character(group, values).validate()
+    g = data.draw(st.integers(1, group.order - 1))
+    values[g] = -values[g]
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Character(group, values).validate()
+
+
+def test_character_certificate_rejects_a_far_flip_on_a_large_ball():
+    # a random sample of 4096 pairs never touches the corner (30, 0, 0) of
+    # this ball, so a sampled check accepts the flip
+    ball = LatticeBall(3, 30)
+    mu = uniform(ball, ball.generators() + [ball.inv(t) for t in ball.generators()])
+    chi = find_anti_character(ball, mu)
+    corner = ball.index_of_form((30, 0, 0))
+    values = list(chi.values)
+    values[corner] = -values[corner]
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Character(ball, values).validate()
+
+
+def test_ball_stencils_and_certificate_look_each_axis_up_once(monkeypatch):
+    ball = LatticeBall(3, 30)
+    steps = [ball.index_of_form(p) for p in itertools.permutations((1, 0, 0))]
+    steps += [ball.inv(t) for t in steps]
+    mu = uniform(ball, steps)
+    lookups = []
+    lookup = LatticeBall._lookup
+
+    def counted(self, points):
+        lookups.append(len(points))
+        return lookup(self, points)
+
+    def per_element(self, a, b):
+        raise AssertionError("per-element mul")
+
+    monkeypatch.setattr(LatticeBall, "_lookup", counted)
+    monkeypatch.setattr(LatticeBall, "mul", per_element)
+    right = ConvolutionOperator(ball, mu, "right").stencil()
+    left = ConvolutionOperator(ball, mu, "left").stencil()
+    chi = find_anti_character(ball, mu)
+    assert len(lookups) == 3  # one per axis: -e_i inverts +e_i, left is right
+    assert all(r is l for (_, r), (_, l) in zip(right, left))
+    assert all(chi(g) == -1 for g in steps)
 
 
 def test_character_from_extremal_recovers():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from groupwalk.groups import CyclicGroup, DihedralGroup, FreeBall, LatticeBall, SymmetricGroup
+from groupwalk import measures
+from groupwalk.harmonic import decompose, jointly_biharmonic_space
 from groupwalk.measures import (
     MeasureError,
     convolve,
@@ -180,6 +182,25 @@ def test_is_symmetric():
     assert is_symmetric(uniform(d, [4]))  # reflections are involutions
     asym = make_measure(g, [(1, F(1, 3)), (4, F(2, 3))])
     assert not is_symmetric(asym)
+
+
+def test_is_generating_runs_the_closure_once_per_measure(monkeypatch):
+    calls = []
+    closure = measures.closure
+
+    def counted(group, seeds):
+        calls.append(group)
+        return closure(group, seeds)
+
+    monkeypatch.setattr(measures, "closure", counted)
+    g = DihedralGroup(6)
+    mu = uniform(g, [1, 5, 6])  # r, r^-1, s
+    basis = jointly_biharmonic_space(g, mu)
+    for f in basis:
+        decompose(f, mu)
+    assert len(basis) >= 2 and is_generating(mu)
+    assert len(calls) == 1
+    assert not is_generating(uniform(g, [2, 4])) and len(calls) == 2
 
 
 def test_is_generating():

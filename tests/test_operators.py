@@ -21,7 +21,6 @@ from groupwalk.groups import (
     QuaternionGroup,
     SymmetricGroup,
     TableGroup,
-    TruncatedGroup,
 )
 from groupwalk.linalg import float_nullspace, normalize_leading, rational_rref
 from groupwalk.measures import convolve, delta, make_measure, uniform
@@ -41,6 +40,8 @@ from groupwalk.operators import (
     right_operator,
     spectrum,
 )
+
+from ball_reference import reference
 
 F = Fraction
 
@@ -388,7 +389,7 @@ def test_stencil_calls_no_per_element_mul(group, monkeypatch):
     def per_element(self, a, b):
         raise AssertionError("stencil called mul")
 
-    for cls in (CyclicGroup, DihedralGroup, TableGroup, ProductGroup, TruncatedGroup):
+    for cls in (CyclicGroup, DihedralGroup, TableGroup, ProductGroup, LatticeBall, FreeBall):
         monkeypatch.setattr(cls, "mul", per_element)
     for side in ("right", "left"):
         stencil = ConvolutionOperator(group, mu, side).stencil()
@@ -604,15 +605,16 @@ def test_apply_truncated_rejects_deep_support():
 def truncated_step_oracle(group, mu, f, side):
     """One truncated step by canonical forms, element by element: the loop
     apply_truncated ran before it gathered over the ball's stencil."""
-    steps = [(mu.group.canonical_form(h), w) for h, w in sorted(mu.weights.items())]
+    home, ref = reference(mu.group), reference(group)
+    steps = [(home.forms[h], w) for h, w in sorted(mu.weights.items())]
     exact = mu.exact and all(v is None or isinstance(v, (int, F)) for v in f.values)
     values, interior = [], []
     for g in group.elements():
-        g_form = group.canonical_form(g)
+        g_form = ref.forms[g]
         acc = F(0) if exact else 0.0
         for h_form, w in steps:
-            prod = group.mul_forms(g_form, h_form) if side == "right" else group.mul_forms(h_form, g_form)
-            idx = group.index_of_form(prod)
+            prod = ref.mul_forms(g_form, h_form) if side == "right" else ref.mul_forms(h_form, g_form)
+            idx = ref.index_of_form(prod)
             if idx is None or f.values[idx] is None:
                 values.append(None)
                 break
