@@ -12,6 +12,9 @@ lattice balls look shifted points up in a sorted key array, and free balls
 walk the parent and child tables of the BFS that built them.  The
 per-element `mul` stays for parsing, small loops and as the test oracle;
 on a ball it follows the same arrays, which are all a ball holds.
+
+Each finite group names, through `abelian_cosets()`, the abelian subgroup
+over whose characters the walk spectra split into blocks.
 """
 
 from __future__ import annotations
@@ -115,9 +118,39 @@ class FiniteGroup:
     order = 0
     identity = 0
     is_truncated = False
+    _cosets = None
 
     def elements(self):
         return range(self.order)
+
+    def abelian_cosets(self):
+        """(orders, coset, kappa) for an abelian subgroup A = <a_1> x ... x
+        <a_k> of orders n_1 .. n_k: x = a_1^kappa_1 ... a_k^kappa_k g_c with
+        c = coset[x] and kappa[x] a row of an (order, k) array, where the
+        representative g_c of the coset A x has kappa 0 and the cosets are
+        numbered in the order of their representatives.  Computed once."""
+        if self._cosets is None:
+            orders, coset, kappa = self._abelian_subgroup()
+            coset.flags.writeable = kappa.flags.writeable = False
+            self._cosets = (tuple(orders), coset, kappa)
+        return self._cosets
+
+    def _abelian_subgroup(self):
+        """A = <a> for the first element a of largest order (on S_n,
+        Landau's function); the cosets A g are the cycles of left_perm(a),
+        each led by its smallest element."""
+        orders = [len(closure(self, [g])) for g in self.elements()]
+        size = max(orders)
+        a = orders.index(size)
+        step = self.left_perm(a).tolist()
+        coset, kappa, label = [-1] * self.order, [0] * self.order, 0
+        for g in self.elements():
+            if coset[g] < 0:
+                x = g
+                for m in range(size):
+                    coset[x], kappa[x], x = label, m, step[x]
+                label += 1
+        return [size], np.array(coset), np.array(kappa)[:, None]
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -171,6 +204,10 @@ class CyclicGroup(FiniteGroup):
 
     left_perm = right_perm
 
+    def _abelian_subgroup(self):
+        """A is the whole group: one coset, kappa(x) = x."""
+        return [self.n], np.zeros(self.n, dtype=np.int64), np.arange(self.n)[:, None]
+
 
 class DihedralGroup(FiniteGroup):
     """Symmetries of a regular n-gon; index j + n*k for rotation^j reflect^k."""
@@ -210,6 +247,11 @@ class DihedralGroup(FiniteGroup):
 
     def left_perm(self, h):
         return self._products(h, np.arange(self.order))
+
+    def _abelian_subgroup(self):
+        """A is the rotations: x = rotation^(x mod n) * reflect^(x div n)."""
+        x = np.arange(self.order)
+        return [self.n], x // self.n, (x % self.n)[:, None]
 
 
 class SymmetricGroup(FiniteGroup):
@@ -389,6 +431,15 @@ class ProductGroup(FiniteGroup):
 
     def left_perm(self, h):
         return self._combine([f.left_perm(c) for f, c in zip(self.factors, self._decode(h))])
+
+    def _abelian_subgroup(self):
+        """The product of the factors' subgroups; cosets mixed-radix."""
+        parts = [f.abelian_cosets() for f in self.factors]
+        coords = np.unravel_index(np.arange(self.order), [f.order for f in self.factors])
+        radix = [f.order // math.prod(o) for f, (o, _, _) in zip(self.factors, parts)]
+        coset = np.ravel_multi_index([c[x] for (_, c, _), x in zip(parts, coords)], radix)
+        kappa = np.hstack([k[x] for (_, _, k), x in zip(parts, coords)])
+        return [m for o, _, _ in parts for m in o], coset, kappa
 
 
 class TruncatedGroup:

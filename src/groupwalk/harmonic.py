@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import ConstructionError, generating_set
 from .linalg import GF2System, rational_solve
-from .measures import is_generating, is_symmetric
+from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
@@ -241,8 +241,16 @@ def find_anti_character(group, mu):
     support entries pinned to 1) and return the lexicographically smallest
     solution.  Ball truncations use one unknown per family generator;
     free-group generators carry no relations and lattice relations are
-    vacuous.
+    vacuous.  The answer is kept on mu when mu lives on group.
     """
+    if group is not mu.group:
+        return _search_anti_character(group, mu)
+    if mu._character is _UNSEARCHED:
+        mu._character = _search_anti_character(group, mu)
+    return mu._character
+
+
+def _search_anti_character(group, mu):
     if group.is_truncated:
         return _find_anti_character_family(group, mu)
     n = group.order

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_UNSEARCHED = object()
+
+
 class MeasureError(ValueError):
     """Raised for malformed measures or unsupported measure operations."""
 
@@ -38,8 +41,10 @@ class GroupMeasure:
     """Finitely supported probability measure on a group's element indices.
 
     `_operators` holds the measure's memoised convolution operators by side
-    (filled by `operators.right_operator` / `left_operator`), and
-    `_generating` the memoised answer of `is_generating`.
+    (filled by `operators.right_operator` / `left_operator`), `_generating`
+    the memoised answer of `is_generating`, and `_character` that of
+    `harmonic.find_anti_character` (_UNSEARCHED until the first search,
+    since None is an answer).
     """
 
     def __init__(self, group, weights, exact):
@@ -48,6 +53,7 @@ class GroupMeasure:
         self.exact = exact
         self._operators = {}
         self._generating = None
+        self._character = _UNSEARCHED
 
     def support(self):
         return sorted(self.weights)

@@ -4,35 +4,28 @@ The right operator sends f to f * mu (steps multiply on the right), the
 left operator sends f to mu * f.  Both are weighted sums of permutations of
 the group's element indices, one per support element, and
 `ConvolutionOperator.stencil()` is the one place a measure becomes those
-permutations.  Each is one whole-permutation product of the group,
-`right_perm(h)` or `left_perm(h)`, built by array arithmetic or lookups
-rather than one `mul` per element (on ball truncations a product that
-leaves the ball is written as -1).
-The private `_gather` applies every stencil: `apply`, `apply_truncated`,
-the matrix-level lift `OperatorOnMatrices` (weighted conjugation of
-order-by-order arrays, applied through the lifted permutations
-perm[i]*n + perm[j]), the spectrum residuals and every exact certificate.
-Only the foguel walk in `verify` sums stencil terms itself, in `_gather`'s
-order, over many measures' inverse left stencils at once.  The dense
-matrix is built from the same stencil.  The exact +-1 eigenspaces of the
-walks and the exact +-1 arrays of the lift come from one kernel:
-`component_kernel` reads them off the connected classes of the graph
-x -- perm[x] of any stencil, over the n elements or the n^2 entries,
-labelled by the same numpy union-find that clusters eigenvalues.
+permutations: whole-permutation products `right_perm(h)` or `left_perm(h)`
+of the group (-1 where a product leaves a ball truncation).  The private
+`_gather` applies every stencil: `apply`, `apply_truncated` and the lift
+`OperatorOnMatrices` (through the lifted permutations perm[i]*n + perm[j]).
+The exact +-1 eigenspaces of the walks and the exact +-1 arrays of the
+lift come from one kernel, `component_kernel`, which reads them off the
+connected classes of the graph x -- perm[x] over the n elements or the n^2
+entries, labelled by the numpy union-find that also clusters eigenvalues.
 
 An exact `GroupFunction` is an integer numerator array over one positive
 denominator (plus a `defined` mask for partial ball results); `_gather`
 sums the stencil on the numerators, in int64 when no partial sum can reach
-2**63 and on Python ints otherwise, and returns the numerators over the
-denominator times the weights' common denominator.  No exact step builds a
-Fraction per entry; the `values` list is only a read view.
+2**63 and on Python ints otherwise.  No exact step builds a Fraction per
+entry; the `values` list is only a read view.
 
 `right_operator` and `left_operator` return one memoised operator per
 (measure, side), kept on the measure, so every task on one measure shares
 its stencil, its read-only dense matrix and its eigenvalues and eigenpair
-residuals, solved once: by one FFT (characters) on cyclic groups and their
-products, by LAPACK on the dense matrix elsewhere.  Dense allocations are
-estimated first and refused above DENSE_BYTES_BUDGET.
+residuals, solved once on every finite group by one path: one r x r block
+per character of an abelian subgroup of index r, from one fftn and one
+batched eigensolve, with no n x n matrix.  Dense allocations are estimated
+first and refused above DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError, CyclicGroup, ProductGroup
+from .groups import ConstructionError
 from .linalg import ComputationError, float_nullspace, normalize_leading
 from .measures import GroupMeasure, is_symmetric
 
@@ -96,7 +89,6 @@ def _as_array(values):
 
 
 _INT64_LIMIT = 1 << 63
-_CERTIFY_ENTRIES = 1 << 20  # entries of the class vectors certified in one block
 
 
 def _max_abs(nums):
@@ -449,65 +441,72 @@ class ConvolutionOperator:
         return self._float_matrix
 
     def eigenvalues(self):
-        """(eigenvalues, residuals), computed once; residuals[i] is
-        |P v_i - lambda_i v_i| / |v_i| for the i-th eigenvector (not kept)."""
+        """(eigenvalues, residuals), computed once, from one r x r block per
+        character chi_k(a^kappa) = exp(2 pi i sum_j k_j kappa_j / n_j) of the
+        abelian subgroup A of `group.abelian_cosets()`, r = n / |A| (Diaconis
+        1988, ch. 3; Serre 1977, sections 5.3 and 7).  The right walk
+        commutes with left translation by A, so on the functions with
+        f(a x) = chi(a) f(x) it acts as B_k[i, i'] = sum of mu(h) chi_k(a^kappa)
+        over the h with g_i h = a^kappa g_i'; conjugated by x -> x^-1, the
+        left walk is the right walk of the reflected measure.  One fftn of
+        the table T[kappa, i, i'] = mu(h), read at -k, gives every block; real
+        characters keep the real part, and a symmetric measure makes every
+        block Hermitian (eigh).  residuals[i] is |B v - lambda v| / |v| for
+        the i-th block eigenpair, B summed directly from the character phases
+        of the walk's own steps, not the fft: the residual of the lifted
+        eigenvector f(a^kappa g_i) = chi_k(a^kappa) v_i (v is not kept).
+        """
         if self._eigen is None:
-            orders = _cyclic_orders(self.group)
-            eigvals, residuals = self._character_eigen(orders) if orders else self._dense_eigen()
+            group, right = self.group, self.side == "right"
+            orders, coset, kappa = group.abelian_cosets()
+            reps = np.flatnonzero(~kappa.any(axis=1)).tolist()
+            r, support = len(reps), sorted(self.weights)
+            size = group.order // r
+            require_dense_budget((size, r, r), 16, f"the character blocks of {self!r}")
+            require_dense_budget(
+                (len(support), group.order, len(orders)), 16, f"the character phases of {self!r}"
+            )
+            weights = np.array([float(self.weights[h]) for h in support])
+            mul, inv = group.mul, group.inv
+            # the walk's steps g_i h: g_i * h on the right, (h * g_i^-1)^-1 on the left
+            steps = np.array(
+                [[mul(g, h) if right else inv(mul(h, inv(g))) for g in reps] for h in support]
+            )
+            # the table's: g_i * h^-1 on the left, the right walk of the reflected measure
+            table_steps = steps
+            if not right:
+                table_steps = np.array([[mul(g, inv(h)) for g in reps] for h in support])
+            table = np.zeros((*orders, r, r))
+            at = (*np.moveaxis(kappa[table_steps], -1, 0), np.arange(r), coset[table_steps])
+            table[at] = weights[:, None]
+            ks = np.indices(orders).reshape(len(orders), size)
+            neg = np.ravel_multi_index(-ks % np.array(orders)[:, None], orders)  # -k, flat
+            blocks = np.fft.fftn(table, axes=range(len(orders))).reshape(size, r, r)[neg]
+            real = neg == np.arange(size)
+            blocks[real] = blocks[real].real
+            try:
+                if self.symmetric:
+                    eigvals, vecs = np.linalg.eigh(blocks)
+                    eigvals = eigvals.astype(complex)
+                else:
+                    eigvals, vecs = np.linalg.eig(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise ComputationError(
+                    f"eigensolver failed for the {self.side} operator on {group.name}: {exc}"
+                ) from exc
+            angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
+            direct = np.zeros((size, r, r), dtype=complex)
+            phases = weights[:, None] * np.exp(2j * np.pi * angle)
+            np.add.at(direct, (slice(None), np.arange(r), coset[steps]), phases)
+            residuals = np.linalg.norm(direct @ vecs - vecs * eigvals[:, None, :], axis=1)
+            residuals /= np.linalg.norm(vecs, axis=1)
+            eigvals = eigvals.ravel()
             eigvals.flags.writeable = False
-            self._eigen = (eigvals, tuple(residuals))
+            self._eigen = (eigvals, tuple(residuals.ravel().tolist()))
         return self._eigen
-
-    def _character_eigen(self, orders):
-        """The character chi_k(x) = exp(2 pi i sum_j k_j x_j / n_j) of the
-        mixed-radix coordinates x has P chi_k = lambda_k chi_k exactly, with
-        lambda_k = sum_h mu(h) chi_k(h) read off one fftn at index -k.  Its
-        residual |P chi_k - lambda_k chi_k| / |chi_k| is |lambda_k - sum_h
-        mu(h) chi_k(h)|, the sum evaluated directly in O(n |S|).  Symmetric
-        measures keep real parts only, as eigh does."""
-        support = sorted(self.weights)
-        weights = [float(self.weights[h]) for h in support]
-        table = np.bincount(support, weights, self.group.order)
-        eigvals = np.fft.fftn(table.reshape(orders))[np.ix_(*[-np.arange(n) % n for n in orders])]
-        real = np.ix_(*[np.arange(n) * 2 % n == 0 for n in orders])  # k = -k: chi_k is real
-        eigvals[real] = eigvals[real].real
-        eigvals = (eigvals.real.astype(complex) if self.symmetric else eigvals).ravel()
-        ks = np.indices(orders)
-        direct = sum(
-            w * np.exp(2j * np.pi * sum(k * x % n / n for k, x, n in zip(ks, coords, orders)))
-            for w, *coords in zip(weights, *np.unravel_index(support, orders))
-        )
-        return eigvals, np.abs(eigvals - direct.ravel()).tolist()
-
-    def _dense_eigen(self):
-        a = self.as_array()
-        n = self.group.order
-        require_dense_budget((n, n), 16, f"the eigenvectors of {self!r}")
-        try:
-            if self.symmetric:
-                eigvals, eigvecs = np.linalg.eigh(a)
-                eigvals = eigvals.astype(complex)
-            else:
-                eigvals, eigvecs = np.linalg.eig(a)
-        except np.linalg.LinAlgError as exc:
-            raise ComputationError(
-                f"eigensolver failed for the {self.side} operator on {self.group.name}: {exc}"
-            ) from exc
-        return eigvals, [
-            float(np.linalg.norm(_gather(self.stencil(), v) - lam * v) / np.linalg.norm(v))
-            for lam, v in zip(eigvals, eigvecs.T)
-        ]
 
     def __repr__(self):
         return f"<ConvolutionOperator {self.side} on {self.group.name}>"
-
-
-def _cyclic_orders(group):
-    """[n_1, n_2, ...] for Z_n1 x Z_n2 x ... (nested products flattened), else None."""
-    if isinstance(group, CyclicGroup):
-        return [group.n]
-    parts = [_cyclic_orders(f) for f in group.factors] if isinstance(group, ProductGroup) else [None]
-    return None if None in parts else [n for part in parts for n in part]
 
 
 def _require_finite(group, what):
@@ -769,14 +768,19 @@ def component_kernel(stencils, n, lam, where):
     bipartite class for -1), ordered by each class's largest index: its
     indicator, or its colouring with +1 at the class's smallest index.
     This is the canonical free-column basis of rational_nullspace, scaled
-    by normalize_leading.  Every array is certified P v = lam v by exact
-    `_gather` sums; `where` names the nodes in messages ("on D4").
+    by normalize_leading.
+
+    Every array is certified P v = lam v exactly by one pass over the
+    composite permutations q, not one sum per array: each stencil's weights
+    sum to exactly 1, every q keeps every class label, and for -1 every q
+    flips every sign on the kept classes, so (P v)(g) = sum_q w_q v(q g) =
+    lam v(g).  `where` names the nodes in messages ("on D4").
     """
     composites = math.prod(len(terms) for terms in stencils)
     require_dense_budget((composites, n), 8, f"the composite stencil {where}")
-    perms = [np.arange(n)]
+    perms = np.arange(n)[None]
     for terms in stencils:
-        perms = [q[perm] for perm in perms for _, q in terms]
+        perms = np.stack([q[perms] for _, q in terms], axis=1).reshape(-1, n)
     if lam == 1:
         classes, signs = _classes(n, perms), np.ones(n, dtype=np.int64)
         kept = np.ones(n, dtype=bool)
@@ -786,22 +790,22 @@ def component_kernel(stencils, n, lam, where):
         classes = np.minimum(even, odd)
         signs = np.where(even == classes, 1, -1)
         kept = even != odd
+    for terms in stencils:
+        scale = math.lcm(*(w.denominator for w, _ in terms))
+        if sum(w.numerator * (scale // w.denominator) for w, _ in terms) != scale:
+            raise ComputationError(f"a stencil {where} has weights that do not sum to 1")
+    if not ((classes[perms] == classes).all() and (signs[perms] == lam * signs)[:, kept].all()):
+        raise ComputationError(f"a class vector {where} failed P f = {lam} f")
     last = np.full(n, -1)
     np.maximum.at(last, classes[kept], np.arange(n)[kept])
     labels = np.flatnonzero(last >= 0)
     labels = labels[np.argsort(last[labels])]
     require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis {where}")
-    basis = []
-    step = max(1, _CERTIFY_ENTRIES // n)
-    for start in range(0, len(labels), step):
-        vecs = np.where(classes[:, None] == labels[start : start + step], signs[:, None], 0)
-        failed = np.flatnonzero(~_certified(stencils, vecs, lam))
-        if failed.size:
-            raise ComputationError(
-                f"class vector {start + failed[0]} {where} failed P f = {lam} f"
-            )
-        basis.extend(vecs.T.copy())
-    return basis
+    row = np.zeros(n, dtype=np.int64)
+    row[labels] = np.arange(len(labels))
+    basis = np.zeros((len(labels), n), dtype=np.int64)
+    basis[row[classes[kept]], np.flatnonzero(kept)] = signs[kept]
+    return list(basis)
 
 
 def eigenspace(op, lam, tol=1e-9):

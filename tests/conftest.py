@@ -4,12 +4,16 @@ Property tests run under a hypothesis profile without a per-example
 deadline (timing on small shared machines varies too much for one) and
 with derandomized example generation, so every run checks the same cases.
 The `dense_lift` fixture builds the matrix-level lift's dense
-superoperator, the oracle for the lift's exact kernel.
+superoperator, the oracle for the lift's exact kernel, and `dense_eigen`
+solves a convolution operator by LAPACK on its dense matrix, the oracle
+for the block spectrum.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from groupwalk.operators import _gather
 
 settings.register_profile("groupwalk", deadline=None, derandomize=True)
 settings.load_profile("groupwalk")
@@ -30,3 +34,28 @@ def _dense_lift(lift):
 @pytest.fixture(scope="session")
 def dense_lift():
     return _dense_lift
+
+
+def _dense_eigen(op):
+    """(eigenvalues, residuals) of a convolution operator in the form of
+    `ConvolutionOperator.eigenvalues`, from LAPACK on the dense n x n
+    matrix: eigh for a symmetric measure, eig otherwise, each residual
+    |P v - lambda v| / |v| gathered through the stencil.  The library
+    solves one block per character of an abelian subgroup instead."""
+    a = op.as_array()
+    if op.symmetric:
+        eigvals, eigvecs = np.linalg.eigh(a)
+        eigvals = eigvals.astype(complex)
+    else:
+        eigvals, eigvecs = np.linalg.eig(a)
+    residuals = tuple(
+        float(np.linalg.norm(_gather(op.stencil(), v) - lam * v) / np.linalg.norm(v))
+        for lam, v in zip(eigvals, eigvecs.T)
+    )
+    eigvals.flags.writeable = False
+    return eigvals, residuals
+
+
+@pytest.fixture(scope="session")
+def dense_eigen():
+    return _dense_eigen

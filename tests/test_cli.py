@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import cli, operators
+from groupwalk import cli, harmonic, operators
 from groupwalk.cli import (
     AnalysisConfig,
     ConfigError,
@@ -188,7 +188,7 @@ def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
 def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
     config = parse_config(
         {
-            "group": {"kind": "dihedral", "n": 32},  # not abelian: LAPACK runs
+            "group": {"kind": "dihedral", "n": 32},  # 32 character blocks of 2 x 2
             "measure": [{"g": "1", "w": 0.5}, {"g": "3", "w": 0.3}, {"g": "40", "w": 0.2}],
             "tasks": ["spectrum", "verify"],
             "options": {"exact": False},
@@ -198,25 +198,56 @@ def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
     report = run_analysis(config)
-    assert calls == [(64, 64)]
+    assert calls == [(32, 2, 2)]
     assert report["results"]["verify"]["passed"]
     assert sum(r["multiplicity"] for r in report["results"]["spectrum"]["eigenvalues"]) == 64
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {
+            "group": {"kind": "lattice", "dim": 3, "radius": 5},
+            "measure": [
+                {"g": g, "w": "1/6"}
+                for g in ["[1,0,0]", "[-1,0,0]", "[0,1,0]", "[0,-1,0]", "[0,0,1]", "[0,0,-1]"]
+            ],
+            "tasks": ["character", "verify"],
+        },
+        {
+            "group": {"kind": "dihedral", "n": 4},
+            "measure": [{"g": "1", "w": "1/4"}, {"g": "3", "w": "1/4"}, {"g": "4", "w": "1/2"}],
+            "tasks": ["character", "verify"],
+        },
+    ],
+    ids=["Z3ball", "D4"],
+)
+def test_analyze_searches_for_the_character_once(monkeypatch, config):
+    calls = []
+    search = harmonic._search_anti_character
+    monkeypatch.setattr(
+        harmonic, "_search_anti_character", lambda group, mu: calls.append(group) or search(group, mu)
+    )
+    report = run_analysis(parse_config(config))
+    assert len(calls) == 1
+    assert report["results"]["character"]["character"] is not None
+    assert report["results"]["verify"]["passed"]
 
 
 # ---------------------------------------------------------------- error paths
 
 def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch):
     config = {
-        "group": {"kind": "dihedral", "n": 8},  # not abelian: the dense matrix is built
+        "group": {"kind": "dihedral", "n": 8},  # eight complex 2 x 2 character blocks
         "measure": [{"g": "1", "w": 0.5}, {"g": "7", "w": 0.5}],
         "tasks": ["spectrum"],
         "options": {"exact": False},
     }
-    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 16 * 16 - 1)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 16 * 8 * 2 * 2 - 1)
     code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
     assert code == 2
     assert out == ""
-    assert "DENSE_BYTES_BUDGET" in err and "16 x 16" in err
+    assert "DENSE_BYTES_BUDGET" in err and "8 x 2 x 2" in err
 
 
 def test_analyze_character_spectrum_runs_past_the_dense_budget(tmp_path, capsys):
@@ -234,12 +265,44 @@ def test_analyze_character_spectrum_runs_past_the_dense_budget(tmp_path, capsys)
     assert code == 0, err
     records = json.loads(out_path.read_text())["results"]["spectrum"]["eigenvalues"]
     assert sum(r["multiplicity"] for r in records) == 60000
-    # the same order on a dihedral group still needs LAPACK on a dense matrix
+    # the same order on a dihedral group: 30000 blocks of 2 x 2
     dihedral = dict(cyclic, group={"kind": "dihedral", "n": 30000})
-    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, dihedral, "d.json")])
+    code, _, err = run_main(
+        capsys, ["analyze", write_config(tmp_path, dihedral, "d.json"), "--out", str(out_path)]
+    )
+    assert code == 0, err
+    records = json.loads(out_path.read_text())["results"]["spectrum"]["eigenvalues"]
+    assert sum(r["multiplicity"] for r in records) == 60000
+    # S8 has no element of order above 15: 15 blocks of 2688 x 2688 are over the budget
+    symmetric = dict(cyclic, group={"kind": "symmetric", "n": 8})
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, symmetric, "s.json")])
     assert code == 2
     assert out == ""
-    assert "DENSE_BYTES_BUDGET" in err
+    assert "DENSE_BYTES_BUDGET" in err and "15 x 2688 x 2688" in err
+
+
+@pytest.mark.parametrize(
+    "group, support, order",
+    [
+        ({"kind": "dihedral", "n": 4096}, ["4096", "1", "4095"], 8192),  # a reflection, r, r^-1
+        ({"kind": "symmetric", "n": 7}, ["720", "873", "4320"], 5040),  # (0 1), a 7-cycle, its inverse
+    ],
+    ids=["D4096", "S7"],
+)
+def test_analyze_spectrum_at_scale(tmp_path, capsys, group, support, order):
+    config = {
+        "group": group,
+        "measure": [{"g": g, "w": w} for g, w in zip(support, [0.5, 0.25, 0.25])],
+        "tasks": ["spectrum"],
+        "options": {"exact": False},
+    }
+    out_path = tmp_path / "report.json"
+    code, _, err = run_main(
+        capsys, ["analyze", write_config(tmp_path, config), "--out", str(out_path)]
+    )
+    assert code == 0, err
+    records = json.loads(out_path.read_text())["results"]["spectrum"]["eigenvalues"]
+    assert sum(r["multiplicity"] for r in records) == order
 
 
 def test_analyze_refuses_biharmonic_basis_over_budget(tmp_path, capsys):

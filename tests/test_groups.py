@@ -37,6 +37,39 @@ def forms(ball):
 
 # ---------------------------------------------------------------- finite groups
 
+@pytest.mark.parametrize(
+    "group, orders",
+    [
+        (CyclicGroup(6), (6,)),
+        (DihedralGroup(5), (5,)),
+        (SymmetricGroup(4), (4,)),
+        (SymmetricGroup(5), (6,)),  # Landau's function: a 2-cycle times a 3-cycle
+        (QuaternionGroup(), (4,)),
+        (TableGroup([[(a + b) % 4 for b in range(4)] for a in range(4)]), (4,)),
+        (ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]), (3, 2, 4)),
+    ],
+    ids=lambda x: getattr(x, "name", ""),
+)
+def test_abelian_cosets_factor_every_element(group, orders):
+    """x = a_1^kappa_1 ... a_k^kappa_k g_c: (coset, kappa) is a bijection,
+    each representative (kappa 0) is numbered in index order, and left
+    multiplication by a_j, the element with kappa = e_j in the identity's
+    coset, adds 1 to kappa_j mod n_j and keeps the coset."""
+    got, coset, kappa = group.abelian_cosets()
+    assert got == orders and group.abelian_cosets()[1] is coset
+    assert not coset.flags.writeable and not kappa.flags.writeable
+    assert len(set(zip(coset.tolist(), map(tuple, kappa.tolist())))) == group.order
+    reps = np.flatnonzero(~kappa.any(axis=1))
+    assert coset[reps].tolist() == list(range(len(reps))) and len(reps) * np.prod(orders) == group.order
+    for j, m in enumerate(orders):
+        unit = np.eye(len(orders), dtype=np.int64)[j]
+        a = np.flatnonzero((coset == 0) & (kappa == unit).all(axis=1))[0]
+        step = group.left_perm(int(a))
+        shifted = kappa.copy()
+        shifted[:, j] = (shifted[:, j] + 1) % m
+        assert np.array_equal(coset[step], coset) and np.array_equal(kappa[step], shifted)
+
+
 def test_cyclic_basic():
     g = CyclicGroup(6)
     assert g.order == 6

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -40,6 +41,7 @@ from groupwalk.operators import (
     right_operator,
     spectrum,
 )
+from groupwalk.verify import alternating_group
 
 from ball_reference import reference
 
@@ -319,7 +321,7 @@ def test_operators_are_memoised_per_measure_and_side():
 
 
 def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
-    g = DihedralGroup(6)  # not abelian: the spectrum comes from LAPACK
+    g = DihedralGroup(6)  # six 2 x 2 character blocks
     mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
     op = right_operator(g, mu)
     first = spectrum(op)
@@ -332,7 +334,7 @@ def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
     assert calls == []  # both calls reuse the operator's eigensolve
     assert second.to_json() == first.to_json()
     assert second.to_json() == spectrum(ConvolutionOperator(g, mu, "right")).to_json()
-    assert calls == [(12, 12)]
+    assert calls == [(6, 2, 2)]
 
 
 def test_dense_matrix_is_shared_and_read_only():
@@ -347,7 +349,7 @@ def test_dense_matrix_is_shared_and_read_only():
 
 
 def test_dense_allocations_refused_over_budget(monkeypatch):
-    g = DihedralGroup(3)  # not abelian: the spectrum needs dense eigenvectors
+    g = DihedralGroup(3)  # the spectrum solves three 2 x 2 complex blocks
     mu = uniform(g, [1, 2])
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36 - 1)
     with pytest.raises(ConstructionError, match="DENSE_BYTES_BUDGET"):
@@ -355,11 +357,14 @@ def test_dense_allocations_refused_over_budget(monkeypatch):
     # delta at the identity: six classes, so the basis needs 6 x 6 entries
     with pytest.raises(ConstructionError, match="eigenspace basis.*DENSE_BYTES_BUDGET"):
         eigenspace(left_operator(g, delta(g, 0)), 1)
-    # the float matrix fits exactly; its complex eigenvectors do not
+    # the float matrix fits exactly; the block stack is refused one byte short
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 36)
     assert right_operator(g, mu).as_array().shape == (6, 6)
-    with pytest.raises(ConstructionError, match="eigenvectors"):
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 16 * 3 * 2 * 2 - 1)
+    with pytest.raises(ConstructionError, match="character blocks.*3 x 2 x 2.*DENSE_BYTES_BUDGET"):
         spectrum(right_operator(g, mu))
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 16 * 3 * 2 * 2)
+    assert sum(r.multiplicity for r in spectrum(right_operator(g, mu)).eigenvalues) == 6
 
 
 def test_stencil_is_budgeted_before_it_is_built(monkeypatch):
@@ -414,11 +419,30 @@ def test_memoised_operator_dies_with_its_measure_without_gc():
 
 # ---------------------------------------------------------------- character spectra
 
-def _lapack_spectrum(group, mu):
-    """Oracle: the dense LAPACK spectrum of a fresh right operator."""
-    op = ConvolutionOperator(group, mu, "right")
-    op._eigen = op._dense_eigen()
+def _lapack_spectrum(dense_eigen, group, mu, side="right"):
+    """Oracle: the spectrum of a fresh operator whose eigenpairs come from
+    LAPACK on the dense matrix."""
+    op = ConvolutionOperator(group, mu, side)
+    op._eigen = dense_eigen(op)
     return spectrum(op)
+
+
+def _record_solves(monkeypatch):
+    """(blocks, eigenvalues, eigenvectors) of every later eig or eigh call."""
+    solved = []
+    for name in ("eig", "eigh"):
+
+        def run(a, solver=getattr(np.linalg, name)):
+            out = solver(a)
+            solved.append((a, *out))
+            return out
+
+        monkeypatch.setattr(np.linalg, name, run)
+    return solved
+
+
+def _is_abelian(group):
+    return all(group.mul(a, b) == group.mul(b, a) for a in group.elements() for b in group.elements())
 
 
 @pytest.mark.parametrize(
@@ -426,39 +450,121 @@ def _lapack_spectrum(group, mu):
     [
         CyclicGroup(64),
         ProductGroup([ProductGroup([CyclicGroup(4), CyclicGroup(1)]), CyclicGroup(6)]),
+        DihedralGroup(5),
+        SymmetricGroup(4),
+        QuaternionGroup(),
+        alternating_group(4),
+        ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]),
     ],
     ids=lambda g: g.name,
 )
 def test_character_spectrum_builds_no_dense_matrix(group, monkeypatch):
-    def refuse(a):
-        raise AssertionError("LAPACK called on an abelian group")
-
-    monkeypatch.setattr(np.linalg, "eig", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    solved = _record_solves(monkeypatch)
     mu = make_measure(group, [(1, 0.5), (2, 0.3), (group.order - 1, 0.2)])
     for op in (right_operator(group, mu), left_operator(group, mu)):
         report = spectrum(op)
         assert op._float_matrix is None
         assert sum(rec.multiplicity for rec in report.eigenvalues) == group.order
-        assert report.peripheral == [1]
+        assert len(report.peripheral) == 1 and abs(report.peripheral[0] - 1) < 1e-12
+        if _is_abelian(group):  # one 1 x 1 block per character: the plain Fourier transform
+            assert report.peripheral == [1]
+    size = math.prod(group.abelian_cosets()[0])
+    r = group.order // size
+    assert [a.shape for a, *_ in solved] == [(size, r, r)] * 2
+    assert r == 1 or not _is_abelian(group)
 
 
-def test_spectrum_lists_one_first_whatever_its_rounding():
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(36), CyclicGroup(100), ProductGroup([CyclicGroup(10), CyclicGroup(6)])],
+    ids=lambda g: g.name,
+)
+def test_real_characters_give_exactly_real_eigenvalues(group):
+    """On a non-symmetric abelian walk the block of a real character
+    (k = -k) is real, so its eigenvalue has imaginary part exactly 0; with
+    this measure the fft alone leaves a last-bit imaginary part there on
+    each of these groups."""
+    mu = make_measure(group, [(1, 0.5), (2, 0.3), (group.order - 5, 0.2)])
+    eigvals, _ = right_operator(group, mu).eigenvalues()
+    orders = group.abelian_cosets()[0]
+    ks = np.indices(orders).reshape(len(orders), -1)
+    real = (2 * ks % np.array(orders)[:, None] == 0).all(axis=0)
+    assert real.sum() > 1 and (eigvals[real].imag == 0.0).all()
+    assert (eigvals[~real].imag != 0.0).any()
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        CyclicGroup(6),
+        DihedralGroup(4),
+        SymmetricGroup(3),
+        QuaternionGroup(),
+        alternating_group(4),
+        ProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
+    ],
+    ids=lambda g: g.name,
+)
+def test_block_residuals_are_lifted_eigenvector_residuals(group, monkeypatch):
+    """A block eigenpair (lambda, v) of chi_k lifts to the eigenvector
+    f(a^kappa g_i) = chi_k(a^kappa) v_i of the right walk (f(x^-1) for the
+    left walk); each recorded residual is |P f - lambda f| / |f| of that
+    lift, gathered through the stencil."""
+    solved = _record_solves(monkeypatch)
+    orders, coset, kappa = group.abelian_cosets()
+    ks = np.indices(orders).reshape(len(orders), -1)
+    r = group.order // ks.shape[1]
+    inverse = [group.inv(x) for x in group.elements()]
+    a, b = 1, group.order - 1
+    measures = [
+        make_measure(group, [(a, 0.5), (2, 0.3), (b, 0.2)]),
+        uniform(group, sorted({a, group.inv(a), b, group.inv(b)})),
+    ]
+    for mu in measures:
+        for side in ("right", "left"):
+            op = ConvolutionOperator(group, mu, side)
+            _, residuals = op.eigenvalues()
+            _, values, vecs = solved[-1]
+            for block, k in enumerate(ks.T):
+                phase = np.exp(2j * np.pi * (kappa * k / np.array(orders)).sum(axis=1))
+                for m in range(r):
+                    f = phase * vecs[block][coset, m]
+                    f = f[inverse] if side == "left" else f
+                    image = operators._gather(op.stencil(), f)
+                    lifted = np.linalg.norm(image - values[block, m] * f) / np.linalg.norm(f)
+                    assert abs(residuals[block * r + m] - lifted) <= 1e-15
+
+
+def test_spectrum_lists_one_first_whatever_its_rounding(dense_eigen):
     g = ProductGroup([CyclicGroup(3), CyclicGroup(6), CyclicGroup(6)])
     mu = make_measure(g, [(8, 1.0)])  # a step of order 6: 1 has multiplicity 18
-    for report in (spectrum(right_operator(g, mu)), _lapack_spectrum(g, mu)):
+    for report in (spectrum(right_operator(g, mu)), _lapack_spectrum(dense_eigen, g, mu)):
         assert abs(report.eigenvalues[0].value - 1) < 1e-12
         assert report.eigenvalues[0].multiplicity == 18
 
 
+NONABELIAN_GROUPS = [
+    DihedralGroup(3),
+    DihedralGroup(8),
+    DihedralGroup(15),
+    SymmetricGroup(3),
+    SymmetricGroup(4),
+    QuaternionGroup(),
+    alternating_group(4),
+    ProductGroup([SymmetricGroup(3), CyclicGroup(4)]),
+    ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]),
+]
+
+
 @st.composite
-def abelian_walks(draw):
-    """(group, measure) on a cyclic group or a product of 2-3 cyclic
-    factors (possibly nested, possibly with a Z1 factor); exact or float
-    weights, symmetric or not, with or without the identity, generating or
-    not, or the unit-invariant {a, u*a, 2b} measure on Z_n (n = 2^m) whose
-    spectrum has complex double eigenvalues."""
-    shape = draw(st.sampled_from(["cyclic", "product", "nested", "unit"]))
+def finite_walks(draw):
+    """(group, measure) on a cyclic group, a product of 2-3 cyclic factors
+    (possibly nested, possibly with a Z1 factor) or a non-abelian group
+    (dihedral, symmetric, Q8, the A4 table, products with them); exact or
+    float weights, symmetric or not, with or without the identity,
+    generating or not, or the unit-invariant {a, u*a, 2b} measure on Z_n
+    (n = 2^m) whose spectrum has complex double eigenvalues."""
+    shape = draw(st.sampled_from(["cyclic", "product", "nested", "unit", "nonabelian"]))
     exact = draw(st.booleans())
     weight = st.integers(1, 9) if exact else st.floats(1.0, 2.0)
     if shape == "unit":
@@ -470,6 +576,8 @@ def abelian_walks(draw):
     else:
         if shape == "cyclic":
             group = CyclicGroup(draw(st.integers(1, 64)))
+        elif shape == "nonabelian":
+            group = draw(st.sampled_from(NONABELIAN_GROUPS))
         else:
             size = 3 if shape == "nested" else draw(st.integers(2, 3))
             factors = [CyclicGroup(n) for n in draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))]
@@ -494,10 +602,11 @@ def abelian_walks(draw):
     return group, mu
 
 
-@given(abelian_walks())
-def test_character_spectrum_matches_lapack(walk):
+@given(finite_walks(), st.sampled_from(["right", "left"]))
+def test_character_spectrum_matches_lapack(dense_eigen, walk, side):
     group, mu = walk
-    fast, slow = spectrum(right_operator(group, mu)), _lapack_spectrum(group, mu)
+    fast = spectrum(ConvolutionOperator(group, mu, side))
+    slow = _lapack_spectrum(dense_eigen, group, mu, side)
     assert [r.multiplicity for r in fast.eigenvalues] == [r.multiplicity for r in slow.eigenvalues]
     for r, s in zip(fast.eigenvalues, slow.eigenvalues):
         assert abs(r.value - s.value) <= 1e-12
@@ -789,6 +898,40 @@ def test_lift_kernel_matches_dense_nullspace(dense_lift, walk):
             assert (np.count_nonzero(vecs, axis=1) <= 1).all()
 
 
+@given(exact_walks(LIFT_GROUPS))
+def test_class_certificate_agrees_with_gather_oracle(walk):
+    """Every array component_kernel certifies structurally also passes the
+    exact per-array check P v = lam v summed by `_gather` (`_certified`),
+    on each walk, each side's lift and the lift of right o left."""
+    group, mu = walk
+    n = group.order
+    walks = [([ConvolutionOperator(group, mu, side).stencil()], n) for side in ("right", "left")]
+    lifts = [OperatorOnMatrices(group, mu, side).terms for side in ("right", "left")]
+    walks += [([terms], n * n) for terms in lifts] + [(lifts, n * n)]
+    for stencils, size in walks:
+        for lam in (1, -1):
+            basis = component_kernel(stencils, size, lam, "under test")
+            if basis:
+                assert operators._certified(stencils, np.stack(basis, axis=1), lam).all()
+
+
+def test_class_certificate_rejects_split_and_false_bipartite_labels(monkeypatch):
+    """On the odd cycle of Z5: weights summing to 1/2 are refused; labelling
+    every node its own class moves a label (+1); labelling the double cover
+    as two uniform sheets marks the one class bipartite with one colour,
+    and no step flips it (-1)."""
+    g = CyclicGroup(5)
+    stencil = ConvolutionOperator(g, uniform(g, [1, 4]), "right").stencil()
+    with pytest.raises(ComputationError, match="do not sum to 1"):
+        component_kernel([stencil[:1]], 5, 1, "on Z5")
+    monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n))
+    with pytest.raises(ComputationError, match="failed P f = 1 f"):
+        component_kernel([stencil], 5, 1, "on Z5")
+    monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n) // (n // 2) * (n // 2))
+    with pytest.raises(ComputationError, match="failed P f = -1 f"):
+        component_kernel([stencil], 5, -1, "on Z5")
+
+
 def test_lift_kernel_on_d128_has_one_array_per_class():
     """On D128 (order 256, 65536 entries), nu = mu * mu with mu uniform on
     {r, r^-1, s}: one fixed array of right o left per connected class of
@@ -950,7 +1093,7 @@ def per_cluster_records(op):
     return [(repr(z.real), repr(z.imag), m, repr(res)) for z, m, res in records]
 
 
-@given(st.one_of(walks(), abelian_walks().map(lambda gm: (*gm, "right"))))
+@given(st.one_of(walks(), finite_walks().map(lambda gm: (*gm, "right"))))
 def test_spectrum_records_match_per_cluster_loop(walk):
     group, mu, side = walk
     op = ConvolutionOperator(group, mu, side)
