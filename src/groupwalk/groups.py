@@ -139,9 +139,9 @@ class FiniteGroup:
         """A = <a> for the first element a of largest order (on S_n,
         Landau's function); the cosets A g are the cycles of left_perm(a),
         each led by its smallest element."""
-        orders = [len(closure(self, [g])) for g in self.elements()]
-        size = max(orders)
-        a = orders.index(size)
+        orders = self._element_orders()
+        a = int(np.argmax(orders))
+        size = int(orders[a])
         step = self.left_perm(a).tolist()
         coset, kappa, label = [-1] * self.order, [0] * self.order, 0
         for g in self.elements():
@@ -151,6 +151,10 @@ class FiniteGroup:
                     coset[x], kappa[x], x = label, m, step[x]
                 label += 1
         return [size], np.array(coset), np.array(kappa)[:, None]
+
+    def _element_orders(self):
+        """The order of every element, as the size of its cyclic closure."""
+        return np.array([len(closure(self, [g])) for g in self.elements()])
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -278,6 +282,18 @@ class SymmetricGroup(FiniteGroup):
     def mul(self, a, b):
         p, q = self.perms[a], self.perms[b]
         return self.index[tuple(p[q[i]] for i in range(self.n))]
+
+    def _element_orders(self):
+        """The order of every permutation: the lcm of its cycle lengths,
+        where the point i lies on a cycle of the first length k with
+        p^k(i) = i."""
+        perms = np.array(self.perms, dtype=np.int64)
+        points = np.arange(self.n)
+        image, cycle = perms, np.zeros_like(perms)
+        for k in range(1, self.n + 1):
+            cycle[(image == points) & (cycle == 0)] = k
+            image = np.take_along_axis(perms, image, axis=1)
+        return np.lcm.reduce(cycle, axis=1)
 
     def inv(self, a):
         p = self.perms[a]
@@ -597,32 +613,21 @@ class LatticeBall(TruncatedGroup):
         return tuple(self._coords[a].tolist())
 
     def index_of_form(self, form):
-        """Index of a point given as dim integers, None outside the ball."""
+        """Index of a point given as dim integers, None outside the ball:
+        one search for its key, joined from the coordinates' bytes."""
         if len(form) != self.dim or sum(abs(x) for x in form) > self.radius:
             return None
-        return int(self._lookup(np.array([form], dtype=np.int32))[0])
+        key = b"".join(int(x + self.radius).to_bytes(self._width, "big") for x in form)
+        return self._key_order.item(self._sorted_keys.searchsorted(np.void(key)))
 
     def mul(self, a, b):
-        """a + b, None outside the ball, through the step permutations of
-        b's unit steps.  The steps toward zero come first, so the path stays
-        in the ball whenever a + b does."""
+        """a + b, None outside the ball: a unit step b reads its step
+        permutation, any other b looks up the summed coordinates."""
         if 1 <= b <= 2 * self.dim:
             g = self._step(b).item(a)
             return None if g < 0 else g
         x, y = self._coords[a].tolist(), self._coords[b].tolist()
-        if sum(abs(p + q) for p, q in zip(x, y)) > self.radius:
-            return None
-        toward, away = [], []
-        for axis, (p, q) in enumerate(zip(x, y)):
-            if q:
-                back = min(abs(p), abs(q)) if p * q < 0 else 0
-                step = self._step(self._unit(axis, q))
-                toward.append((step, back))
-                away.append((step, abs(q) - back))
-        for step, count in toward + away:
-            for _ in range(count):
-                a = step.item(a)
-        return a
+        return self.index_of_form([p + q for p, q in zip(x, y)])
 
     def inv(self, a):
         r = self.length(a)

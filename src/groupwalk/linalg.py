@@ -4,11 +4,13 @@ The Fraction routines (RREF, nullspace, solve) serve small systems and act
 as the test oracle for the exact eigenspaces, which come from connected
 classes (operators.component_kernel), not from elimination.  GF2System
 solves the sign-character systems.  The floating routines are thin
-wrappers over numpy decompositions.
+wrappers over numpy decompositions, and expm is a Padé approximant over
+numpy products and one solve.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "GF2System",
     "operator_norm",
     "float_nullspace",
+    "expm",
 ]
 
 
@@ -196,3 +199,56 @@ def float_nullspace(matrix, tol=1e-9):
     null_mask[len(s):] = True  # wide matrices: columns beyond rank
     null_mask[: len(s)] = s <= tol
     return vh[null_mask].conj().T
+
+
+# Higham (2005), Table 2.3 and eq. (2.11): the 1-norm bound theta_m under
+# which the [m/m] Padé approximant of exp is accurate to double precision,
+# and its coefficients b_0 .. b_m.
+_PADE = {
+    3: (1.495585217958292e-2, (120, 60, 12, 1)),
+    5: (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+    7: (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
+    9: (2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                              2162160, 110880, 3960, 90, 1)),
+    13: (5.371920351148152e0, (64764752532480000, 32382376266240000, 7771770303897600,
+                               1187353796428800, 129060195264000, 10559470521600,
+                               670442572800, 33522128640, 1323241920, 40840800, 960960,
+                               16380, 182, 1)),
+}
+
+
+def expm(matrix):
+    """exp of a square float matrix by scaling and squaring (Higham, "The
+    scaling and squaring method for the matrix exponential revisited", SIAM
+    J. Matrix Anal. Appl. 26(4), 2005).  The smallest degree m in 3, 5, 7, 9
+    whose theta_m bounds ||A||_1 is used as is; otherwise A is halved
+    s = ceil(log2(||A||_1 / theta_13)) times for degree 13 and the result
+    squared s times.  With U and V the odd and even parts of the Padé
+    numerator, exp(A) ~ (V - U)^-1 (V + U), one solve."""
+    a = np.asarray(matrix, dtype=float)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("expm needs a matrix of finite entries")
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE[m][0]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE[13][0]))) if m == 13 else 0
+    a = a / 2.0**s
+    b = _PADE[m][1]
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]  # the even powers A^0 .. A^(m - 1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    else:  # Higham's evaluation of degree 13 in six products
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (
+            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        )
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r

@@ -764,7 +764,13 @@ def component_kernel(stencils, n, lam, where):
     (g -> q[perm[g]] over every pair of terms), so eigenspace's theorem
     applies to the graph g -- perm(g).  A class is bipartite exactly when
     g and (g, 1) fall in different classes of the double cover
-    (g, 0) -- (perm(g), 1).  The basis holds one int64 array per class (per
+    (g, 0) -- (perm(g), 1).  The classes are labelled from the composites
+    that leave the first term of all stencils but at most one: with c the
+    composite of the first terms and P_j,i the composite that takes term i
+    of stencil j instead, s_1,i_1 o ... o s_m,i_m = P_1,i_1 c^-1 P_2,i_2
+    c^-1 ... P_m,i_m, so both sets generate one permutation group and have
+    one set of classes, also on the double cover, where the flip rides on
+    one factor.  The basis holds one int64 array per class (per
     bipartite class for -1), ordered by each class's largest index: its
     indicator, or its colouring with +1 at the class's smallest index.
     This is the canonical free-column basis of rational_nullspace, scaled
@@ -781,11 +787,13 @@ def component_kernel(stencils, n, lam, where):
     perms = np.arange(n)[None]
     for terms in stencils:
         perms = np.stack([q[perms] for _, q in terms], axis=1).reshape(-1, n)
+    shape = [len(terms) for terms in stencils]
+    labelling = perms[(np.indices(shape).reshape(len(shape), -1) != 0).sum(axis=0) <= 1]
     if lam == 1:
-        classes, signs = _classes(n, perms), np.ones(n, dtype=np.int64)
+        classes, signs = _classes(n, labelling), np.ones(n, dtype=np.int64)
         kept = np.ones(n, dtype=bool)
     else:
-        cover = _classes(2 * n, [np.concatenate([perm + n, perm]) for perm in perms])
+        cover = _classes(2 * n, [np.concatenate([perm + n, perm]) for perm in labelling])
         even, odd = cover[:n], cover[n:]
         classes = np.minimum(even, odd)
         signs = np.where(even == classes, 1, -1)

@@ -4,7 +4,10 @@ Each check emits CheckRecords collected into a VerificationReport.  The
 default corpus covers small cyclic, dihedral, symmetric, quaternion, and
 alternating groups with seeded random symmetric generating measures.  The
 foguel decay walks the measures' left stencils, all of one corpus group's
-measures in one walk, and builds no dense operator.
+measures in one walk, and builds no dense operator.  The stirling suite's
+exp bound takes its matrix exponential from linalg.expm, a scaling and
+squaring Padé approximant in numpy, so numpy is the only dependency at run
+time.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .groups import (
     ConstructionError,
@@ -37,7 +39,7 @@ from .harmonic import (
     harmonic_space,
     jointly_biharmonic_space,
 )
-from .linalg import float_nullspace, operator_norm
+from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
     convolve,
     delta,

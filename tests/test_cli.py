@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import groupwalk
 from groupwalk import cli, harmonic, operators
 from groupwalk.cli import (
     AnalysisConfig,
@@ -495,6 +500,32 @@ def test_verify_subcommand_deterministic_bytes(tmp_path, capsys):
     assert main(["verify", "revuz", "--seed", "5", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+SCIPY_GUARD = """
+import sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from groupwalk.cli import main
+seen = [loaded()]
+assert main(["verify", "stirling", "--seed", "0", "--out", sys.argv[1]]) == 0
+seen.append(loaded())
+assert main(["analyze", sys.argv[2], "--out", sys.argv[3]]) == 0
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    """numpy is the only run-time dependency: a fresh interpreter imports
+    the CLI, runs the stirling suite (the matrix exponential) and a full
+    analyze, and has loaded no scipy module after any of the three."""
+    src = str(Path(groupwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [str(tmp_path / "stirling.json"), write_config(tmp_path, Z4_CONFIG), str(tmp_path / "z4.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[[], [], []]"
 
 
 def test_verify_subcommand_unknown_suite(capsys):

@@ -70,6 +70,13 @@ def test_abelian_cosets_factor_every_element(group, orders):
         assert np.array_equal(coset[step], coset) and np.array_equal(kappa[step], shifted)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_symmetric_element_orders_are_cyclic_closure_sizes(n):
+    """The lcm of the cycle lengths is the order of the cyclic subgroup."""
+    g = SymmetricGroup(n)
+    assert g._element_orders().tolist() == [len(closure(g, [x])) for x in g.elements()]
+
+
 def test_cyclic_basic():
     g = CyclicGroup(6)
     assert g.order == 6

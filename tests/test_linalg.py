@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupwalk.linalg import (
+    _PADE,
     GF2System,
+    expm,
     float_nullspace,
     normalize_leading,
     operator_norm,
@@ -202,3 +204,79 @@ def test_float_nullspace_plane():
     assert np.allclose(m @ basis, 0.0, atol=1e-12)
     # columns orthonormal (they come from an SVD)
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+
+
+# ---------------------------------------------------------------- expm
+
+def mp_expm(a):
+    """exp(a) by mpmath at 40 digits, rounded to floats: the oracle."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def assert_close_to_exp(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+@st.composite
+def scaled_contractions(draw):
+    """-n (I - T) for a contraction T of dimension 1..12 and n in 1, 10,
+    100, 500: the exponent of the exp-bound check.  Its 1-norm runs from
+    near 0 to about 10^4, so every Padé degree and the squaring branch run."""
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((dim, dim))
+    t = raw * (draw(st.floats(0.0, 1.0)) / np.linalg.norm(raw, 2))
+    if draw(st.booleans()):  # T near I puts n (I - T) under the low-degree thresholds
+        t = np.eye(dim) - t * draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    return -draw(st.sampled_from([1, 10, 100, 500])) * (np.eye(dim) - t)
+
+
+@settings(max_examples=60)
+@given(scaled_contractions())
+def test_expm_matches_mpmath_and_scipy(a):
+    from scipy.linalg import expm as scipy_expm
+
+    got = expm(a)
+    assert_close_to_exp(got, mp_expm(a))
+    assert_close_to_exp(got, scipy_expm(a))
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [0.99 * _PADE[m][0] for m in sorted(_PADE)] + [8 * _PADE[13][0], 1000 * _PADE[13][0]],
+    ids=[f"degree-{m}" for m in sorted(_PADE)] + ["3-squarings", "10-squarings"],
+)
+def test_expm_runs_each_degree_and_squaring(norm):
+    """A 5 x 5 matrix of 1-norm just under theta_m takes degree m; past
+    theta_13 it is halved for degree 13 and the result squared.  Shifted
+    by its spectral norm, the matrix has no eigenvalue in the right half
+    plane, so exp stays in range at every scale."""
+    s = np.random.default_rng(5).standard_normal((5, 5))
+    a = s - np.linalg.norm(s, 2) * np.eye(5)
+    a *= norm / np.abs(a).sum(axis=0).max()
+    assert_close_to_exp(expm(a), mp_expm(a))
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        (np.zeros((3, 3)), np.eye(3)),
+        (np.eye(4), np.e * np.eye(4)),
+        (np.diag([1.0, -2.0, 30.0]), np.diag(np.exp([1.0, -2.0, 30.0]))),
+        # the nilpotent Jordan block N: exp(N) = I + N + N^2/2 + N^3/6
+        (np.eye(4, k=1), np.array([[1, 1, 1 / 2, 1 / 6], [0, 1, 1, 1 / 2], [0, 0, 1, 1], [0, 0, 0, 1]])),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+    ids=["zero", "identity", "diagonal", "jordan", "empty"],
+)
+def test_expm_known_values(a, want):
+    assert_close_to_exp(expm(a), want)
+
+
+def test_expm_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
