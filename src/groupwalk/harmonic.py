@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import ConstructionError, generating_set
-from .linalg import GF2System, rational_solve
+from .linalg import rational_solve
 from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
@@ -30,8 +30,6 @@ from .operators import (
     left_operator,
     right_operator,
 )
-
-MAX_CHARACTER_ORDER = 512
 
 __all__ = [
     "Character",
@@ -235,13 +233,16 @@ def decompose(f, mu, tol=1e-9):
 def find_anti_character(group, mu):
     """Sign character that is -1 on the support of mu, or None.
 
-    Finite groups solve a GF(2) system over one unknown per element
-    (x_e = 0 and x_{g*t} = x_g + x_t for every g and each t of
-    generating_set, whose solutions are exactly the homomorphisms to Z/2;
-    support entries pinned to 1) and return the lexicographically smallest
-    solution.  Ball truncations use one unknown per family generator;
-    free-group generators carry no relations and lattice relations are
-    vacuous.  The answer is kept on mu when mu lives on group.
+    On a finite group a sign character is fixed by its signs x_i on the k
+    generators t_i of generating_set, with chi(g) the parity of x & mask[g]
+    (FiniteGroup.generator_masks); the 2^k <= order assignments that meet
+    every relation mask with even parity are exactly the homomorphisms to
+    Z/2.  Those that are also odd on each support mask are walked in index
+    order, keeping chi(g) = +1 wherever that is still open, which gives the
+    lexicographically smallest character; validate() certifies it.  Ball
+    truncations use one unknown per family generator; free-group generators
+    carry no relations and lattice relations are vacuous.  The answer is
+    kept on mu when mu lives on group.
     """
     if group is not mu.group:
         return _search_anti_character(group, mu)
@@ -250,26 +251,32 @@ def find_anti_character(group, mu):
     return mu._character
 
 
+def _parity(v):
+    """Bit parity of each entry of an array of integers below 2^16."""
+    for shift in (8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
 def _search_anti_character(group, mu):
     if group.is_truncated:
         return _find_anti_character_family(group, mu)
-    n = group.order
-    if n > MAX_CHARACTER_ORDER:
-        raise ConstructionError(
-            f"character search supports order <= {MAX_CHARACTER_ORDER}, got {n}"
-        )
-    system = GF2System()
-    system.add(1 << group.identity, 0)
-    for t in generating_set(group):
-        for g, gt in enumerate(group.right_perm(t).tolist()):
-            system.add((1 << g) ^ (1 << t) ^ (1 << gt), 0)
-    for s in mu.support():
-        if not system.add(1 << s, 1):
-            return None
-    bits = system.lex_min_solution(n)
-    if bits is None:
+    gens, mask, relations = group.generator_masks()
+    signs = np.arange(1 << len(gens))  # bit i set: chi(t_i) = -1
+    pins = set(mask[mu.support()].tolist())
+    for m, bit in [(r, 0) for r in relations.tolist()] + [(p, 1) for p in pins]:
+        signs = signs[_parity(signs & m) == bit]
+    for m in mask.tolist():
+        if len(signs) <= 1:
+            break
+        even = _parity(signs & m) == 0
+        if even.any():
+            signs = signs[even]
+    if not len(signs):
         return None
-    return Character(group, [1 if b == 0 else -1 for b in bits])
+    chi = Character(group, (1 - 2 * _parity(mask & signs[0])).tolist())
+    chi.validate()
+    return chi
 
 
 def _find_anti_character_family(group, mu):

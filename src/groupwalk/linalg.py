@@ -2,10 +2,9 @@
 
 The Fraction routines (RREF, nullspace, solve) serve small systems and act
 as the test oracle for the exact eigenspaces, which come from connected
-classes (operators.component_kernel), not from elimination.  GF2System
-solves the sign-character systems.  The floating routines are thin
-wrappers over numpy decompositions, and expm is a Padé approximant over
-numpy products and one solve.
+classes (operators.component_kernel), not from elimination.  The floating
+routines are thin wrappers over numpy decompositions, and expm is a Padé
+approximant over numpy products and one solve.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "rational_solve",
     "rational_matmul",
     "normalize_leading",
-    "GF2System",
     "operator_norm",
     "float_nullspace",
     "expm",
@@ -116,71 +114,6 @@ def normalize_leading(vec, cutoff=0.0):
     if lead is None:
         return list(vec)
     return [x / lead for x in vec]
-
-
-class GF2System:
-    """Incremental GF(2) linear system with bitset rows.
-
-    Equations are ``mask . x = rhs`` where ``mask`` packs variable
-    coefficients as integer bits.  Rows are kept in echelon form keyed by
-    their lowest set bit, which makes feasibility checks O(rows).
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot bit position -> (mask, rhs)
-        self.contradiction = False
-
-    def _reduce(self, mask, rhs):
-        while mask:
-            pivot = (mask & -mask).bit_length() - 1
-            if pivot not in self.rows:
-                return mask, rhs, pivot
-            row_mask, row_rhs = self.rows[pivot]
-            mask ^= row_mask
-            rhs ^= row_rhs
-        return 0, rhs, None
-
-    def add(self, mask, rhs):
-        """Insert one equation.  Returns False when it contradicts the system."""
-        if self.contradiction:
-            return False
-        mask, rhs, pivot = self._reduce(mask, rhs)
-        if pivot is None:
-            if rhs:
-                self.contradiction = True
-                return False
-            return True
-        self.rows[pivot] = (mask, rhs)
-        return True
-
-    def consistent_with(self, mask, rhs):
-        """Would (mask, rhs) be consistent, without inserting it?"""
-        if self.contradiction:
-            return False
-        reduced_mask, reduced_rhs, _ = self._reduce(mask, rhs)
-        return bool(reduced_mask) or not reduced_rhs
-
-    def lex_min_solution(self, nvars):
-        """Lexicographically smallest solution vector (x_0, ..., x_{nvars-1}).
-
-        Greedy per variable: fix the earliest undetermined bit to 0 whenever
-        the system stays consistent, else to 1.  Returns None when the system
-        is contradictory.
-        """
-        if self.contradiction:
-            return None
-        scratch = GF2System()
-        scratch.rows = dict(self.rows)
-        bits = []
-        for i in range(nvars):
-            mask = 1 << i
-            if scratch.consistent_with(mask, 0):
-                scratch.add(mask, 0)
-                bits.append(0)
-            else:
-                scratch.add(mask, 1)
-                bits.append(1)
-        return bits
 
 
 def operator_norm(matrix):

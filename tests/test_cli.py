@@ -239,6 +239,24 @@ def test_analyze_searches_for_the_character_once(monkeypatch, config):
     assert report["results"]["verify"]["passed"]
 
 
+def test_analyze_character_past_order_512(tmp_path, capsys):
+    z2_16 = {
+        "group": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 16},
+        "measure": [{"g": str(1 << i), "w": "1/16"} for i in range(16)],  # the coordinate generators
+        "tasks": ["character"],
+    }
+    z1024 = dict(z2_16, group={"kind": "cyclic", "n": 1024}, measure=[{"g": g, "w": "1/2"} for g in ("1", "1023")])
+    results = []
+    for config in (z2_16, z1024):
+        out_path = tmp_path / "report.json"
+        code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, config), "--out", str(out_path)])
+        assert code == 0, err
+        results.append(json.loads(out_path.read_text())["results"]["character"])
+    assert [(r["har_dim"], r["anti_dim"]) for r in results] == [(1, 1), (1, 1)]
+    assert results[0]["character"]["values"] == [(-1) ** bin(g).count("1") for g in range(1 << 16)]
+    assert results[1]["character"]["values"] == [(-1) ** g for g in range(1024)]
+
+
 # ---------------------------------------------------------------- error paths
 
 def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch):

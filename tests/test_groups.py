@@ -26,6 +26,7 @@ from groupwalk.measures import delta
 from groupwalk.operators import ConvolutionOperator
 
 from ball_reference import lattice_points, reduced_words, reference
+from gf2_reference import closure_generating_set
 
 
 # ---------------------------------------------------------------- oracles
@@ -165,6 +166,19 @@ def test_table_group_rejects_non_associative_loop():
     ]
     with pytest.raises(ConstructionError):
         TableGroup(loop)
+    # order-7 loop, found by search, whose greedy generating set has 3
+    # elements: a group of order 7 needs at most 2
+    loop = [
+        [0, 1, 2, 3, 4, 5, 6],
+        [1, 0, 3, 4, 2, 6, 5],
+        [2, 3, 0, 5, 6, 1, 4],
+        [3, 2, 1, 6, 5, 4, 0],
+        [4, 5, 6, 0, 1, 2, 3],
+        [5, 6, 4, 1, 0, 3, 2],
+        [6, 4, 5, 2, 3, 0, 1],
+    ]
+    with pytest.raises(ConstructionError, match="not a group: 3 greedy generators at order 7"):
+        TableGroup(loop)
 
 
 def cayley_table(group):
@@ -245,9 +259,13 @@ def test_generating_set_is_greedy_in_index_order():
 
 
 @given(st.sampled_from([DihedralGroup(6), SymmetricGroup(4), QuaternionGroup(),
-                        ProductGroup([CyclicGroup(2), CyclicGroup(4), CyclicGroup(3)])]))
+                        ProductGroup([CyclicGroup(2), CyclicGroup(4), CyclicGroup(3)]),
+                        ProductGroup([ProductGroup([CyclicGroup(2), DihedralGroup(3)]), CyclicGroup(2)]),
+                        ProductGroup([CyclicGroup(2)] * 5), SymmetricGroup(5),
+                        TableGroup(cayley_table(SymmetricGroup(4)))]))
 def test_generating_set_generates_without_redundancy(group):
     gens = generating_set(group)
+    assert gens == closure_generating_set(group)
     assert closure(group, gens) == list(group.elements())
     for i, g in enumerate(gens):
         assert g not in closure(group, gens[:i]) and g != group.identity

@@ -31,7 +31,7 @@ from groupwalk.harmonic import (
     monotone_abs_check,
     peripheral_boundary,
 )
-from groupwalk.linalg import GF2System, normalize_leading, rational_matmul, rational_nullspace, rational_rref
+from groupwalk.linalg import normalize_leading, rational_matmul, rational_nullspace, rational_rref
 from groupwalk.measures import delta, make_measure, uniform
 from groupwalk.operators import (
     ComputationError,
@@ -41,7 +41,9 @@ from groupwalk.operators import (
     left_operator,
     right_operator,
 )
-from groupwalk.verify import CorpusSpec, corpus_fixtures
+from groupwalk.verify import CorpusSpec, alternating_group, corpus_fixtures
+
+from gf2_reference import GF2System, per_element_character
 
 F = Fraction
 
@@ -336,6 +338,10 @@ CHARACTER_GROUPS = [
     ProductGroup([CyclicGroup(2), CyclicGroup(6)]),
     ProductGroup([QuaternionGroup(), CyclicGroup(2)]),
     ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+    SymmetricGroup(3),
+    alternating_group(4),
+    ProductGroup([ProductGroup([CyclicGroup(2), DihedralGroup(3)]), CyclicGroup(2)]),
+    ProductGroup([alternating_group(4), CyclicGroup(2)]),
 ]
 
 
@@ -347,6 +353,23 @@ def test_find_anti_character_matches_all_products_system(group, data):
     mu = uniform(group, support)
     chi = find_anti_character(group, mu)
     assert (None if chi is None else chi.values) == all_products_character(group, mu)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(512), DihedralGroup(256), ProductGroup([CyclicGroup(2)] * 9),
+     ProductGroup([CyclicGroup(16), CyclicGroup(16)]), SymmetricGroup(5)],
+    ids=lambda group: group.name,
+)
+def test_find_anti_character_matches_per_element_system(group):
+    # two supports inside the -1 set of a sign character, so a character
+    # exists but need not be unique, and one drawn from the whole group
+    rng = random.Random(group.order)
+    odd = [g for g, v in enumerate(per_element_character(group, uniform(group, [1]))) if v == -1]
+    for support in (rng.sample(odd, 1), rng.sample(odd, 3), rng.sample(range(group.order), 2)):
+        mu = uniform(group, support)
+        chi = find_anti_character(group, mu)
+        assert (None if chi is None else chi.values) == per_element_character(group, mu)
 
 
 def test_find_anti_character_trivial_group_has_none():

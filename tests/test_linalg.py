@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from groupwalk.linalg import (
     _PADE,
-    GF2System,
     expm,
     float_nullspace,
     normalize_leading,
@@ -18,6 +17,8 @@ from groupwalk.linalg import (
     rational_rref,
     rational_solve,
 )
+
+from gf2_reference import GF2System
 
 F = Fraction
 
