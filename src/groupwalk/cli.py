@@ -80,8 +80,9 @@ def _parse_options(obj):
         if key not in defaults:
             raise ConfigError(f"options: unknown key {key!r}")
         out[key] = value
-    if not isinstance(out["tol"], (int, float)) or isinstance(out["tol"], bool) or out["tol"] <= 0:
-        raise ConfigError(f"options.tol: must be a positive number, got {out['tol']!r}")
+    tol = out["tol"]  # NaN, infinity and ints past the largest float fail the range
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
+        raise ConfigError(f"options.tol: must be a finite positive number, got {tol!r}")
     if not isinstance(out["exact"], bool):
         raise ConfigError(f"options.exact: must be a boolean, got {out['exact']!r}")
     if not isinstance(out["max_power"], int) or isinstance(out["max_power"], bool) or out["max_power"] < 1:
@@ -376,8 +377,8 @@ def _emit(payload, out_path):
 def _run_analyze(args):
     config = load_config(args.config)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError(f"options.tol: must be a positive number, got {args.tol!r}")
+        if not 0 < args.tol <= sys.float_info.max:
+            raise ConfigError(f"options.tol: must be a finite positive number, got {args.tol!r}")
         config.tol = args.tol
     if args.no_exact:
         config.exact = False

@@ -6,12 +6,14 @@ that returns ``None`` when the result leaves the ball.
 
 Walk stencils come from whole-permutation products: `right_perm(h)` and
 `left_perm(h)` return g*h and h*g for every element g at once, as one int64
-array with -1 where a ball product leaves the ball.  Cyclic, dihedral and
-product groups compute them arithmetically, tables read a column or row,
-lattice balls look shifted points up in a sorted key array, and free balls
-walk the parent and child tables of the BFS that built them.  The
-per-element `mul` stays for parsing, small loops and as the test oracle;
-on a ball it follows the same arrays, which are all a ball holds.
+array with -1 where a ball product leaves the ball.  Each finite kind
+defines one elementwise product `_products(a, b)` over index arrays, from
+which `FiniteGroup` derives both permutations and every element's order.
+Lattice balls look shifted points up in a sorted key array, and free balls
+walk the parent and child tables of the BFS that built them.  The scalar
+`mul` stays for parsing, the corpus sampler's `closure` and as the test
+oracle; on a ball it follows the same arrays, which are all a ball holds.
+`_classes` labels the connected classes of permutation graphs.
 
 Each finite group names, through `abelian_cosets()`, the abelian subgroup
 over whose characters the walk spectra split into blocks, and through
@@ -82,10 +84,11 @@ class GroupSpec:
             factors = tuple(GroupSpec.from_json(f) for f in factors)
         table = obj.get("table")
         if table is not None:
-            try:
-                table = tuple(tuple(int(x) for x in row) for row in table)
-            except (TypeError, ValueError) as exc:
-                raise ConstructionError(f"table entries must be integers: {exc}") from exc
+            if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in table
+            ):
+                raise ConstructionError(f"table must be a list of rows of JSON integers, got {table!r}")
+            table = tuple(map(tuple, table))
         known = {"kind", "n", "rank", "dim", "radius", "table", "factors"}
         unknown = set(obj) - known
         if unknown:
@@ -192,8 +195,15 @@ class FiniteGroup:
         return self._generators
 
     def _element_orders(self):
-        """The order of every element, as the size of its cyclic closure."""
-        return np.array([len(closure(self, [g])) for g in self.elements()])
+        """The first k with g^k = 1 for every g: the powers of all pending
+        elements stepped at once, one elementwise product per k."""
+        g = power = np.arange(self.order)
+        orders, k = np.zeros(self.order, dtype=np.int64), 1
+        while g.size:
+            done = power == self.identity
+            orders[g[done]] = k
+            g, power, k = g[~done], self._products(power[~done], g[~done]), k + 1
+        return orders
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -201,13 +211,18 @@ class FiniteGroup:
     def inv(self, a):
         raise NotImplementedError
 
+    def _products(self, a, b):
+        """The elementwise products a*b of index arrays (or an array and one
+        index) broadcast together, as int64."""
+        raise NotImplementedError
+
     def right_perm(self, h):
         """perm[g] = g*h for every element g, as one int64 array."""
-        return np.array([self.mul(g, h) for g in self.elements()], dtype=np.int64)
+        return self._products(np.arange(self.order), h)
 
     def left_perm(self, h):
         """perm[g] = h*g for every element g, as one int64 array."""
-        return np.array([self.mul(h, g) for g in self.elements()], dtype=np.int64)
+        return self._products(h, np.arange(self.order))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} order={self.order}>"
@@ -231,10 +246,8 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a):
         return (-a) % self.n
 
-    def right_perm(self, h):
-        return (np.arange(self.n) + h) % self.n
-
-    left_perm = right_perm
+    def _products(self, a, b):
+        return (a + b) % self.n
 
     def _abelian_subgroup(self):
         """A is the whole group: one coset, kappa(x) = x."""
@@ -266,17 +279,10 @@ class DihedralGroup(FiniteGroup):
         return ((-j) % n) if k == 0 else a
 
     def _products(self, a, b):
-        """mul over index arrays, elementwise."""
         n = self.n
         j1, k1 = a % n, a // n
         j2, k2 = b % n, b // n
         return (j1 + np.where(k1 == 0, j2, -j2)) % n + n * ((k1 + k2) % 2)
-
-    def right_perm(self, h):
-        return self._products(np.arange(self.order), h)
-
-    def left_perm(self, h):
-        return self._products(h, np.arange(self.order))
 
     def _abelian_subgroup(self):
         """A is the rotations: x = rotation^(x mod n) * reflect^(x div n)."""
@@ -302,22 +308,13 @@ class SymmetricGroup(FiniteGroup):
         self.name = f"S{n}"
         self.perms = list(itertools.permutations(range(n)))
         self.index = {p: i for i, p in enumerate(self.perms)}
+        self._rows = np.array(self.perms, dtype=np.int64)
+        self._radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._codes = self._rows @ self._radix
 
     def mul(self, a, b):
         p, q = self.perms[a], self.perms[b]
         return self.index[tuple(p[q[i]] for i in range(self.n))]
-
-    def _element_orders(self):
-        """The order of every permutation: the lcm of its cycle lengths,
-        where the point i lies on a cycle of the first length k with
-        p^k(i) = i."""
-        perms = np.array(self.perms, dtype=np.int64)
-        points = np.arange(self.n)
-        image, cycle = perms, np.zeros_like(perms)
-        for k in range(1, self.n + 1):
-            cycle[(image == points) & (cycle == 0)] = k
-            image = np.take_along_axis(perms, image, axis=1)
-        return np.lcm.reduce(cycle, axis=1)
 
     def inv(self, a):
         p = self.perms[a]
@@ -326,42 +323,11 @@ class SymmetricGroup(FiniteGroup):
             out[pi] = i
         return self.index[tuple(out)]
 
-
-class QuaternionGroup(FiniteGroup):
-    """The eight unit quaternions {1,-1,i,-i,j,-j,k,-k} in that order."""
-
-    _units = ("1", "i", "j", "k")
-    # products of basis units: _table[u][v] = (sign, unit)
-    _basis = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-
-    def __init__(self):
-        self.order = 8
-        self.name = "Q8"
-
-    @staticmethod
-    def _split(a):
-        return (1 if a % 2 == 0 else -1), QuaternionGroup._units[a // 2]
-
-    @staticmethod
-    def _join(sign, unit):
-        return 2 * QuaternionGroup._units.index(unit) + (0 if sign == 1 else 1)
-
-    def mul(self, a, b):
-        sa, ua = self._split(a)
-        sb, ub = self._split(b)
-        sp, up = self._basis[(ua, ub)]
-        return self._join(sa * sb * sp, up)
-
-    def inv(self, a):
-        sign, unit = self._split(a)
-        if unit == "1":
-            return a
-        return self._join(-sign, unit)
+    def _products(self, a, b):
+        """Compose the rows of a and b, ranked by their base-n codes: in
+        lexicographic order the codes of the rows are sorted."""
+        composed = np.take_along_axis(*np.broadcast_arrays(self._rows[a], self._rows[b]), axis=-1)
+        return np.searchsorted(self._codes, composed @ self._radix)
 
 
 class TableGroup(FiniteGroup):
@@ -410,11 +376,25 @@ class TableGroup(FiniteGroup):
     def inv(self, a):
         return self._inv[a]
 
-    def right_perm(self, h):
-        return self.table[:, h].copy()
+    def _products(self, a, b):
+        return self.table[a, b]
 
-    def left_perm(self, h):
-        return self.table[h].copy()
+
+class QuaternionGroup(TableGroup):
+    """The eight unit quaternions {1,-1,i,-i,j,-j,k,-k} in that order (index
+    2u + s is (-1)^s times unit u), tabled once from ij = k, jk = i, ki = j."""
+
+    def __init__(self):
+        def product(a, b):
+            (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+            if 0 in (u, v):
+                return 2 * (u + v) + (s + t) % 2
+            if u == v:
+                return (s + t + 1) % 2
+            # the third unit, positive along the cycle i -> j -> k
+            return 2 * (6 - u - v) + (s + t + ((v - u) % 3 != 1)) % 2
+
+        super().__init__([[product(a, b) for b in range(8)] for a in range(8)], name="Q8")
 
 
 class ProductGroup(FiniteGroup):
@@ -454,19 +434,14 @@ class ProductGroup(FiniteGroup):
     def inv(self, a):
         return self._encode([f.inv(x) for f, x in zip(self.factors, self._decode(a))])
 
-    def _combine(self, perms):
-        """Mixed-radix product of one factor permutation per factor: the
-        grid sum of perm_i * stride_i, flattened first factor major."""
-        out = np.zeros((), dtype=np.int64)
-        for f, perm in zip(self.factors, perms):
-            out = out[..., None] * f.order + perm
-        return out.ravel()
-
-    def right_perm(self, h):
-        return self._combine([f.right_perm(c) for f, c in zip(self.factors, self._decode(h))])
-
-    def left_perm(self, h):
-        return self._combine([f.left_perm(c) for f, c in zip(self.factors, self._decode(h))])
+    def _products(self, a, b):
+        """Factor by factor on the mixed-radix digits, least significant
+        (the last factor's) first."""
+        out, stride = 0, 1
+        for f in reversed(self.factors):
+            (a, x), (b, y) = np.divmod(a, f.order), np.divmod(b, f.order)
+            out, stride = out + f._products(x, y) * stride, stride * f.order
+        return out
 
     def _abelian_subgroup(self):
         """The product of the factors' subgroups; cosets mixed-radix."""
@@ -885,6 +860,37 @@ def closure(group, seed_elements):
                     nxt.append(p)
         frontier = nxt
     return sorted(reached)
+
+
+def _roots(parent, idx):
+    """Roots of idx in a union-find forest whose parents point to smaller
+    indices.  Pointer jumping first flattens the whole forest in place, so
+    a chain of depth d takes log2(d) passes."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent[idx]
+        parent[:] = grand
+
+
+def _union(parent, lo, hi):
+    """Join the classes of lo[i] and hi[i] for every i.  Each round hooks
+    every larger root under the smallest root it is paired with, so a root
+    stays the smallest member of its class."""
+    while lo.size:
+        a, b = _roots(parent, lo), _roots(parent, hi)
+        apart = a != b
+        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        lo, hi = lo[apart], hi[apart]
+
+
+def _classes(n, perms):
+    """Each index's class label in the graph with edges g -- perm[g] for
+    every perm: the smallest index of its connected class.  All edges are
+    joined by one `_union`."""
+    parent = np.arange(n)
+    _union(parent, np.tile(np.arange(n), len(perms)), np.asarray(perms, dtype=np.int64).ravel())
+    return _roots(parent, np.arange(n))
 
 
 def generating_set(group):

@@ -7,9 +7,10 @@ distances.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .groups import ConstructionError, closure, parse_element
+from .groups import ConstructionError, _classes, parse_element
 
 FLOAT_SUM_TOL = 1e-12
 
@@ -84,6 +85,8 @@ def _classify_weight(w):
     if isinstance(w, (int, Fraction)):
         return Fraction(w), True
     if isinstance(w, float):
+        if not math.isfinite(w):
+            raise MeasureError(f"weight {w!r} is not finite")
         return w, False
     raise MeasureError(f"weight {w!r} must be a Fraction, int, or float")
 
@@ -91,9 +94,9 @@ def _classify_weight(w):
 def make_measure(group, entries):
     """Build a validated measure from (element, weight) pairs.
 
-    All weights must be positive and of one scalar kind; exact weights must
-    sum to exactly 1, float weights to 1 within 1e-12.  On ball truncations
-    the support may only contain elements of word length <= 1.
+    All weights must be positive, finite and of one scalar kind; exact
+    weights must sum to exactly 1, float weights to 1 within 1e-12.  On ball
+    truncations the support may only contain elements of word length <= 1.
     """
     entries = list(entries)
     if not entries:
@@ -200,12 +203,14 @@ def is_symmetric(mu, tol=1e-12):
 
 
 def is_generating(mu):
-    """Whether the support generates the whole finite group as a semigroup."""
+    """Whether the support generates the whole finite group (as a semigroup,
+    which in a finite group is a group): the classes of g -- g*h over the
+    support are the left cosets of <supp mu>, so exactly when there is one."""
     group = mu.group
     if group.is_truncated:
         raise MeasureError("is_generating is only defined for finite groups")
     if mu._generating is None:
-        mu._generating = len(closure(group, mu.support())) == group.order
+        mu._generating = not _classes(group.order, [group.right_perm(h) for h in mu.support()]).any()
     return mu._generating
 
 

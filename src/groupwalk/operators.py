@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError
+from .groups import ConstructionError, _classes, _roots, _union
 from .linalg import ComputationError, float_nullspace, normalize_leading
 from .measures import GroupMeasure, is_symmetric
 
@@ -651,41 +651,19 @@ def _sort_order(values):
     return np.lexsort((angles, mags))
 
 
-def _roots(parent, idx):
-    """Roots of idx in a union-find forest whose parents point to smaller
-    indices.  Pointer jumping first flattens the whole forest in place, so
-    a chain of depth d takes log2(d) passes."""
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            return parent[idx]
-        parent[:] = grand
-
-
-def _union(parent, lo, hi):
-    """Join the classes of lo[i] and hi[i] for every i.  Each round hooks
-    every larger root under the smallest root it is paired with, so a root
-    stays the smallest member of its class."""
-    while lo.size:
-        a, b = _roots(parent, lo), _roots(parent, hi)
-        apart = a != b
-        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
-        lo, hi = lo[apart], hi[apart]
-
-
 def _clusters(values):
     """Single-linkage clusters of complex values at CLUSTER_TOL.
 
     Returns (members, labels): the indices of values grouped by cluster,
     each cluster's in (re, im) order and clusters in the order of their
-    first member, and the cluster number of each.  A sweep over the
-    real-sorted values compares each value with the successors whose real
-    parts lie within CLUSTER_TOL, one offset at a time, and joins close
-    pairs in a union-find forest whose parents point to smaller sorted
+    first member, and the cluster number of each.  Equal values are 0
+    apart, so they are collapsed first (`np.unique`, in (re, im) order),
+    and a sweep over the distinct values compares each with the successors
+    whose real parts lie within CLUSTER_TOL, one offset at a time, and
+    joins close pairs in a union-find forest whose parents point to smaller
     positions, so every root is the first member of its cluster.
     """
-    order = np.lexsort((values.imag, values.real))
-    z = values[order]
+    z, inverse = np.unique(values, return_inverse=True)
     n = len(z)
     parent = np.arange(n)
     for d in range(1, n):
@@ -694,6 +672,8 @@ def _clusters(values):
         lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL)
         _union(parent, lo, lo + d)
     _, labels = np.unique(_roots(parent, np.arange(n)), return_inverse=True)
+    order = np.lexsort((values.imag, values.real))
+    labels = labels[inverse[order]]
     grouped = np.argsort(labels, kind="stable")
     return order[grouped], labels[grouped]
 
@@ -731,15 +711,6 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     ]
     peripheral = [r.value for r in records if abs(r.value) >= 1.0 - peripheral_tol]
     return SpectralReport(records, peripheral, tol, peripheral_tol)
-
-
-def _classes(n, perms):
-    """Each index's class label in the graph with edges g -- perm[g]: the
-    smallest index of its connected class."""
-    parent = np.arange(n)
-    for perm in perms:
-        _union(parent, np.arange(n), perm)
-    return _roots(parent, np.arange(n))
 
 
 def _certified(stencils, vecs, lam):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,23 @@ def test_analyze_character_past_order_512(tmp_path, capsys):
     assert results[1]["character"]["values"] == [(-1) ** g for g in range(1024)]
 
 
+def test_analyze_verify_on_z2_16_in_seconds(tmp_path, capsys):
+    """Generation is one class labelling and equal eigenvalues are
+    clustered once, so the theorem checks on Z2^16 need no closure BFS."""
+    config = {
+        "group": {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 16},
+        "measure": [{"g": str(1 << i), "w": "1/16"} for i in range(16)],
+        "tasks": ["character", "verify"],
+    }
+    out_path = tmp_path / "report.json"
+    start = time.perf_counter()
+    code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, config), "--out", str(out_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert json.loads(out_path.read_text())["results"]["verify"]["passed"]
+    assert elapsed < 5, f"{elapsed:.2f} s"
+
+
 # ---------------------------------------------------------------- error paths
 
 def test_analyze_refuses_dense_matrix_over_budget(tmp_path, capsys, monkeypatch):
@@ -432,6 +450,33 @@ def test_analyze_rejects_bad_tol_override(tmp_path, capsys):
     )
     assert code == 2
     assert "options.tol" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_analyze_rejects_non_finite_tol_override(tmp_path, capsys, tol):
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, Z4_CONFIG), "--tol", tol])
+    assert code == 2 and out == ""
+    assert "options.tol: must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 10**400])
+def test_analyze_rejects_non_finite_tol_option(tmp_path, capsys, tol):
+    config = dict(Z4_CONFIG, options={"tol": tol})
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 2 and out == ""
+    assert "options.tol: must be a finite positive number" in err
+
+
+def test_analyze_rejects_nan_weight_and_non_integer_table(tmp_path, capsys):
+    nan_weight = dict(Z4_CONFIG, measure=[{"g": "1", "w": float("nan")}, {"g": "3", "w": 0.5}])
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, nan_weight)])
+    assert code == 2 and out == ""
+    assert "weight nan is not finite" in err
+    table = dict(Z4_CONFIG, group={"kind": "table", "table": [[0, 1.7], [1, 0]]},
+                 measure=[{"g": "1", "w": "1"}])
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, table)])
+    assert code == 2 and out == ""
+    assert "rows of JSON integers" in err
 
 
 def test_parse_config_option_validation():

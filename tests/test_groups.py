@@ -24,6 +24,7 @@ from groupwalk.groups import (
 )
 from groupwalk.measures import delta
 from groupwalk.operators import ConvolutionOperator
+from groupwalk.verify import alternating_group
 
 from ball_reference import lattice_points, reduced_words, reference
 from gf2_reference import closure_generating_set
@@ -73,7 +74,7 @@ def test_abelian_cosets_factor_every_element(group, orders):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_symmetric_element_orders_are_cyclic_closure_sizes(n):
-    """The lcm of the cycle lengths is the order of the cyclic subgroup."""
+    """Each element's order is the size of the cyclic subgroup it generates."""
     g = SymmetricGroup(n)
     assert g._element_orders().tolist() == [len(closure(g, [x])) for x in g.elements()]
 
@@ -136,6 +137,29 @@ def test_quaternion_table():
     # -1 is central
     for a in range(8):
         assert g.mul(minus_one, a) == g.mul(a, minus_one)
+
+
+# (sign, unit) of each product of two basis units, the rules the quaternion
+# group multiplied by element by element before it became a table
+Q8_UNIT_RULES = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+}
+
+
+def test_quaternion_table_matches_the_unit_rules():
+    units = ("1", "i", "j", "k")
+
+    def rule_product(a, b):
+        sign, unit = Q8_UNIT_RULES[units[a // 2], units[b // 2]]
+        return 2 * units.index(unit) + (sign * (-1) ** (a + b) < 0)
+
+    g = QuaternionGroup()
+    assert isinstance(g, TableGroup) and g.name == "Q8" and g.order == 8
+    assert g.table.tolist() == [[rule_product(a, b) for b in range(8)] for a in range(8)]
+    assert [g.inv(a) for a in range(8)] == [0, 1, 3, 2, 5, 4, 7, 6]
 
 
 def test_table_group_accepts_z3():
@@ -522,6 +546,15 @@ def test_group_spec_rejects_unknown_fields():
         GroupSpec.from_json({"kind": "cyclic", "n": 3, "extra": 1})
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[[0, 1.7], [1, 0]], [[0, "1"], [1, 0]], [[0, True], [True, 0]], [[0, 1], [1, 0.0]], "01", [[0, 1], 5]],
+)
+def test_group_spec_table_takes_only_json_integers(table):
+    with pytest.raises(ConstructionError, match="rows of JSON integers"):
+        GroupSpec.from_json({"kind": "table", "table": table})
+
+
 def test_build_group_all_kinds():
     assert build_group(GroupSpec.from_json({"kind": "cyclic", "n": 5})).order == 5
     assert build_group(GroupSpec.from_json({"kind": "symmetric", "n": 3})).order == 6
@@ -587,6 +620,37 @@ def test_whole_permutation_products_match_mul(group, data):
     right, left = group.right_perm(h), group.left_perm(h)
     assert right.dtype == left.dtype == np.int64
     assert (right.tolist(), left.tolist()) == mul_perms(group, h)
+
+
+FINITE_KINDS = [
+    CyclicGroup(1),
+    CyclicGroup(12),
+    DihedralGroup(1),
+    DihedralGroup(6),
+    *[SymmetricGroup(n) for n in range(1, 7)],
+    QuaternionGroup(),
+    alternating_group(4),
+    ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+    _nested_product(),
+]
+
+
+@pytest.mark.parametrize("group", FINITE_KINDS, ids=lambda g: g.name)
+def test_finite_products_read_no_per_element_mul(group, monkeypatch):
+    """right_perm, left_perm and the element orders come from each kind's
+    elementwise product alone: with mul raising, they equal the per-element
+    mul products and the cyclic closure sizes computed before."""
+    hs = range(group.order) if group.order <= 120 else random.Random(0).sample(range(group.order), 12)
+    expected = [mul_perms(group, h) for h in hs]
+    orders = [len(closure(group, [g])) for g in group.elements()]
+
+    def per_element(self, a, b):
+        raise AssertionError("called mul")
+
+    for cls in (CyclicGroup, DihedralGroup, SymmetricGroup, TableGroup, ProductGroup):
+        monkeypatch.setattr(cls, "mul", per_element)
+    assert [(group.right_perm(h).tolist(), group.left_perm(h).tolist()) for h in hs] == expected
+    assert group._element_orders().tolist() == orders
 
 
 @settings(max_examples=2)

@@ -2,8 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from groupwalk.groups import CyclicGroup, DihedralGroup, FreeBall, LatticeBall, SymmetricGroup
+from groupwalk.groups import (
+    CyclicGroup,
+    DihedralGroup,
+    FreeBall,
+    LatticeBall,
+    ProductGroup,
+    QuaternionGroup,
+    SymmetricGroup,
+    closure,
+)
 from groupwalk import measures
 from groupwalk.harmonic import decompose, jointly_biharmonic_space
 from groupwalk.measures import (
@@ -20,6 +31,7 @@ from groupwalk.measures import (
     tv_distance,
     uniform,
 )
+from groupwalk.verify import alternating_group
 
 F = Fraction
 
@@ -76,6 +88,15 @@ def test_make_measure_rejects_nonpositive_and_duplicates():
         make_measure(g, [(1, F(1, 2)), (1, F(1, 2))])
     with pytest.raises(MeasureError):
         make_measure(g, [(9, F(1))])
+
+
+def test_make_measure_rejects_non_finite_float_weights():
+    g = CyclicGroup(2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(MeasureError, match="not finite"):
+            make_measure(g, [(0, bad), (1, 0.5)])
+    with pytest.raises(MeasureError, match="not finite"):
+        measure_from_json(g, [{"g": "0", "w": float("nan")}])
 
 
 def test_delta_and_uniform():
@@ -185,14 +206,15 @@ def test_is_symmetric():
 
 
 def test_is_generating_runs_the_closure_once_per_measure(monkeypatch):
+    """One class labelling of the support's right_perm arrays per measure."""
     calls = []
-    closure = measures.closure
+    classes = measures._classes
 
-    def counted(group, seeds):
-        calls.append(group)
-        return closure(group, seeds)
+    def counted(n, perms):
+        calls.append(n)
+        return classes(n, perms)
 
-    monkeypatch.setattr(measures, "closure", counted)
+    monkeypatch.setattr(measures, "_classes", counted)
     g = DihedralGroup(6)
     mu = uniform(g, [1, 5, 6])  # r, r^-1, s
     basis = jointly_biharmonic_space(g, mu)
@@ -209,6 +231,31 @@ def test_is_generating():
     assert not is_generating(uniform(g, [2]))
     assert not is_generating(uniform(g, [2, 4]))
     assert is_generating(uniform(g, [2, 3]))
+
+
+GENERATION_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(12),
+    DihedralGroup(6),
+    *[SymmetricGroup(n) for n in range(1, 6)],
+    QuaternionGroup(),
+    alternating_group(4),
+    ProductGroup([CyclicGroup(2), ProductGroup([CyclicGroup(2), CyclicGroup(3)])]),
+    ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]),
+]
+
+
+@given(st.data())
+def test_is_generating_matches_the_closure(data):
+    """Generation read from class labels against the closure BFS, on every
+    finite kind; supports drawn inside a cyclic subgroup mostly do not
+    generate."""
+    group = data.draw(st.sampled_from(GENERATION_GROUPS), label="group")
+    pool = range(group.order)
+    if data.draw(st.booleans()):
+        pool = closure(group, [data.draw(st.integers(0, group.order - 1))])
+    support = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4), label="support")
+    assert is_generating(uniform(group, support)) == (len(closure(group, support)) == group.order)
 
 
 def test_min_return_oracle():

@@ -1103,6 +1103,40 @@ def test_spectrum_records_match_per_cluster_loop(walk):
     assert got == per_cluster_records(op)
 
 
+def sweep_clusters(values):
+    """_clusters without collapsing equal values first: the offset sweep
+    over every real-sorted value, the oracle for the collapsed sweep."""
+    order = np.lexsort((values.imag, values.real))
+    z = values[order]
+    n = len(z)
+    parent = np.arange(n)
+    for d in range(1, n):
+        if not (z.real[d:] - z.real[:-d] <= operators.CLUSTER_TOL).any():
+            break
+        lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= operators.CLUSTER_TOL)
+        operators._union(parent, lo, lo + d)
+    _, labels = np.unique(operators._roots(parent, np.arange(n)), return_inverse=True)
+    grouped = np.argsort(labels, kind="stable")
+    return order[grouped], labels[grouped]
+
+
+# offsets below, at and above CLUSTER_TOL = 1e-7, so chains of near-equal
+# values join or split
+NEAR = st.sampled_from([0.0, 3e-8, 6e-8, 9e-8, 1e-7, 1.1e-7, 2e-7])
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), NEAR, NEAR, st.integers(1, 6)),
+                min_size=1, max_size=12), st.data())
+def test_clusters_match_the_sweep_over_every_value(points, data):
+    values = []
+    for re, im, dre, dim, copies in points:
+        values += [complex(re / 4 + dre, im / 4 + dim)] * copies
+    values = np.array(data.draw(st.permutations(values)), dtype=complex)
+    members, labels = operators._clusters(values)
+    expected = sweep_clusters(values)
+    assert members.tolist() == expected[0].tolist() and labels.tolist() == expected[1].tolist()
+
+
 @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
 def test_sort_order_matches_sort_key_next_to_rounding_halves(ticks, seed):
     """Moduli and angles a hair from k + 1/2 in the ninth decimal, where a
