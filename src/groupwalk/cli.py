@@ -398,6 +398,17 @@ def _run_verify(args):
     return 0 if report.passed else 1
 
 
+def _seed(text):
+    """--seed's type: a non-negative integer, as numpy's seeded generators need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="groupwalk",
@@ -414,7 +425,7 @@ def build_parser():
     )
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    verify.add_argument("--seed", type=int, default=0, help="corpus seed")
+    verify.add_argument("--seed", type=_seed, default=0, help="corpus seed, a non-negative integer")
     verify.add_argument("--out", help="write the report here instead of stdout")
     return parser
 

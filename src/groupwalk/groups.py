@@ -880,7 +880,8 @@ def _union(parent, lo, hi):
     while lo.size:
         a, b = _roots(parent, lo), _roots(parent, hi)
         apart = a != b
-        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         lo, hi = lo[apart], hi[apart]
 
 

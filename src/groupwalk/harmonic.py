@@ -39,6 +39,7 @@ __all__ = [
     "harmonic_space",
     "anti_harmonic_space",
     "jointly_biharmonic_space",
+    "two_sided_classes",
     "decompose",
     "find_anti_character",
     "character_from_extremal",
@@ -69,7 +70,7 @@ class Character:
         return self.values[g]
 
     def kernel(self):
-        return [g for g in self.group.elements() if self.values[g] == 1]
+        return np.flatnonzero(np.array(self.values) == 1).tolist()
 
     def as_function(self):
         return GroupFunction._from_numerators(self.group, np.array(self.values, dtype=np.int64))
@@ -180,12 +181,25 @@ def anti_harmonic_space(group, mu, side="right"):
 
 def jointly_biharmonic_space(group, mu):
     """Exact basis of {f : mu * f * mu = f}, laid out as in harmonic_space
-    over the classes of the two-sided walk g -> h1 g h2."""
+    over the classes of the two-sided walk g -> h1 g h2 (kept on mu)."""
     _require_exact_finite(group, mu, "jointly_biharmonic_space")
-    stencils = [left_operator(group, mu).stencil(), right_operator(group, mu).stencil()]
-    basis = component_kernel(stencils, group.order, 1, f"on {group.name}")[:-1]
+    basis = two_sided_classes(group, [mu])[0].basis(1, f"on {group.name}")[:-1]
     one = GroupFunction.constant(group, Fraction(1))
     return [one] + [GroupFunction._from_numerators(group, vec) for vec in basis]
+
+
+def two_sided_classes(group, measures):
+    """The classes of the two-sided walks left o right of several measures
+    on one group, labelled by one component_kernel call for those not yet
+    labelled and kept on each measure that lives on group."""
+    out = [mu._two_sided if mu.group is group else None for mu in measures]
+    todo = [i for i, walk in enumerate(out) if walk is None]
+    walks = [[_operator(group, measures[i], s).stencil() for s in ("left", "right")] for i in todo]
+    for i, walk in zip(todo, component_kernel(walks, group.order, f"on {group.name}")):
+        out[i] = walk
+        if measures[i].group is group:
+            measures[i]._two_sided = walk
+    return out
 
 
 def _close(f, g, exact, tol):

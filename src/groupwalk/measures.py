@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .groups import ConstructionError, _classes, parse_element
+from .groups import ConstructionError, parse_element
 
 FLOAT_SUM_TOL = 1e-12
+SYMMETRY_TOL = 1e-12
 
 __all__ = [
     "MeasureError",
@@ -42,8 +43,9 @@ class GroupMeasure:
     """Finitely supported probability measure on a group's element indices.
 
     `_operators` holds the measure's memoised convolution operators by side
-    (filled by `operators.right_operator` / `left_operator`), `_generating`
-    the memoised answer of `is_generating`, and `_character` that of
+    (filled by `operators.right_operator` / `left_operator`), `_symmetric`
+    the memoised answer of `is_symmetric`, `_two_sided` the classes of the
+    two-sided walk (`harmonic.two_sided_classes`), and `_character` that of
     `harmonic.find_anti_character` (_UNSEARCHED until the first search,
     since None is an answer).
     """
@@ -53,7 +55,8 @@ class GroupMeasure:
         self.weights = dict(weights)
         self.exact = exact
         self._operators = {}
-        self._generating = None
+        self._symmetric = None
+        self._two_sided = None
         self._character = _UNSEARCHED
 
     def support(self):
@@ -189,29 +192,29 @@ def tv_distance(mu, nu):
     return total / 2
 
 
-def is_symmetric(mu, tol=1e-12):
-    """Whether mu(g) equals mu(g^-1) for every g (exactly, or within tol)."""
-    group = mu.group
-    for g, w in mu.weights.items():
-        w_inv = mu.weight(group.inv(g))
-        if mu.exact:
-            if w != w_inv:
-                return False
-        elif abs(w - w_inv) > tol:
-            return False
-    return True
+def is_symmetric(mu, tol=SYMMETRY_TOL):
+    """Whether mu(g) equals mu(g^-1) for every g (exactly, or within tol).
+    The answer at the default tol is kept on mu; another tol recomputes."""
+    if tol == SYMMETRY_TOL and mu._symmetric is not None:
+        return mu._symmetric
+    pairs = ((w, mu.weight(mu.group.inv(g))) for g, w in mu.weights.items())
+    symmetric = all(w == v if mu.exact else abs(w - v) <= tol for w, v in pairs)
+    if tol == SYMMETRY_TOL:
+        mu._symmetric = symmetric
+    return symmetric
 
 
 def is_generating(mu):
     """Whether the support generates the whole finite group (as a semigroup,
     which in a finite group is a group): the classes of g -- g*h over the
-    support are the left cosets of <supp mu>, so exactly when there is one."""
-    group = mu.group
-    if group.is_truncated:
+    support are the left cosets of <supp mu>, so exactly when there is one:
+    the right operator's one labelling, which its +-1 eigenspaces read too
+    (weights play no part in it, so float measures share it)."""
+    from .operators import right_operator
+
+    if mu.group.is_truncated:
         raise MeasureError("is_generating is only defined for finite groups")
-    if mu._generating is None:
-        mu._generating = not _classes(group.order, [group.right_perm(h) for h in mu.support()]).any()
-    return mu._generating
+    return right_operator(mu.group, mu).classes().count(1) == 1
 
 
 def min_return(mu, cap):

@@ -11,7 +11,9 @@ of the group (-1 where a product leaves a ball truncation).  The private
 The exact +-1 eigenspaces of the walks and the exact +-1 arrays of the
 lift come from one kernel, `component_kernel`, which reads them off the
 connected classes of the graph x -- perm[x] over the n elements or the n^2
-entries, labelled by the numpy union-find that also clusters eigenvalues.
+entries, labelled by the numpy union-find that also clusters eigenvalues:
+one labelling per walk gives +1, -1 and generation, and is kept on the
+operator; several walks are labelled by one call.
 
 An exact `GroupFunction` is an integer numerator array over one positive
 denominator (plus a `defined` mask for partial ball results); `_gather`
@@ -24,8 +26,9 @@ entry; the `values` list is only a read view.
 its stencil, its read-only dense matrix and its eigenvalues and eigenpair
 residuals, solved once on every finite group by one path: one r x r block
 per character of an abelian subgroup of index r, from one fftn and one
-batched eigensolve, with no n x n matrix.  Dense allocations are estimated
-first and refused above DENSE_BYTES_BUDGET.
+batched eigensolve for all the operators of one `solve_spectra` call, with
+no n x n matrix.  Dense allocations are estimated first and refused above
+DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +62,10 @@ __all__ = [
     "apply_truncated",
     "require_dense_budget",
     "spectrum",
+    "solve_spectra",
+    "WalkClasses",
     "component_kernel",
+    "label_walks",
     "eigenspace",
     "conditional_expectation",
     "fourier_coefficient",
@@ -394,6 +401,7 @@ class ConvolutionOperator:
         self._exact_matrix = None
         self._stencil = None
         self._eigen = None
+        self._walk = None
 
     @property
     def measure(self):
@@ -441,72 +449,85 @@ class ConvolutionOperator:
         return self._float_matrix
 
     def eigenvalues(self):
-        """(eigenvalues, residuals), computed once, from one r x r block per
-        character chi_k(a^kappa) = exp(2 pi i sum_j k_j kappa_j / n_j) of the
-        abelian subgroup A of `group.abelian_cosets()`, r = n / |A| (Diaconis
-        1988, ch. 3; Serre 1977, sections 5.3 and 7).  The right walk
-        commutes with left translation by A, so on the functions with
-        f(a x) = chi(a) f(x) it acts as B_k[i, i'] = sum of mu(h) chi_k(a^kappa)
-        over the h with g_i h = a^kappa g_i'; conjugated by x -> x^-1, the
-        left walk is the right walk of the reflected measure.  One fftn of
-        the table T[kappa, i, i'] = mu(h), read at -k, gives every block; real
-        characters keep the real part, and a symmetric measure makes every
-        block Hermitian (eigh).  residuals[i] is |B v - lambda v| / |v| for
-        the i-th block eigenpair, B summed directly from the character phases
-        of the walk's own steps, not the fft: the residual of the lifted
-        eigenvector f(a^kappa g_i) = chi_k(a^kappa) v_i (v is not kept).
-        """
+        """(eigenvalues, residuals), computed once by `solve_spectra([self])`."""
         if self._eigen is None:
-            group, right = self.group, self.side == "right"
-            orders, coset, kappa = group.abelian_cosets()
-            reps = np.flatnonzero(~kappa.any(axis=1)).tolist()
-            r, support = len(reps), sorted(self.weights)
-            size = group.order // r
-            require_dense_budget((size, r, r), 16, f"the character blocks of {self!r}")
-            require_dense_budget(
-                (len(support), group.order, len(orders)), 16, f"the character phases of {self!r}"
-            )
-            weights = np.array([float(self.weights[h]) for h in support])
-            mul, inv = group.mul, group.inv
-            # the walk's steps g_i h: g_i * h on the right, (h * g_i^-1)^-1 on the left
-            steps = np.array(
-                [[mul(g, h) if right else inv(mul(h, inv(g))) for g in reps] for h in support]
-            )
-            # the table's: g_i * h^-1 on the left, the right walk of the reflected measure
-            table_steps = steps
-            if not right:
-                table_steps = np.array([[mul(g, inv(h)) for g in reps] for h in support])
-            table = np.zeros((*orders, r, r))
-            at = (*np.moveaxis(kappa[table_steps], -1, 0), np.arange(r), coset[table_steps])
-            table[at] = weights[:, None]
-            ks = np.indices(orders).reshape(len(orders), size)
-            neg = np.ravel_multi_index(-ks % np.array(orders)[:, None], orders)  # -k, flat
-            blocks = np.fft.fftn(table, axes=range(len(orders))).reshape(size, r, r)[neg]
-            real = neg == np.arange(size)
-            blocks[real] = blocks[real].real
-            try:
-                if self.symmetric:
-                    eigvals, vecs = np.linalg.eigh(blocks)
-                    eigvals = eigvals.astype(complex)
-                else:
-                    eigvals, vecs = np.linalg.eig(blocks)
-            except np.linalg.LinAlgError as exc:
-                raise ComputationError(
-                    f"eigensolver failed for the {self.side} operator on {group.name}: {exc}"
-                ) from exc
-            angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
-            direct = np.zeros((size, r, r), dtype=complex)
-            phases = weights[:, None] * np.exp(2j * np.pi * angle)
-            np.add.at(direct, (slice(None), np.arange(r), coset[steps]), phases)
-            residuals = np.linalg.norm(direct @ vecs - vecs * eigvals[:, None, :], axis=1)
-            residuals /= np.linalg.norm(vecs, axis=1)
-            eigvals = eigvals.ravel()
-            eigvals.flags.writeable = False
-            self._eigen = (eigvals, tuple(residuals.ravel().tolist()))
+            solve_spectra([self])
         return self._eigen
+
+    def classes(self):
+        """The walk's certified classes (component_kernel), labelled once by
+        `label_walks([self])`: the exact +-1 eigenspaces and generation."""
+        if self._walk is None:
+            label_walks([self])
+        return self._walk
 
     def __repr__(self):
         return f"<ConvolutionOperator {self.side} on {self.group.name}>"
+
+
+def solve_spectra(ops):
+    """Solve the eigenvalues and eigenpair residuals of several operators
+    on one group together (those not yet solved), from one r x r block per
+    character chi_k(a^kappa) = exp(2 pi i sum_j k_j kappa_j / n_j) of the
+    abelian subgroup A of `group.abelian_cosets()`, r = n / |A| (Diaconis
+    1988, ch. 3; Serre 1977, sections 5.3 and 7).  The right walk commutes
+    with left translation by A, so on the functions with f(a x) = chi(a) f(x)
+    it acts as B_k[i, i'] = sum of mu(h) chi_k(a^kappa) over the h with
+    g_i s_h = a^kappa g_i', the step s_h = h; conjugated by x -> x^-1, the
+    left walk is the right walk of the reflected measure, s_h = h^-1.  One
+    fftn over the character axes of T[op, kappa, i, i'] = mu(h), read at
+    -k, gives every block; real characters keep the real part, and the
+    blocks of symmetric measures are Hermitian (one eigh; one eig for the
+    rest).  residuals[i] is |B v - lambda v| / |v| for the i-th block
+    eigenpair, B summed directly from the character phases of the steps,
+    not the fft: the residual of the lifted eigenvector f(a^kappa g_i) =
+    chi_k(a^kappa) v_i.  Each block is solved as it would be alone.
+    """
+    todo = [op for op in ops if op._eigen is None]
+    if not todo:
+        return
+    group, m = todo[0].group, len(todo)
+    orders, coset, kappa = group.abelian_cosets()
+    reps = np.flatnonzero(~kappa.any(axis=1))
+    r = len(reps)
+    size = group.order // r
+    supports = [sorted(op.weights) for op in todo]
+    which = np.repeat(np.arange(m), [len(s) for s in supports])  # each step's operator
+    require_dense_budget((m * size, r, r), 16, f"the character blocks on {group.name}")
+    require_dense_budget(
+        (len(which), group.order, len(orders)), 16, f"the character phases on {group.name}"
+    )
+    weights = np.array([float(op.weights[h]) for op, s in zip(todo, supports) for h in s])
+    hs = [group.inv(h) if op.side == "left" else h for op, s in zip(todo, supports) for h in s]
+    steps = group._products(reps, np.array(hs)[:, None])  # g_i s_h for every step s_h
+    table = np.zeros((m, *orders, r, r))
+    at = (which[:, None], *np.moveaxis(kappa[steps], -1, 0), np.arange(r), coset[steps])
+    table[at] = weights[:, None]
+    ks = np.indices(orders).reshape(len(orders), size)
+    neg = np.ravel_multi_index(-ks % np.array(orders)[:, None], orders)  # -k, flat
+    blocks = np.fft.fftn(table, axes=range(1, len(orders) + 1)).reshape(m, size, r, r)[:, neg]
+    real = neg == np.arange(size)
+    blocks[:, real] = blocks[:, real].real
+    blocks = blocks.reshape(m * size, r, r)
+    symmetric = np.repeat([op.symmetric for op in todo], size)
+    eigvals, vecs = np.empty((m * size, r), dtype=complex), np.empty_like(blocks)
+    try:
+        for kind, solve in ((symmetric, np.linalg.eigh), (~symmetric, np.linalg.eig)):
+            if kind.any():
+                eigvals[kind], vecs[kind] = solve(blocks[kind])
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"eigensolver failed for the walks on {group.name}: {exc}") from exc
+    angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
+    phases = weights[:, None] * np.exp(2j * np.pi * angle)
+    direct = np.zeros((m, size, r, r), dtype=complex)
+    at = (which[:, None], slice(None), np.arange(r), coset[steps])
+    np.add.at(direct, at, phases.transpose(1, 2, 0))
+    direct = direct.reshape(m * size, r, r)
+    residuals = np.linalg.norm(direct @ vecs - vecs * eigvals[:, None, :], axis=1)
+    residuals /= np.linalg.norm(vecs, axis=1)
+    eigvals.flags.writeable = False
+    for op, values, res in zip(todo, eigvals.reshape(m, -1), residuals.reshape(m, -1)):
+        op._eigen = (values, tuple(res.tolist()))
 
 
 def _require_finite(group, what):
@@ -724,67 +745,114 @@ def _certified(stencils, vecs, lam):
     return (image == lam * den * _fit(vecs, den * _max_abs(vecs))).all(axis=0)
 
 
-def component_kernel(stencils, n, lam, where):
-    """Exact basis of ker(P - lam I) for lam = +-1 and P = stencils[0] o
-    stencils[1] o ..., each stencil [(w, perm)] a positive exact combination
-    of permutations of n nodes: a convolution operator's stencil over the
-    group's elements, or the lifted terms of OperatorOnMatrices over the n^2
-    entries of an array.
+class WalkClasses(NamedTuple):
+    """One walk's certified classes: rows[0][g] is the +1 basis array that
+    holds g, rows[1][g] the -1 basis array that holds g (-1 off the
+    bipartite classes), and sign[g] g's entry there."""
+
+    rows: np.ndarray
+    sign: np.ndarray
+
+    def count(self, lam):
+        return int(self.rows[int(lam < 0)].max()) + 1
+
+    def basis(self, lam, where):
+        """The lam = +-1 eigenspace basis, one int64 row per array, budgeted first."""
+        rows, shape = self.rows[int(lam < 0)], (self.count(lam), self.rows.shape[1])
+        require_dense_budget(shape, 8, f"the {lam:+d} eigenspace basis {where}")
+        out, kept = np.zeros(shape, dtype=np.int64), np.flatnonzero(rows >= 0)
+        out[rows[kept], kept] = self.sign[kept] if lam < 0 else 1
+        return out
+
+
+def component_kernel(walks, n, where):
+    """The certified classes (WalkClasses) of every walk P = stencils[0] o
+    stencils[1] o ... in a list of walks with one number of stencils, each
+    stencil [(w, perm)] a positive combination of permutations of n nodes:
+    a convolution operator's stencil over the group's elements, or the
+    lifted terms of OperatorOnMatrices over the n^2 entries of an array.
+    They give the exact bases of ker(P - I) and ker(P + I).
 
     P is a positive combination of the composite stencil's permutations
     (g -> q[perm[g]] over every pair of terms), so eigenspace's theorem
     applies to the graph g -- perm(g).  A class is bipartite exactly when
     g and (g, 1) fall in different classes of the double cover
-    (g, 0) -- (perm(g), 1).  The classes are labelled from the composites
-    that leave the first term of all stencils but at most one: with c the
-    composite of the first terms and P_j,i the composite that takes term i
-    of stencil j instead, s_1,i_1 o ... o s_m,i_m = P_1,i_1 c^-1 P_2,i_2
-    c^-1 ... P_m,i_m, so both sets generate one permutation group and have
-    one set of classes, also on the double cover, where the flip rides on
-    one factor.  The basis holds one int64 array per class (per
+    (g, 0) -- (perm(g), 1); its +1 label is the smaller of the two.  The
+    classes are labelled from the composites that leave the first term of
+    all stencils but at most one: with c the composite of the first terms
+    and P_j,i the composite that takes term i of stencil j instead,
+    s_1,i_1 o ... o s_m,i_m = P_1,i_1 c^-1 P_2,i_2 c^-1 ... P_m,i_m, so both
+    sets generate one group and have one set of classes, also on the cover,
+    where the flip rides on one factor.  Walk j holds the nodes j*n ..
+    j*n + n - 1 of one disjoint union labelled by one `_classes` call; a
+    stencil shorter than the longest at its place is padded with its first
+    term, which adds no edge.  A basis holds one array per class (per
     bipartite class for -1), ordered by each class's largest index: its
-    indicator, or its colouring with +1 at the class's smallest index.
-    This is the canonical free-column basis of rational_nullspace, scaled
-    by normalize_leading.
+    indicator, or its colouring with +1 at its smallest index, as in the
+    free-column basis of rational_nullspace scaled by normalize_leading.
 
-    Every array is certified P v = lam v exactly by one pass over the
-    composite permutations q, not one sum per array: each stencil's weights
-    sum to exactly 1, every q keeps every class label, and for -1 every q
-    flips every sign on the kept classes, so (P v)(g) = sum_q w_q v(q g) =
-    lam v(g).  `where` names the nodes in messages ("on D4").
+    Every array is certified P v = +-v exactly by one pass over the
+    composites q of all walks: each exact stencil's weights sum to exactly
+    1, every q keeps every class label and flips every sign on the
+    bipartite classes, so (P v)(g) = sum_q w_q v(q g) = +-v(g).  Float
+    weights play no part.  `where` names the nodes in messages ("on D4").
     """
-    composites = math.prod(len(terms) for terms in stencils)
-    require_dense_budget((composites, n), 8, f"the composite stencil {where}")
-    perms = np.arange(n)[None]
+    if not walks:
+        return []
+    if len({len(stencils) for stencils in walks}) > 1:
+        raise ValueError(f"walks {where} must have one number of stencils")
+    total = len(walks) * n
+    shape = [max(len(stencils[j]) for stencils in walks) for j in range(len(walks[0]))]
+    require_dense_budget((math.prod(shape), total), 8, f"the composite stencil {where}")
+    for terms in (terms for stencils in walks for terms in stencils):
+        if all(isinstance(w, Fraction) for w, _ in terms):
+            scale = math.lcm(*(w.denominator for w, _ in terms))
+            if sum(w.numerator * (scale // w.denominator) for w, _ in terms) != scale:
+                raise ComputationError(f"a stencil {where} has weights that do not sum to 1")
+    offsets, stencils = np.arange(0, total, n)[:, None], []
+    for j, size in enumerate(shape):
+        padded = [[q for _, q in s[j]] + [s[j][0][1]] * (size - len(s[j])) for s in walks]
+        stencils.append((np.array(padded).transpose(1, 0, 2) + offsets).reshape(size, total))
+    cover, inner = np.empty((0, 2 * total), dtype=np.int64), np.arange(total)
+    for j, terms in enumerate(stencils):  # the composites that leave one first term
+        part = terms[:, inner]
+        for outer in stencils[j + 1:]:
+            part = outer[0][part]
+        cover = np.concatenate([cover, np.hstack([part + total, part])])  # both sheets
+        inner = terms[0][inner]
+    cover = _classes(2 * total, cover)
+    even, odd = cover[:total], cover[total:]
+    classes = np.minimum(even, odd)
+    sign = np.where(even == classes, 1, -1)
+    bipartite = even != odd
+    perms = np.arange(total)[None]
     for terms in stencils:
-        perms = np.stack([q[perms] for _, q in terms], axis=1).reshape(-1, n)
-    shape = [len(terms) for terms in stencils]
-    labelling = perms[(np.indices(shape).reshape(len(shape), -1) != 0).sum(axis=0) <= 1]
-    if lam == 1:
-        classes, signs = _classes(n, labelling), np.ones(n, dtype=np.int64)
-        kept = np.ones(n, dtype=bool)
-    else:
-        cover = _classes(2 * n, [np.concatenate([perm + n, perm]) for perm in labelling])
-        even, odd = cover[:n], cover[n:]
-        classes = np.minimum(even, odd)
-        signs = np.where(even == classes, 1, -1)
-        kept = even != odd
-    for terms in stencils:
-        scale = math.lcm(*(w.denominator for w, _ in terms))
-        if sum(w.numerator * (scale // w.denominator) for w, _ in terms) != scale:
-            raise ComputationError(f"a stencil {where} has weights that do not sum to 1")
-    if not ((classes[perms] == classes).all() and (signs[perms] == lam * signs)[:, kept].all()):
-        raise ComputationError(f"a class vector {where} failed P f = {lam} f")
-    last = np.full(n, -1)
-    np.maximum.at(last, classes[kept], np.arange(n)[kept])
-    labels = np.flatnonzero(last >= 0)
-    labels = labels[np.argsort(last[labels])]
-    require_dense_budget((len(labels), n), 8, f"the {lam:+d} eigenspace basis {where}")
-    row = np.zeros(n, dtype=np.int64)
-    row[labels] = np.arange(len(labels))
-    basis = np.zeros((len(labels), n), dtype=np.int64)
-    basis[row[classes[kept]], np.flatnonzero(kept)] = signs[kept]
-    return list(basis)
+        perms = terms[:, perms].reshape(-1, total)
+    if not (classes[perms] == classes).all():
+        raise ComputationError(f"a class vector {where} failed P f = 1 f")
+    if not (sign[perms] == -sign)[:, bipartite].all():
+        raise ComputationError(f"a class vector {where} failed P f = -1 f")
+    rows, rank = np.full((2, total), -1), np.empty(total, dtype=np.int64)
+    for row, kept in zip(rows, (np.ones(total, dtype=bool), bipartite)):
+        last = np.full(total, -1)
+        np.maximum.at(last, classes[kept], np.flatnonzero(kept))
+        labels = np.flatnonzero(last >= 0)
+        labels = labels[np.argsort(last[labels])]  # basis order, walk by walk
+        rank[labels] = np.arange(len(labels)) - np.searchsorted(labels // n, labels // n)
+        row[kept] = rank[classes[kept]]
+    rows, sign = rows.reshape(2, len(walks), n), sign.reshape(len(walks), n)
+    return [WalkClasses(rows[:, j], sign[j]) for j in range(len(walks))]
+
+
+def label_walks(ops):
+    """Label the walks of several operators on one group together: one
+    component_kernel call for those not yet labelled, kept on each."""
+    todo = [op for op in ops if op._walk is None]
+    if todo:
+        group = todo[0].group
+        walks = component_kernel([[op.stencil()] for op in todo], group.order, f"on {group.name}")
+        for op, walk in zip(todo, walks):
+            op._walk = walk
 
 
 def eigenspace(op, lam, tol=1e-9):
@@ -799,14 +867,16 @@ def eigenspace(op, lam, tol=1e-9):
     colouring that flips along every edge, and 0 on the classes that have
     none.  The dimension (the number of classes, or of bipartite classes)
     rests on this theorem; component_kernel labels the classes and
-    certifies P v = lam v exactly for every vector.  Otherwise a floating
-    rank-revealing nullspace.  Basis vectors are normalized so the entry at
-    the identity is 1 when nonzero, else the first nonzero entry is 1.
-    Returns [] when lam is not an eigenvalue.
+    certifies P v = lam v exactly for every vector.  Both bases come from
+    the operator's one labelling (`op.classes()`), which is_generating
+    reads too.  Otherwise a floating rank-revealing nullspace.  Basis
+    vectors are normalized so the entry at the identity is 1 when nonzero,
+    else the first nonzero entry is 1.  Returns [] when lam is not an
+    eigenvalue.
     """
     group = op.group
     if op.exact and lam in (1, -1):
-        basis = component_kernel([op.stencil()], group.order, int(lam), f"on {group.name}")
+        basis = op.classes().basis(int(lam), f"on {group.name}")
         return [GroupFunction._from_numerators(group, vec) for vec in basis]
     a = op.as_array().astype(complex) - complex(lam) * np.eye(group.order)
     cols = float_nullspace(a, tol)

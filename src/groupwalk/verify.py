@@ -2,12 +2,14 @@
 
 Each check emits CheckRecords collected into a VerificationReport.  The
 default corpus covers small cyclic, dihedral, symmetric, quaternion, and
-alternating groups with seeded random symmetric generating measures.  The
-foguel decay walks the measures' left stencils, all of one corpus group's
-measures in one walk, and builds no dense operator.  The stirling suite's
-exp bound takes its matrix exponential from linalg.expm, a scaling and
-squaring Padé approximant in numpy, so numpy is the only dependency at run
-time.
+alternating groups with seeded random symmetric generating measures, and
+the suites work through it one group at a time: the theorem suite labels a
+group's walks (one labelling per walk gives +1, -1 and generation) with one
+call per kind and solves its spectra in one call, and the foguel decay
+walks the left stencils of all its measures in one walk, with no dense
+operator.  The stirling suite's exp bound takes its matrix exponential
+from linalg.expm, a scaling and squaring Padé approximant in numpy, so
+numpy is the only dependency at run time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .harmonic import (
     find_anti_character,
     harmonic_space,
     jointly_biharmonic_space,
+    two_sided_classes,
 )
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
@@ -57,9 +60,11 @@ from .operators import (
     apply,
     apply_truncated,
     component_kernel,
+    label_walks,
     left_operator,
     require_dense_budget,
     right_operator,
+    solve_spectra,
     spectrum,
 )
 
@@ -489,27 +494,28 @@ def nonsymmetric_fixtures():
     return fixtures
 
 
-def fixture_theorem_checks(fixture_id, group, mu):
-    """All structural checks for one symmetric generating fixture."""
-    records = []
-    symmetric = is_symmetric(mu)
-    generating = is_generating(mu)
-    if not (symmetric and generating):
+def fixture_theorem_checks(fixture_id, group, mu, lift=None):
+    """All structural checks for one symmetric generating fixture.  Its
+    walks are labelled and solved once and kept on mu; `lift` is its entry
+    of `_lifts` when run_theorem_suite labelled the group's lifts."""
+    if not (is_symmetric(mu) and is_generating(mu)):
         raise FixtureConstructionError(f"{fixture_id}: fixture must be symmetric and generating")
+    records = []
+
+    def record(quantity, value, threshold, passed, note=""):
+        records.append(CheckRecord(fixture_id, quantity, value, threshold, passed, note))
+
+    def exact(ok):
+        return "exact" if ok else "violated"
 
     # peripheral eigenvalues sit at +-1
-    spec_report = spectrum(right_operator(group, mu))
-    worst = max(
-        (min(abs(lam - 1), abs(lam + 1)) for lam in spec_report.peripheral), default=0.0
-    )
-    records.append(
-        CheckRecord(fixture_id, "peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
-    )
+    peripheral = spectrum(right_operator(group, mu)).peripheral
+    worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in peripheral), default=0.0)
+    record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
 
     # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
     bi_basis = jointly_biharmonic_space(group, mu)
-    left_op = left_operator(group, mu)
-    right_op = right_operator(group, mu)
+    walks = (right_operator(group, mu), left_operator(group, mu))
 
     def splits(f):
         try:
@@ -517,116 +523,70 @@ def fixture_theorem_checks(fixture_id, group, mu):
         except (ValueError, ComputationError):
             return False
         minus = -dec.anti_part
-        return dec.constant is not None and all(
-            apply(op, dec.anti_part) == minus for op in (right_op, left_op)
-        )
+        return dec.constant is not None and all(apply(op, dec.anti_part) == minus for op in walks)
 
     split_ok = all(splits(f) for f in bi_basis)
-    records.append(
-        CheckRecord(
-            fixture_id,
-            "biharmonic_split",
-            "exact" if split_ok else "violated",
-            "exact",
-            split_ok,
-            note=f"dim={len(bi_basis)}",
-        )
-    )
+    record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={len(bi_basis)}")
 
     # anti-harmonic functions exist iff a sign character is -1 on the support
-    anti = anti_harmonic_space(group, mu)
-    har = harmonic_space(group, mu)
+    anti, har = anti_harmonic_space(group, mu), harmonic_space(group, mu)
     chi = find_anti_character(group, mu)
-    equiv = (len(anti) > 0) == (chi is not None)
-    records.append(
-        CheckRecord(
-            fixture_id,
-            "anti_iff_character",
-            f"anti_dim={len(anti)},character={'yes' if chi else 'no'}",
-            "equivalent",
-            equiv,
-        )
-    )
+    found = f"anti_dim={len(anti)},character={'yes' if chi else 'no'}"
+    record("anti_iff_character", found, "equivalent", (len(anti) > 0) == (chi is not None))
     if chi is not None:
-        dims_ok = len(anti) == len(har)
-        records.append(
-            CheckRecord(fixture_id, "anti_dim_equals_har_dim", len(anti), len(har), dims_ok)
-        )
-        factor_ok = True
-        for f in anti:
-            f1 = factor_anti_harmonic(f, chi, mu)
-            if apply(right_op, f1) != f1:
-                factor_ok = False
-        records.append(
-            CheckRecord(
-                fixture_id, "anti_factors_through_character",
-                "exact" if factor_ok else "violated", "exact", factor_ok,
-            )
-        )
+        record("anti_dim_equals_har_dim", len(anti), len(har), len(anti) == len(har))
+        factored = [factor_anti_harmonic(f, chi, mu) for f in anti]
+        factor_ok = all(apply(walks[0], f1) == f1 for f1 in factored)
+        record("anti_factors_through_character", exact(factor_ok), "exact", factor_ok)
     else:
+        dims = f"anti_dim={len(anti)},bi_dim={len(bi_basis)}"
         trivial = len(anti) == 0 and len(bi_basis) == 1
-        records.append(
-            CheckRecord(
-                fixture_id,
-                "no_character_trivial_anti",
-                f"anti_dim={len(anti)},bi_dim={len(bi_basis)}",
-                "anti_dim=0,bi_dim=1",
-                trivial,
-            )
-        )
+        record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
 
     # peripheral eigenvalues are k-th roots of unity for the first return time
     k = min_return(mu, group.order)
     if k is None:
-        records.append(
-            CheckRecord(fixture_id, "min_return", "none", group.order, False)
-        )
+        record("min_return", "none", group.order, False)
     else:
-        worst_root = max(
-            (abs(lam**k - 1) for lam in spec_report.peripheral), default=0.0
-        )
-        records.append(
-            CheckRecord(
-                fixture_id,
-                f"roots_of_unity_k={k}",
-                float(worst_root),
-                1e-6,
-                bool(worst_root <= 1e-6),
-            )
-        )
+        worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
+        record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
 
-    # matrix-level: jointly fixed arrays of the squared walk are fixed per side
+    # matrix-level: the fixed arrays of right o left on the squared walk's
+    # lift, one per class, are each checked exactly to be fixed by each side
     if group.order <= OPERATOR_CHECK_MAX_ORDER:
-        nu = convolve(mu, mu)
-        if group.identity in nu.weights:
-            records.extend(_operator_fixed_records(fixture_id, group, nu))
+        sides, classes = lift or _lifts(group, [mu])[0]
+        columns = classes.basis(1, f"of the lift on {group.name}").T
+        fixed = all(_certified([terms], columns, 1).all() for terms in sides)
+        note = f"solutions={columns.shape[1]}"
+        record("operator_jointly_fixed_is_fixed", exact(fixed), "exact", fixed, note)
     return records
 
 
-def _operator_fixed_records(fixture_id, group, nu):
-    """The fixed arrays of right o left, one per class of the two lifted
-    stencils, each checked exactly to be fixed by each side alone."""
-    sides = [OperatorOnMatrices(group, nu, side).terms for side in ("right", "left")]
-    basis = component_kernel(sides, group.order**2, 1, f"of the lift on {group.name}")
-    columns = np.stack(basis, axis=1)
-    fixed = all(_certified([terms], columns, 1).all() for terms in sides)
-    return [
-        CheckRecord(
-            fixture_id,
-            "operator_jointly_fixed_is_fixed",
-            "exact" if fixed else "violated",
-            "exact",
-            fixed,
-            note=f"solutions={len(basis)}",
-        )
-    ]
+def _lifts(group, measures):
+    """(sides, classes) for the lift of nu = mu * mu of each measure (nu
+    holds the identity, as mu is symmetric): the lifted right and left
+    stencils and the classes of right o left, labelled in one call."""
+    nus = [convolve(mu, mu) for mu in measures]
+    sides = [[OperatorOnMatrices(group, nu, s).terms for s in ("right", "left")] for nu in nus]
+    return list(zip(sides, component_kernel(sides, group.order**2, f"of the lift on {group.name}")))
 
 
 def run_theorem_suite(corpus=None):
-    """Theorem checks across the whole corpus; deterministic given the seed."""
+    """Theorem checks across the whole corpus; deterministic given the seed.
+    One group at a time, its right walks, two-sided walks and lifts are
+    labelled by one call per kind and its spectra solved by one call before
+    fixture_theorem_checks emits each fixture's records in corpus order."""
     report = VerificationReport("theorems")
-    for fid, group, mu in _iter_corpus(corpus):
-        report.records.extend(fixture_theorem_checks(fid, group, mu))
+    for group, fixtures in itertools.groupby(_iter_corpus(corpus), key=lambda item: item[1]):
+        fids, _, measures = zip(*fixtures)
+        ops = [right_operator(group, mu) for mu in measures]
+        label_walks(ops)
+        two_sided_classes(group, measures)
+        solve_spectra(ops)
+        small = group.order <= OPERATOR_CHECK_MAX_ORDER
+        lifts = _lifts(group, measures) if small else [None] * len(fids)
+        for fid, mu, lift in zip(fids, measures, lifts):
+            report.records.extend(fixture_theorem_checks(fid, group, mu, lift))
     for fid, group, mu in nonsymmetric_fixtures():
         sub = root_of_unity_check(group, mu)
         for rec in sub.records:

@@ -597,6 +597,16 @@ def test_verify_subcommand_unknown_suite(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7", "x", "1.5"])
+def test_verify_refuses_a_bad_seed_before_any_suite_runs(capsys, monkeypatch, seed):
+    """numpy's seeded generators take no negative seed: the parser refuses
+    it with exit 2 and a message naming --seed, and no suite starts."""
+    monkeypatch.setattr(cli, "verify_suite", lambda *args, **kwargs: pytest.fail("a suite ran"))
+    code, out, err = run_main(capsys, ["verify", "all", "--seed", seed])
+    assert code == 2 and out == ""
+    assert "--seed" in err and "non-negative integer" in err
+
+
 # ---------------------------------------------------------------- parser plumbing
 
 def test_parser_prog_and_missing_command(capsys):

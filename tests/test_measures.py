@@ -15,8 +15,13 @@ from groupwalk.groups import (
     SymmetricGroup,
     closure,
 )
-from groupwalk import measures
-from groupwalk.harmonic import decompose, jointly_biharmonic_space
+from groupwalk import operators
+from groupwalk.harmonic import (
+    anti_harmonic_space,
+    decompose,
+    harmonic_space,
+    jointly_biharmonic_space,
+)
 from groupwalk.measures import (
     MeasureError,
     convolve,
@@ -206,23 +211,47 @@ def test_is_symmetric():
 
 
 def test_is_generating_runs_the_closure_once_per_measure(monkeypatch):
-    """One class labelling of the support's right_perm arrays per measure."""
+    """One class labelling per walk: the two-sided walk's for the
+    bi-harmonic basis, the right walk's for is_generating, decompose and
+    both exact eigenspaces, and one more for another measure."""
     calls = []
-    classes = measures._classes
+    classes = operators._classes
 
     def counted(n, perms):
         calls.append(n)
         return classes(n, perms)
 
-    monkeypatch.setattr(measures, "_classes", counted)
+    monkeypatch.setattr(operators, "_classes", counted)
     g = DihedralGroup(6)
     mu = uniform(g, [1, 5, 6])  # r, r^-1, s
     basis = jointly_biharmonic_space(g, mu)
     for f in basis:
         decompose(f, mu)
     assert len(basis) >= 2 and is_generating(mu)
-    assert len(calls) == 1
-    assert not is_generating(uniform(g, [2, 4])) and len(calls) == 2
+    assert len(harmonic_space(g, mu)) == len(anti_harmonic_space(g, mu)) == 1
+    assert calls == [2 * g.order, 2 * g.order]
+    assert not is_generating(uniform(g, [2, 4])) and len(calls) == 3
+
+
+@given(st.data())
+def test_is_symmetric_memo_matches_a_fresh_evaluation(data):
+    """The answer kept on mu at the default tol is the one a direct
+    comparison of mu(g) and mu(g^-1) gives, exact or float; another tol
+    recomputes and leaves the memo alone."""
+    group = data.draw(st.sampled_from(
+        [CyclicGroup(6), DihedralGroup(4), SymmetricGroup(3), QuaternionGroup(), alternating_group(4)]
+    ))
+    exact, symmetric, raw = data.draw(st.booleans()), data.draw(st.booleans()), {}
+    for h in sorted(data.draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=5))):
+        raw[h] = raw.get(h) or data.draw(st.integers(1, 5))
+        if symmetric:
+            raw[group.inv(h)] = raw[h]
+    total = sum(raw.values())
+    mu = make_measure(group, [(h, F(w, total) if exact else w / total) for h, w in raw.items()])
+    fresh = all(mu.weight(group.inv(g)) == w for g, w in mu.weights.items())
+    assert is_symmetric(mu) == fresh and mu._symmetric == fresh  # computed, then kept
+    assert is_symmetric(mu, tol=1.0) == (fresh or not exact)  # every float weight is within 1
+    assert mu._symmetric == fresh and is_symmetric(mu) == fresh
 
 
 def test_is_generating():

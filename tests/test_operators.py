@@ -39,6 +39,7 @@ from groupwalk.operators import (
     fourier_coefficient,
     left_operator,
     right_operator,
+    solve_spectra,
     spectrum,
 )
 from groupwalk.verify import alternating_group
@@ -865,6 +866,11 @@ def exact_walks(draw, groups=KERNEL_GROUPS):
     return group, make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
 
 
+def _kernel(stencils, size, lam):
+    """component_kernel's lam basis of one walk, labelled alone."""
+    return component_kernel([stencils], size, "under test")[0].basis(lam, "under test")
+
+
 @given(exact_walks())
 def test_exact_eigenspaces_match_fraction_elimination(walk):
     group, mu = walk
@@ -886,11 +892,11 @@ def test_lift_kernel_matches_dense_nullspace(dense_lift, walk):
     right, left = (OperatorOnMatrices(group, mu, side) for side in ("right", "left"))
     cases = [([right, left], 1)] + [([lift], lam) for lift in (right, left) for lam in (1, -1)]
     for lifts, lam in cases:
-        basis = component_kernel([lift.terms for lift in lifts], size, lam, "of the lift")
+        basis = _kernel([lift.terms for lift in lifts], size, lam)
         dense = np.linalg.multi_dot([dense_lift(lift) for lift in lifts] + [np.eye(size)])
         null = float_nullspace(dense - lam * np.eye(size), tol=1e-9)
         assert len(basis) == null.shape[1]
-        if basis:
+        if len(basis):
             vecs = np.stack(basis, axis=1)
             assert set(np.unique(vecs).tolist()) <= {-1, 0, 1}
             # every array lies in the dense nullspace; disjoint supports make them independent
@@ -910,8 +916,8 @@ def test_class_certificate_agrees_with_gather_oracle(walk):
     walks += [([terms], n * n) for terms in lifts] + [(lifts, n * n)]
     for stencils, size in walks:
         for lam in (1, -1):
-            basis = component_kernel(stencils, size, lam, "under test")
-            if basis:
+            basis = _kernel(stencils, size, lam)
+            if len(basis):
                 assert operators._certified(stencils, np.stack(basis, axis=1), lam).all()
 
 
@@ -923,13 +929,97 @@ def test_class_certificate_rejects_split_and_false_bipartite_labels(monkeypatch)
     g = CyclicGroup(5)
     stencil = ConvolutionOperator(g, uniform(g, [1, 4]), "right").stencil()
     with pytest.raises(ComputationError, match="do not sum to 1"):
-        component_kernel([stencil[:1]], 5, 1, "on Z5")
+        component_kernel([[stencil[:1]]], 5, "on Z5")
     monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n))
     with pytest.raises(ComputationError, match="failed P f = 1 f"):
-        component_kernel([stencil], 5, 1, "on Z5")
+        component_kernel([[stencil]], 5, "on Z5")
     monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n) // (n // 2) * (n // 2))
     with pytest.raises(ComputationError, match="failed P f = -1 f"):
-        component_kernel([stencil], 5, -1, "on Z5")
+        component_kernel([[stencil]], 5, "on Z5")
+
+
+BATCH_GROUPS = [*KERNEL_GROUPS, alternating_group(4)]  # every finite kind
+
+
+@st.composite
+def walk_batches(draw):
+    """(group, walks, size): 1-4 walks of one kind on one group, from exact
+    measures with support sizes that differ, generating or not: one-stencil
+    right or left walks, two-stencil walks left o right, or the lifts of
+    right o left over the order^2 entries of an array."""
+    group = draw(st.sampled_from(BATCH_GROUPS))
+    measures = [draw(exact_walks([group]))[1] for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(["right", "left", "two-sided", "lift"]))
+    if kind == "lift":
+        walks = [[OperatorOnMatrices(group, mu, side).terms for side in ("right", "left")]
+                 for mu in measures]
+        return group, walks, group.order**2
+    sides = ["left", "right"] if kind == "two-sided" else [kind]
+    walks = [[ConvolutionOperator(group, mu, side).stencil() for side in sides] for mu in measures]
+    return group, walks, group.order
+
+
+@given(walk_batches())
+def test_walks_labelled_together_match_each_labelled_alone(batch):
+    """One labelling of a disjoint union of walks gives every walk the +1
+    and -1 bases (and so the class counts) it gets alone."""
+    group, walks, size = batch
+    together = component_kernel(walks, size, "together")
+    assert len(together) == len(walks)
+    for walk, classes in zip(walks, together):
+        alone = component_kernel([walk], size, "alone")[0]
+        for lam in (1, -1):
+            assert classes.count(lam) == alone.count(lam)
+            assert np.array_equal(classes.basis(lam, "together"), alone.basis(lam, "alone"))
+
+
+def test_batched_labelling_pads_and_offsets_each_walk():
+    """On Z6: the bipartite walk on {1, 5} (one class, one -1 array) after
+    a walk with three terms, so its stencil is padded; the lazy walk on
+    {0, 3} keeps its three classes and no -1 array.  A weight sum short of
+    1 in any walk of a batch is refused."""
+    g = CyclicGroup(6)
+    walks = [[ConvolutionOperator(g, uniform(g, support), "right").stencil()]
+             for support in ([0, 2, 4], [1, 5], [0, 3])]
+    counts = [(c.count(1), c.count(-1)) for c in component_kernel(walks, 6, "on Z6")]
+    assert counts == [(2, 0), (1, 1), (3, 0)]
+    assert component_kernel([], 6, "on Z6") == []
+    with pytest.raises(ComputationError, match="do not sum to 1"):
+        component_kernel([walks[0], [walks[1][0][:1]]], 6, "on Z6")
+    with pytest.raises(ValueError, match="one number of stencils"):
+        component_kernel([walks[0], walks[1] * 2], 6, "on Z6")
+
+
+@st.composite
+def spectra_batches(draw):
+    """(group, measures, sides): a finite_walks measure and 1-3 more float
+    measures on its group, symmetric or not, each on a drawn side."""
+    group, first = draw(finite_walks())
+    measures = [first]
+    for _ in range(draw(st.integers(1, 3))):
+        symmetric, raw = draw(st.booleans()), {}
+        for h in sorted(draw(st.sets(st.integers(0, group.order - 1), min_size=1, max_size=5))):
+            raw[h] = raw.get(h) or draw(st.floats(1.0, 2.0))
+            if symmetric:
+                raw[group.inv(h)] = raw[h]
+        total = sum(raw.values())
+        measures.append(make_measure(group, [(h, w / total) for h, w in raw.items()]))
+    sides = draw(st.lists(st.sampled_from(["right", "left"]), min_size=len(measures),
+                          max_size=len(measures)))
+    return group, measures, sides
+
+
+@given(spectra_batches())
+def test_spectra_solved_together_match_each_solved_alone(batch):
+    """One table, fftn and eigh/eig for several operators gives every
+    operator bit for bit the eigenvalues and residuals it gets alone."""
+    group, measures, sides = batch
+    ops = [ConvolutionOperator(group, mu, side) for mu, side in zip(measures, sides)]
+    solve_spectra(ops)
+    for op, mu, side in zip(ops, measures, sides):
+        eigvals, residuals = ConvolutionOperator(group, mu, side).eigenvalues()
+        assert op.eigenvalues()[0].tobytes() == eigvals.tobytes()
+        assert op.eigenvalues()[1] == residuals
 
 
 def test_lift_kernel_on_d128_has_one_array_per_class():
@@ -944,7 +1034,7 @@ def test_lift_kernel_on_d128_has_one_array_per_class():
     nu = convolve(mu, mu)
     sides = [OperatorOnMatrices(group, nu, side).terms for side in ("right", "left")]
     size = group.order**2
-    basis = component_kernel(sides, size, 1, "of the lift on D128")
+    basis = _kernel(sides, size, 1)
     nodes = np.arange(size)
     targets = np.concatenate([perm for terms in sides for _, perm in terms])
     graph = coo_matrix(
@@ -1023,9 +1113,9 @@ def test_superoperator_refused_over_budget(monkeypatch):
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36 - 1)
     sides = [OperatorOnMatrices(d3, uniform(d3, [1, 3]), side).terms for side in ("right", "left")]
     with pytest.raises(ConstructionError, match="composite stencil of the lift.*DENSE_BYTES_BUDGET"):
-        component_kernel(sides, 36, 1, "of the lift on D3")
+        component_kernel([sides], 36, "of the lift on D3")
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36)
-    assert len(component_kernel(sides, 36, 1, "of the lift on D3")) == 3
+    assert component_kernel([sides], 36, "of the lift on D3")[0].count(1) == 3
 
 
 def test_conditional_expectation_intertwines():

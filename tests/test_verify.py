@@ -212,6 +212,28 @@ def test_foguel_suite_walks_each_group_once(monkeypatch):
     ]
 
 
+def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
+    """One class labelling per walk kind per corpus group (right walks,
+    two-sided walks, lifts: 2 * order * 3 cover nodes for the two walks,
+    2 * order^2 * 3 for the lifts), one spectra batch per group, and the
+    records of fixture_theorem_checks on each fixture alone, in corpus order."""
+    labelled, solved = [], []
+    classes, solve = operators._classes, verify.solve_spectra
+    monkeypatch.setattr(operators, "_classes", lambda n, perms: labelled.append(n) or classes(n, perms))
+    monkeypatch.setattr(
+        verify, "solve_spectra", lambda ops: solved.append((ops[0].group.name, len(ops))) or solve(ops)
+    )
+    report = run_theorem_suite(TINY_CORPUS)
+    assert labelled == [24, 24, 96, 30, 30, 150]
+    assert solved == [("Z4", 3), ("Z5", 3)]
+    alone = [
+        rec.to_json()
+        for fid, group, mu in corpus_fixtures(TINY_CORPUS)
+        for rec in fixture_theorem_checks(fid, group, mu)
+    ]
+    assert [rec.to_json() for rec in report.records[: len(alone)]] == alone
+
+
 def test_foguel_power_table_refused_over_budget(monkeypatch):
     g = CyclicGroup(4)
     # the 2 x 4 stencil fits; the walk's tables plus 500 gaps do not, 10 gaps do
