@@ -11,18 +11,20 @@ colourings of the bipartite classes for -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .groups import ConstructionError, generating_set
-from .linalg import rational_solve
 from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
+    _fit,
     _function_values,
+    _max_abs,
     _operator,
     apply,
     component_kernel,
@@ -164,13 +166,25 @@ def _require_exact_finite(group, mu, what):
         raise ValueError(f"{what} requires exact rational weights; use eigenspace for floats")
 
 
+def _fixed_space(group, walk):
+    """The fixed-space layout of a walk's classes C_0 .. C_(m-1) (in basis
+    order): 1, then the indicators of every class but the last."""
+    basis = walk.basis(1, f"on {group.name}")[:-1]
+    one = GroupFunction.constant(group, Fraction(1))
+    return [one] + [GroupFunction._from_numerators(group, vec) for vec in basis]
+
+
+def _fixed_coefficients(means):
+    """sum_i means[i] 1_(C_i) over _fixed_space: the last mean on 1, each
+    other mean minus it on its class."""
+    return [means[-1]] + [a - means[-1] for a in means[:-1]]
+
+
 def harmonic_space(group, mu, side="right"):
-    """Exact basis of the fixed space {f : P f = f}: the constant 1, then
-    the indicators of every connected class but the last (the last is 1
-    minus the others), in eigenspace's class order."""
+    """Exact basis of the fixed space {f : P f = f} in the _fixed_space
+    layout of the walk's classes."""
     _require_exact_finite(group, mu, "harmonic_space")
-    op = _operator(group, mu, side)
-    return [GroupFunction.constant(group, Fraction(1))] + eigenspace(op, 1)[:-1]
+    return _fixed_space(group, _operator(group, mu, side).classes())
 
 
 def anti_harmonic_space(group, mu, side="right"):
@@ -180,12 +194,10 @@ def anti_harmonic_space(group, mu, side="right"):
 
 
 def jointly_biharmonic_space(group, mu):
-    """Exact basis of {f : mu * f * mu = f}, laid out as in harmonic_space
-    over the classes of the two-sided walk g -> h1 g h2 (kept on mu)."""
+    """Exact basis of {f : mu * f * mu = f} in the _fixed_space layout of
+    the classes of the two-sided walk g -> h1 g h2 (kept on mu)."""
     _require_exact_finite(group, mu, "jointly_biharmonic_space")
-    basis = two_sided_classes(group, [mu])[0].basis(1, f"on {group.name}")[:-1]
-    one = GroupFunction.constant(group, Fraction(1))
-    return [one] + [GroupFunction._from_numerators(group, vec) for vec in basis]
+    return _fixed_space(group, two_sided_classes(group, [mu])[0])
 
 
 def two_sided_classes(group, measures):
@@ -372,17 +384,25 @@ def factor_anti_harmonic(f, chi, mu, tol=1e-9):
     return f1
 
 
-def _gram(cols):
-    return [[c1.inner(c2) for c2 in cols] for c1 in cols]
-
-
-def _projection_coefficients(cols, gram, f):
-    """Exact coefficients over the functions cols of the orthogonal
-    projection of f onto their span; gram is _gram(cols)."""
-    coeffs = rational_solve(gram, [col.inner(f) for col in cols])
-    if coeffs is None:
-        raise ComputationError("eigenspace Gram system was singular")
-    return coeffs
+def _projection(f, walk, lam):
+    """(coefficients, projection) of a total f onto the lam = +-1 eigenspace
+    of a walk (WalkClasses).  Its arrays s_C have disjoint supports, so the
+    coefficient on s_C is <f, s_C> / |C|, summed per class on f's numerators
+    (Fractions) or on its float values."""
+    rows, n = walk.rows[int(lam < 0)], f.group.order
+    kept = np.flatnonzero(rows >= 0)
+    labels, sign = rows[kept], walk.sign[kept] if lam < 0 else 1
+    sizes = np.bincount(labels)
+    scale = math.lcm(*sizes.tolist())  # each |C| divides it: exact means spread on integers
+    vals = _fit(f._nums, n * scale * max(_max_abs(f._nums), 1)) if f.is_exact else f._float()
+    sums, out = np.zeros(len(sizes), dtype=vals.dtype), np.zeros(n, dtype=vals.dtype)
+    np.add.at(sums, labels, vals[kept] * sign)
+    if not f.is_exact:
+        out[kept] = (sums / sizes)[labels] * sign
+        return (sums / sizes).tolist(), GroupFunction._from_array(f.group, out)
+    out[kept] = (sums * (scale // sizes))[labels] * sign
+    means = [Fraction(x, f._den * c) for x, c in zip(sums.tolist(), sizes.tolist())]
+    return means, GroupFunction._from_numerators(f.group, out, f._den * scale)
 
 
 def _combination(group, coeffs, functions):
@@ -398,7 +418,8 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
     """Projected product: the (lam1*lam2)-eigenspace component of f1*f2.
 
     Defined for symmetric measures only, where the projection onto an
-    eigenspace is orthogonal.  Exact measures give exact results.
+    eigenspace is orthogonal: _projection over the right walk's classes,
+    exact when mu, f1 and f2 are exact.
     """
     group = f1.group
     if group.is_truncated:
@@ -414,50 +435,34 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
         target = f.scale(Fraction(lam) if exact else float(lam))
         if not _close(rf, target, exact, tol):
             raise ValueError(f"function is not in the {lam} eigenspace")
-    product = f1 * f2
-    basis = eigenspace(op, lam1 * lam2, tol)
-    if not basis:
-        zero = Fraction(0) if exact else 0.0
-        return GroupFunction.constant(group, zero)
-    if exact:
-        coeffs = _projection_coefficients(basis, _gram(basis), product)
-        return _combination(group, coeffs, basis)
-    mat = np.column_stack([b.as_array() for b in basis])
-    coeffs, *_ = np.linalg.lstsq(mat, product.as_array(), rcond=None)
-    return GroupFunction(group, list(mat @ coeffs))
+    product = f1 * f2 if exact else GroupFunction._from_array(group, f1._float() * f2._float())
+    return _projection(product, op.classes(), lam1 * lam2)[1]
 
 
 def peripheral_boundary(group, mu):
     """Basis of the +1 and -1 eigenspaces together with the diamond table.
 
-    Entry (i, j) projects f_i * f_j orthogonally onto the block of sign
-    tag_i * tag_j, the same projection diamond makes, solved once against
-    that block's Gram matrix.
+    Entry (i, j) holds the coefficients of diamond's projection of f_i * f_j
+    onto the block of sign tag_i * tag_j: its class means over the -1
+    arrays, through _fixed_coefficients over the +1 layout.
     """
     _require_exact_finite(group, mu, "peripheral_boundary")
     if not is_symmetric(mu):
         raise ValueError("peripheral_boundary requires a symmetric measure")
     if not is_generating(mu):
         raise ValueError("peripheral_boundary requires a generating measure")
-    har = harmonic_space(group, mu)
-    anti = anti_harmonic_space(group, mu)
-    functions = har + anti
-    tags = [1] * len(har) + [-1] * len(anti)
-    dim = len(functions)
-    blocks = {}
-    for tag, offset, block in ((1, 0, har), (-1, len(har), anti)):
-        blocks[tag] = (offset, block, _gram(block))
-    table = []
-    for fi, ti in zip(functions, tags):
-        row = []
-        for fj, tj in zip(functions, tags):
-            offset, cols, gram = blocks[ti * tj]
-            sol = _projection_coefficients(cols, gram, fi * fj)
-            coeffs = [Fraction(0)] * dim
-            coeffs[offset:offset + len(sol)] = sol
-            row.append(coeffs)
-        table.append(row)
-    return BoundaryBasis(group, mu, functions, tags, table, dim)
+    walk = right_operator(group, mu).classes()
+    har, anti = _fixed_space(group, walk), anti_harmonic_space(group, mu)
+    functions, tags = har + anti, [1] * len(har) + [-1] * len(anti)
+    zeros = {1: [Fraction(0)] * len(anti), -1: [Fraction(0)] * len(har)}
+
+    def cell(f, tag):
+        means = _projection(f, walk, tag)[0]
+        return _fixed_coefficients(means) + zeros[1] if tag > 0 else zeros[-1] + means
+
+    table = [[cell(fi * fj, ti * tj) for fj, tj in zip(functions, tags)]
+             for fi, ti in zip(functions, tags)]
+    return BoundaryBasis(group, mu, functions, tags, table, len(functions))
 
 
 def monotone_abs_check(f, mu, n_steps, tol=1e-9):

@@ -1,10 +1,10 @@
 """Exact and floating linear-algebra kernels shared across the package.
 
-The Fraction routines (RREF, nullspace, solve) serve small systems and act
-as the test oracle for the exact eigenspaces, which come from connected
-classes (operators.component_kernel), not from elimination.  The floating
-routines are thin wrappers over numpy decompositions, and expm is a Padé
-approximant over numpy products and one solve.
+The Fraction routines (RREF, nullspace, solve, matmul) are the tests'
+elimination oracles with no caller in the package, kept here because the
+bench tracer wraps them by name.  The floating routines are thin wrappers
+over numpy decompositions, and expm is a Padé approximant over numpy
+products and one solve.
 """
 
 from __future__ import annotations

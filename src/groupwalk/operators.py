@@ -327,15 +327,6 @@ class GroupFunction:
             )
         )
 
-    def inner(self, other):
-        """Exact sum over g of self(g) * other(g) for exact total functions."""
-        self._check_peer(other)
-        if not (self.is_exact and other.is_exact):
-            raise ValueError("inner needs exact functions")
-        bound = self.group.order * max(_max_abs(self._nums), 1) * max(_max_abs(other._nums), 1)
-        total = np.dot(_fit(self._nums, bound), _fit(other._nums, bound))
-        return Fraction(int(total), self._den * other._den)
-
     def _check_peer(self, other):
         if not isinstance(other, GroupFunction) or other.group is not self.group:
             raise ValueError("group functions live on different groups")
@@ -398,7 +389,6 @@ class ConvolutionOperator:
         self.symmetric = is_symmetric(measure)
         self._measure = weakref.ref(measure)
         self._float_matrix = None
-        self._exact_matrix = None
         self._stencil = None
         self._eigen = None
         self._walk = None
@@ -423,17 +413,16 @@ class ConvolutionOperator:
         return self._stencil
 
     def exact_matrix(self):
-        """Row-stochastic Fraction matrix: rows index g, columns index x."""
+        """Row-stochastic Fraction matrix: rows index g, columns index x.
+        No run path builds it; it is the tests' elimination oracle."""
         if not self.exact:
             raise ComputationError(f"{self.side} operator on {self.group.name} has float weights")
-        if self._exact_matrix is None:
-            n = self.group.order
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for w, perm in self.stencil():
-                for g, x in enumerate(perm.tolist()):
-                    rows[g][x] += w
-            self._exact_matrix = rows
-        return self._exact_matrix
+        n = self.group.order
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for w, perm in self.stencil():
+            for g, x in enumerate(perm.tolist()):
+                rows[g][x] += w
+        return rows
 
     def as_array(self):
         """Dense float matrix (rows g, columns x), built once and read-only:
@@ -858,31 +847,33 @@ def label_walks(ops):
 def eigenspace(op, lam, tol=1e-9):
     """Basis of the lam-eigenspace of a convolution operator.
 
-    Exact when the measure is rational and lam is 1 or -1, by the maximum
+    Exact for lam = 1 or -1, for float weights too, by the maximum
     principle for the doubly stochastic P = sum_h w_h perm_h with every
     w_h > 0 (Seneta, Non-negative Matrices and Markov Chains, 1981, ch. 1;
     Horn and Johnson, Matrix Analysis, ch. 8): P f = f exactly when f is
     constant on each connected class of the graph g -- perm_h(g), and
     P f = -f exactly when f is, on each class, a multiple of a +-1
     colouring that flips along every edge, and 0 on the classes that have
-    none.  The dimension (the number of classes, or of bipartite classes)
-    rests on this theorem; component_kernel labels the classes and
-    certifies P v = lam v exactly for every vector.  Both bases come from
-    the operator's one labelling (`op.classes()`), which is_generating
-    reads too.  Otherwise a floating rank-revealing nullspace.  Basis
-    vectors are normalized so the entry at the identity is 1 when nonzero,
+    none.  The dimension rests on this theorem, not on the weights;
+    component_kernel labels the classes and certifies P v = lam v exactly
+    for every vector.  Both bases come from the operator's one labelling
+    (`op.classes()`), which is_generating reads too.  Otherwise a floating
+    rank-revealing nullspace of the dense P - lam I, budgeted first, with
+    vectors normalized so the entry at the identity is 1 when nonzero,
     else the first nonzero entry is 1.  Returns [] when lam is not an
     eigenvalue.
     """
     group = op.group
-    if op.exact and lam in (1, -1):
-        basis = op.classes().basis(int(lam), f"on {group.name}")
+    if lam in (1, -1):
+        basis = op.classes().basis(1 if lam == 1 else -1, f"on {group.name}")
         return [GroupFunction._from_numerators(group, vec) for vec in basis]
-    a = op.as_array().astype(complex) - complex(lam) * np.eye(group.order)
-    cols = float_nullspace(a, tol)
+    n = group.order
+    # 8 complex n x n arrays: the float P, P - lam I, the SVD's copy, factors and workspace
+    require_dense_budget((8, n, n), 16, f"the dense {lam} eigenspace on {group.name}")
+    a = op.as_array().astype(complex)
+    a[np.diag_indices(n)] -= complex(lam)
     out = []
-    for i in range(cols.shape[1]):
-        vec = cols[:, i]
+    for vec in float_nullspace(a, tol).T:
         if np.allclose(vec.imag, 0.0, atol=1e-12):
             vec = vec.real
         out.append(GroupFunction(group, normalize_leading(list(vec), cutoff=1e-12)))

@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,10 @@ from groupwalk.cli import (
     parse_config,
     run_analysis,
 )
+from groupwalk.groups import CyclicGroup, DihedralGroup, SymmetricGroup
+from groupwalk.measures import delta
+from groupwalk.operators import GroupFunction
+from groupwalk.verify import CorpusSpec, run_theorem_suite
 
 Z4_CONFIG = {
     "group": {"kind": "cyclic", "n": 4},
@@ -113,6 +119,47 @@ def test_analyze_csv_tables(tmp_path, capsys):
     assert decay_lines[0] == "n,tv_gap"
     assert len(decay_lines) == 501
     assert decay_lines[1] == "1,1.0"
+
+
+def test_run_path_reaches_no_fraction_elimination(tmp_path, capsys, monkeypatch):
+    """The Fraction elimination routines and the Fraction operator matrix
+    are test oracles only: with each of them raising, wherever a module of
+    the package holds it, analyze runs all six tasks on S4 and Q8 x Z4
+    (uniform on the odd elements, so both boundary blocks exist), diamond
+    projects on Z4 with mu = delta_2 (two classes) for exact and float
+    values, and the theorem suite runs on a tiny corpus."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run path reached the Fraction elimination")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "groupwalk"]:
+        for name in ("rational_rref", "rational_solve", "rational_nullspace", "rational_matmul"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(operators.ConvolutionOperator, "exact_matrix", refuse)
+    s4 = SymmetricGroup(4)
+    odd = [g for g, p in enumerate(s4.perms) if sum(a > b for a, b in itertools.combinations(p, 2)) % 2]
+    configs = [
+        ({"kind": "symmetric", "n": 4}, odd),
+        ({"kind": "product", "factors": [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 4}]},
+         [g for g in range(32) if g % 4 % 2]),
+    ]
+    for group, support in configs:
+        config = {
+            "group": group,
+            "measure": [{"g": str(g), "w": f"1/{len(support)}"} for g in support],
+            "tasks": Z4_CONFIG["tasks"],
+        }
+        code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results["boundary"]["tags"] == [1, -1] and results["verify"]["passed"]
+    z4 = CyclicGroup(4)
+    f1 = GroupFunction(z4, [Fraction(1), Fraction(2), Fraction(1), Fraction(2)])  # +1
+    f2 = GroupFunction(z4, [Fraction(1), Fraction(3), Fraction(-1), Fraction(-3)])  # -1
+    for mu in (delta(z4, 2), delta(z4, 2).as_float()):
+        got = harmonic.diamond(mu, f1, 1, f2, -1)
+        assert got.is_exact == mu.exact and got.values == [1, 6, -1, -6]
+    assert run_theorem_suite(CorpusSpec([CyclicGroup(4), DihedralGroup(3)], 3)).passed
 
 
 def test_analyze_no_exact_flag(tmp_path, capsys):

@@ -167,7 +167,6 @@ def test_arithmetic_matches_fraction_entries(pair, c):
     assert (-f).values == [-x for x in a]
     assert f.scale(c).values == [c * x for x in a]
     assert f.sup_norm() == max(abs(x) for x in a)
-    assert f.inner(g) == sum(x * y for x, y in zip(a, b))
     assert [f[i] for i in range(group.order)] == [F(x) for x in a]
     # equality compares values: a representation built by arithmetic
     # equals one built from the list of the same values

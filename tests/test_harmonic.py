@@ -19,6 +19,9 @@ from groupwalk.groups import (
 )
 from groupwalk.harmonic import (
     Character,
+    _combination,
+    _fixed_coefficients,
+    _projection,
     anti_harmonic_space,
     character_from_extremal,
     decompose,
@@ -31,13 +34,21 @@ from groupwalk.harmonic import (
     monotone_abs_check,
     peripheral_boundary,
 )
-from groupwalk.linalg import normalize_leading, rational_matmul, rational_nullspace, rational_rref
+from groupwalk.linalg import (
+    normalize_leading,
+    rational_matmul,
+    rational_nullspace,
+    rational_rref,
+    rational_solve,
+)
 from groupwalk.measures import delta, make_measure, uniform
 from groupwalk.operators import (
     ComputationError,
     ConvolutionOperator,
     GroupFunction,
+    _operator,
     apply,
+    eigenspace,
     left_operator,
     right_operator,
 )
@@ -601,22 +612,25 @@ def test_diamond_unit_and_character_square():
 
 
 def test_diamond_matches_cesaro_oracle():
-    # mu = uniform on {2} in Z4 has two-dimensional +-1 eigenspaces, so the
-    # projection genuinely truncates the pointwise product
-    g = CyclicGroup(4)
-    mu = uniform(g, [2])
-    op = right_operator(g, mu)
-    p = op.as_array()
+    # mu = uniform on {2} in Z4 and on {2, 6} in Z8 have two-dimensional
+    # +-1 eigenspaces, so the projection genuinely truncates the pointwise
+    # product; float functions take the float path, on exact and float
+    # measures.  P^2 removes the 0 eigenvalues of the 4-cycles of Z8.
+    z4, z8 = CyclicGroup(4), CyclicGroup(8)
+    cases = [(z4, uniform(z4, [2])), (z4, uniform(z4, [2]).as_float()), (z8, uniform(z8, [2, 6]).as_float())]
     rng = np.random.default_rng(5)
-    for lam1 in (1, -1):
-        for lam2 in (1, -1):
-            v1 = rng.standard_normal(4)
-            v2 = rng.standard_normal(4)
-            f1 = GroupFunction(g, list(0.5 * (v1 + lam1 * (p @ v1))))
-            f2 = GroupFunction(g, list(0.5 * (v2 + lam2 * (p @ v2))))
-            got = diamond(mu, f1, lam1, f2, lam2)
-            expected = cesaro_projection(p, lam1 * lam2, f1.as_array() * f2.as_array())
-            assert np.allclose(got.as_array(), expected, atol=1e-9)
+    for g, mu in cases:
+        p = right_operator(g, mu).as_array()
+        for lam1 in (1, -1):
+            for lam2 in (1, -1):
+                v1 = p @ p @ rng.standard_normal(g.order)
+                v2 = p @ p @ rng.standard_normal(g.order)
+                f1 = GroupFunction(g, list(0.5 * (v1 + lam1 * (p @ v1))))
+                f2 = GroupFunction(g, list(0.5 * (v2 + lam2 * (p @ v2))))
+                got = diamond(mu, f1, lam1, f2, lam2)
+                assert not got.is_exact
+                expected = cesaro_projection(p, lam1 * lam2, f1.as_array() * f2.as_array())
+                assert np.allclose(got.as_array(), expected, atol=1e-9)
 
 
 def test_diamond_exact_matches_cesaro_oracle():
@@ -644,6 +658,60 @@ def test_diamond_rejects_bad_inputs():
     not_eigen = GroupFunction(g, [F(1), F(0), F(0), F(0)])
     with pytest.raises(ValueError):
         diamond(mu, not_eigen, 1, one, 1)
+
+
+def inner(f, g):
+    """Exact sum over x of f(x) * g(x), one Fraction per entry."""
+    return sum(x * y for x, y in zip(f.values, g.values))
+
+
+def gram_coefficients(basis, f):
+    """Coefficients over an independent basis of the orthogonal projection
+    of f, by an exact solve of the Gram system: the projection diamond and
+    the boundary table made before the closed form over the classes."""
+    gram = [[inner(b1, b2) for b2 in basis] for b1 in basis]
+    coeffs = rational_solve(gram, [inner(b, f) for b in basis])
+    assert coeffs is not None
+    return coeffs
+
+
+# every finite kind: cyclic, dihedral, symmetric, Q8, a table group, products
+PROJECTION_GROUPS = [
+    CyclicGroup(1), CyclicGroup(5), CyclicGroup(8), DihedralGroup(4), SymmetricGroup(3),
+    QuaternionGroup(), alternating_group(4), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+]
+
+
+@st.composite
+def projection_cases(draw):
+    """(group, exact measure, side, exact function): 1-3 drawn support
+    elements with positive weights, so the walks are often non-symmetric,
+    non-generating, lazy or bipartite."""
+    group = draw(st.sampled_from(PROJECTION_GROUPS))
+    support = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    mu = make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
+    nums = draw(st.lists(st.integers(-9, 9), min_size=group.order, max_size=group.order))
+    dens = draw(st.lists(st.integers(1, 9), min_size=group.order, max_size=group.order))
+    return group, mu, draw(st.sampled_from(["right", "left"])), GroupFunction(group, list(map(F, nums, dens)))
+
+
+@given(projection_cases())
+def test_class_projection_matches_gram_solve(case):
+    """The class means are the Gram solve's coefficients over each sign's
+    class arrays, and _fixed_coefficients turns the +1 means into its
+    coefficients over the harmonic_space layout; the projection is their
+    combination, and f minus it is orthogonal to the eigenspace."""
+    group, mu, side, f = case
+    walk = _operator(group, mu, side).classes()
+    for lam in (1, -1):
+        basis = eigenspace(_operator(group, mu, side), lam)
+        means, projection = _projection(f, walk, lam)
+        assert means == gram_coefficients(basis, f)
+        assert projection == _combination(group, means, basis)
+        assert all(inner(f - projection, b) == 0 for b in basis)
+    fixed = harmonic_space(group, mu, side)
+    assert _fixed_coefficients(_projection(f, walk, 1)[0]) == gram_coefficients(fixed, f)
 
 
 # ---------------------------------------------------------------- boundary

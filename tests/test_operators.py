@@ -295,6 +295,25 @@ def test_eigenspace_float_and_absent():
     assert eigenspace(op, 0.5) == []
 
 
+def test_dense_eigenspace_is_budgeted_before_any_allocation(monkeypatch):
+    """Away from +-1 the dense SVD path holds eight complex n x n arrays;
+    they are estimated before the float matrix is built."""
+    g = DihedralGroup(3)
+    op = right_operator(g, uniform(g, [1, 2]))
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 6 * 6 * 16 - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(ConvolutionOperator, "as_array", lambda self: pytest.fail("allocated"))
+        with pytest.raises(ConstructionError, match="dense -0.5 eigenspace on D3 needs a dense 8 x 6 x 6.*DENSE_BYTES_BUDGET"):
+            eigenspace(op, -0.5)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 6 * 6 * 16)
+    assert len(eigenspace(op, -0.5)) == 4  # two triangles, each with -1/2 twice
+    # at order 8192 the float matrix (512 MiB) fits the real budget; the SVD does not
+    monkeypatch.undo()
+    d4096 = DihedralGroup(4096)
+    with pytest.raises(ConstructionError, match="8 x 8192 x 8192 array of 8192.0 MiB"):
+        eigenspace(right_operator(d4096, uniform(d4096, [1, 4095, 4096])), 0.5)
+
+
 def test_spectrum_requires_finite():
     ball = LatticeBall(1, 3)
     mu = uniform(ball, [ball.index_of_form((1,)), ball.index_of_form((-1,))])
@@ -878,6 +897,26 @@ def test_exact_eigenspaces_match_fraction_elimination(walk):
         op = ConvolutionOperator(group, mu, side)
         for lam in (1, -1):
             assert [f.values for f in eigenspace(op, lam)] == fraction_eigenspace(op, lam)
+
+
+@given(exact_walks())
+def test_float_pm1_eigenspaces_span_the_dense_nullspace(walk):
+    """A float measure's +-1 bases are its exact twin's class arrays (the
+    labelling never reads the weights), and they span the numerical
+    nullspace of the dense P - lam I."""
+    group, mu = walk
+    nu = mu.as_float()
+    for side in ("right", "left"):
+        op = ConvolutionOperator(group, nu, side)
+        for lam in (1, -1):
+            basis = eigenspace(op, lam)
+            twin = eigenspace(ConvolutionOperator(group, mu, side), lam)
+            assert [f.values for f in basis] == [f.values for f in twin]
+            null = float_nullspace(op.as_array() - lam * np.eye(group.order), tol=1e-9)
+            assert len(basis) == null.shape[1]
+            if basis:
+                vecs = np.stack([f.as_array() for f in basis], axis=1)
+                assert np.abs(vecs - null @ (null.conj().T @ vecs)).max() <= 1e-9
 
 
 LIFT_GROUPS = [*KERNEL_GROUPS, CyclicGroup(12), DihedralGroup(6)]
