@@ -69,6 +69,13 @@ class AnalysisConfig:
         }
 
 
+def _check_tol(tol):
+    """options.tol and --tol: NaN, infinity and ints past the largest float
+    fail the range."""
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
+        raise ConfigError(f"options.tol: must be a finite positive number, got {tol!r}")
+
+
 def _parse_options(obj):
     defaults = {"tol": 1e-9, "exact": True, "max_power": 64, "seed": 0}
     if obj is None:
@@ -80,9 +87,7 @@ def _parse_options(obj):
         if key not in defaults:
             raise ConfigError(f"options: unknown key {key!r}")
         out[key] = value
-    tol = out["tol"]  # NaN, infinity and ints past the largest float fail the range
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
-        raise ConfigError(f"options.tol: must be a finite positive number, got {tol!r}")
+    _check_tol(out["tol"])
     if not isinstance(out["exact"], bool):
         raise ConfigError(f"options.exact: must be a boolean, got {out['exact']!r}")
     if not isinstance(out["max_power"], int) or isinstance(out["max_power"], bool) or out["max_power"] < 1:
@@ -377,8 +382,7 @@ def _emit(payload, out_path):
 def _run_analyze(args):
     config = load_config(args.config)
     if args.tol is not None:
-        if not 0 < args.tol <= sys.float_info.max:
-            raise ConfigError(f"options.tol: must be a finite positive number, got {args.tol!r}")
+        _check_tol(args.tol)
         config.tol = args.tol
     if args.no_exact:
         config.exact = False
@@ -445,6 +449,9 @@ def main(argv=None):
         return 2
     except (MeasureError, ConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only the report and its CSV tables are written
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (ComputationError, np.linalg.LinAlgError, MemoryError, RecursionError) as exc:
         print(f"computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -45,7 +45,6 @@ from .harmonic import (
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
     convolve,
-    delta,
     is_generating,
     is_symmetric,
     make_measure,
@@ -349,20 +348,15 @@ def stirling_trend(ns=(10, 50, 100, 200)):
 
 
 def alternating_group(n=4):
-    """Even permutations of n symbols as an explicit-table group."""
-    perms = []
-    for p in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-        )
-        if inversions % 2 == 0:
-            perms.append(p)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
-    return TableGroup(table, name=f"A{n}")
+    """Even permutations of n symbols as an explicit-table group: the even
+    rows of S_n in lexicographic order, tabled by one elementwise product
+    and ranked among themselves."""
+    sym = SymmetricGroup(n)
+    i, j = np.triu_indices(n, 1)
+    even = np.flatnonzero((sym._rows[:, i] > sym._rows[:, j]).sum(axis=1) % 2 == 0)
+    require_dense_budget((even.size, even.size, n), 8, f"the A{n} table's composed rows")
+    table = np.searchsorted(even, sym._products(even[:, None], even))
+    return TableGroup(table.tolist(), name=f"A{n}")
 
 
 def default_corpus_groups():
@@ -447,51 +441,27 @@ def _iter_corpus(spec):
 
 
 def nonsymmetric_fixtures():
-    """Hand-picked non-symmetric generating measures for the root-of-unity check."""
-    half = Fraction(1, 2)
-    fixtures = []
-
-    def cyclic(n, elems):
-        g = CyclicGroup(n)
-        fixtures.append((f"Z{n}/nonsym", g, uniform(g, elems)))
-
-    z5 = CyclicGroup(5)
-    fixtures.append(("Z5/delta1", z5, delta(z5, 1)))
-    cyclic(6, [1, 2])
-    cyclic(7, [1, 3])
-    cyclic(8, [1, 2])
-    z9 = CyclicGroup(9)
-    fixtures.append(("Z9/delta1", z9, delta(z9, 1)))
-    cyclic(10, [1, 5])
-    cyclic(12, [3, 4])
-
-    d4 = DihedralGroup(4)
-    fixtures.append(("D4/nonsym", d4, make_measure(d4, [(1, half), (4, half)])))
-    s3 = SymmetricGroup(3)
-    perms = {p: i for i, p in enumerate(s3.perms)}
-    fixtures.append(
-        ("S3/nonsym", s3, make_measure(s3, [(perms[(1, 0, 2)], half), (perms[(1, 2, 0)], half)]))
-    )
-    s4 = SymmetricGroup(4)
-    perms4 = {p: i for i, p in enumerate(s4.perms)}
-    fixtures.append(
-        (
-            "S4/nonsym",
-            s4,
-            make_measure(s4, [(perms4[(1, 0, 2, 3)], half), (perms4[(1, 2, 3, 0)], half)]),
-        )
-    )
-    q8 = QuaternionGroup()
-    fixtures.append(("Q8/nonsym", q8, make_measure(q8, [(2, half), (4, half)])))
-    a4 = alternating_group(4)
-    three_cycle = next(
-        g for g in a4.elements() if g != 0 and a4.mul(g, a4.mul(g, g)) == 0
-    )
-    double_swap = next(
-        g for g in a4.elements() if g != 0 and a4.mul(g, g) == 0
-    )
-    fixtures.append(("A4/nonsym", a4, make_measure(a4, [(three_cycle, half), (double_swap, half)])))
-    return fixtures
+    """Hand-picked non-symmetric generating measures for the root-of-unity
+    check, each uniform on its support; on A4 the first three-cycle and the
+    first double swap."""
+    s3, s4, a4 = SymmetricGroup(3), SymmetricGroup(4), alternating_group(4)
+    orders = a4._element_orders()
+    a4_support = [int(np.flatnonzero(orders == k)[0]) for k in (3, 2)]
+    cases = [
+        (CyclicGroup(5), [1], "delta1"),
+        (CyclicGroup(6), [1, 2], "nonsym"),
+        (CyclicGroup(7), [1, 3], "nonsym"),
+        (CyclicGroup(8), [1, 2], "nonsym"),
+        (CyclicGroup(9), [1], "delta1"),
+        (CyclicGroup(10), [1, 5], "nonsym"),
+        (CyclicGroup(12), [3, 4], "nonsym"),
+        (DihedralGroup(4), [1, 4], "nonsym"),
+        (s3, [s3.index[(1, 0, 2)], s3.index[(1, 2, 0)]], "nonsym"),
+        (s4, [s4.index[(1, 0, 2, 3)], s4.index[(1, 2, 3, 0)]], "nonsym"),
+        (QuaternionGroup(), [2, 4], "nonsym"),
+        (a4, a4_support, "nonsym"),
+    ]
+    return [(f"{group.name}/{name}", group, uniform(group, support)) for group, support, name in cases]
 
 
 def fixture_theorem_checks(fixture_id, group, mu, lift=None):

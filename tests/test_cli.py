@@ -499,6 +499,33 @@ def test_analyze_rejects_bad_tol_override(tmp_path, capsys):
     assert "options.tol" in err
 
 
+def test_analyze_refuses_a_huge_symmetric_group_at_once(tmp_path, capsys):
+    config = dict(Z4_CONFIG, group={"kind": "symmetric", "n": 10**6}, tasks=["spectrum"])
+    start = time.perf_counter()
+    code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and "exceeds the supported bound 65536" in err
+
+
+def _unwritable_outputs(tmp_path):
+    config = write_config(tmp_path, Z4_CONFIG)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    return [
+        (["analyze", config, "--out", str(tmp_path / "missing" / "x.json")], tmp_path / "missing" / "x.json"),
+        (["verify", "examples", "--out", str(tmp_path / "a-dir")], tmp_path / "a-dir"),
+        (["analyze", config, "--csv", str(tmp_path / "a-file" / "csv")], tmp_path / "a-file" / "csv"),
+    ]
+
+
+def test_unwritable_outputs_exit_2_with_one_line(tmp_path, capsys):
+    for argv, path in _unwritable_outputs(tmp_path):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_analyze_rejects_non_finite_tol_override(tmp_path, capsys, tol):
     code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, Z4_CONFIG), "--tol", tol])

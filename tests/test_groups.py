@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupwalk.groups import (
+    MAX_ORDER,
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
+    FiniteGroup,
     FreeBall,
     GroupSpec,
     LatticeBall,
@@ -647,7 +652,7 @@ def test_finite_products_read_no_per_element_mul(group, monkeypatch):
     def per_element(self, a, b):
         raise AssertionError("called mul")
 
-    for cls in (CyclicGroup, DihedralGroup, SymmetricGroup, TableGroup, ProductGroup):
+    for cls in (FiniteGroup, SymmetricGroup):
         monkeypatch.setattr(cls, "mul", per_element)
     assert [(group.right_perm(h).tolist(), group.left_perm(h).tolist()) for h in hs] == expected
     assert group._element_orders().tolist() == orders
@@ -705,3 +710,133 @@ def test_free_ball_near_max_size_matches_mul_on_a_sample():
     for g in random.Random(0).sample(range(ball.order), 2000):
         assert right[g] == (-1 if ball.mul(g, a) is None else ball.mul(g, a))
         assert left[g] == (-1 if ball.mul(a, g) is None else ball.mul(a, g))
+
+
+# ---------------------------------------------------------------- one product per kind
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _s3_rows():
+    """The Cayley table of S3 from composed permutation tuples."""
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+
+
+S3_TABLE = TableGroup(_s3_rows(), name="S3table")
+
+
+def model_product(group, a, b):
+    """a*b of two indices in a model of each finite kind that shares no
+    arithmetic with the group's own product."""
+    if isinstance(group, ProductGroup):  # mixed radix, first factor major
+        shape = [f.order for f in group.factors]
+        digits = zip(group.factors, np.unravel_index(a, shape), np.unravel_index(b, shape))
+        return int(np.ravel_multi_index([model_product(f, int(x), int(y)) for f, x, y in digits], shape))
+    if isinstance(group, CyclicGroup):  # rotations of the plane by 2 pi a / n
+        turn = cmath.exp(2j * cmath.pi * a / group.n) * cmath.exp(2j * cmath.pi * b / group.n)
+        return round(cmath.phase(turn) * group.n / (2 * cmath.pi)) % group.n
+    if isinstance(group, DihedralGroup):  # index j + n*k is the map x -> (-1)^k x + j of Z_n
+        n = group.n
+        (s1, j1), (s2, j2) = (((-1) ** (g // n), g % n) for g in (a, b))
+
+        def composed(x):  # a after b, over the integers
+            return s1 * (s2 * x + j2) + j1
+
+        return composed(0) % n + n * (composed(1) < composed(0))
+    if isinstance(group, SymmetricGroup):
+        p, q = group.perms[a], group.perms[b]
+        return group.perms.index(tuple(p[i] for i in q))
+    if isinstance(group, QuaternionGroup):  # index 2u + s is (-1)^s times unit u of 1, i, j, k
+        units = [tuple((-1) ** (g % 2) * (g // 2 == m) for m in range(4)) for g in (a, b)]
+        product = _hamilton(*units)
+        u = max(range(4), key=lambda m: abs(product[m]))
+        return 2 * u + (product[u] < 0)
+    assert group is S3_TABLE
+    return _s3_rows()[a][b]
+
+
+MODEL_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(12),
+    CyclicGroup(60000),
+    DihedralGroup(1),
+    DihedralGroup(2),
+    DihedralGroup(7),
+    DihedralGroup(30000),
+    *[SymmetricGroup(n) for n in range(1, 6)],
+    QuaternionGroup(),
+    S3_TABLE,
+    ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
+    ProductGroup([CyclicGroup(16), CyclicGroup(16)]),
+    ProductGroup([CyclicGroup(2), ProductGroup([S3_TABLE, QuaternionGroup()]), SymmetricGroup(3)]),
+]
+
+
+@pytest.mark.parametrize("group", MODEL_GROUPS, ids=lambda g: g.name)
+@settings(max_examples=20)
+@given(st.data())
+def test_products_match_an_independent_model(group, data):
+    """_products over arrays, an array and one index, and two indices, and
+    the scalar mul, all equal the model's products."""
+    index = st.integers(0, group.order - 1)
+    a, b = (np.array(data.draw(st.lists(index, min_size=1, max_size=8))) for _ in range(2))
+    a, b = a[: len(b)], b[: len(a)]
+    expected = [model_product(group, int(x), int(y)) for x, y in zip(a, b)]
+    assert group._products(a, b).tolist() == expected
+    assert group._products(a, int(b[0])).tolist() == [model_product(group, int(x), int(b[0])) for x in a]
+    assert group._products(int(a[0]), b).tolist() == [model_product(group, int(a[0]), int(y)) for y in b]
+    assert group._products(int(a[0]), int(b[0])) == expected[0]
+    product = group.mul(int(a[0]), int(b[0]))
+    assert type(product) is int and product == expected[0]
+
+
+@pytest.mark.parametrize("group", FINITE_KINDS + [S3_TABLE], ids=lambda g: g.name)
+def test_scalar_mul_and_inv_read_the_elementwise_product(group):
+    """On every pair the scalar mul, S_n's tuple-and-dict path included,
+    equals the elementwise product at one index, and inv finds the identity
+    in the product's rows."""
+    hs = range(group.order) if group.order <= 48 else random.Random(1).sample(range(group.order), 48)
+    grid = group._products(np.arange(group.order), np.array(hs)[:, None])
+    assert [[group.mul(g, h) for g in group.elements()] for h in hs] == grid.tolist()
+    assert [group.inv(h) for h in hs] == np.argmax(grid == group.identity, axis=1).tolist()
+
+
+def _tuple_alternating_table(n):
+    """The A_n table built from permutation tuples, as alternating_group did
+    before it ranked the even rows of S_n."""
+    perms = []
+    for p in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        if inversions % 2 == 0:
+            perms.append(p)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_alternating_group_matches_the_tuple_construction(n):
+    group = alternating_group(n)
+    assert group.name == f"A{n}" and group.table.dtype == np.int64
+    assert group.table.tolist() == _tuple_alternating_table(n)
+
+
+
+def test_alternating_group_table_is_budgeted_before_the_product():
+    # A8's composed rows would be 20160 x 20160 x 8 int64 entries, 24 GiB
+    with pytest.raises(ConstructionError, match="A8 table's composed rows .* DENSE_BYTES_BUDGET"):
+        alternating_group(8)
+
+def test_symmetric_order_bound_stops_multiplying_at_the_bound():
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match=f"exceeds the supported bound {MAX_ORDER}"):
+        SymmetricGroup(10**6)
+    assert time.perf_counter() - start < 0.1
