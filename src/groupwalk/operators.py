@@ -376,12 +376,18 @@ class ConvolutionOperator:
     """Convolution operator on a finite group, stored as weighted permutations.
 
     (P f)(g) = sum over the support of mu(h) f(perm_h[g]), where perm_h[g]
-    is g*h for the right walk and h*g for the left walk.
+    is g*h for the right walk and h*g for the left walk.  The measure may
+    live on another object of the group, not on a group of another order.
     """
 
     def __init__(self, group, measure, side):
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        if measure.group.order != group.order:
+            raise ValueError(
+                f"a measure on {measure.group.name} (order {measure.group.order}) has no "
+                f"{side} operator on {group.name} (order {group.order})"
+            )
         self.group = group
         self.side = side
         self.weights = measure.weights

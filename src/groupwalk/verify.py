@@ -2,14 +2,16 @@
 
 Each check emits CheckRecords collected into a VerificationReport.  The
 default corpus covers small cyclic, dihedral, symmetric, quaternion, and
-alternating groups with seeded random symmetric generating measures, and
-the suites work through it one group at a time: the theorem suite labels a
-group's walks (one labelling per walk gives +1, -1 and generation) with one
-call per kind and solves its spectra in one call, and the foguel decay
-walks the left stencils of all its measures in one walk, with no dense
-operator.  The stirling suite's exp bound takes its matrix exponential
-from linalg.expm, a scaling and squaring Padé approximant in numpy, so
-numpy is the only dependency at run time.
+alternating groups with seeded random symmetric generating measures.  The
+theorem, foguel and revuz suites share one pass over it: each group's
+measures are sampled once, and the pass emits the group's theorem and revuz
+records (one labelling per walk gives +1, -1 and generation, one call per
+kind, and its spectra are solved in one call) and keeps only the left
+stencils and weights of its measures.  After the pass one foguel walk runs
+every group's measures side by side, with no dense operator.  The stirling
+suite's exp bound takes its matrix exponential from linalg.expm, a scaling
+and squaring Padé approximant in numpy, so numpy is the only dependency at
+run time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .groups import (
 )
 from .harmonic import (
     anti_harmonic_space,
-    decompose,
     factor_anti_harmonic,
     find_anti_character,
     harmonic_space,
@@ -52,10 +53,12 @@ from .measures import (
     uniform,
 )
 from .operators import (
-    ComputationError,
     GroupFunction,
     OperatorOnMatrices,
     _certified,
+    _fit,
+    _gather,
+    _max_abs,
     apply,
     apply_truncated,
     component_kernel,
@@ -165,9 +168,6 @@ class VerificationReport:
     def summary_lines(self):
         return [r.summary_line() for r in self.records]
 
-    def extend(self, other):
-        self.records.extend(other.records)
-
 
 @dataclass
 class FoguelDecayResult:
@@ -194,51 +194,79 @@ def foguel_decay(group, mu, eps=1e-6, n_max=500):
 
 
 def foguel_decays(group, measures, eps=1e-6, n_max=500):
-    """foguel_decay for several measures on one group, in one walk.
-
-    The m powers lie side by side in one vector of m*n entries.  A step
-    nu -> mu * nu reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the
-    inverse of each left stencil permutation: one gather, one multiply by
-    the weights and one np.add.reduce over the stencil axis, which adds the
-    terms in stencil order as `_gather` does.  Shorter stencils are padded
-    at the end with weight-0 terms, which leave every sum bit-identical,
-    and each gap is numpy's pairwise sum over one measure's row, so every
-    result equals that of walking its measure alone.
-    """
-    if group.is_truncated:
-        raise ConstructionError("foguel_decay requires a finite group")
-    n, m = group.order, len(measures)
-    stencils = [left_operator(group, mu).stencil() for mu in measures]
-    s = max(map(len, stencils))
-    # index, weight and term tables, two powers and a difference, the gaps
-    require_dense_budget((m, (3 * s + 3) * n + n_max), 8, f"the foguel walk on {group.name}")
-    index = np.tile(np.arange(m * n), (s, 1))  # padding terms read nu itself, with weight 0
-    weights = np.zeros((s, m * n))
-    current = np.zeros(m * n)
-    for j, (mu, stencil) in enumerate(zip(measures, stencils)):
-        block = slice(j * n, (j + 1) * n)
-        for k, (w, perm) in enumerate(stencil):
-            index[k, j * n + perm] = np.arange(j * n, (j + 1) * n)
-            weights[k, block] = float(w)
-        for h, w in mu.weights.items():
-            current[j * n + h] = float(w)
-    nxt = np.empty(m * n)
-    diff = np.empty(m * n)
-    gaps = np.empty((n_max, m))
-    for step in range(n_max):
-        terms = current[index]
-        np.multiply(terms, weights, out=terms)
-        np.add.reduce(terms, axis=0, out=nxt)
-        np.abs(np.subtract(current, nxt, out=diff), out=diff)
-        np.add.reduce(diff.reshape(m, n), axis=1, out=gaps[step])
-        current, nxt = nxt, current
-    gaps *= 0.5
-    below = gaps <= eps
-    first = np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0).tolist()
+    """foguel_decay for several measures on one group, in one walk
+    (`_foguel_walk`).  n_max must be an int >= 1 and measures non-empty."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
+    if not len(measures):
+        raise ValueError("measures must hold at least one measure")
+    [(gaps, first)] = _foguel_walk([_foguel_block(group, measures)], eps, n_max, group.name)
     return [
         FoguelDecayResult(gaps[:, j].tolist(), first[j] or None, group.identity in mu.weights)
         for j, mu in enumerate(measures)
     ]
+
+
+def _foguel_block(group, measures):
+    """(group, [(left stencil, weights)]): what the foguel walk reads of
+    measures on group, so that their memos (labellings, spectra and lifts)
+    need not be kept."""
+    if group.is_truncated:
+        raise ConstructionError("foguel_decay requires a finite group")
+    return group, [(left_operator(group, mu).stencil(), mu.weights) for mu in measures]
+
+
+FOGUEL_CHUNK = 10  # steps of differences buffered between two gap reductions
+
+
+def _foguel_walk(blocks, eps, n_max, where):
+    """(gaps, first) per `_foguel_block`: its n_max x m gaps and each
+    measure's first step with a gap <= eps (0 for none), from one walk of
+    the powers of every block's measures side by side.  A step nu -> mu * nu
+    reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the inverse of each
+    left stencil permutation (term k in row k) and adds the terms in
+    stencil order, as `_gather` does; shorter stencils are padded at the
+    end with weight-0 terms, which leave every sum bit-identical.  Each gap
+    is the last-axis np.add.reduce of a measure's n differences in a buffer
+    of FOGUEL_CHUNK steps: numpy's pairwise sum over that row, as when the
+    measure walks alone."""
+    walks = [(group.order, stencil, start) for group, entries in blocks for stencil, start in entries]
+    s, total = max(len(stencil) for _, stencil, _ in walks), sum(n for n, _, _ in walks)
+    # index, weight and term tables, two powers, the buffered differences, the gaps
+    shape = ((3 * s + 2 + FOGUEL_CHUNK) * total + len(walks) * n_max,)
+    require_dense_budget(shape, 8, f"the foguel walk on {where}")
+    index, weights = np.zeros((s, total), dtype=np.int64), np.zeros((s, total))
+    current, a = np.zeros(total), 0
+    for n, stencil, start in walks:
+        for k, (w, perm) in enumerate(stencil):
+            index[k, a + perm] = np.arange(a, a + n)
+            weights[k, a : a + n] = float(w)
+        for h, w in start.items():
+            current[a + h] = float(w)
+        a += n
+    nxt, diffs = np.empty(total), np.empty((FOGUEL_CHUNK, total))
+    gaps = [np.empty((n_max, len(entries))) for _, entries in blocks]
+    for step in range(n_max):
+        terms = current[index]
+        np.multiply(terms, weights, out=terms)
+        np.add.reduce(terms, axis=0, out=nxt)
+        row = diffs[step % FOGUEL_CHUNK]
+        np.abs(np.subtract(current, nxt, out=row), out=row)
+        current, nxt = nxt, current
+        rows = step % FOGUEL_CHUNK + 1
+        if rows == FOGUEL_CHUNK or step == n_max - 1:
+            a = 0
+            for (group, entries), out in zip(blocks, gaps):
+                m, n = len(entries), group.order
+                chunk = diffs[:rows, a : a + m * n].reshape(rows, m, n)
+                np.add.reduce(chunk, axis=-1, out=out[step + 1 - rows : step + 1])
+                a += m * n
+    results = []
+    for out in gaps:
+        out *= 0.5
+        below = out <= eps
+        results.append((out, np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0).tolist()))
+    return results
 
 
 def root_of_unity_check(group, mu, tol=1e-6, cap=None):
@@ -424,8 +452,9 @@ def corpus_fixtures(spec=None):
 
 
 def _iter_corpus(spec):
-    """The corpus fixtures one at a time, so the suites that walk it drop
-    each measure (and its memoised operators) after its checks."""
+    """The corpus fixtures one at a time: the one pass of the corpus suites
+    samples each measure once and drops a group's measures (and their
+    memoised operators) before the next group."""
     spec = spec or CorpusSpec()
     for group in spec.resolved_groups():
         rng = random.Random(f"{spec.seed}|{group.name}")
@@ -486,16 +515,7 @@ def fixture_theorem_checks(fixture_id, group, mu, lift=None):
     # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
     bi_basis = jointly_biharmonic_space(group, mu)
     walks = (right_operator(group, mu), left_operator(group, mu))
-
-    def splits(f):
-        try:
-            dec = decompose(f, mu)
-        except (ValueError, ComputationError):
-            return False
-        minus = -dec.anti_part
-        return dec.constant is not None and all(apply(op, dec.anti_part) == minus for op in walks)
-
-    split_ok = all(splits(f) for f in bi_basis)
+    split_ok = bool(_splits(*(op.stencil() for op in walks), bi_basis).all())
     record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={len(bi_basis)}")
 
     # anti-harmonic functions exist iff a sign character is -1 on the support
@@ -532,6 +552,22 @@ def fixture_theorem_checks(fixture_id, group, mu, lift=None):
     return records
 
 
+def _splits(right, left, functions):
+    """For each exact function f, whether decompose(f, mu) splits it into a
+    constant and a two-sided anti-harmonic part, given the stencils of mu's
+    right walk P and left walk L: P^2 f = f, L P f = f, t0 = (f + P f)/2 is
+    constant, and P t1 = L t1 = -t1 for t1 = (f - P f)/2.  A constant t0
+    gives P f = 2 t0 - f, so P^2 f = f and P t1 = -t1, and then L t1 = -t1
+    exactly when L P f = f: two exact checks cover the five identities, each
+    on the numerators of all functions at once, one column per function."""
+    cols = np.column_stack([f._nums for f in functions])
+    image, den = _gather(right, cols, 1)  # P f = image / den
+    scaled = _fit(cols, 2 * den * max(_max_abs(cols), 1)) * den
+    twice_t0 = scaled + image  # 2 den t0
+    constant = (twice_t0 == twice_t0[:1]).all(axis=0)
+    return constant & _certified([left], scaled - image, -1)  # 2 den t1
+
+
 def _lifts(group, measures):
     """(sides, classes) for the lift of nu = mu * mu of each measure (nu
     holds the identity, as mu is symmetric): the lifted right and left
@@ -541,28 +577,95 @@ def _lifts(group, measures):
     return list(zip(sides, component_kernel(sides, group.order**2, f"of the lift on {group.name}")))
 
 
-def run_theorem_suite(corpus=None):
-    """Theorem checks across the whole corpus; deterministic given the seed.
-    One group at a time, its right walks, two-sided walks and lifts are
+def _renamed(report, fixture):
+    """The records of a report, each renamed to fixture."""
+    for rec in report.records:
+        rec.fixture = fixture
+    return report.records
+
+
+def _foguel_records(blocks):
+    """The foguel records from one walk of every corpus group's block
+    (blocks holds (fixture ids, `_foguel_block`) in corpus order), then the
+    bipartite Z4 control, whose gaps stay at 1."""
+    records, note = [], "observation: identity not in support"
+    walked = _foguel_walk([block for _, block in blocks], 1e-6, 500, "the corpus")
+    for (fids, (group, entries)), (gaps, first) in zip(blocks, walked):
+        in_range = ((gaps >= -1e-12) & (gaps <= 1 + 1e-12)).all(axis=0).tolist()
+        for fid, (_, start), ok, k in zip(fids, entries, in_range, first):
+            if group.identity in start:
+                reached = ok and k > 0
+                records.append(CheckRecord(fid, "tv_gap_reaches_eps", k or "never", 500, reached))
+            else:
+                value = "ok" if ok else "out of range"
+                records.append(CheckRecord(fid, "tv_gap_in_unit_range", value, "[0, 1]", ok, note))
+    z4 = CyclicGroup(4)
+    stuck = all(d == 1.0 for d in foguel_decay(z4, uniform(z4, [1, 3])).distances)
+    value = "constant" if stuck else "decayed"
+    control = CheckRecord("Z4/bipartite", "tv_gap_constant_one", value, "constant", stuck, note)
+    return records + [control]
+
+
+def _revuz_trials(seed, trials):
+    """revuz_check on seeded random commuting stochastic pairs."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for trial in range(trials):
+        dim = int(rng.integers(2, 13))
+        raw = rng.random((dim, dim)) + 1e-3
+        t2 = raw / raw.sum(axis=1, keepdims=True)
+        t1 = (t2 + t2 @ t2) / 2.0
+        a = float(rng.uniform(0.1, 0.9))
+        records += _renamed(revuz_check(t1, t2, a), f"stochastic_pair_{trial:03d}")
+    return records
+
+
+CORPUS_SUITES = ("theorems", "foguel", "revuz")
+
+
+def _corpus_suites(names, corpus=None, seed=0, trials=100):
+    """{name: report} for the named corpus suites, from one pass over the
+    corpus (CorpusSpec(seed=seed) by default) that samples each measure
+    once.  Per group: its right walks, two-sided walks and lifts are
     labelled by one call per kind and its spectra solved by one call before
-    fixture_theorem_checks emits each fixture's records in corpus order."""
-    report = VerificationReport("theorems")
-    for group, fixtures in itertools.groupby(_iter_corpus(corpus), key=lambda item: item[1]):
-        fids, _, measures = zip(*fixtures)
-        ops = [right_operator(group, mu) for mu in measures]
-        label_walks(ops)
-        two_sided_classes(group, measures)
-        solve_spectra(ops)
-        small = group.order <= OPERATOR_CHECK_MAX_ORDER
-        lifts = _lifts(group, measures) if small else [None] * len(fids)
-        for fid, mu, lift in zip(fids, measures, lifts):
-            report.records.extend(fixture_theorem_checks(fid, group, mu, lift))
-    for fid, group, mu in nonsymmetric_fixtures():
-        sub = root_of_unity_check(group, mu)
-        for rec in sub.records:
-            rec.fixture = fid
-        report.records.extend(sub.records)
-    return report
+    fixture_theorem_checks runs on each fixture, the lazy fixtures get their
+    revuz records, and the foguel block is kept for one walk after the
+    pass.  Each suite keeps its order: theorems, then the non-symmetric
+    fixtures; foguel, then the Z4 control; the `trials` stochastic revuz
+    pairs, then the revuz corpus."""
+    records, blocks = {name: [] for name in names}, []
+    fixtures = _iter_corpus(corpus or CorpusSpec(seed=seed))
+    for group, batch in itertools.groupby(fixtures, key=lambda item: item[1]):
+        fids, _, measures = zip(*batch)
+        if "theorems" in names:
+            ops = [right_operator(group, mu) for mu in measures]
+            label_walks(ops)
+            two_sided_classes(group, measures)
+            solve_spectra(ops)
+            small = group.order <= OPERATOR_CHECK_MAX_ORDER
+            lifts = _lifts(group, measures) if small else [None] * len(fids)
+            for fid, mu, lift in zip(fids, measures, lifts):
+                records["theorems"] += fixture_theorem_checks(fid, group, mu, lift)
+        if "foguel" in names:
+            blocks.append((fids, _foguel_block(group, measures)))
+        if "revuz" in names:
+            for fid, mu in zip(fids, measures):
+                if group.identity in mu.weights:
+                    t1, t2 = (op(group, mu).as_array() for op in (right_operator, left_operator))
+                    records["revuz"] += _renamed(revuz_check(t1, t2, 0.5), f"{fid}/sided_operators")
+    if "theorems" in names:
+        for fid, group, mu in nonsymmetric_fixtures():
+            records["theorems"] += _renamed(root_of_unity_check(group, mu), fid)
+    if "foguel" in names:
+        records["foguel"] = _foguel_records(blocks)
+    if "revuz" in names:
+        records["revuz"][:0] = _revuz_trials(seed, trials)
+    return {name: VerificationReport(name, records[name]) for name in names}
+
+
+def run_theorem_suite(corpus=None):
+    """Theorem checks across the whole corpus; deterministic given the seed."""
+    return _corpus_suites(("theorems",), corpus)["theorems"]
 
 
 def _parity_function(ball):
@@ -637,80 +740,13 @@ def examples_suite():
 
 
 def foguel_suite(corpus=None):
-    """Decay of tv(mu^n, mu^(n+1)) whenever the identity carries mass.
-
-    Each corpus group's measures are walked together (`foguel_decays`);
-    the records keep corpus order.
-    """
-    report = VerificationReport("foguel")
-    for group, fixtures in itertools.groupby(_iter_corpus(corpus), key=lambda item: item[1]):
-        fids, _, measures = zip(*fixtures)
-        for fid, result in zip(fids, foguel_decays(group, measures)):
-            in_range = all(-1e-12 <= d <= 1 + 1e-12 for d in result.distances)
-            if result.identity_in_support:
-                ok = in_range and result.first_below is not None
-                report.records.append(
-                    CheckRecord(
-                        fid,
-                        "tv_gap_reaches_eps",
-                        result.first_below if result.first_below is not None else "never",
-                        500,
-                        ok,
-                    )
-                )
-            else:
-                report.records.append(
-                    CheckRecord(
-                        fid,
-                        "tv_gap_in_unit_range",
-                        "ok" if in_range else "out of range",
-                        "[0, 1]",
-                        in_range,
-                        note="observation: identity not in support",
-                    )
-                )
-    z4 = CyclicGroup(4)
-    bipartite = uniform(z4, [1, 3])
-    result = foguel_decay(z4, bipartite)
-    stuck = all(d == 1.0 for d in result.distances)
-    report.records.append(
-        CheckRecord(
-            "Z4/bipartite",
-            "tv_gap_constant_one",
-            "constant" if stuck else "decayed",
-            "constant",
-            stuck,
-            note="observation: identity not in support",
-        )
-    )
-    return report
+    """tv(mu^n, mu^(n+1)) over the corpus in one walk, plus the Z4 control."""
+    return _corpus_suites(("foguel",), corpus)["foguel"]
 
 
 def revuz_suite(seed=0, trials=100, corpus=None):
     """Random commuting stochastic pairs plus convolution-operator blends."""
-    rng = np.random.default_rng(seed)
-    report = VerificationReport("revuz")
-    for trial in range(trials):
-        dim = int(rng.integers(2, 13))
-        raw = rng.random((dim, dim)) + 1e-3
-        t2 = raw / raw.sum(axis=1, keepdims=True)
-        t1 = (t2 + t2 @ t2) / 2.0
-        a = float(rng.uniform(0.1, 0.9))
-        sub = revuz_check(t1, t2, a)
-        for rec in sub.records:
-            rec.fixture = f"stochastic_pair_{trial:03d}"
-        report.records.extend(sub.records)
-    corpus = corpus or CorpusSpec(seed=seed)
-    for fid, group, mu in _iter_corpus(corpus):
-        if group.identity not in mu.weights:
-            continue
-        t1 = right_operator(group, mu).as_array()
-        t2 = left_operator(group, mu).as_array()
-        sub = revuz_check(t1, t2, 0.5)
-        for rec in sub.records:
-            rec.fixture = f"{fid}/sided_operators"
-        report.records.extend(sub.records)
-    return report
+    return _corpus_suites(("revuz",), corpus, seed, trials)["revuz"]
 
 
 def stirling_suite(seed=0, trials=100):
@@ -750,20 +786,16 @@ SUITE_NAMES = ("all", "theorems", "foguel", "revuz", "stirling", "examples")
 
 
 def verify_suite(name, seed=0):
-    """Build the named verification report; `all` concatenates every suite."""
-    if name == "examples":
-        return examples_suite()
-    if name == "theorems":
-        return run_theorem_suite(CorpusSpec(seed=seed))
-    if name == "foguel":
-        return foguel_suite(CorpusSpec(seed=seed))
-    if name == "revuz":
-        return revuz_suite(seed=seed)
-    if name == "stirling":
-        return stirling_suite(seed=seed)
-    if name == "all":
-        report = VerificationReport("all")
-        for sub in ("examples", "theorems", "foguel", "revuz", "stirling"):
-            report.extend(verify_suite(sub, seed=seed))
-        return report
-    raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}")
+    """Build the named verification report; `all` concatenates every suite,
+    its corpus suites from one pass over the corpus."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}")
+    names = ("examples", *CORPUS_SUITES, "stirling") if name == "all" else (name,)
+    corpus = [n for n in names if n in CORPUS_SUITES]
+    reports = {"examples": examples_suite()} if "examples" in names else {}  # run in report order
+    reports.update(_corpus_suites(corpus, seed=seed) if corpus else {})
+    if "stirling" in names:
+        reports["stirling"] = stirling_suite(seed=seed)
+    if name != "all":
+        return reports[name]
+    return VerificationReport("all", [rec for sub in names for rec in reports[sub].records])

@@ -337,10 +337,19 @@ BALL_CONFIG = {
          "6aab2c3984424e378d8d368e2036b515c5154819d09f212920239d1874bb777f"),
         (["verify", "theorems", "--seed", "7"], None,
          "d3bc3717921ee364f84d2e95d93fa82da6e2fea2990cab59e7ccc090c55e5423"),
+        (["verify", "all", "--seed", "0"], None,
+         "e369a1987af2800bfde1db8c20e1b26aa77da252a002f71e952742d629839c20"),
+        (["verify", "all", "--seed", "7"], None,
+         "5d5b7d60dcfa8903aa049dd44c9ccdadfe64bb008546d654a8d411d164b7c6d7"),
+        (["verify", "revuz", "--seed", "0"], None,
+         "2a8082489b116293d2f30bfd52860bb48119d990a68a58d77501a80fd3188030"),
+        (["verify", "foguel", "--seed", "7"], None,
+         "d4c69a3aa10571802a75643bdb1ca59baeef3f706afeff6df685b900cde86a2e"),
     ],
     ids=[
         "verify-examples", "s4-biharmonic-boundary", "ball-character-verify", "verify-foguel",
-        "verify-theorems", "verify-theorems-seed7",
+        "verify-theorems", "verify-theorems-seed7", "verify-all", "verify-all-seed7",
+        "verify-revuz", "verify-foguel-seed7",
     ],
 )
 def test_report_bytes_match_pinned_digest(tmp_path, argv, config, digest):
@@ -355,7 +364,11 @@ def test_report_bytes_match_pinned_digest(tmp_path, argv, config, digest):
     |lambda^k - 1|) by at most 3.6e-15 and no verdict.  The held-out seed
     7 digest was taken from the suite that checked one fixture at a time;
     labelling and solving each corpus group's walks together reproduces
-    it byte for byte."""
+    it byte for byte.  The `verify all` (seeds 0 and 7), `verify revuz` and
+    seed 7 `verify foguel` digests were taken from the suites that sampled
+    the corpus once per suite, walked each group's foguel measures apart
+    and split each bi-harmonic basis function through decompose; one pass
+    over the corpus reproduces them byte for byte."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

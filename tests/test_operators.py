@@ -340,6 +340,19 @@ def test_operators_are_memoised_per_measure_and_side():
     assert right_operator(twin, mu) is not right_operator(twin, mu)
 
 
+@pytest.mark.parametrize("home, other", [(4, 5), (5, 4)])
+def test_operators_refuse_a_measure_from_a_group_of_another_order(home, other):
+    """Z5 with a measure on Z4 used to return numbers (or fail in the
+    eigen-residual check) and Z4 with a measure on Z5 an IndexError."""
+    group, mu = CyclicGroup(other), uniform(CyclicGroup(home), [0, 1, home - 1])
+    for build in (right_operator, left_operator, ConvolutionOperator):
+        args = (group, mu, "right") if build is ConvolutionOperator else (group, mu)
+        with pytest.raises(ValueError, match=f"measure on Z{home} .* on Z{other} "):
+            build(*args)
+    twin = CyclicGroup(home)  # another object of the same group stays allowed
+    assert spectrum(right_operator(twin, mu)).peripheral == [1.0]
+
+
 def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
     g = DihedralGroup(6)  # six 2 x 2 character blocks
     mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])

@@ -14,9 +14,12 @@ from groupwalk.groups import (
     CyclicGroup,
     DihedralGroup,
     LatticeBall,
+    ProductGroup,
     QuaternionGroup,
     SymmetricGroup,
 )
+from groupwalk.harmonic import anti_harmonic_space, decompose, jointly_biharmonic_space
+from groupwalk.linalg import ComputationError
 from groupwalk.measures import (
     convolve,
     delta,
@@ -26,7 +29,7 @@ from groupwalk.measures import (
     tv_distance,
     uniform,
 )
-from groupwalk.operators import left_operator, right_operator
+from groupwalk.operators import GroupFunction, apply, left_operator, right_operator
 from groupwalk.verify import (
     CheckRecord,
     CorpusSpec,
@@ -197,16 +200,17 @@ def test_foguel_decay_builds_no_dense_operator():
 
 
 def test_foguel_suite_walks_each_group_once(monkeypatch):
+    """One walk of every corpus group's block, then the bipartite control."""
     walks = []
-    real = verify.foguel_decays
+    real = verify._foguel_walk
 
-    def counting(group, measures, *args):
-        walks.append((group.name, len(measures)))
-        return real(group, measures, *args)
+    def counting(blocks, *args):
+        walks.append([(group.name, len(entries)) for group, entries in blocks])
+        return real(blocks, *args)
 
-    monkeypatch.setattr(verify, "foguel_decays", counting)
+    monkeypatch.setattr(verify, "_foguel_walk", counting)
     report = foguel_suite(TINY_CORPUS)
-    assert walks == [("Z4", 3), ("Z5", 3), ("Z4", 1)]  # the last is the bipartite control
+    assert walks == [[("Z4", 3), ("Z5", 3)], [("Z4", 1)]]
     assert [r.fixture for r in report.records] == [
         "Z4/sym00", "Z4/sym01", "Z4/sym02", "Z5/sym00", "Z5/sym01", "Z5/sym02", "Z4/bipartite",
     ]
@@ -241,6 +245,43 @@ def test_foguel_power_table_refused_over_budget(monkeypatch):
     with pytest.raises(ConstructionError, match="foguel walk on Z4.*DENSE_BYTES_BUDGET"):
         foguel_decay(g, uniform(g, [0, 1]))
     assert foguel_decay(g, uniform(g, [0, 1]), n_max=10).first_below is None
+
+
+def test_foguel_suite_fails_gaps_out_of_the_unit_range(monkeypatch):
+    real = verify._foguel_walk
+
+    def bent(blocks, *args):
+        walked = real(blocks, *args)
+        for gaps, _ in walked:
+            gaps[-1] = 1.5
+        return walked
+
+    monkeypatch.setattr(verify, "_foguel_walk", bent)
+    records = foguel_suite(TINY_CORPUS).records
+    assert not any(r.passed for r in records)
+    observed = {r.value for r in records if r.quantity == "tv_gap_in_unit_range"}
+    assert observed == {"out of range"}
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"n_max": 0}, "n_max"), ({"n_max": -1}, "n_max"), ({"n_max": 2.5}, "n_max"),
+     ({"n_max": True}, "n_max"), ({"measures": []}, "measures")],
+    ids=["n_max=0", "n_max=-1", "n_max=2.5", "n_max=True", "no-measures"],
+)
+def test_foguel_decays_refuses_bad_arguments_before_any_allocation(monkeypatch, kwargs, name):
+    g = CyclicGroup(4)
+    monkeypatch.setattr(verify, "_foguel_block", lambda *args: pytest.fail("a walk was built"))
+    with pytest.raises(ValueError, match=name):
+        foguel_decays(g, **{"measures": [uniform(g, [0, 1])], **kwargs})
+
+
+@pytest.mark.parametrize("home, other", [(4, 5), (5, 4)])
+def test_foguel_refuses_a_measure_from_a_group_of_another_order(home, other):
+    mu = uniform(CyclicGroup(home), [0, 1, home - 1])
+    with pytest.raises(ValueError, match=f"measure on Z{home} .* on Z{other} "):
+        foguel_decays(CyclicGroup(other), [mu])
+    assert foguel_decay(CyclicGroup(home), mu).first_below is not None  # same order: allowed
 
 
 def test_foguel_rejects_truncated_group():
@@ -467,17 +508,91 @@ def test_fixture_checks_without_character():
     assert all(r.passed for r in records)
 
 
-def test_fixture_checks_propagate_unexpected_decompose_errors(monkeypatch):
-    # ValueError and ComputationError mark a violated split; anything else is a fault
-    from groupwalk import verify
+def test_fixture_split_check_fails_violations_and_propagates_errors(monkeypatch):
+    # a violated identity is a failed record; anything raised on the way is a fault
+    g = CyclicGroup(4)
+    mu = uniform(g, [1, 3])
+    basis = jointly_biharmonic_space(g, mu)
+    bent = basis[:-1] + [basis[-1] + GroupFunction(g, [1, 0, 0, 0])]
+    monkeypatch.setattr(verify, "jointly_biharmonic_space", lambda group, mu: bent)
+    split = [r for r in fixture_theorem_checks("unit", g, mu) if r.quantity == "biharmonic_split"]
+    assert [(r.value, r.passed, r.note) for r in split] == [("violated", False, "dim=2")]
 
-    def broken(f, mu):
+    def broken(*args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(verify, "decompose", broken)
-    g = CyclicGroup(4)
+    monkeypatch.setattr(verify, "_gather", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
-        fixture_theorem_checks("unit", g, uniform(g, [1, 3]))
+        fixture_theorem_checks("unit", g, mu)
+
+
+# every finite kind; orders >= 3, so no delta is jointly bi-harmonic
+SPLIT_GROUPS = [
+    CyclicGroup(3), CyclicGroup(6), CyclicGroup(8), DihedralGroup(3), DihedralGroup(4),
+    SymmetricGroup(3), QuaternionGroup(), alternating_group(4),
+    ProductGroup([CyclicGroup(2), CyclicGroup(2)]), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+]
+
+
+def decompose_splits(f, mu):
+    """The per-function oracle: decompose, then both walks negate t1."""
+    try:
+        dec = decompose(f, mu)
+    except (ValueError, ComputationError):
+        return False
+    walks = (right_operator(f.group, mu), left_operator(f.group, mu))
+    return dec.constant is not None and all(apply(op, dec.anti_part) == -dec.anti_part for op in walks)
+
+
+def five_identities(f, mu):
+    """P^2 f = f, L P f = f, t0 constant, P t1 = -t1 and L t1 = -t1, one
+    `apply` at a time, for any measure."""
+    right, left = right_operator(f.group, mu), left_operator(f.group, mu)
+    pf = apply(right, f)
+    t0, t1 = (f + pf).scale(F(1, 2)), (f - pf).scale(F(1, 2))
+    return (
+        apply(right, pf) == f and apply(left, pf) == f
+        and t0 == GroupFunction.constant(f.group, t0[0])
+        and apply(right, t1) == -t1 and apply(left, t1) == -t1
+    )
+
+
+@given(st.sampled_from(SPLIT_GROUPS), st.integers(0, 2**32 - 1), st.booleans())
+def test_split_columns_match_decompose_oracle(group, seed, generating):
+    """The column check against the five identities on the bi-harmonic
+    basis, scaled copies (denominators), sums, one perturbed entry, a random
+    function and the one-sided anti-harmonic functions, for symmetric
+    measures generating or not (uniform on {g, g^-1}), where a function can
+    meet some identities and miss others; against decompose as well when mu
+    generates, where a perturbed basis function never splits."""
+    rng = random.Random(seed)
+    if generating:
+        mu = random_symmetric_generating_measure(group, rng)
+    else:
+        g = rng.randrange(1, group.order)
+        mu = uniform(group, sorted({g, group.inv(g)}))
+    basis = jointly_biharmonic_space(group, mu)
+    one = rng.randrange(len(basis))
+    delta_at = [0] * group.order
+    delta_at[rng.randrange(group.order)] = rng.choice([-1, 1])
+    perturbed = basis[one] + GroupFunction(group, delta_at)
+    noise = GroupFunction(group, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(group.order)])
+    one_sided = anti_harmonic_space(group, mu) + anti_harmonic_space(group, mu, "left")
+    functions = [
+        *basis,
+        basis[one].scale(F(rng.randint(-5, 5) or 1, rng.randint(1, 9))),
+        basis[0] + basis[-1].scale(F(2, 3)),
+        perturbed,
+        noise,
+        *one_sided,  # P f = -f or L f = -f: some of the identities hold, not always all
+        *(basis[0] + f for f in one_sided),
+    ]
+    right, left = right_operator(group, mu).stencil(), left_operator(group, mu).stencil()
+    columns = verify._splits(right, left, functions).tolist()
+    assert columns == [five_identities(f, mu) for f in functions]
+    if is_generating(mu):
+        assert columns == [decompose_splits(f, mu) for f in functions]
+        assert columns[: len(basis) + 3] == [True] * (len(basis) + 2) + [False]
 
 
 def test_fixture_checks_reject_asymmetric():
@@ -534,6 +649,24 @@ def test_stirling_suite_has_trend_records():
         "ratio_n=100",
         "ratio_n=200",
     ]
+
+
+def test_verify_all_samples_each_fixture_once_and_matches_the_suites_alone(monkeypatch):
+    sampled = []
+    real = verify.random_symmetric_generating_measure
+    monkeypatch.setattr(
+        verify, "random_symmetric_generating_measure",
+        lambda group, rng: sampled.append(group.name) or real(group, rng),
+    )
+    together = verify_suite("all", seed=0)
+    assert len(sampled) == 25 * 20  # not once per corpus suite
+    alone = [
+        rec.to_json()
+        for name in ("examples", "theorems", "foguel", "revuz", "stirling")
+        for rec in verify_suite(name, seed=0).records
+    ]
+    assert len(sampled) == 4 * 25 * 20
+    assert [rec.to_json() for rec in together.records] == alone
 
 
 def test_verify_suite_dispatch_and_determinism():
