@@ -223,7 +223,7 @@ def min_return(mu, cap):
     Works on supports only, so no weight arithmetic is involved.  Returns
     None when the identity is not reached within cap steps.
     """
-    if not isinstance(cap, int) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise MeasureError(f"min_return needs an integer cap >= 1, got {cap}")
     group = mu.group
     if group.is_truncated:

@@ -27,8 +27,9 @@ its stencil, its read-only dense matrix and its eigenvalues and eigenpair
 residuals, solved once on every finite group by one path: one r x r block
 per character of an abelian subgroup of index r, from one fftn and one
 batched eigensolve for all the operators of one `solve_spectra` call, with
-no n x n matrix.  Dense allocations are estimated first and refused above
-DENSE_BYTES_BUDGET.
+no n x n matrix; `eigenspace` off +-1 lifts the null vectors v of the same
+blocks to f(a^kappa g_i) = chi_k(a^kappa) v_i (at x^-1 for the left walk).
+Dense allocations are estimated first and refused above DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import ConstructionError, _classes, _roots, _union
-from .linalg import ComputationError, float_nullspace, normalize_leading
+from .linalg import ComputationError, normalize_leading
 from .measures import GroupMeasure, is_symmetric
 
 PERIPHERAL_TOL = 1e-8
@@ -460,6 +461,28 @@ class ConvolutionOperator:
         return f"<ConvolutionOperator {self.side} on {self.group.name}>"
 
 
+def _character_blocks(ops):
+    """(steps g_i s_h, weights, which, ks, direct B_k) of `solve_spectra`, budgeted first."""
+    group, m = ops[0].group, len(ops)
+    orders, coset, kappa = group.abelian_cosets()
+    reps = np.flatnonzero(~kappa.any(axis=1))
+    r, size = len(reps), group.order // len(reps)
+    supports = [sorted(op.weights) for op in ops]
+    which = np.repeat(np.arange(m), [len(s) for s in supports])  # each step's operator
+    require_dense_budget((m * size, r, r), 16, f"the character blocks on {group.name}")
+    require_dense_budget((len(which), group.order, len(orders)), 16, f"the character phases on {group.name}")
+    weights = np.array([float(op.weights[h]) for op, s in zip(ops, supports) for h in s])
+    hs = [group.inv(h) if op.side == "left" else h for op, s in zip(ops, supports) for h in s]
+    steps = group._products(reps, np.array(hs)[:, None])  # g_i s_h for every step s_h
+    ks = np.indices(orders).reshape(len(orders), size)
+    angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
+    phases = weights[:, None] * np.exp(2j * np.pi * angle)
+    direct = np.zeros((m, size, r, r), dtype=complex)
+    at = (which[:, None], slice(None), np.arange(r), coset[steps])
+    np.add.at(direct, at, phases.transpose(1, 2, 0))
+    return steps, weights, which, ks, direct.reshape(m * size, r, r)
+
+
 def solve_spectra(ops):
     """Solve the eigenvalues and eigenpair residuals of several operators
     on one group together (those not yet solved), from one r x r block per
@@ -483,22 +506,11 @@ def solve_spectra(ops):
         return
     group, m = todo[0].group, len(todo)
     orders, coset, kappa = group.abelian_cosets()
-    reps = np.flatnonzero(~kappa.any(axis=1))
-    r = len(reps)
-    size = group.order // r
-    supports = [sorted(op.weights) for op in todo]
-    which = np.repeat(np.arange(m), [len(s) for s in supports])  # each step's operator
-    require_dense_budget((m * size, r, r), 16, f"the character blocks on {group.name}")
-    require_dense_budget(
-        (len(which), group.order, len(orders)), 16, f"the character phases on {group.name}"
-    )
-    weights = np.array([float(op.weights[h]) for op, s in zip(todo, supports) for h in s])
-    hs = [group.inv(h) if op.side == "left" else h for op, s in zip(todo, supports) for h in s]
-    steps = group._products(reps, np.array(hs)[:, None])  # g_i s_h for every step s_h
+    steps, weights, which, ks, direct = _character_blocks(todo)
+    r, size = steps.shape[1], ks.shape[1]
     table = np.zeros((m, *orders, r, r))
     at = (which[:, None], *np.moveaxis(kappa[steps], -1, 0), np.arange(r), coset[steps])
     table[at] = weights[:, None]
-    ks = np.indices(orders).reshape(len(orders), size)
     neg = np.ravel_multi_index(-ks % np.array(orders)[:, None], orders)  # -k, flat
     blocks = np.fft.fftn(table, axes=range(1, len(orders) + 1)).reshape(m, size, r, r)[:, neg]
     real = neg == np.arange(size)
@@ -512,12 +524,6 @@ def solve_spectra(ops):
                 eigvals[kind], vecs[kind] = solve(blocks[kind])
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver failed for the walks on {group.name}: {exc}") from exc
-    angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
-    phases = weights[:, None] * np.exp(2j * np.pi * angle)
-    direct = np.zeros((m, size, r, r), dtype=complex)
-    at = (which[:, None], slice(None), np.arange(r), coset[steps])
-    np.add.at(direct, at, phases.transpose(1, 2, 0))
-    direct = direct.reshape(m * size, r, r)
     residuals = np.linalg.norm(direct @ vecs - vecs * eigvals[:, None, :], axis=1)
     residuals /= np.linalg.norm(vecs, axis=1)
     eigvals.flags.writeable = False
@@ -863,27 +869,30 @@ def eigenspace(op, lam, tol=1e-9):
     none.  The dimension rests on this theorem, not on the weights;
     component_kernel labels the classes and certifies P v = lam v exactly
     for every vector.  Both bases come from the operator's one labelling
-    (`op.classes()`), which is_generating reads too.  Otherwise a floating
-    rank-revealing nullspace of the dense P - lam I, budgeted first, with
-    vectors normalized so the entry at the identity is 1 when nonzero,
-    else the first nonzero entry is 1.  Returns [] when lam is not an
-    eigenvalue.
+    (`op.classes()`), which is_generating reads too.  Otherwise the null
+    vectors v of `solve_spectra`'s blocks B_k - lam I (one batched SVD at
+    tol) lift to f(a^kappa g_i) = chi_k(a^kappa) v_i, at x^-1 on the left,
+    normalized so the entry at the identity is 1 when nonzero, else the
+    first nonzero entry is 1.  Returns [] when lam is not an eigenvalue.
     """
+    if isinstance(lam, bool) or not math.isfinite(abs(lam)):
+        raise ValueError(f"lam must be a finite number, got {lam!r}")
+    if isinstance(tol, bool) or not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     group = op.group
     if lam in (1, -1):
         basis = op.classes().basis(1 if lam == 1 else -1, f"on {group.name}")
         return [GroupFunction._from_numerators(group, vec) for vec in basis]
-    n = group.order
-    # 8 complex n x n arrays: the float P, P - lam I, the SVD's copy, factors and workspace
-    require_dense_budget((8, n, n), 16, f"the dense {lam} eigenspace on {group.name}")
-    a = op.as_array().astype(complex)
-    a[np.diag_indices(n)] -= complex(lam)
-    out = []
-    for vec in float_nullspace(a, tol).T:
-        if np.allclose(vec.imag, 0.0, atol=1e-12):
-            vec = vec.real
-        out.append(GroupFunction(group, normalize_leading(list(vec), cutoff=1e-12)))
-    return out
+    *_, ks, blocks = _character_blocks([op])
+    _, sing, vh = np.linalg.svd(blocks - complex(lam) * np.eye(blocks.shape[-1]))
+    k, j = np.nonzero(sing <= tol)
+    orders, coset, kappa = group.abelian_cosets()
+    at = np.array([group.inv(x) for x in group.elements()]) if op.side == "left" else np.arange(group.order)
+    require_dense_budget((len(k), group.order, len(orders)), 16, f"the {lam} eigenspace on {group.name}")
+    angle = (ks.T[k, None] * kappa[at] % orders / orders).sum(axis=-1)
+    lifted = np.exp(2j * np.pi * angle) * vh[k, j].conj()[:, coset[at]]
+    lifted = [np.array(normalize_leading(vec, cutoff=1e-12)) for vec in lifted]
+    return [GroupFunction._from_array(group, v.real if np.allclose(v.imag, 0, atol=1e-12) else v) for v in lifted]
 
 
 class OperatorOnMatrices:
@@ -974,7 +983,4 @@ def eigen_operator_to_function(T, lam, mu, tol=1e-9):
         raise ValueError(
             f"Fourier coefficient violates the eigen relation beyond tol (residual {res:.3e})"
         )
-    values = [complex(v) for v in vec]
-    if all(abs(v.imag) <= 1e-14 for v in values):
-        values = [v.real for v in values]
-    return best_g, GroupFunction(group, values)
+    return best_g, GroupFunction._from_array(group, vec.real if np.allclose(vec.imag, 0, atol=1e-14) else vec)

@@ -360,7 +360,7 @@ def _exp_bound_rhs(n):
 
 def exp_bound_check(t, n):
     """Certify ||(I - T) exp(-n(I - T))|| <= 2 n^n / (e^n n!) for a contraction."""
-    if not isinstance(n, int) or not (1 <= n <= EXP_BOUND_MAX_N):
+    if isinstance(n, bool) or not isinstance(n, int) or not (1 <= n <= EXP_BOUND_MAX_N):
         raise ValueError(f"n must be an integer in 1..{EXP_BOUND_MAX_N}, got {n}")
     t = np.asarray(t, dtype=float)
     eye = np.eye(t.shape[0])

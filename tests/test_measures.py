@@ -298,6 +298,12 @@ def test_min_return_oracle():
     assert min_return(uniform(z6, [1, 2]), 6) == 3  # 1+1+... first hit: 2+2+2
 
 
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True])
+def test_min_return_refuses_a_bad_cap(cap):
+    with pytest.raises(ValueError, match="integer cap"):
+        min_return(delta(CyclicGroup(5), 1), cap)
+
+
 # ---------------------------------------------------------------- json
 
 def test_measure_json_round_trip():

@@ -295,23 +295,66 @@ def test_eigenspace_float_and_absent():
     assert eigenspace(op, 0.5) == []
 
 
-def test_dense_eigenspace_is_budgeted_before_any_allocation(monkeypatch):
-    """Away from +-1 the dense SVD path holds eight complex n x n arrays;
-    they are estimated before the float matrix is built."""
+def test_block_eigenspace_is_budgeted_before_any_allocation(monkeypatch):
+    """Away from +-1 the character blocks (D3: 3 blocks of 2 x 2) and then
+    the lifted basis are estimated before they are built."""
     g = DihedralGroup(3)
     op = right_operator(g, uniform(g, [1, 2]))
-    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 6 * 6 * 16 - 1)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 3 * 2 * 2 * 16 - 1)
     with monkeypatch.context() as patch:
         patch.setattr(ConvolutionOperator, "as_array", lambda self: pytest.fail("allocated"))
-        with pytest.raises(ConstructionError, match="dense -0.5 eigenspace on D3 needs a dense 8 x 6 x 6.*DENSE_BYTES_BUDGET"):
+        patch.setattr(type(g), "_products", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(ConstructionError, match="character blocks on D3 needs a dense 3 x 2 x 2.*DENSE_BYTES_BUDGET"):
             eigenspace(op, -0.5)
-    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 6 * 6 * 16)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 3 * 2 * 2 * 16)
+    with pytest.raises(ConstructionError, match="-0.5 eigenspace on D3 needs a dense 4 x 6 x 1.*DENSE_BYTES_BUDGET"):
+        eigenspace(op, -0.5)
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 4 * 6 * 16)
     assert len(eigenspace(op, -0.5)) == 4  # two triangles, each with -1/2 twice
-    # at order 8192 the float matrix (512 MiB) fits the real budget; the SVD does not
-    monkeypatch.undo()
-    d4096 = DihedralGroup(4096)
-    with pytest.raises(ConstructionError, match="8 x 8192 x 8192 array of 8192.0 MiB"):
-        eigenspace(right_operator(d4096, uniform(d4096, [1, 4095, 4096])), 0.5)
+
+
+def _certified_by_apply(op, lam, basis):
+    """|P f - lam f| <= 1e-9 |f| in the sup norm for every f in basis."""
+    return all(
+        np.abs(apply(op, f).as_array() - lam * f.as_array()).max() <= 1e-9 * f.sup_norm()
+        for f in basis
+    )
+
+
+def test_eigenspace_on_d4096_within_the_budget():
+    """Order 8192: the dense SVD would need 8 GiB; the blocks are 4096 of 2 x 2."""
+    g = DihedralGroup(4096)
+    op = right_operator(g, uniform(g, [1, 4095, 4096]))
+    eigvals = op.eigenvalues()[0]
+    lam = complex(eigvals[1234])
+    basis = eigenspace(op, lam)
+    assert len(basis) == np.count_nonzero(np.abs(eigvals - lam) <= 1e-9) >= 1
+    assert _certified_by_apply(op, lam, basis)
+
+
+def test_peripheral_eigenspace_of_z60000_delta_one():
+    """The walk of delta_1 on Z60000 has the simple eigenvalue omega =
+    exp(2 pi i 7/60000) with eigenvector x -> omega^x, on either side."""
+    g = CyclicGroup(60000)
+    omega = cmath.exp(2j * cmath.pi * 7 / 60000)
+    for op in (right_operator(g, delta(g, 1)), left_operator(g, delta(g, 1))):
+        (f,) = eigenspace(op, omega)
+        assert _certified_by_apply(op, omega, [f])
+        assert np.abs(f.as_array() - np.exp(2j * np.pi * 7 * np.arange(60000) / 60000)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0, -math.inf), True, False])
+def test_eigenspace_refuses_bad_lam(lam):
+    g = CyclicGroup(4)
+    with pytest.raises(ValueError, match="lam must be a finite number"):
+        eigenspace(right_operator(g, uniform(g, [1, 3])), lam)
+
+
+@pytest.mark.parametrize("tol", [0, -1e-9, math.nan, math.inf, True])
+def test_eigenspace_refuses_bad_tol(tol):
+    g = CyclicGroup(4)
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        eigenspace(right_operator(g, uniform(g, [1, 3])), 0, tol=tol)
 
 
 def test_spectrum_requires_finite():
@@ -930,6 +973,35 @@ def test_float_pm1_eigenspaces_span_the_dense_nullspace(walk):
             if basis:
                 vecs = np.stack([f.as_array() for f in basis], axis=1)
                 assert np.abs(vecs - null @ (null.conj().T @ vecs)).max() <= 1e-9
+
+
+EIGEN_GROUPS = [*KERNEL_GROUPS, alternating_group(4), SymmetricGroup(4)]
+
+
+@given(exact_walks(EIGEN_GROUPS), st.data())
+def test_block_eigenspace_matches_the_dense_nullspace(walk, data):
+    """For lam drawn from the spectrum, with exact and float weights on both
+    sides, the block basis has the dimension of the dense nullspace of
+    P - lam I at tol 1e-9, its unit vectors lie in it and it is certified
+    by apply; lam moved 0.1 off the spectrum (at least 0.05 from every
+    eigenvalue) gives [].  A non-symmetric walk may have a defective
+    eigenvalue, computed only to about sqrt(eps), where two null-space
+    computations agree to that order: those span within 1e-6."""
+    group, mu = walk
+    for nu, side in itertools.product((mu, mu.as_float()), ("right", "left")):
+        op = ConvolutionOperator(group, nu, side)
+        eigvals = op.eigenvalues()[0]
+        lam = complex(data.draw(st.sampled_from(eigvals.tolist())))
+        basis = eigenspace(op, lam)
+        null = float_nullspace(op.as_array() - lam * np.eye(group.order), tol=1e-9)
+        assert len(basis) == null.shape[1] >= 1
+        vecs = np.stack([f.as_array() for f in basis], axis=1)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        assert np.abs(vecs - null @ (null.conj().T @ vecs)).max() <= (1e-9 if op.symmetric else 1e-6)
+        assert _certified_by_apply(op, lam, basis)
+        off = lam + 0.1 * cmath.exp(1j * data.draw(st.floats(0, 2 * math.pi)))
+        if np.abs(eigvals - off).min() >= 0.05:
+            assert eigenspace(op, off) == []
 
 
 LIFT_GROUPS = [*KERNEL_GROUPS, CyclicGroup(12), DihedralGroup(6)]

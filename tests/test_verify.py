@@ -374,8 +374,8 @@ def test_exp_bound_identity_is_slack():
 
 def test_exp_bound_rejects_bad_n():
     t = np.eye(2)
-    for bad in (0, 501, 2.5):
-        with pytest.raises(ValueError):
+    for bad in (0, 501, 2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
             exp_bound_check(t, bad)
 
 
