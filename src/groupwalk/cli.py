@@ -15,14 +15,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .groups import ConstructionError, GroupSpec, build_group
-from .harmonic import (
-    anti_harmonic_space,
-    decompose,
-    find_anti_character,
-    harmonic_space,
-    jointly_biharmonic_space,
-    peripheral_boundary,
-)
+from .harmonic import decompose, find_anti_character, jointly_biharmonic_space, peripheral_boundary
 from .measures import MeasureError, is_generating, is_symmetric, measure_from_json
 from .operators import ComputationError, _function_values, right_operator, spectrum
 from .verify import (
@@ -201,8 +194,8 @@ def _task_character(group, mu, config):
     chi = find_anti_character(group, mu)
     out = {"character": chi.to_json() if chi is not None else None}
     if not group.is_truncated and mu.exact:
-        out["har_dim"] = len(harmonic_space(group, mu))
-        out["anti_dim"] = len(anti_harmonic_space(group, mu))
+        walk = right_operator(group, mu).classes()
+        out["har_dim"], out["anti_dim"] = walk.count(1), walk.count(-1)
     else:
         out["har_dim"] = None
         out["anti_dim"] = None
@@ -444,9 +437,6 @@ def main(argv=None):
         if args.command == "analyze":
             return _run_analyze(args)
         return _run_verify(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MeasureError, ConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ __all__ = [
     "rational_nullspace",
     "rational_solve",
     "rational_matmul",
-    "normalize_leading",
     "operator_norm",
     "float_nullspace",
     "expm",
@@ -101,19 +100,6 @@ def rational_matmul(a, b):
     m = len(b[0]) if b else 0
     bt = [[b[r][c] for r in range(k)] for c in range(m)]
     return [[sum(arow[i] * bcol[i] for i in range(k)) for bcol in bt] for arow in a]
-
-
-def normalize_leading(vec, cutoff=0.0):
-    """Scale a vector so the first entry is 1 when nonzero, else the first
-    nonzero entry is 1.  Works for Fraction and float entries alike."""
-    lead = None
-    for x in vec:
-        if abs(x) > cutoff:
-            lead = x
-            break
-    if lead is None:
-        return list(vec)
-    return [x / lead for x in vec]
 
 
 def operator_norm(matrix):

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import ConstructionError, _classes, _roots, _union
-from .linalg import ComputationError, normalize_leading
+from .linalg import ComputationError
 from .measures import GroupMeasure, is_symmetric
 
 PERIPHERAL_TOL = 1e-8
@@ -790,7 +790,8 @@ def component_kernel(walks, n, where):
     term, which adds no edge.  A basis holds one array per class (per
     bipartite class for -1), ordered by each class's largest index: its
     indicator, or its colouring with +1 at its smallest index, as in the
-    free-column basis of rational_nullspace scaled by normalize_leading.
+    free-column basis of rational_nullspace with each vector's first
+    nonzero entry scaled to 1.
 
     Every array is certified P v = +-v exactly by one pass over the
     composites q of all walks: each exact stencil's weights sum to exactly
@@ -872,8 +873,10 @@ def eigenspace(op, lam, tol=1e-9):
     (`op.classes()`), which is_generating reads too.  Otherwise the null
     vectors v of `solve_spectra`'s blocks B_k - lam I (one batched SVD at
     tol) lift to f(a^kappa g_i) = chi_k(a^kappa) v_i, at x^-1 on the left,
-    normalized so the entry at the identity is 1 when nonzero, else the
-    first nonzero entry is 1.  Returns [] when lam is not an eigenvalue.
+    each divided by its first entry of modulus at least 1e-8 times its
+    largest: the entry at the identity (index 0) unless that is round-off,
+    so no vector is scaled up by the inverse of a round-off entry.
+    Returns [] when lam is not an eigenvalue.
     """
     if isinstance(lam, bool) or not math.isfinite(abs(lam)):
         raise ValueError(f"lam must be a finite number, got {lam!r}")
@@ -891,7 +894,9 @@ def eigenspace(op, lam, tol=1e-9):
     require_dense_budget((len(k), group.order, len(orders)), 16, f"the {lam} eigenspace on {group.name}")
     angle = (ks.T[k, None] * kappa[at] % orders / orders).sum(axis=-1)
     lifted = np.exp(2j * np.pi * angle) * vh[k, j].conj()[:, coset[at]]
-    lifted = [np.array(normalize_leading(vec, cutoff=1e-12)) for vec in lifted]
+    mags = np.abs(lifted)
+    lead = (mags >= 1e-8 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    lifted /= lifted[np.arange(len(k)), lead][:, None]
     return [GroupFunction._from_array(group, v.real if np.allclose(v.imag, 0, atol=1e-12) else v) for v in lifted]
 
 

@@ -35,14 +35,7 @@ from .groups import (
     TableGroup,
     closure,
 )
-from .harmonic import (
-    anti_harmonic_space,
-    factor_anti_harmonic,
-    find_anti_character,
-    harmonic_space,
-    jointly_biharmonic_space,
-    two_sided_classes,
-)
+from .harmonic import find_anti_character, two_sided_classes
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
     convolve,
@@ -59,7 +52,6 @@ from .operators import (
     _fit,
     _gather,
     _max_abs,
-    apply,
     apply_truncated,
     component_kernel,
     label_walks,
@@ -496,9 +488,15 @@ def nonsymmetric_fixtures():
 def fixture_theorem_checks(fixture_id, group, mu, lift=None):
     """All structural checks for one symmetric generating fixture.  Its
     walks are labelled and solved once and kept on mu; `lift` is its entry
-    of `_lifts` when run_theorem_suite labelled the group's lifts."""
-    if not (is_symmetric(mu) and is_generating(mu)):
-        raise FixtureConstructionError(f"{fixture_id}: fixture must be symmetric and generating")
+    of `_lifts` when run_theorem_suite labelled the group's lifts.  Every
+    dimension is a class count of the right or two-sided walk, and each
+    identity is one exact column check over a whole basis: `_splits` on the
+    two-sided class indicators, and `_certified` on the -1 arrays times
+    chi, which are harmonic exactly when each anti-harmonic f is f1 * chi
+    with f1 harmonic (chi * chi = 1).  A character that is not -1 on the
+    support fails these records; it raises nothing."""
+    if not (mu.exact and is_symmetric(mu) and is_generating(mu)):
+        raise FixtureConstructionError(f"{fixture_id}: fixture must be exact, symmetric and generating")
     records = []
 
     def record(quantity, value, threshold, passed, note=""):
@@ -508,38 +506,39 @@ def fixture_theorem_checks(fixture_id, group, mu, lift=None):
         return "exact" if ok else "violated"
 
     # peripheral eigenvalues sit at +-1
-    peripheral = spectrum(right_operator(group, mu)).peripheral
+    right = right_operator(group, mu)
+    peripheral = spectrum(right).peripheral
     worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in peripheral), default=0.0)
     record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
 
     # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
-    bi_basis = jointly_biharmonic_space(group, mu)
-    walks = (right_operator(group, mu), left_operator(group, mu))
-    split_ok = bool(_splits(*(op.stencil() for op in walks), bi_basis).all())
-    record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={len(bi_basis)}")
+    two_sided = two_sided_classes(group, [mu])[0]
+    bi_dim = two_sided.count(1)
+    indicators = two_sided.basis(1, f"of the two-sided walk on {group.name}").T
+    split_ok = bool(_splits(right.stencil(), left_operator(group, mu).stencil(), indicators).all())
+    record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={bi_dim}")
 
     # anti-harmonic functions exist iff a sign character is -1 on the support
-    anti, har = anti_harmonic_space(group, mu), harmonic_space(group, mu)
+    walk = right.classes()
+    anti_dim, har_dim = walk.count(-1), walk.count(1)
     chi = find_anti_character(group, mu)
-    found = f"anti_dim={len(anti)},character={'yes' if chi else 'no'}"
-    record("anti_iff_character", found, "equivalent", (len(anti) > 0) == (chi is not None))
+    found = f"anti_dim={anti_dim},character={'yes' if chi else 'no'}"
+    record("anti_iff_character", found, "equivalent", (anti_dim > 0) == (chi is not None))
     if chi is not None:
-        record("anti_dim_equals_har_dim", len(anti), len(har), len(anti) == len(har))
-        factored = [factor_anti_harmonic(f, chi, mu) for f in anti]
-        factor_ok = all(apply(walks[0], f1) == f1 for f1 in factored)
+        record("anti_dim_equals_har_dim", anti_dim, har_dim, anti_dim == har_dim)
+        factors = walk.basis(-1, f"on {group.name}").T * np.array(chi.values)[:, None]
+        factor_ok = bool(_certified([right.stencil()], factors, 1).all())
         record("anti_factors_through_character", exact(factor_ok), "exact", factor_ok)
     else:
-        dims = f"anti_dim={len(anti)},bi_dim={len(bi_basis)}"
-        trivial = len(anti) == 0 and len(bi_basis) == 1
+        dims = f"anti_dim={anti_dim},bi_dim={bi_dim}"
+        trivial = anti_dim == 0 and bi_dim == 1
         record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
 
-    # peripheral eigenvalues are k-th roots of unity for the first return time
+    # peripheral eigenvalues are k-th roots of unity for the first return
+    # time k, at most the order of a support element, so never above |G|
     k = min_return(mu, group.order)
-    if k is None:
-        record("min_return", "none", group.order, False)
-    else:
-        worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
-        record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
+    worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
+    record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
 
     # matrix-level: the fixed arrays of right o left on the squared walk's
     # lift, one per class, are each checked exactly to be fixed by each side
@@ -552,15 +551,17 @@ def fixture_theorem_checks(fixture_id, group, mu, lift=None):
     return records
 
 
-def _splits(right, left, functions):
-    """For each exact function f, whether decompose(f, mu) splits it into a
-    constant and a two-sided anti-harmonic part, given the stencils of mu's
-    right walk P and left walk L: P^2 f = f, L P f = f, t0 = (f + P f)/2 is
-    constant, and P t1 = L t1 = -t1 for t1 = (f - P f)/2.  A constant t0
-    gives P f = 2 t0 - f, so P^2 f = f and P t1 = -t1, and then L t1 = -t1
-    exactly when L P f = f: two exact checks cover the five identities, each
-    on the numerators of all functions at once, one column per function."""
-    cols = np.column_stack([f._nums for f in functions])
+def _splits(right, left, cols):
+    """For each column f of the integer array cols, whether decompose(f, mu)
+    splits it into a constant and a two-sided anti-harmonic part, given the
+    stencils of mu's right walk P and left walk L: P^2 f = f, L P f = f,
+    t0 = (f + P f)/2 is constant, and P t1 = L t1 = -t1 for
+    t1 = (f - P f)/2.  A constant t0 gives P f = 2 t0 - f, so P^2 f = f and
+    P t1 = -t1, and then L t1 = -t1 exactly when L P f = f: two exact
+    checks cover the five identities, each on all columns at once.  Each
+    identity is linear and homogeneous, so a column may be any multiple of
+    its function (a numerator array over any denominator), and the columns
+    of a basis all pass exactly when its whole span does."""
     image, den = _gather(right, cols, 1)  # P f = image / den
     scaled = _fit(cols, 2 * den * max(_max_abs(cols), 1)) * den
     twice_t0 = scaled + image  # 2 den t0

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groupwalk
-from groupwalk import cli, harmonic, operators
+from groupwalk import cli, harmonic, operators, verify
 from groupwalk.cli import (
     AnalysisConfig,
     ConfigError,
@@ -23,6 +23,7 @@ from groupwalk.cli import (
     run_analysis,
 )
 from groupwalk.groups import CyclicGroup, DihedralGroup, SymmetricGroup
+from groupwalk.harmonic import Character
 from groupwalk.measures import delta
 from groupwalk.operators import GroupFunction
 from groupwalk.verify import CorpusSpec, run_theorem_suite
@@ -628,6 +629,22 @@ def test_verify_subcommand_writes_report(tmp_path, capsys):
     assert payload["suite"] == "stirling"
     assert payload["passed"] is True
     assert payload["checks"]
+
+
+def test_verify_theorems_with_a_wrong_character_writes_failed_records(tmp_path, capsys, monkeypatch):
+    # a character that is not -1 on the support is a wrong answer, not a bad input:
+    # the report is written with its failed records and the run exits 1
+    monkeypatch.setattr(
+        verify, "find_anti_character", lambda group, mu: Character(group, [1] * group.order)
+    )
+    out = tmp_path / "report.json"
+    code, _, err = run_main(capsys, ["verify", "theorems", "--seed", "0", "--out", str(out)])
+    assert (code, err) == (1, "")
+    payload = json.loads(out.read_text())
+    failed = {c["quantity"] for c in payload["checks"] if not c["passed"]}
+    assert payload["passed"] is False
+    assert "anti_factors_through_character" in failed
+    assert failed <= {"anti_iff_character", "anti_dim_equals_har_dim", "anti_factors_through_character"}
 
 
 def test_verify_subcommand_deterministic_bytes(tmp_path, capsys):

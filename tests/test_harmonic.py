@@ -35,7 +35,6 @@ from groupwalk.harmonic import (
     peripheral_boundary,
 )
 from groupwalk.linalg import (
-    normalize_leading,
     rational_matmul,
     rational_nullspace,
     rational_rref,
@@ -55,6 +54,7 @@ from groupwalk.operators import (
 from groupwalk.verify import CorpusSpec, alternating_group, corpus_fixtures
 
 from gf2_reference import GF2System, per_element_character
+from linalg_reference import normalize_leading
 
 F = Fraction
 

@@ -10,7 +10,6 @@ from groupwalk.linalg import (
     _PADE,
     expm,
     float_nullspace,
-    normalize_leading,
     operator_norm,
     rational_matmul,
     rational_nullspace,
@@ -19,6 +18,7 @@ from groupwalk.linalg import (
 )
 
 from gf2_reference import GF2System
+from linalg_reference import normalize_leading
 
 F = Fraction
 

@@ -23,7 +23,7 @@ from groupwalk.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from groupwalk.linalg import float_nullspace, normalize_leading, rational_rref
+from groupwalk.linalg import float_nullspace, rational_rref
 from groupwalk.measures import convolve, delta, make_measure, uniform
 from groupwalk.operators import (
     ComputationError,
@@ -45,6 +45,7 @@ from groupwalk.operators import (
 from groupwalk.verify import alternating_group
 
 from ball_reference import reference
+from linalg_reference import normalize_leading
 
 F = Fraction
 
@@ -341,6 +342,22 @@ def test_peripheral_eigenspace_of_z60000_delta_one():
         (f,) = eigenspace(op, omega)
         assert _certified_by_apply(op, omega, [f])
         assert np.abs(f.as_array() - np.exp(2j * np.pi * 7 * np.arange(60000) / 60000)).max() <= 1e-9
+
+
+def test_eigenspace_does_not_scale_by_a_round_off_identity_entry():
+    """On this S4 left walk the eigenvalues -3/11 +- 6.1e-10 i each have a
+    null vector whose identity entry is round-off sized: dividing by it
+    gave max|f| of 1.5e9 and an absolute residual of 2.8e-7.  Dividing by
+    the first entry of modulus >= 1e-8 times the largest keeps the vectors
+    at unit scale."""
+    g = SymmetricGroup(4)
+    mu = make_measure(g, [(8, F(2, 11)), (9, F(4, 11)), (16, F(3, 11)), (18, F(2, 11))])
+    op = left_operator(g, mu)
+    for lam in op.eigenvalues()[0][[4, 5]].tolist():
+        basis = eigenspace(op, lam)
+        assert len(basis) == 3
+        assert all(f.sup_norm() < 100 for f in basis)
+        assert _certified_by_apply(op, lam, basis)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0, -math.inf), True, False])

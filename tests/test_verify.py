@@ -18,7 +18,12 @@ from groupwalk.groups import (
     QuaternionGroup,
     SymmetricGroup,
 )
-from groupwalk.harmonic import anti_harmonic_space, decompose, jointly_biharmonic_space
+from groupwalk.harmonic import (
+    anti_harmonic_space,
+    decompose,
+    jointly_biharmonic_space,
+    two_sided_classes,
+)
 from groupwalk.linalg import ComputationError
 from groupwalk.measures import (
     convolve,
@@ -512,11 +517,13 @@ def test_fixture_split_check_fails_violations_and_propagates_errors(monkeypatch)
     # a violated identity is a failed record; anything raised on the way is a fault
     g = CyclicGroup(4)
     mu = uniform(g, [1, 3])
-    basis = jointly_biharmonic_space(g, mu)
-    bent = basis[:-1] + [basis[-1] + GroupFunction(g, [1, 0, 0, 0])]
-    monkeypatch.setattr(verify, "jointly_biharmonic_space", lambda group, mu: bent)
+    # the two-sided classes are {0, 2} and {1, 3}; {0, 1} and {2, 3} are not
+    # bi-harmonic, since P 1_{0,1} is the constant 1/2
+    bent = operators.WalkClasses(np.array([[0, 0, 1, 1], [-1] * 4]), np.ones(4, dtype=np.int64))
+    monkeypatch.setattr(verify, "two_sided_classes", lambda group, measures: [bent])
     split = [r for r in fixture_theorem_checks("unit", g, mu) if r.quantity == "biharmonic_split"]
     assert [(r.value, r.passed, r.note) for r in split] == [("violated", False, "dim=2")]
+    monkeypatch.undo()
 
     def broken(*args):
         raise TypeError("unsupported operand")
@@ -561,7 +568,9 @@ def five_identities(f, mu):
 def test_split_columns_match_decompose_oracle(group, seed, generating):
     """The column check against the five identities on the bi-harmonic
     basis, scaled copies (denominators), sums, one perturbed entry, a random
-    function and the one-sided anti-harmonic functions, for symmetric
+    function, the one-sided anti-harmonic functions and the two-sided class
+    indicators (the columns fixture_theorem_checks passes), each column the
+    numerators of its function over its own denominator, for symmetric
     measures generating or not (uniform on {g, g^-1}), where a function can
     meet some identities and miss others; against decompose as well when mu
     generates, where a perturbed basis function never splits."""
@@ -578,6 +587,7 @@ def test_split_columns_match_decompose_oracle(group, seed, generating):
     perturbed = basis[one] + GroupFunction(group, delta_at)
     noise = GroupFunction(group, [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(group.order)])
     one_sided = anti_harmonic_space(group, mu) + anti_harmonic_space(group, mu, "left")
+    indicators = two_sided_classes(group, [mu])[0].basis(1, "in the test")  # what the suite checks
     functions = [
         *basis,
         basis[one].scale(F(rng.randint(-5, 5) or 1, rng.randint(1, 9))),
@@ -586,13 +596,15 @@ def test_split_columns_match_decompose_oracle(group, seed, generating):
         noise,
         *one_sided,  # P f = -f or L f = -f: some of the identities hold, not always all
         *(basis[0] + f for f in one_sided),
+        *(GroupFunction._from_numerators(group, row) for row in indicators),
     ]
     right, left = right_operator(group, mu).stencil(), left_operator(group, mu).stencil()
-    columns = verify._splits(right, left, functions).tolist()
+    columns = verify._splits(right, left, np.column_stack([f._nums for f in functions])).tolist()
     assert columns == [five_identities(f, mu) for f in functions]
     if is_generating(mu):
         assert columns == [decompose_splits(f, mu) for f in functions]
         assert columns[: len(basis) + 3] == [True] * (len(basis) + 2) + [False]
+        assert all(columns[-len(indicators):])
 
 
 def test_fixture_checks_reject_asymmetric():
@@ -601,6 +613,12 @@ def test_fixture_checks_reject_asymmetric():
 
     with pytest.raises(FixtureConstructionError):
         fixture_theorem_checks("unit", g, delta(g, 1))
+
+
+def test_fixture_checks_reject_float_weights():
+    g = CyclicGroup(4)
+    with pytest.raises(verify.FixtureConstructionError, match="exact, symmetric and generating"):
+        fixture_theorem_checks("unit", g, make_measure(g, [(1, 0.5), (3, 0.5)]))
 
 
 def test_theorem_suite_small_corpus():
