@@ -17,7 +17,7 @@ import numpy as np
 from .groups import ConstructionError, GroupSpec, build_group
 from .harmonic import decompose, find_anti_character, jointly_biharmonic_space, peripheral_boundary
 from .measures import MeasureError, is_generating, is_symmetric, measure_from_json
-from .operators import ComputationError, _function_values, right_operator, spectrum
+from .operators import ComputationError, _function_values, _require_tolerance, right_operator, spectrum
 from .verify import (
     SUITE_NAMES,
     CheckRecord,
@@ -62,13 +62,6 @@ class AnalysisConfig:
         }
 
 
-def _check_tol(tol):
-    """options.tol and --tol: NaN, infinity and ints past the largest float
-    fail the range."""
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
-        raise ConfigError(f"options.tol: must be a finite positive number, got {tol!r}")
-
-
 def _parse_options(obj):
     defaults = {"tol": 1e-9, "exact": True, "max_power": 64, "seed": 0}
     if obj is None:
@@ -80,7 +73,7 @@ def _parse_options(obj):
         if key not in defaults:
             raise ConfigError(f"options: unknown key {key!r}")
         out[key] = value
-    _check_tol(out["tol"])
+    _require_tolerance("options.tol:", out["tol"], ConfigError)
     if not isinstance(out["exact"], bool):
         raise ConfigError(f"options.exact: must be a boolean, got {out['exact']!r}")
     if not isinstance(out["max_power"], int) or isinstance(out["max_power"], bool) or out["max_power"] < 1:
@@ -375,7 +368,7 @@ def _emit(payload, out_path):
 def _run_analyze(args):
     config = load_config(args.config)
     if args.tol is not None:
-        _check_tol(args.tol)
+        _require_tolerance("options.tol:", args.tol, ConfigError)
         config.tol = args.tol
     if args.no_exact:
         config.exact = False

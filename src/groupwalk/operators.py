@@ -25,16 +25,19 @@ entry; the `values` list is only a read view.
 (measure, side), kept on the measure, so every task on one measure shares
 its stencil, its read-only dense matrix and its eigenvalues and eigenpair
 residuals, solved once on every finite group by one path: one r x r block
-per character of an abelian subgroup of index r, from one fftn and one
-batched eigensolve for all the operators of one `solve_spectra` call, with
-no n x n matrix; `eigenspace` off +-1 lifts the null vectors v of the same
-blocks to f(a^kappa g_i) = chi_k(a^kappa) v_i (at x^-1 for the left walk).
+per character of an abelian subgroup of index r, built once by one fftn
+and factored, residuals included, by one batched eigensolve for all the
+operators of one `solve_spectra` call, with no n x n matrix; `eigenspace`
+off +-1 lifts the null vectors v of the same blocks to f(a^kappa g_i) =
+chi_k(a^kappa) v_i (at x^-1 for the left walk).
 Dense allocations are estimated first and refused above DENSE_BYTES_BUDGET.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +87,12 @@ def require_dense_budget(shape, itemsize, what):
             f"{nbytes / 2**20:.1f} MiB, over the dense-matrix budget "
             f"DENSE_BYTES_BUDGET = {DENSE_BYTES_BUDGET / 2**20:.1f} MiB"
         )
+
+
+def _require_tolerance(name, value, error=ValueError):
+    """Refuse a bool or a value that is not a finite positive real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
+        raise error(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _is_exact_value(x):
@@ -462,69 +471,64 @@ class ConvolutionOperator:
 
 
 def _character_blocks(ops):
-    """(steps g_i s_h, weights, which, ks, direct B_k) of `solve_spectra`, budgeted first."""
+    """(ks, B_k) of `solve_spectra`: one column k and one block per
+    character, operator by operator, budgeted before any step is built."""
     group, m = ops[0].group, len(ops)
     orders, coset, kappa = group.abelian_cosets()
     reps = np.flatnonzero(~kappa.any(axis=1))
     r, size = len(reps), group.order // len(reps)
+    require_dense_budget((m * size, r, r), 16, f"the character blocks on {group.name}")
     supports = [sorted(op.weights) for op in ops]
     which = np.repeat(np.arange(m), [len(s) for s in supports])  # each step's operator
-    require_dense_budget((m * size, r, r), 16, f"the character blocks on {group.name}")
-    require_dense_budget((len(which), group.order, len(orders)), 16, f"the character phases on {group.name}")
     weights = np.array([float(op.weights[h]) for op, s in zip(ops, supports) for h in s])
     hs = [group.inv(h) if op.side == "left" else h for op, s in zip(ops, supports) for h in s]
     steps = group._products(reps, np.array(hs)[:, None])  # g_i s_h for every step s_h
-    ks = np.indices(orders).reshape(len(orders), size)
-    angle = (ks.T[:, None, None] * kappa[steps] % orders / orders).sum(axis=-1)
-    phases = weights[:, None] * np.exp(2j * np.pi * angle)
-    direct = np.zeros((m, size, r, r), dtype=complex)
-    at = (which[:, None], slice(None), np.arange(r), coset[steps])
-    np.add.at(direct, at, phases.transpose(1, 2, 0))
-    return steps, weights, which, ks, direct.reshape(m * size, r, r)
-
-
-def solve_spectra(ops):
-    """Solve the eigenvalues and eigenpair residuals of several operators
-    on one group together (those not yet solved), from one r x r block per
-    character chi_k(a^kappa) = exp(2 pi i sum_j k_j kappa_j / n_j) of the
-    abelian subgroup A of `group.abelian_cosets()`, r = n / |A| (Diaconis
-    1988, ch. 3; Serre 1977, sections 5.3 and 7).  The right walk commutes
-    with left translation by A, so on the functions with f(a x) = chi(a) f(x)
-    it acts as B_k[i, i'] = sum of mu(h) chi_k(a^kappa) over the h with
-    g_i s_h = a^kappa g_i', the step s_h = h; conjugated by x -> x^-1, the
-    left walk is the right walk of the reflected measure, s_h = h^-1.  One
-    fftn over the character axes of T[op, kappa, i, i'] = mu(h), read at
-    -k, gives every block; real characters keep the real part, and the
-    blocks of symmetric measures are Hermitian (one eigh; one eig for the
-    rest).  residuals[i] is |B v - lambda v| / |v| for the i-th block
-    eigenpair, B summed directly from the character phases of the steps,
-    not the fft: the residual of the lifted eigenvector f(a^kappa g_i) =
-    chi_k(a^kappa) v_i.  Each block is solved as it would be alone.
-    """
-    todo = [op for op in ops if op._eigen is None]
-    if not todo:
-        return
-    group, m = todo[0].group, len(todo)
-    orders, coset, kappa = group.abelian_cosets()
-    steps, weights, which, ks, direct = _character_blocks(todo)
-    r, size = steps.shape[1], ks.shape[1]
     table = np.zeros((m, *orders, r, r))
     at = (which[:, None], *np.moveaxis(kappa[steps], -1, 0), np.arange(r), coset[steps])
     table[at] = weights[:, None]
+    ks = np.indices(orders).reshape(len(orders), size)
     neg = np.ravel_multi_index(-ks % np.array(orders)[:, None], orders)  # -k, flat
     blocks = np.fft.fftn(table, axes=range(1, len(orders) + 1)).reshape(m, size, r, r)[:, neg]
     real = neg == np.arange(size)
     blocks[:, real] = blocks[:, real].real
-    blocks = blocks.reshape(m * size, r, r)
-    symmetric = np.repeat([op.symmetric for op in todo], size)
-    eigvals, vecs = np.empty((m * size, r), dtype=complex), np.empty_like(blocks)
+    return ks, blocks.reshape(m * size, r, r)
+
+
+def solve_spectra(ops):
+    """Solve the eigenvalues and eigenpair residuals of several operators
+    on one group object together (those not yet solved; operators on two
+    group objects are refused), from one r x r block per character
+    chi_k(a^kappa) = exp(2 pi i sum_j k_j kappa_j / n_j) of the abelian
+    subgroup A of `group.abelian_cosets()`, r = n / |A| (Diaconis 1988,
+    ch. 3; Serre 1977, sections 5.3 and 7).  The right walk commutes with
+    left translation by A, so on the functions with f(a x) = chi(a) f(x)
+    it acts as B_k[i, i'] = sum of mu(h) chi_k(a^kappa) over the h with
+    g_i s_h = a^kappa g_i', the step s_h = h; conjugated by x -> x^-1, the
+    left walk is the right walk of the reflected measure, s_h = h^-1.  One
+    fftn over the character axes of T[op, kappa, i, i'] = mu(h), read at
+    -k, gives every block (`_character_blocks`); real characters keep the
+    real part, and the blocks of symmetric measures are Hermitian (one
+    eigh; one eig for the rest).  residuals[i] is |B v - lambda v| / |v|
+    for the i-th block eigenpair on the factored block: the residual of
+    the lifted eigenvector f(a^kappa g_i) = chi_k(a^kappa) v_i.  Each block
+    is solved as it would be alone.
+    """
+    if len({id(op.group) for op in ops}) > 1:
+        raise ValueError(f"solve_spectra needs one group object, got {', '.join(op.group.name for op in ops)}")
+    todo = [op for op in ops if op._eigen is None]
+    if not todo:
+        return
+    group, m = todo[0].group, len(todo)
+    ks, blocks = _character_blocks(todo)
+    symmetric = np.repeat([op.symmetric for op in todo], ks.shape[1])
+    eigvals, vecs = np.empty(blocks.shape[:2], dtype=complex), np.empty_like(blocks)
     try:
         for kind, solve in ((symmetric, np.linalg.eigh), (~symmetric, np.linalg.eig)):
             if kind.any():
                 eigvals[kind], vecs[kind] = solve(blocks[kind])
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigensolver failed for the walks on {group.name}: {exc}") from exc
-    residuals = np.linalg.norm(direct @ vecs - vecs * eigvals[:, None, :], axis=1)
+    residuals = np.linalg.norm(blocks @ vecs - vecs * eigvals[:, None, :], axis=1)
     residuals /= np.linalg.norm(vecs, axis=1)
     eigvals.flags.writeable = False
     for op, values, res in zip(todo, eigvals.reshape(m, -1), residuals.reshape(m, -1)):
@@ -708,8 +712,9 @@ def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     cluster size; the peripheral list keeps every
     representative with modulus >= 1 - peripheral_tol.  The eigensolve is
     the operator's (done once); the residuals are checked against this
-    call's tol.
-    """
+    call's tol.  Both tolerances must be finite positive numbers."""
+    _require_tolerance("tol", tol)
+    _require_tolerance("peripheral_tol", peripheral_tol)
     eigvals, residuals = op.eigenvalues()
     worst = max(residuals, default=0.0)
     if worst > tol:
@@ -880,13 +885,12 @@ def eigenspace(op, lam, tol=1e-9):
     """
     if isinstance(lam, bool) or not math.isfinite(abs(lam)):
         raise ValueError(f"lam must be a finite number, got {lam!r}")
-    if isinstance(tol, bool) or not math.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    _require_tolerance("tol", tol)
     group = op.group
     if lam in (1, -1):
         basis = op.classes().basis(1 if lam == 1 else -1, f"on {group.name}")
         return [GroupFunction._from_numerators(group, vec) for vec in basis]
-    *_, ks, blocks = _character_blocks([op])
+    ks, blocks = _character_blocks([op])
     _, sing, vh = np.linalg.svd(blocks - complex(lam) * np.eye(blocks.shape[-1]))
     k, j = np.nonzero(sing <= tol)
     orders, coset, kappa = group.abelian_cosets()

@@ -52,6 +52,7 @@ from .operators import (
     _fit,
     _gather,
     _max_abs,
+    _require_tolerance,
     apply_truncated,
     component_kernel,
     label_walks,
@@ -187,7 +188,8 @@ def foguel_decay(group, mu, eps=1e-6, n_max=500):
 
 def foguel_decays(group, measures, eps=1e-6, n_max=500):
     """foguel_decay for several measures on one group, in one walk
-    (`_foguel_walk`).  n_max must be an int >= 1 and measures non-empty."""
+    (`_foguel_walk`); eps must be finite and > 0, n_max an int >= 1, measures non-empty."""
+    _require_tolerance("eps", eps)
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
     if not len(measures):

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -367,11 +368,33 @@ def test_eigenspace_refuses_bad_lam(lam):
         eigenspace(right_operator(g, uniform(g, [1, 3])), lam)
 
 
-@pytest.mark.parametrize("tol", [0, -1e-9, math.nan, math.inf, True])
+BAD_TOLERANCES = [0, -1e-9, math.nan, math.inf, True]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_eigenspace_refuses_bad_tol(tol):
     g = CyclicGroup(4)
     with pytest.raises(ValueError, match="tol must be a finite positive number"):
         eigenspace(right_operator(g, uniform(g, [1, 3])), 0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_spectrum_refuses_bad_tol(tol):
+    """A NaN tol would pass every residual: it is refused, as in eigenspace."""
+    g = CyclicGroup(6)
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        spectrum(right_operator(g, uniform(g, [1, 5])), tol=tol)
+
+
+@pytest.mark.parametrize("peripheral_tol", BAD_TOLERANCES)
+def test_spectrum_refuses_bad_peripheral_tol(peripheral_tol):
+    """Z6 with mu uniform on {1, 5} has the peripheral eigenvalues +-1; a NaN
+    peripheral_tol would list none of them and True every eigenvalue."""
+    g = CyclicGroup(6)
+    op = right_operator(g, uniform(g, [1, 5]))
+    assert sorted(z.real for z in spectrum(op).peripheral) == pytest.approx([-1, 1], abs=1e-12)
+    with pytest.raises(ValueError, match="peripheral_tol must be a finite positive number"):
+        spectrum(op, peripheral_tol=peripheral_tol)
 
 
 def test_spectrum_requires_finite():
@@ -1161,6 +1184,42 @@ def test_spectra_solved_together_match_each_solved_alone(batch):
         eigvals, residuals = ConvolutionOperator(group, mu, side).eigenvalues()
         assert op.eigenvalues()[0].tobytes() == eigvals.tobytes()
         assert op.eigenvalues()[1] == residuals
+
+
+def test_solve_spectra_refuses_operators_on_two_groups():
+    """Every block is built on the first operator's group, so operators on
+    two group objects (Z6 and S3, or two Z6) are refused before anything
+    is solved; S3 alone gets its dense spectrum, +-1, +-1/2 twice."""
+    z6, s3 = CyclicGroup(6), SymmetricGroup(3)
+    ops = [right_operator(z6, uniform(z6, [1, 5])), right_operator(s3, uniform(s3, [1, 2]))]
+    with pytest.raises(ValueError, match="one group object, got Z6, S3"):
+        solve_spectra(ops)
+    twin = ConvolutionOperator(CyclicGroup(6), uniform(z6, [1, 5]), "right")
+    with pytest.raises(ValueError, match="one group object, got Z6, Z6"):
+        solve_spectra([ops[0], twin])
+    assert all(op._eigen is None for op in (*ops, twin))
+    dense = np.sort(np.linalg.eigvals(ops[1].as_array()).real)
+    assert np.allclose(dense, [-1, -0.5, -0.5, 0.5, 0.5, 1])
+    assert np.allclose(np.sort(ops[1].eigenvalues()[0].real), dense)
+
+
+@pytest.mark.parametrize("order", [4096, 12000])
+def test_uniform_walk_spectrum_in_small_memory(order):
+    """P f is the mean of f: 1 once and 0 n - 1 times, from n 1 x 1 blocks
+    of one fftn of the weights, so n steps need no n x n table of character
+    phases (640 MiB on Z4096, over the budget on Z12000)."""
+    g = CyclicGroup(order)
+    op = right_operator(g, uniform(g, list(g.elements())))
+    tracemalloc.start()
+    try:
+        report = spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [one, zero] = report.eigenvalues
+    assert abs(one.value - 1) <= 1e-12 and one.multiplicity == 1
+    assert abs(zero.value) <= 1e-12 and zero.multiplicity == order - 1
+    assert peak < 16 * 2**20
 
 
 def test_lift_kernel_on_d128_has_one_array_per_class():

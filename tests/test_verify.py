@@ -271,8 +271,11 @@ def test_foguel_suite_fails_gaps_out_of_the_unit_range(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs, name",
     [({"n_max": 0}, "n_max"), ({"n_max": -1}, "n_max"), ({"n_max": 2.5}, "n_max"),
-     ({"n_max": True}, "n_max"), ({"measures": []}, "measures")],
-    ids=["n_max=0", "n_max=-1", "n_max=2.5", "n_max=True", "no-measures"],
+     ({"n_max": True}, "n_max"), ({"measures": []}, "measures"),
+     ({"eps": 0}, "eps"), ({"eps": -1e-6}, "eps"), ({"eps": math.nan}, "eps"),
+     ({"eps": math.inf}, "eps"), ({"eps": True}, "eps")],
+    ids=["n_max=0", "n_max=-1", "n_max=2.5", "n_max=True", "no-measures",
+         "eps=0", "eps=-1e-6", "eps=nan", "eps=inf", "eps=True"],
 )
 def test_foguel_decays_refuses_bad_arguments_before_any_allocation(monkeypatch, kwargs, name):
     g = CyclicGroup(4)
