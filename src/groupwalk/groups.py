@@ -7,13 +7,14 @@ that returns ``None`` when the result leaves the ball.
 Walk stencils come from whole-permutation products: `right_perm(h)` and
 `left_perm(h)` return g*h and h*g for every element g at once, as one int64
 array with -1 where a ball product leaves the ball.  Each finite kind
-defines one elementwise product `_products(a, b)` over index arrays, from
-which `FiniteGroup` derives both permutations, every element's order and
-the scalar `mul`, the same product at one index (only S_n keeps a scalar
-fast path).  Lattice balls look shifted points up in a sorted key array,
-and free balls walk the parent and child tables of the BFS that built
-them; their scalar `mul` follows the same arrays, which are all a ball
-holds.
+defines one elementwise product `_products(a, b)` and one elementwise
+inverse `_inverses(a)` over index arrays, from which `FiniteGroup` derives
+both permutations, every element's order, the scalar `mul` (the product at
+one index) and the scalar `inv` (a list of every inverse, read once);
+`closure` searches the seeds' `right_perm` rows.  Lattice balls look
+shifted points up in a sorted key array, and free balls walk the parent
+and child tables of the BFS that built them; their scalar `mul` follows
+the same arrays, which are all a ball holds.
 `_classes` labels the connected classes of permutation graphs.
 
 Each finite group names, through `abelian_cosets()`, the abelian subgroup
@@ -126,6 +127,7 @@ class FiniteGroup:
     is_truncated = False
     _cosets = None
     _generators = None
+    _inverse_list = None
 
     def elements(self):
         return range(self.order)
@@ -135,7 +137,8 @@ class FiniteGroup:
         <a_k> of orders n_1 .. n_k: x = a_1^kappa_1 ... a_k^kappa_k g_c with
         c = coset[x] and kappa[x] a row of an (order, k) array, where the
         representative g_c of the coset A x has kappa 0 and the cosets are
-        numbered in the order of their representatives.  Computed once."""
+        numbered in the order of their representatives.  Computed once, from
+        permutation rows with no per-element product."""
         if self._cosets is None:
             orders, coset, kappa = self._abelian_subgroup()
             coset.flags.writeable = kappa.flags.writeable = False
@@ -145,19 +148,15 @@ class FiniteGroup:
     def _abelian_subgroup(self):
         """A = <a> for the first element a of largest order (on S_n,
         Landau's function); the cosets A g are the cycles of left_perm(a),
-        each led by its smallest element."""
+        labelled by `_classes`; kappa steps along all of them at once."""
         orders = self._element_orders()
         a = int(np.argmax(orders))
-        size = int(orders[a])
-        step = self.left_perm(a).tolist()
-        coset, kappa, label = [-1] * self.order, [0] * self.order, 0
-        for g in self.elements():
-            if coset[g] < 0:
-                x = g
-                for m in range(size):
-                    coset[x], kappa[x], x = label, m, step[x]
-                label += 1
-        return [size], np.array(coset), np.array(kappa)[:, None]
+        step = self.left_perm(a)
+        leads, coset = np.unique(_classes(self.order, [step]), return_inverse=True)
+        kappa, x = np.empty(self.order, dtype=np.int64), leads
+        for m in range(orders[a]):
+            kappa[x], x = m, step[x]
+        return [int(orders[a])], coset, kappa[:, None]
 
     def generator_masks(self):
         """(gens, mask, relations) for the greedy generating set t_0 .. t_(k-1):
@@ -211,11 +210,18 @@ class FiniteGroup:
         return int(self._products(a, b))
 
     def inv(self, a):
-        raise NotImplementedError
+        """a^-1 of one index: a list of every inverse, from `_inverses` once."""
+        if self._inverse_list is None:
+            self._inverse_list = self._inverses(np.arange(self.order)).tolist()
+        return self._inverse_list[a]
 
     def _products(self, a, b):
         """The elementwise products a*b of index arrays (or an array and one
         index, or two indices) broadcast together, as int64."""
+        raise NotImplementedError
+
+    def _inverses(self, a):
+        """The elementwise inverses of an index array (or one index)."""
         raise NotImplementedError
 
     def right_perm(self, h):
@@ -242,11 +248,11 @@ class CyclicGroup(FiniteGroup):
         self.order = n
         self.name = f"Z{n}"
 
-    def inv(self, a):
-        return (-a) % self.n
-
     def _products(self, a, b):
         return (a + b) % self.n
+
+    def _inverses(self, a):
+        return -a % self.n
 
     def _abelian_subgroup(self):
         """A is the whole group: one coset, kappa(x) = x."""
@@ -265,16 +271,15 @@ class DihedralGroup(FiniteGroup):
         self.order = 2 * n
         self.name = f"D{n}"
 
-    def inv(self, a):
-        n = self.n
-        j, k = a % n, a // n
-        return ((-j) % n) if k == 0 else a
-
     def _products(self, a, b):
         n = self.n
         j1, k1 = a % n, a // n
         j2, k2 = b % n, b // n
         return (j1 + (1 - 2 * k1) * j2) % n + n * ((k1 + k2) % 2)
+
+    def _inverses(self, a):
+        """Rotations negate; reflections are involutions."""
+        return np.where(a < self.n, -a % self.n, a)
 
     def _abelian_subgroup(self):
         """A is the rotations: x = rotation^(x mod n) * reflect^(x div n)."""
@@ -285,9 +290,9 @@ class DihedralGroup(FiniteGroup):
 class SymmetricGroup(FiniteGroup):
     """All permutations of {0..n-1} in lexicographic order; (pq)(i) = p[q[i]].
 
-    The scalar `mul` and `inv` compose the tuples and look the result up in
-    a dict: at one index that costs about 0.8 us against 8.4 us for the
-    array product, and the corpus sampler's `closure` calls it often.
+    `perms` lists them as tuples.  Products and inverses compose or invert
+    the rows of one int64 array and rank the results by their base-n codes,
+    which lexicographic order sorts.
     """
 
     def __init__(self, n):
@@ -302,27 +307,17 @@ class SymmetricGroup(FiniteGroup):
         self.order = order
         self.name = f"S{n}"
         self.perms = list(itertools.permutations(range(n)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
         self._rows = np.array(self.perms, dtype=np.int64)
         self._radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self._codes = self._rows @ self._radix
 
-    def mul(self, a, b):
-        p, q = self.perms[a], self.perms[b]
-        return self.index[tuple(p[q[i]] for i in range(self.n))]
-
-    def inv(self, a):
-        p = self.perms[a]
-        out = [0] * self.n
-        for i, pi in enumerate(p):
-            out[pi] = i
-        return self.index[tuple(out)]
-
     def _products(self, a, b):
-        """Compose the rows of a and b, ranked by their base-n codes: in
-        lexicographic order the codes of the rows are sorted."""
         composed = np.take_along_axis(*np.broadcast_arrays(self._rows[a], self._rows[b]), axis=-1)
         return np.searchsorted(self._codes, composed @ self._radix)
+
+    def _inverses(self, a):
+        """The inverse of a row is its argsort."""
+        return np.searchsorted(self._codes, np.argsort(self._rows[a], axis=-1) @ self._radix)
 
 
 class TableGroup(FiniteGroup):
@@ -348,8 +343,8 @@ class TableGroup(FiniteGroup):
                 raise ConstructionError(f"table is not a Latin square: column {c} repeats entries")
         if rows[0] != list(range(n)) or [rows[r][0] for r in range(n)] != list(range(n)):
             raise ConstructionError("index 0 must be a two-sided identity")
-        self._inv = [row.index(0) for row in rows]  # every Latin row holds 0 once
         self.table = np.array(rows, dtype=np.int64)
+        self._inverse = np.argmin(self.table, axis=1)  # every Latin row holds 0 once
         self.order = n
         self.name = name
         self._check_associativity()
@@ -365,11 +360,11 @@ class TableGroup(FiniteGroup):
                 a, c = bad[0].tolist()
                 raise ConstructionError(f"table is not associative at ({a}, {g}, {c})")
 
-    def inv(self, a):
-        return self._inv[a]
-
     def _products(self, a, b):
         return self.table[a, b]
+
+    def _inverses(self, a):
+        return self._inverse[a]
 
 
 class QuaternionGroup(TableGroup):
@@ -406,14 +401,6 @@ class ProductGroup(FiniteGroup):
         self.order = order
         self.name = "x".join(f.name for f in factors)
 
-    def inv(self, a):
-        """Factor by factor on the mixed-radix digits, as in `_products`."""
-        out, stride = 0, 1
-        for f in reversed(self.factors):
-            a, x = divmod(a, f.order)
-            out, stride = out + f.inv(x) * stride, stride * f.order
-        return out
-
     def _products(self, a, b):
         """Factor by factor on the mixed-radix digits, least significant
         (the last factor's) first."""
@@ -421,6 +408,14 @@ class ProductGroup(FiniteGroup):
         for f in reversed(self.factors):
             (a, x), (b, y) = divmod(a, f.order), divmod(b, f.order)
             out, stride = out + f._products(x, y) * stride, stride * f.order
+        return out
+
+    def _inverses(self, a):
+        """Factor by factor on the mixed-radix digits, as in `_products`."""
+        out, stride = 0, 1
+        for f in reversed(self.factors):
+            a, x = divmod(a, f.order)
+            out, stride = out + f._inverses(x) * stride, stride * f.order
         return out
 
     def _abelian_subgroup(self):
@@ -821,24 +816,19 @@ def _require_int(value, field, kind):
 def closure(group, seed_elements):
     """Smallest product-closed subset of a finite group containing the seeds.
 
-    BFS saturation under right multiplication by the seed set.  In a finite
-    group this semigroup closure automatically contains inverses and, when
-    the seed set is symmetric, the identity, so it is then a subgroup.
+    BFS saturation under right multiplication by the seed set, read off the
+    seeds' `right_perm` rows.  In a finite group this semigroup closure
+    automatically contains inverses and, when the seed set is nonempty, the
+    identity, so it is then a subgroup.
     """
     if group.is_truncated:
         raise ConstructionError("closure is only defined for finite groups")
     seeds = sorted(set(seed_elements))
-    reached = set(seeds)
-    frontier = list(seeds)
+    rows = [group.right_perm(s).tolist() for s in seeds]
+    reached, frontier = set(seeds), seeds
     while frontier:
-        nxt = []
-        for g in frontier:
-            for s in seeds:
-                p = group.mul(g, s)
-                if p not in reached:
-                    reached.add(p)
-                    nxt.append(p)
-        frontier = nxt
+        frontier = {row[g] for g in frontier for row in rows} - reached
+        reached |= frontier
     return sorted(reached)
 
 

@@ -348,9 +348,9 @@ def character_from_extremal(f, mu, tol=1e-9):
         raise ValueError(f"function is not anti-harmonic within tol (residual {float(residual)})")
     best = max(group.elements(), key=lambda g: (abs(f.values[g]), -g))
     base = f.values[best]
-    values = []
+    values, translate = [], group.left_perm(best).tolist()
     for x in group.elements():
-        ratio = f.values[group.mul(best, x)] / base
+        ratio = f.values[translate[x]] / base
         sign = 1 if ratio > 0 else -1
         if abs(ratio - sign) > tol:
             raise ValueError(

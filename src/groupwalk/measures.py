@@ -218,22 +218,25 @@ def is_generating(mu):
 
 
 def min_return(mu, cap):
-    """Least k <= cap with the identity in the support of the k-th power.
-
-    Works on supports only, so no weight arithmetic is involved.  Returns
+    """Least k <= cap with the identity in the support of the k-th power,
     None when the identity is not reached within cap steps.
+
+    Works on supports only, each stepped from the last along the rows
+    g -> g*h of the right operator's stencil, which its spectrum reads too.
     """
+    from .operators import right_operator
+
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise MeasureError(f"min_return needs an integer cap >= 1, got {cap}")
     group = mu.group
     if group.is_truncated:
         raise MeasureError("min_return is only defined for finite groups")
-    supp = mu.support()
-    current = set(supp)
+    rows = [perm.tolist() for _, perm in right_operator(group, mu).stencil()]
+    current = set(mu.support())
     for k in range(1, cap + 1):
         if group.identity in current:
             return k
-        current = {group.mul(g, s) for g in current for s in supp}
+        current = {row[g] for g in current for row in rows}
     return None
 
 

@@ -494,6 +494,11 @@ def _character_blocks(ops):
     return ks, blocks.reshape(m * size, r, r)
 
 
+def _require_one_group(ops, who):
+    if len({id(op.group) for op in ops}) > 1:
+        raise ValueError(f"{who} needs one group object, got {', '.join(op.group.name for op in ops)}")
+
+
 def solve_spectra(ops):
     """Solve the eigenvalues and eigenpair residuals of several operators
     on one group object together (those not yet solved; operators on two
@@ -513,8 +518,7 @@ def solve_spectra(ops):
     the lifted eigenvector f(a^kappa g_i) = chi_k(a^kappa) v_i.  Each block
     is solved as it would be alone.
     """
-    if len({id(op.group) for op in ops}) > 1:
-        raise ValueError(f"solve_spectra needs one group object, got {', '.join(op.group.name for op in ops)}")
+    _require_one_group(ops, "solve_spectra")
     todo = [op for op in ops if op._eigen is None]
     if not todo:
         return
@@ -852,8 +856,10 @@ def component_kernel(walks, n, where):
 
 
 def label_walks(ops):
-    """Label the walks of several operators on one group together: one
-    component_kernel call for those not yet labelled, kept on each."""
+    """Label the walks of several operators on one group object together
+    (operators on two are refused): one component_kernel call for those
+    not yet labelled, kept on each."""
+    _require_one_group(ops, "label_walks")
     todo = [op for op in ops if op._walk is None]
     if todo:
         group = todo[0].group
@@ -894,7 +900,7 @@ def eigenspace(op, lam, tol=1e-9):
     _, sing, vh = np.linalg.svd(blocks - complex(lam) * np.eye(blocks.shape[-1]))
     k, j = np.nonzero(sing <= tol)
     orders, coset, kappa = group.abelian_cosets()
-    at = np.array([group.inv(x) for x in group.elements()]) if op.side == "left" else np.arange(group.order)
+    at = group._inverses(np.arange(group.order)) if op.side == "left" else np.arange(group.order)
     require_dense_budget((len(k), group.order, len(orders)), 16, f"the {lam} eigenspace on {group.name}")
     angle = (ks.T[k, None] * kappa[at] % orders / orders).sum(axis=-1)
     lifted = np.exp(2j * np.pi * angle) * vh[k, j].conj()[:, coset[at]]

@@ -479,8 +479,8 @@ def nonsymmetric_fixtures():
         (CyclicGroup(10), [1, 5], "nonsym"),
         (CyclicGroup(12), [3, 4], "nonsym"),
         (DihedralGroup(4), [1, 4], "nonsym"),
-        (s3, [s3.index[(1, 0, 2)], s3.index[(1, 2, 0)]], "nonsym"),
-        (s4, [s4.index[(1, 0, 2, 3)], s4.index[(1, 2, 3, 0)]], "nonsym"),
+        (s3, [s3.perms.index((1, 0, 2)), s3.perms.index((1, 2, 0))], "nonsym"),
+        (s4, [s4.perms.index((1, 0, 2, 3)), s4.perms.index((1, 2, 3, 0))], "nonsym"),
         (QuaternionGroup(), [2, 4], "nonsym"),
         (a4, a4_support, "nonsym"),
     ]

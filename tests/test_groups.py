@@ -27,12 +27,14 @@ from groupwalk.groups import (
     generating_set,
     parse_element,
 )
-from groupwalk.measures import delta
-from groupwalk.operators import ConvolutionOperator
-from groupwalk.verify import alternating_group
+from groupwalk.harmonic import character_from_extremal, find_anti_character
+from groupwalk.measures import delta, min_return, uniform
+from groupwalk.operators import ConvolutionOperator, GroupFunction, apply, eigenspace, left_operator
+from groupwalk.verify import FixtureConstructionError, alternating_group, random_symmetric_generating_measure
 
 from ball_reference import lattice_points, reduced_words, reference
 from gf2_reference import closure_generating_set
+from walk_reference import abelian_subgroup_by_loop, closure_by_mul, min_return_by_mul
 
 
 # ---------------------------------------------------------------- oracles
@@ -278,6 +280,12 @@ def test_closure_is_fixpoint():
 def test_closure_of_reflection_is_small():
     g = DihedralGroup(5)
     assert closure(g, [5]) == [0, 5]
+
+
+def test_closure_of_s7_from_a_transposition_and_a_seven_cycle():
+    s7 = SymmetricGroup(7)
+    seeds = [s7.perms.index((1, 0, 2, 3, 4, 5, 6)), s7.perms.index((1, 2, 3, 4, 5, 6, 0))]
+    assert len(closure(s7, seeds)) == 5040
 
 
 def test_generating_set_is_greedy_in_index_order():
@@ -627,6 +635,15 @@ def test_whole_permutation_products_match_mul(group, data):
     assert (right.tolist(), left.tolist()) == mul_perms(group, h)
 
 
+def first_draw(group):
+    """The first seeded corpus draw on group, or the sampler's refusal (no
+    four inverse pairs generate the nested product)."""
+    try:
+        return random_symmetric_generating_measure(group, random.Random(0))
+    except FixtureConstructionError as exc:
+        return str(exc)
+
+
 FINITE_KINDS = [
     CyclicGroup(1),
     CyclicGroup(12),
@@ -642,20 +659,39 @@ FINITE_KINDS = [
 
 @pytest.mark.parametrize("group", FINITE_KINDS, ids=lambda g: g.name)
 def test_finite_products_read_no_per_element_mul(group, monkeypatch):
-    """right_perm, left_perm and the element orders come from each kind's
-    elementwise product alone: with mul raising, they equal the per-element
-    mul products and the cyclic closure sizes computed before."""
+    """right_perm, left_perm, the element orders, closure, min_return, the
+    abelian cosets, the corpus sampler, character_from_extremal and the
+    left eigenspace off +-1 come from each kind's elementwise product and
+    inverse alone: with mul raising, they equal the per-element references
+    and the results computed before."""
     hs = range(group.order) if group.order <= 120 else random.Random(0).sample(range(group.order), 12)
     expected = [mul_perms(group, h) for h in hs]
-    orders = [len(closure(group, [g])) for g in group.elements()]
+    orders = [len(closure_by_mul(group, [g])) for g in group.elements()]
+    gens = generating_set(group) or [group.identity]
+    mu = uniform(group, gens)
+    searched = closure_by_mul(group, gens), min_return_by_mul(mu, group.order)
+    cosets = abelian_subgroup_by_loop(group)
+    sampled = first_draw(group)
+    odd = next((x for x in group.elements() if find_anti_character(group, uniform(group, [x]))), None)
+    left = left_operator(group, mu)
+    lam = max(left.eigenvalues()[0], key=lambda z: min(abs(z - 1), abs(z + 1)))
 
     def per_element(self, a, b):
         raise AssertionError("called mul")
 
-    for cls in (FiniteGroup, SymmetricGroup):
-        monkeypatch.setattr(cls, "mul", per_element)
+    monkeypatch.setattr(FiniteGroup, "mul", per_element)
     assert [(group.right_perm(h).tolist(), group.left_perm(h).tolist()) for h in hs] == expected
-    assert group._element_orders().tolist() == orders
+    assert group._element_orders().tolist() == orders == [len(closure(group, [g])) for g in group.elements()]
+    assert (closure(group, gens), min_return(mu, group.order)) == searched
+    got = FiniteGroup._abelian_subgroup(group)
+    assert got[0] == cosets[0] and all(np.array_equal(x, y) for x, y in zip(got[1:], cosets[1:]))
+    assert first_draw(group) == sampled
+    if odd is not None:
+        sign = uniform(group, [odd])
+        chi = find_anti_character(group, sign).values
+        assert character_from_extremal(GroupFunction(group, [-float(v) for v in chi]), sign).values == chi
+    for f in eigenspace(left, lam, tol=1e-8):
+        assert np.allclose(apply(left, f).as_array(), lam * f.as_array())
 
 
 @settings(max_examples=2)
@@ -799,11 +835,50 @@ def test_products_match_an_independent_model(group, data):
     assert type(product) is int and product == expected[0]
 
 
+@pytest.mark.parametrize("group", MODEL_GROUPS, ids=lambda g: g.name)
+@settings(max_examples=20)
+@given(st.data())
+def test_inverses_match_an_independent_model(group, data):
+    """_inverses over an array, one index and a two-row array, and the
+    scalar inv, all give the model's inverses: x times its inverse is the
+    model's identity; and an array times the inverse of one index x, times
+    x again, gives the array back."""
+    a = np.array(data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=8)))
+    x = int(a[0])
+    got = group._inverses(a)
+    assert [model_product(group, int(g), int(y)) for g, y in zip(a, got)] == [group.identity] * len(a)
+    assert group._inverses(x) == got[0]
+    assert group._inverses(np.stack([a, a[::-1]])).tolist() == [got.tolist(), got[::-1].tolist()]
+    shifted = group._products(a, group._inverses(x))
+    assert [model_product(group, int(y), x) for y in shifted] == a.tolist()
+    inverse = group.inv(x)
+    assert type(inverse) is int and inverse == got[0]
+
+
+@pytest.mark.parametrize("group", FINITE_KINDS, ids=lambda g: g.name)
+@settings(max_examples=8)
+@given(st.data())
+def test_closure_and_min_return_match_the_per_element_references(group, data):
+    """On supports that generate (the greedy generating set) and that may
+    not (a few drawn elements), with and without the identity, closure and
+    min_return at any cap equal the searches by one mul per element."""
+    index = st.integers(0, group.order - 1)
+    drawn = data.draw(st.one_of(st.just(generating_set(group)), st.lists(index, min_size=1, max_size=3)))
+    support = {g for g in drawn if g != group.identity}
+    if data.draw(st.booleans()) or not support:
+        support.add(group.identity)
+    cap = data.draw(st.integers(1, group.order))
+    mu = uniform(group, support)
+    assert closure(group, support) == closure_by_mul(group, support)
+    assert min_return(mu, cap) == min_return_by_mul(mu, cap)
+
+
 @pytest.mark.parametrize("group", FINITE_KINDS + [S3_TABLE], ids=lambda g: g.name)
 def test_scalar_mul_and_inv_read_the_elementwise_product(group):
-    """On every pair the scalar mul, S_n's tuple-and-dict path included,
-    equals the elementwise product at one index, and inv finds the identity
-    in the product's rows."""
+    """On every pair the scalar mul equals the elementwise product at one
+    index, and inv, read from `_inverses`, finds the identity in the
+    product's rows; no kind defines a scalar mul or inv of its own."""
+    assert (type(group).mul, type(group).inv) == (FiniteGroup.mul, FiniteGroup.inv)
     hs = range(group.order) if group.order <= 48 else random.Random(1).sample(range(group.order), 48)
     grid = group._products(np.arange(group.order), np.array(hs)[:, None])
     assert [[group.mul(g, h) for g in group.elements()] for h in hs] == grid.tolist()

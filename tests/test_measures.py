@@ -296,6 +296,9 @@ def test_min_return_oracle():
     assert min_return(uniform(z4, [0, 1]), 4) == 1
     z6 = CyclicGroup(6)
     assert min_return(uniform(z6, [1, 2]), 6) == 3  # 1+1+... first hit: 2+2+2
+    z60000 = CyclicGroup(60000)
+    assert min_return(delta(z60000, 1), 60000) == 60000
+    assert min_return(delta(z60000, 1), 59999) is None
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.5, True])

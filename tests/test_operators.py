@@ -38,6 +38,7 @@ from groupwalk.operators import (
     eigen_operator_to_function,
     eigenspace,
     fourier_coefficient,
+    label_walks,
     left_operator,
     right_operator,
     solve_spectra,
@@ -1201,6 +1202,17 @@ def test_solve_spectra_refuses_operators_on_two_groups():
     dense = np.sort(np.linalg.eigvals(ops[1].as_array()).real)
     assert np.allclose(dense, [-1, -0.5, -0.5, 0.5, 0.5, 1])
     assert np.allclose(np.sort(ops[1].eigenvalues()[0].real), dense)
+
+
+def test_label_walks_refuses_operators_on_two_groups():
+    """Every walk is labelled over the first operator's group order, so
+    operators on two group objects are refused before any stencil is built
+    or walk labelled."""
+    z4, z6 = CyclicGroup(4), CyclicGroup(6)
+    ops = [right_operator(z4, uniform(z4, [1, 3])), right_operator(z6, uniform(z6, [2, 4]))]
+    with pytest.raises(ValueError, match="label_walks needs one group object, got Z4, Z6"):
+        label_walks(ops)
+    assert all(op._stencil is None and op._walk is None for op in ops)
 
 
 @pytest.mark.parametrize("order", [4096, 12000])

@@ -471,6 +471,34 @@ def test_corpus_fixtures_list_matches_sampler_loop():
     assert fixtures == expected
 
 
+SAMPLER_DRAWS = {
+    "S6": [
+        "42:1/5 51:1/5 266:1/5 431:3/35 520:4/35 524:4/35 703:3/35",
+        "39:5/22 98:5/22 515:3/11 634:3/11",
+        "57:7/26 102:7/26 318:3/13 410:3/13",
+        "210:2/15 279:2/15 376:2/15 537:7/30 626:2/15 656:7/30",
+        "2:7/29 285:3/29 471:2/29 627:3/29 641:6/29 645:6/29 685:2/29",
+    ],
+    "S4xZ2": [
+        "3:7/31 17:7/31 21:3/31 25:7/31 27:3/31 33:4/31",
+        "7:7/26 9:7/26 20:3/13 26:3/13",
+        "7:3/28 9:3/28 18:5/28 31:3/14 36:5/28 41:3/14",
+        "18:5/16 31:3/16 36:5/16 41:3/16",
+        "16:1/11 21:2/11 24:1/11 27:2/11 47:5/11",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "group", [SymmetricGroup(6), ProductGroup([SymmetricGroup(4), CyclicGroup(2)])], ids=lambda g: g.name
+)
+def test_sampler_draws_are_pinned(group):
+    """The first five draws of one seeded stream, as element:weight."""
+    rng = random.Random(0)
+    draws = [random_symmetric_generating_measure(group, rng).weights for _ in range(5)]
+    assert [" ".join(f"{g}:{w}" for g, w in sorted(d.items())) for d in draws] == SAMPLER_DRAWS[group.name]
+
+
 def test_sampler_rejects_impossible_group():
     rng = random.Random(0)
     mu = random_symmetric_generating_measure(DihedralGroup(8), rng)
