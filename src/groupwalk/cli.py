@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -22,6 +23,7 @@ from .verify import (
     SUITE_NAMES,
     CheckRecord,
     VerificationReport,
+    _renamed,
     ball_sign_records,
     fixture_theorem_checks,
     foguel_decay,
@@ -38,28 +40,20 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+@dataclass
 class AnalysisConfig:
-    def __init__(self, group_spec, measure_entries, tasks, tol, exact, max_power, seed):
-        self.group_spec = group_spec
-        self.measure_entries = measure_entries
-        self.tasks = tasks
-        self.tol = tol
-        self.exact = exact
-        self.max_power = max_power
-        self.seed = seed
+    group_spec: GroupSpec
+    measure_entries: list
+    tasks: list
+    tol: float
+    exact: bool
+    max_power: int
+    seed: int
 
     def to_json(self):
-        return {
-            "group": self.group_spec.to_json(),
-            "measure": self.measure_entries,
-            "tasks": list(self.tasks),
-            "options": {
-                "tol": self.tol,
-                "exact": self.exact,
-                "max_power": self.max_power,
-                "seed": self.seed,
-            },
-        }
+        options = {"tol": self.tol, "exact": self.exact, "max_power": self.max_power, "seed": self.seed}
+        return {"group": self.group_spec.to_json(), "measure": self.measure_entries, "tasks": list(self.tasks),
+                "options": options}
 
 
 def _parse_options(obj):
@@ -107,15 +101,8 @@ def parse_config(obj):
     if bad:
         raise ConfigError(f"tasks: unknown task {bad[0]!r}; choose from {', '.join(TASK_ORDER)}")
     options = _parse_options(obj.get("options"))
-    return AnalysisConfig(
-        group_spec,
-        measure_entries,
-        tasks,
-        float(options["tol"]),
-        options["exact"],
-        options["max_power"],
-        options["seed"],
-    )
+    tol, exact, max_power, seed = float(options["tol"]), options["exact"], options["max_power"], options["seed"]
+    return AnalysisConfig(group_spec, measure_entries, tasks, tol, exact, max_power, seed)
 
 
 def load_config(path):
@@ -159,9 +146,7 @@ def _gate_tasks(group, mu, tasks):
     if group.is_truncated:
         for task in ("spectrum", "biharmonic", "boundary", "foguel"):
             if task in tasks:
-                raise ConfigError(
-                    f"tasks: {task} requires finite group; use verify/truncated tasks"
-                )
+                raise ConfigError(f"tasks: {task} requires finite group; use verify/truncated tasks")
     else:
         if not mu.exact and ("biharmonic" in tasks or "boundary" in tasks):
             raise ConfigError(
@@ -185,13 +170,10 @@ def _task_spectrum(group, mu, config):
 
 def _task_character(group, mu, config):
     chi = find_anti_character(group, mu)
-    out = {"character": chi.to_json() if chi is not None else None}
+    out = {"character": chi.to_json() if chi is not None else None, "har_dim": None, "anti_dim": None}
     if not group.is_truncated and mu.exact:
         walk = right_operator(group, mu).classes()
         out["har_dim"], out["anti_dim"] = walk.count(1), walk.count(-1)
-    else:
-        out["har_dim"] = None
-        out["anti_dim"] = None
     return out
 
 
@@ -232,30 +214,21 @@ def _task_verify(group, mu, config):
     if group.is_truncated:
         chi = find_anti_character(group, mu)
         if chi is None:
-            records = [
-                CheckRecord(
-                    "config", "sign_character", "none", "n/a", True,
-                    note="observation: no character is -1 on the support",
-                )
-            ]
+            note = "observation: no character is -1 on the support"
+            records = [CheckRecord("config", "sign_character", "none", "n/a", True, note=note)]
         else:
-            records = ball_sign_records(
-                "config", group, mu, chi.as_function(), suffix="_character"
-            )
+            records = ball_sign_records("config", group, mu, chi.as_function(), suffix="_character")
     elif mu.exact and is_symmetric(mu) and is_generating(mu):
         records = fixture_theorem_checks("config", group, mu)
     elif is_generating(mu):
         cap = max(config.max_power, group.order)
-        records = root_of_unity_check(group, mu, cap=cap).records
-        for rec in records:
-            rec.fixture = "config"
+        records = _renamed(root_of_unity_check(group, mu, cap=cap), "config")
     else:
         raise ConfigError(
             "measure: verify task needs a generating measure "
             "(support must reach the whole group)"
         )
-    report = VerificationReport("config", records)
-    return report.to_json()
+    return VerificationReport("config", records).to_json()
 
 
 _TASK_RUNNERS = {
@@ -281,22 +254,16 @@ def run_analysis(config):
 
 def _write_csv_tables(report, directory):
     os.makedirs(directory, exist_ok=True)
-    spectrum_result = report["results"].get("spectrum")
-    if spectrum_result is not None:
-        path = os.path.join(directory, "eigenvalues.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "multiplicity", "peripheral"])
-            for rec in spectrum_result["eigenvalues"]:
-                writer.writerow([rec["re"], rec["im"], rec["multiplicity"], rec["peripheral"]])
-    foguel_result = report["results"].get("foguel")
-    if foguel_result is not None:
-        path = os.path.join(directory, "decay.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "tv_gap"])
-            for n, d in enumerate(foguel_result["distances"], start=1):
-                writer.writerow([n, d])
+    columns = ["re", "im", "multiplicity", "peripheral"]
+    tables = {
+        "spectrum": ("eigenvalues.csv", columns,
+                     lambda out: ([rec[c] for c in columns] for rec in out["eigenvalues"])),
+        "foguel": ("decay.csv", ["n", "tv_gap"], lambda out: enumerate(out["distances"], start=1)),
+    }
+    for task, (name, header, rows) in tables.items():
+        if report["results"].get(task) is not None:
+            with open(os.path.join(directory, name), "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows(report["results"][task])])
 
 
 def _json_float(x):

@@ -11,8 +11,8 @@ defines one elementwise product `_products(a, b)` and one elementwise
 inverse `_inverses(a)` over index arrays, from which `FiniteGroup` derives
 both permutations, every element's order, the scalar `mul` (the product at
 one index) and the scalar `inv` (a list of every inverse, read once);
-`closure` searches the seeds' `right_perm` rows.  Lattice balls look
-shifted points up in a sorted key array, and free balls walk the parent
+`closure` searches the seeds' `right_perm` rows.  Lattice balls rank
+shifted points arithmetically, and free balls walk the parent
 and child tables of the BFS that built them; their scalar `mul` follows
 the same arrays, which are all a ball holds.
 `_classes` labels the connected classes of permutation graphs.
@@ -95,15 +95,7 @@ class GroupSpec:
         unknown = set(obj) - known
         if unknown:
             raise ConstructionError(f"unknown group spec fields: {sorted(unknown)}")
-        return GroupSpec(
-            kind=kind,
-            n=obj.get("n"),
-            rank=obj.get("rank"),
-            dim=obj.get("dim"),
-            radius=obj.get("radius"),
-            table=table,
-            factors=factors,
-        )
+        return GroupSpec(kind, *(obj.get(key) for key in ("n", "rank", "dim", "radius")), table, factors)
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -159,13 +151,13 @@ class FiniteGroup:
         return [int(orders[a])], coset, kappa[:, None]
 
     def generator_masks(self):
-        """(gens, mask, relations) for the greedy generating set t_0 .. t_(k-1):
-        in index order, each element that the subgroup of the earlier ones
-        has not reached joins.  mask[g] holds bit i for each t_i occurring an
-        odd number of times in one word for g, and relations are the distinct
-        nonzero masks mask[g] ^ mask[g t_i] ^ 2^i.  Each generator at least
-        doubles the subgroup, so 2^k <= order.  Computed once, by one walk
-        over the generators' right_perm arrays."""
+        """(gens, mask, relations, perms) for the greedy generating set t_0 ..
+        t_(k-1): in index order, each element that the subgroup of the
+        earlier ones has not reached joins.  mask[g] holds bit i for each t_i
+        occurring an odd number of times in one word for g, relations are the
+        distinct nonzero masks mask[g] ^ mask[g t_i] ^ 2^i, and perms[i] is
+        right_perm(t_i), kept read-only.  Each generator at least doubles the
+        subgroup, so 2^k <= order.  Computed once, by one walk over perms."""
         if self._generators is None:
             mask = np.full(self.order, -1, dtype=np.int64)
             mask[self.identity] = 0
@@ -190,8 +182,9 @@ class FiniteGroup:
             for i, perm in enumerate(perms):
                 present[mask ^ mask[perm] ^ (1 << i)] = True
             relations = np.flatnonzero(present[1:]) + 1
-            mask.flags.writeable = relations.flags.writeable = False
-            self._generators = (tuple(gens), mask, relations)
+            for array in (mask, relations, *perms):
+                array.flags.writeable = False
+            self._generators = (tuple(gens), mask, relations, tuple(perms))
         return self._generators
 
     def _element_orders(self):
@@ -354,8 +347,9 @@ class TableGroup(FiniteGroup):
         generating set.  The elements t passing it are closed under the
         product, so passing on generators proves associativity exactly."""
         t = self.table
-        for g in generating_set(self):
-            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
+        gens, _, _, perms = self.generator_masks()
+        for g, perm in zip(gens, perms):
+            bad = np.argwhere(t[perm] != t[:, t[g]])
             if bad.size:
                 a, c = bad[0].tolist()
                 raise ConstructionError(f"table is not associative at ({a}, {g}, {c})")
@@ -464,13 +458,14 @@ class LatticeBall(TruncatedGroup):
     """Integer lattice Z^dim truncated to the word-length (L1) ball.
 
     Points are ordered by length, then lexicographically, and held as one
-    (order, dim) int32 array; lookups go through a sorted array of
-    fixed-width byte keys: each coordinate as big-endian unsigned
-    x + radius, so a key is exact for every dim.  In this order the unit
-    steps are the indices 1..2 dim (-e_i at 1 + i, +e_i at 2 dim - i), and
-    negation reverses each sphere.  The step permutations g -> g +- e_i are
-    built on first use, one key lookup per axis, and shared read-only by
-    `right_perm`, `left_perm` and `mul`.
+    (order, dim) int32 array.  A point's index is computed, not searched:
+    the start of its sphere plus its lexicographic rank in the sphere,
+    summed axis by axis from `_sizes[d, k + 1]`, the number of points of
+    Z^d of length <= k (0 at k = -1).  In this order the unit steps are the
+    indices 1..2 dim (-e_i at 1 + i, +e_i at 2 dim - i), and negation
+    reverses each sphere.  The step permutations g -> g +- e_i are built on
+    first use, one lookup per axis, and shared read-only by `right_perm`,
+    `left_perm` and `mul`.
     """
 
     family = "lattice"
@@ -491,15 +486,12 @@ class LatticeBall(TruncatedGroup):
         super().__init__(starts, radius, f"Z^{dim}ball{radius}")
         from .operators import require_dense_budget  # operators imports this module
 
-        # every coordinate is held as an int32 and as the bytes of its key
-        self._width = next(w for w in (1, 2, 4) if 2 * radius < 256**w)
-        require_dense_budget(
-            (self.order, dim), 4 + self._width, f"the forms of lattice ball dim={dim} radius={radius}"
-        )
+        require_dense_budget((self.order, dim), 4, f"the forms of lattice ball dim={dim} radius={radius}")
         self._coords = self._ball_points(dim, radius)
-        keys = self._keys(self._coords)
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
+        self._sizes = sizes = np.zeros((dim, radius + 2), dtype=np.int64)
+        sizes[0, 1:] = 1  # Z^0 is one point
+        for d in range(1, dim):  # |x_1| = 0 keeps k, each |x_1| = t > 0 twice leaves k - t
+            sizes[d, 1:] = sizes[d - 1, 1:] + 2 * np.cumsum(sizes[d - 1])[:-1]
         self._steps = {}
 
     @staticmethod
@@ -534,14 +526,20 @@ class LatticeBall(TruncatedGroup):
             rows = parents[i][rows]
         return coords[np.argsort(radius - budget, kind="stable")]
 
-    def _keys(self, points):
-        """One fixed-width byte key per row of points inside the ball."""
-        cells = np.ascontiguousarray(points + self.radius, dtype=f">u{self._width}")
-        return cells.view(np.dtype((np.void, self._width * self.dim))).ravel()
-
     def _lookup(self, points):
-        """Indices of rows of points that all lie in the ball: one key lookup."""
-        return self._key_order[np.searchsorted(self._sorted_keys, self._keys(points))]
+        """Indices of rows of points that all lie in the ball, one pass per
+        axis: with b the length left from axis i on and d axes after it, the
+        sphere points sharing x's earlier coordinates with y_i < x_i number
+        sizes[d, b - |x_i|] for x_i <= 0, and for x_i > 0 (y_i < 0, then
+        0 <= y_i < x_i) sizes[d, b] + sizes[d, b + 1] - sizes[d, b + 1 - x_i]."""
+        budget = np.abs(points).sum(axis=1, dtype=np.int64)
+        index = np.array(self._starts)[budget]
+        for axis, sizes in zip(range(self.dim), self._sizes[::-1]):
+            x = points[:, axis].astype(np.int64)
+            up = np.maximum(x, 0)
+            index += sizes[budget + x - up] + (x > 0) * (sizes[budget + 1] - sizes[budget + 1 - up])
+            budget -= np.abs(x)
+        return index
 
     def _shifted(self, offset):
         """perm[g] = g + offset.  Every point of L1 length <= radius is in
@@ -584,11 +582,16 @@ class LatticeBall(TruncatedGroup):
 
     def index_of_form(self, form):
         """Index of a point given as dim integers, None outside the ball:
-        one search for its key, joined from the coordinates' bytes."""
-        if len(form) != self.dim or sum(abs(x) for x in form) > self.radius:
+        `_lookup`'s rank summed on Python ints."""
+        budget = sum(abs(x) for x in form)
+        if len(form) != self.dim or budget > self.radius:
             return None
-        key = b"".join(int(x + self.radius).to_bytes(self._width, "big") for x in form)
-        return self._key_order.item(self._sorted_keys.searchsorted(np.void(key)))
+        index, size = self._starts[budget], self._sizes.item
+        for d, x in zip(range(self.dim - 1, -1, -1), form):
+            up = max(x, 0)
+            index += size(d, budget + x - up) + (x > 0) * (size(d, budget + 1) - size(d, budget + 1 - up))
+            budget -= abs(x)
+        return index
 
     def mul(self, a, b):
         """a + b, None outside the ball: a unit step b reads its step
@@ -774,15 +777,9 @@ class FreeBall(TruncatedGroup):
 def build_group(spec):
     """Construct a group from a GroupSpec, validating bounds and shapes."""
     kind = spec.kind
-    if kind == "cyclic":
+    if kind in ("cyclic", "dihedral", "symmetric"):
         _require_int(spec.n, "n", kind)
-        return CyclicGroup(spec.n)
-    if kind == "dihedral":
-        _require_int(spec.n, "n", kind)
-        return DihedralGroup(spec.n)
-    if kind == "symmetric":
-        _require_int(spec.n, "n", kind)
-        return SymmetricGroup(spec.n)
+        return {"cyclic": CyclicGroup, "dihedral": DihedralGroup, "symmetric": SymmetricGroup}[kind](spec.n)
     if kind == "quaternion8":
         return QuaternionGroup()
     if kind == "table":
@@ -793,18 +790,13 @@ def build_group(spec):
         if not spec.factors:
             raise ConstructionError("product kind requires a 'factors' list")
         return ProductGroup([build_group(f) for f in spec.factors])
-    if kind == "lattice":
-        _require_int(spec.dim, "dim", kind)
+    if kind in ("lattice", "free"):
+        size = "dim" if kind == "lattice" else "rank"
+        _require_int(getattr(spec, size), size, kind)
         _require_int(spec.radius, "radius", kind)
         if spec.radius < 1:
-            raise ConstructionError("lattice spec requires radius >= 1")
-        return LatticeBall(spec.dim, spec.radius)
-    if kind == "free":
-        _require_int(spec.rank, "rank", kind)
-        _require_int(spec.radius, "radius", kind)
-        if spec.radius < 1:
-            raise ConstructionError("free spec requires radius >= 1")
-        return FreeBall(spec.rank, spec.radius)
+            raise ConstructionError(f"{kind} spec requires radius >= 1")
+        return (LatticeBall if kind == "lattice" else FreeBall)(getattr(spec, size), spec.radius)
     raise ConstructionError(f"unknown group kind {kind!r}")
 
 

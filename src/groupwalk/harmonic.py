@@ -17,11 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError, generating_set
+from .groups import ConstructionError
 from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
+    _build_stencils,
     _fit,
     _function_values,
     _max_abs,
@@ -95,8 +96,9 @@ class Character:
         chi = np.array(self.values, dtype=np.int64)
         if chi[group.identity] != 1:
             raise ValueError("character must be 1 at the identity")
-        for t in group.generators() if group.is_truncated else generating_set(group):
-            perm = group.right_perm(t)
+        gens = group.generators() if group.is_truncated else group.generator_masks()[0]
+        perms = map(group.right_perm, gens) if group.is_truncated else group.generator_masks()[3]
+        for t, perm in zip(gens, perms):
             inside = np.flatnonzero(perm >= 0)
             bad = inside[chi[perm[inside]] != chi[inside] * chi[t]]
             if len(bad):
@@ -206,6 +208,7 @@ def two_sided_classes(group, measures):
     labelled and kept on each measure that lives on group."""
     out = [mu._two_sided if mu.group is group else None for mu in measures]
     todo = [i for i, walk in enumerate(out) if walk is None]
+    _build_stencils([_operator(group, measures[i], s) for i in todo for s in ("left", "right")])
     walks = [[_operator(group, measures[i], s).stencil() for s in ("left", "right")] for i in todo]
     for i, walk in zip(todo, component_kernel(walks, group.order, f"on {group.name}")):
         out[i] = walk
@@ -284,14 +287,24 @@ def _parity(v):
     return v & 1
 
 
+def _sign_vectors(group):
+    """The sign characters of a finite group as sign vectors (bit i set:
+    chi(t_i) = -1), in increasing order: the 2^r of the 2^k assignments
+    that meet every relation mask with even parity, r the rank of the
+    largest elementary abelian 2-quotient (so r elements at least generate)."""
+    gens, _, relations, _ = group.generator_masks()
+    signs = np.arange(1 << len(gens))
+    for m in relations.tolist():
+        signs = signs[_parity(signs & m) == 0]
+    return signs
+
+
 def _search_anti_character(group, mu):
     if group.is_truncated:
         return _find_anti_character_family(group, mu)
-    gens, mask, relations = group.generator_masks()
-    signs = np.arange(1 << len(gens))  # bit i set: chi(t_i) = -1
-    pins = set(mask[mu.support()].tolist())
-    for m, bit in [(r, 0) for r in relations.tolist()] + [(p, 1) for p in pins]:
-        signs = signs[_parity(signs & m) == bit]
+    signs, mask = _sign_vectors(group), group.generator_masks()[1]
+    for m in set(mask[mu.support()].tolist()):
+        signs = signs[_parity(signs & m) == 1]
     for m in mask.tolist():
         if len(signs) <= 1:
             break

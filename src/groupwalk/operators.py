@@ -3,9 +3,10 @@
 The right operator sends f to f * mu (steps multiply on the right), the
 left operator sends f to mu * f.  Both are weighted sums of permutations of
 the group's element indices, one per support element, and
-`ConvolutionOperator.stencil()` is the one place a measure becomes those
-permutations: whole-permutation products `right_perm(h)` or `left_perm(h)`
-of the group (-1 where a product leaves a ball truncation).  The private
+`_build_stencils` (behind `ConvolutionOperator.stencil()`) is the one place
+a measure becomes those permutations: whole-permutation products
+`right_perm(h)` or `left_perm(h)` of the group (-1 where a product leaves a
+ball truncation), each shared by the operators built together.  The private
 `_gather` applies every stencil: `apply`, `apply_truncated` and the lift
 `OperatorOnMatrices` (through the lifted permutations perm[i]*n + perm[j]).
 The exact +-1 eigenspaces of the walks and the exact +-1 arrays of the
@@ -66,6 +67,7 @@ __all__ = [
     "apply_truncated",
     "require_dense_budget",
     "spectrum",
+    "spectra",
     "solve_spectra",
     "WalkClasses",
     "component_kernel",
@@ -417,15 +419,9 @@ class ConvolutionOperator:
     def stencil(self):
         """[(weight, perm)] with one int64 index array per support element,
         in sorted support order; perm[g] is g*h (right) or h*g (left), and
-        -1 where that product leaves a ball truncation.  Each perm is one
-        whole-permutation product of the group, budgeted before it is built."""
+        -1 where that product leaves a ball truncation (`_build_stencils`)."""
         if self._stencil is None:
-            group = self.group
-            require_dense_budget(
-                (len(self.weights), group.order), 8, f"the {self.side} stencil on {group.name}"
-            )
-            perm = group.right_perm if self.side == "right" else group.left_perm
-            self._stencil = [(self.weights[h], perm(h)) for h in sorted(self.weights)]
+            _build_stencils([self])
         return self._stencil
 
     def exact_matrix(self):
@@ -661,8 +657,8 @@ def _sort_key(z):
     return (-round(abs(z), 9), angle)
 
 
-def _sort_order(values):
-    """The stable order of complex values by _sort_key, computed on arrays.
+def _sort_order(values, owner=0):
+    """The stable order of complex values by (owner, _sort_key), on arrays.
 
     numpy's modulus and angle may differ from math's by a few ulps, which
     moves a key rounded to 9 decimals only when the scaled value lies next
@@ -678,81 +674,95 @@ def _sort_order(values):
     mags, angles = -keys[0], keys[1] % round(2 * math.pi, 9)
     for i in np.flatnonzero(fragile).tolist():
         mags[i], angles[i] = _sort_key(complex(values[i]))
-    return np.lexsort((angles, mags))
+    return np.lexsort((angles, mags, np.broadcast_to(owner, values.shape)))
 
 
-def _clusters(values):
-    """Single-linkage clusters of complex values at CLUSTER_TOL.
+def _clusters(values, owner=0):
+    """Single-linkage clusters at CLUSTER_TOL of complex values, joined
+    only within one owner (an operator number).
 
     Returns (members, labels): the indices of values grouped by cluster,
     each cluster's in (re, im) order and clusters in the order of their
-    first member, and the cluster number of each.  Equal values are 0
-    apart, so they are collapsed first (`np.unique`, in (re, im) order),
-    and a sweep over the distinct values compares each with the successors
-    whose real parts lie within CLUSTER_TOL, one offset at a time, and
-    joins close pairs in a union-find forest whose parents point to smaller
-    positions, so every root is the first member of its cluster.
+    first member, owner by owner, and the cluster number of each.  Equal
+    values of one owner are collapsed first, and a sweep over the distinct
+    values in (owner, re, im) order compares each with the successors of
+    its owner whose real parts lie within CLUSTER_TOL, one offset at a
+    time, and joins close pairs in a union-find forest whose parents point
+    to smaller positions, so every root is the first member of its cluster.
     """
-    z, inverse = np.unique(values, return_inverse=True)
+    owner = np.broadcast_to(owner, values.shape)
+    order = np.lexsort((values.imag, values.real, owner))
+    z, who = values[order], owner[order]
+    fresh = np.ones(len(z), dtype=bool)
+    fresh[1:] = (z[1:] != z[:-1]) | (who[1:] != who[:-1])
+    z, who = z[fresh], who[fresh]
     n = len(z)
     parent = np.arange(n)
     for d in range(1, n):
-        if not (z.real[d:] - z.real[:-d] <= CLUSTER_TOL).any():
+        near = (who[d:] == who[:-d]) & (z.real[d:] - z.real[:-d] <= CLUSTER_TOL)
+        if not near.any():
             break
-        lo = np.flatnonzero(np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL)
+        lo = np.flatnonzero(near & (np.abs(z[d:] - z[:-d]) <= CLUSTER_TOL))
         _union(parent, lo, lo + d)
     _, labels = np.unique(_roots(parent, np.arange(n)), return_inverse=True)
-    order = np.lexsort((values.imag, values.real))
-    labels = labels[inverse[order]]
+    labels = labels[np.cumsum(fresh) - 1]
     grouped = np.argsort(labels, kind="stable")
     return order[grouped], labels[grouped]
 
 
 def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
-    """Full eigenvalue report with residual certificates.
+    """Full eigenvalue report with residual certificates: `spectra([op])`."""
+    return spectra([op], tol, peripheral_tol)[0]
 
-    Eigenvalues joined by a chain of steps of at most CLUSTER_TOL (1e-7)
-    form one record whose value is their mean and whose multiplicity is the
-    cluster size; the peripheral list keeps every
-    representative with modulus >= 1 - peripheral_tol.  The eigensolve is
-    the operator's (done once); the residuals are checked against this
-    call's tol.  Both tolerances must be finite positive numbers."""
+
+def spectra(ops, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
+    """One SpectralReport per operator (all on one group object), from one
+    array pass over their eigenvalues (`solve_spectra`, done once).
+
+    Eigenvalues of one operator joined by a chain of steps of at most
+    CLUSTER_TOL (1e-7) form one record: their mean, with the cluster size
+    as multiplicity.  The peripheral list keeps every representative with
+    modulus >= 1 - peripheral_tol.  Checked against this call's tol: the
+    residuals, and for each operator on n elements, within n tol, sum
+    lambda = tr P = n mu(e) and sum lambda^2 = tr P^2 = n sum_h mu(h)
+    mu(h^-1), which tie the blocks to the walk where a residual on 1 x 1
+    blocks cannot.  Both tolerances must be finite positive numbers."""
     _require_tolerance("tol", tol)
     _require_tolerance("peripheral_tol", peripheral_tol)
-    eigvals, residuals = op.eigenvalues()
-    worst = max(residuals, default=0.0)
-    if worst > tol:
-        raise ComputationError(
-            f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e} "
-            f"for the {op.side} operator on {op.group.name}"
-        )
-    members, labels = _clusters(eigvals)
+    _require_one_group(ops, "spectra")
+    solve_spectra(ops)
+    group, n = ops[0].group, ops[0].group.order
+    eigvals, residuals = (np.array([op._eigen[i] for op in ops]) for i in (0, 1))
+    power_sums = zip(eigvals.sum(axis=1).tolist(), (eigvals * eigvals).sum(axis=1).tolist())
+    for op, worst, sums in zip(ops, residuals.max(axis=1).tolist(), power_sums):
+        where = f"for the {op.side} operator on {group.name}"
+        if worst > tol:
+            raise ComputationError(f"eigenpair residual {worst:.3e} exceeds tol {tol:.3e} {where}")
+        mu = {h: float(w) for h, w in op.weights.items()}
+        traces = (mu.get(group.identity, 0.0), sum(w * mu.get(group.inv(h), 0.0) for h, w in mu.items()))
+        for power, gap in enumerate((abs(total - n * trace) for total, trace in zip(sums, traces)), 1):
+            if not gap <= n * tol:
+                raise ComputationError(f"eigenvalue power sum {power} misses tr P^{power} by {gap:.3e} {where}")
+    owner = np.repeat(np.arange(len(ops)), n)
+    members, labels = _clusters(eigvals.ravel(), owner)
     sizes = np.bincount(labels)
     # np.add.at adds in member order from 0, as sum() does; dividing each
     # part by the size is what complex division by a real size does
     sums = np.zeros(len(sizes), dtype=complex)
-    np.add.at(sums, labels, eigvals[members])
+    np.add.at(sums, labels, eigvals.ravel()[members])
     means = np.empty(len(sizes), dtype=complex)
     means.real, means.imag = sums.real / sizes, sums.imag / sizes
     worst = np.full(len(sizes), -np.inf)
-    np.maximum.at(worst, labels, np.array(residuals)[members])
-    values, counts, worst = means.tolist(), sizes.tolist(), worst.tolist()
-    records = [
-        EigenvalueRecord(values[i], counts[i], worst[i]) for i in _sort_order(means).tolist()
+    np.maximum.at(worst, labels, residuals.ravel()[members])
+    owner = owner[members[np.cumsum(sizes) - sizes]]  # each cluster's operator
+    values, counts, worst, owners = means.tolist(), sizes.tolist(), worst.tolist(), owner.tolist()
+    records = [[] for _ in ops]
+    for i in _sort_order(means, owner).tolist():
+        records[owners[i]].append(EigenvalueRecord(values[i], counts[i], worst[i]))
+    return [
+        SpectralReport(recs, [r.value for r in recs if abs(r.value) >= 1.0 - peripheral_tol], tol, peripheral_tol)
+        for recs in records
     ]
-    peripheral = [r.value for r in records if abs(r.value) >= 1.0 - peripheral_tol]
-    return SpectralReport(records, peripheral, tol, peripheral_tol)
-
-
-def _certified(stencils, vecs, lam):
-    """For each column v of the integer array vecs, whether P v = lam v
-    exactly for the composite P = stencils[0] o stencils[1] o ... (the last
-    acts first) of exact weighted-permutation stencils, summed by `_gather`
-    on all columns at once."""
-    image, den = vecs, 1
-    for terms in reversed(stencils):
-        image, den = _gather(terms, image, den)
-    return (image == lam * den * _fit(vecs, den * _max_abs(vecs))).all(axis=0)
 
 
 class WalkClasses(NamedTuple):
@@ -855,6 +865,22 @@ def component_kernel(walks, n, where):
     return [WalkClasses(rows[:, j], sign[j]) for j in range(len(walks))]
 
 
+def _build_stencils(ops):
+    """Build, each budgeted first, the stencils that operators lack: one
+    whole-permutation product per group, side and support element, read-only
+    and shared by every operator that steps by it."""
+    todo, perms = [op for op in ops if op._stencil is None], {}
+    for op in todo:
+        require_dense_budget((len(op.weights), op.group.order), 8, f"the {op.side} stencil on {op.group.name}")
+    for op in todo:
+        for h in op.weights:
+            if (op.group, op.side, h) not in perms:
+                perm = (op.group.right_perm if op.side == "right" else op.group.left_perm)(h)
+                perm.flags.writeable = False
+                perms[op.group, op.side, h] = perm
+        op._stencil = [(op.weights[h], perms[op.group, op.side, h]) for h in sorted(op.weights)]
+
+
 def label_walks(ops):
     """Label the walks of several operators on one group object together
     (operators on two are refused): one component_kernel call for those
@@ -863,6 +889,7 @@ def label_walks(ops):
     todo = [op for op in ops if op._walk is None]
     if todo:
         group = todo[0].group
+        _build_stencils(todo)
         walks = component_kernel([[op.stencil()] for op in todo], group.order, f"on {group.name}")
         for op, walk in zip(todo, walks):
             op._walk = walk

@@ -4,11 +4,12 @@ Each check emits CheckRecords collected into a VerificationReport.  The
 default corpus covers small cyclic, dihedral, symmetric, quaternion, and
 alternating groups with seeded random symmetric generating measures.  The
 theorem, foguel and revuz suites share one pass over it: each group's
-measures are sampled once, and the pass emits the group's theorem and revuz
-records (one labelling per walk gives +1, -1 and generation, one call per
-kind, and its spectra are solved in one call) and keeps only the left
-stencils and weights of its measures.  After the pass one foguel walk runs
-every group's measures side by side, with no dense operator.  The stirling
+measures are sampled once, and the pass emits the group's revuz records and
+its theorem records from one batch over all its measures (one labelling
+call per kind of walk, one spectral pass, and each exact certificate run
+once on the group's walks side by side), and keeps only the left stencils
+and weights of its measures.  After the pass one foguel walk runs every
+group's measures side by side, with no dense operator.  The stirling
 suite's exp bound takes its matrix exponential from linalg.expm, a scaling
 and squaring Padé approximant in numpy, so numpy is the only dependency at
 run time.
@@ -34,11 +35,11 @@ from .groups import (
     SymmetricGroup,
     TableGroup,
     closure,
+    generating_set,
 )
-from .harmonic import find_anti_character, two_sided_classes
+from .harmonic import _sign_vectors, find_anti_character, two_sided_classes
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
-    convolve,
     is_generating,
     is_symmetric,
     make_measure,
@@ -47,10 +48,7 @@ from .measures import (
 )
 from .operators import (
     GroupFunction,
-    OperatorOnMatrices,
-    _certified,
     _fit,
-    _gather,
     _max_abs,
     _require_tolerance,
     apply_truncated,
@@ -60,6 +58,7 @@ from .operators import (
     require_dense_budget,
     right_operator,
     solve_spectra,
+    spectra,
     spectrum,
 )
 
@@ -145,18 +144,8 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, obj):
-        records = [
-            CheckRecord(
-                fixture=c["fixture"],
-                quantity=c["quantity"],
-                value=c["value"],
-                threshold=c["threshold"],
-                passed=c["passed"],
-                note=c.get("note", ""),
-            )
-            for c in obj["checks"]
-        ]
-        return cls(obj["suite"], records)
+        fields = ("fixture", "quantity", "value", "threshold", "passed")
+        return cls(obj["suite"], [CheckRecord(*(c[f] for f in fields), c.get("note", "")) for c in obj["checks"]])
 
     def summary_lines(self):
         return [r.summary_line() for r in self.records]
@@ -219,8 +208,8 @@ def _foguel_walk(blocks, eps, n_max, where):
     the powers of every block's measures side by side.  A step nu -> mu * nu
     reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the inverse of each
     left stencil permutation (term k in row k) and adds the terms in
-    stencil order, as `_gather` does; shorter stencils are padded at the
-    end with weight-0 terms, which leave every sum bit-identical.  Each gap
+    stencil order, as `operators._gather` does; shorter stencils are padded
+    at the end with weight-0 terms, which leave every sum bit-identical.  Each gap
     is the last-axis np.add.reduce of a measure's n differences in a buffer
     of FOGUEL_CHUNK steps: numpy's pairwise sum over that row, as when the
     measure walks alone."""
@@ -266,31 +255,16 @@ def _foguel_walk(blocks, eps, n_max, where):
 def root_of_unity_check(group, mu, tol=1e-6, cap=None):
     """Peripheral eigenvalues must be k-th roots of unity, k the first
     return time of the support walk to the identity."""
-    if cap is None:
-        cap = group.order
+    cap = group.order if cap is None else cap
     k = min_return(mu, cap)
     if k is None:
-        raise ValueError(
-            f"support of the measure does not return to the identity within {cap} steps"
-        )
-    report = VerificationReport("root_of_unity")
-    fixture = f"{group.name}"
-    report.records.append(
-        CheckRecord(fixture, "min_return", k, cap, True)
-    )
-    spec_report = spectrum(right_operator(group, mu))
-    for lam in spec_report.peripheral:
+        raise ValueError(f"support of the measure does not return to the identity within {cap} steps")
+    records = [CheckRecord(group.name, "min_return", k, cap, True)]
+    for lam in spectrum(right_operator(group, mu)).peripheral:
         err = abs(lam**k - 1)
-        report.records.append(
-            CheckRecord(
-                fixture,
-                f"|lambda^{k} - 1| at {lam:.6f}",
-                float(err),
-                tol,
-                bool(err <= tol),
-            )
-        )
-    return report
+        quantity = f"|lambda^{k} - 1| at {lam:.6f}"
+        records.append(CheckRecord(group.name, quantity, float(err), tol, bool(err <= tol)))
+    return VerificationReport("root_of_unity", records)
 
 
 def revuz_check(t1, t2, a, tol=1e-7):
@@ -301,14 +275,12 @@ def revuz_check(t1, t2, a, tol=1e-7):
     max-row-sum norm (stochastic matrices contract the latter).  An empty
     fixed space is reported as a vacuous pass.
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     if not (0 < a < 1):
         raise ValueError(f"blend weight must satisfy 0 < a < 1, got {a}")
     for name, t in (("T1", t1), ("T2", t2)):
-        spectral = operator_norm(t)
-        row_sum = float(np.abs(t).sum(axis=1).max())
-        if min(spectral, row_sum) > 1 + 1e-12:
+        row_sum = float(np.abs(t).sum(axis=1).max())  # certifies stochastic matrices with no SVD
+        if not row_sum <= 1 + 1e-12 and (spectral := operator_norm(t)) > 1 + 1e-12:
             raise ValueError(
                 f"{name} is not a contraction: spectral norm {spectral:.6f}, "
                 f"row-sum norm {row_sum:.6f}"
@@ -321,20 +293,13 @@ def revuz_check(t1, t2, a, tol=1e-7):
     report = VerificationReport("revuz")
     fixture = f"blend(a={a})"
     if null_basis.shape[1] == 0:
-        report.records.append(
-            CheckRecord(fixture, "fixed_space", 0, 0, True, note="no fixed points")
-        )
-        return report
+        report.records.append(CheckRecord(fixture, "fixed_space", 0, 0, True, note="no fixed points"))
     for i in range(null_basis.shape[1]):
         x = null_basis[:, i].real
-        r1 = float(np.linalg.norm(t1 @ x - x))
-        r2 = float(np.linalg.norm(t2 @ x - x))
-        report.records.append(
-            CheckRecord(fixture, f"fixed_vector_{i}_T1_residual", r1, tol, bool(r1 <= tol))
-        )
-        report.records.append(
-            CheckRecord(fixture, f"fixed_vector_{i}_T2_residual", r2, tol, bool(r2 <= tol))
-        )
+        for name, t in (("T1", t1), ("T2", t2)):
+            r = float(np.linalg.norm(t @ x - x))
+            quantity = f"fixed_vector_{i}_{name}_residual"
+            report.records.append(CheckRecord(fixture, quantity, r, tol, bool(r <= tol)))
     return report
 
 
@@ -389,23 +354,27 @@ def default_corpus_groups():
 
 
 def random_symmetric_generating_measure(group, rng, max_pairs=4):
-    """Seeded random symmetric generating measure with denominator <= 64.
+    """Seeded random symmetric generating measure, denominator <= 14 p.
 
-    Samples up to max_pairs non-identity elements, closes the set under
-    inverses (resampling until the closure generates the whole group), and
-    assigns each inverse pair a weight in 1..7 so the total stays <= 64.
-    The identity, included a quarter of the time, gets weight at most 3 to
-    keep the lazy component small enough for the decay checks.
+    Samples up to p = max(max_pairs, r) non-identity elements, r the rank
+    of the sign characters (`_sign_vectors`; Z2^r needs r generators),
+    closes the set under inverses (resampling until it has at most 2 p
+    elements and generates the group), and gives each inverse pair a weight
+    in 1..7.  The identity, included a quarter of the time, gets weight at
+    most 3 to keep the lazy component small enough for the decay checks.
     """
     n = group.order
+    pairs = max_pairs
+    if len(generating_set(group)) > max_pairs:  # r is at most the greedy |T|
+        pairs = max(pairs, len(_sign_vectors(group)).bit_length() - 1)
     for _ in range(1000):
-        k = rng.randint(1, max_pairs)
+        k = rng.randint(1, pairs)
         picks = rng.sample(range(1, n), min(k, n - 1))
         support = set(picks)
         if rng.random() < 0.25:
             support.add(group.identity)
         support |= {group.inv(g) for g in support}
-        if len(support) > 8:
+        if len(support) > 2 * pairs:
             continue
         if len(closure(group, support)) != n:
             continue
@@ -487,97 +456,161 @@ def nonsymmetric_fixtures():
     return [(f"{group.name}/{name}", group, uniform(group, support)) for group, support, name in cases]
 
 
-def fixture_theorem_checks(fixture_id, group, mu, lift=None):
-    """All structural checks for one symmetric generating fixture.  Its
-    walks are labelled and solved once and kept on mu; `lift` is its entry
-    of `_lifts` when run_theorem_suite labelled the group's lifts.  Every
-    dimension is a class count of the right or two-sided walk, and each
-    identity is one exact column check over a whole basis: `_splits` on the
-    two-sided class indicators, and `_certified` on the -1 arrays times
-    chi, which are harmonic exactly when each anti-harmonic f is f1 * chi
-    with f1 harmonic (chi * chi = 1).  A character that is not -1 on the
-    support fails these records; it raises nothing."""
-    if not (mu.exact and is_symmetric(mu) and is_generating(mu)):
-        raise FixtureConstructionError(f"{fixture_id}: fixture must be exact, symmetric and generating")
+def fixture_theorem_checks(fixture_id, group, mu):
+    """All structural checks for one symmetric generating fixture."""
+    return _theorem_records([fixture_id], group, [mu])
+
+
+def _theorem_records(fids, group, measures):
+    """The theorem records of symmetric generating fixtures on one group, in
+    fixture order, from one pass: one labelling call per kind of walk (right,
+    two-sided and, at order <= OPERATOR_CHECK_MAX_ORDER, lift), one `spectra`
+    pass, and each identity as one exact column check over every walk's
+    basis side by side (`_stack`): `_splits` on the two-sided class
+    indicators, `_certified` on the -1 arrays times chi (harmonic exactly
+    when each anti-harmonic f is f1 * chi with f1 harmonic) and on each lift
+    side's fixed arrays.  A wrong character fails records; it raises nothing."""
+    ops = [right_operator(group, mu) for mu in measures]
+    label_walks(ops)
+    for fid, mu in zip(fids, measures):
+        if not (mu.exact and is_symmetric(mu) and is_generating(mu)):
+            raise FixtureConstructionError(f"{fid}: fixture must be exact, symmetric and generating")
+    n, where = group.order, f"on {group.name}"
+    two_sided = two_sided_classes(group, measures)
+    lifts = _lifts(group, measures) if n <= OPERATOR_CHECK_MAX_ORDER else []
+    solve_spectra(ops)
+    reports = spectra(ops)
+    right = _stack([op.stencil() for op in ops], n)
+    left = _stack([left_operator(group, mu).stencil() for mu in measures], n)
+    indicators = _columns([walk.basis(1, f"of the two-sided walk {where}") for walk in two_sided])
+    split = _splits(right, left, indicators)
+    chars = [find_anti_character(group, mu) for mu in measures]
+    factors = [op.classes().basis(-1, where) * (chi.values if chi else 0) for op, chi in zip(ops, chars)]
+    checks = [split, _certified(right, _columns(factors), 1)]
+    if lifts:
+        sides, classes = zip(*lifts)
+        columns = _columns([walk.basis(1, f"of the lift {where}") for walk in classes])
+        checks.append(np.logical_and(*(_certified(_stack(side, n * n), columns, 1) for side in zip(*sides))))
+    oks = np.array([check.all(axis=1) for check in checks]).T.tolist()  # split, factor[, lift]
     records = []
+    for j, (fid, mu, op, report, chi) in enumerate(zip(fids, measures, ops, reports, chars)):
+        split_ok, factor_ok, *fixed = oks[j]
 
-    def record(quantity, value, threshold, passed, note=""):
-        records.append(CheckRecord(fixture_id, quantity, value, threshold, passed, note))
+        def record(*fields):
+            records.append(CheckRecord(fid, *fields))
 
-    def exact(ok):
-        return "exact" if ok else "violated"
-
-    # peripheral eigenvalues sit at +-1
-    right = right_operator(group, mu)
-    peripheral = spectrum(right).peripheral
-    worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in peripheral), default=0.0)
-    record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
-
-    # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
-    two_sided = two_sided_classes(group, [mu])[0]
-    bi_dim = two_sided.count(1)
-    indicators = two_sided.basis(1, f"of the two-sided walk on {group.name}").T
-    split_ok = bool(_splits(right.stencil(), left_operator(group, mu).stencil(), indicators).all())
-    record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={bi_dim}")
-
-    # anti-harmonic functions exist iff a sign character is -1 on the support
-    walk = right.classes()
-    anti_dim, har_dim = walk.count(-1), walk.count(1)
-    chi = find_anti_character(group, mu)
-    found = f"anti_dim={anti_dim},character={'yes' if chi else 'no'}"
-    record("anti_iff_character", found, "equivalent", (anti_dim > 0) == (chi is not None))
-    if chi is not None:
-        record("anti_dim_equals_har_dim", anti_dim, har_dim, anti_dim == har_dim)
-        factors = walk.basis(-1, f"on {group.name}").T * np.array(chi.values)[:, None]
-        factor_ok = bool(_certified([right.stencil()], factors, 1).all())
-        record("anti_factors_through_character", exact(factor_ok), "exact", factor_ok)
-    else:
-        dims = f"anti_dim={anti_dim},bi_dim={bi_dim}"
-        trivial = anti_dim == 0 and bi_dim == 1
-        record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
-
-    # peripheral eigenvalues are k-th roots of unity for the first return
-    # time k, at most the order of a support element, so never above |G|
-    k = min_return(mu, group.order)
-    worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
-    record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
-
-    # matrix-level: the fixed arrays of right o left on the squared walk's
-    # lift, one per class, are each checked exactly to be fixed by each side
-    if group.order <= OPERATOR_CHECK_MAX_ORDER:
-        sides, classes = lift or _lifts(group, [mu])[0]
-        columns = classes.basis(1, f"of the lift on {group.name}").T
-        fixed = all(_certified([terms], columns, 1).all() for terms in sides)
-        note = f"solutions={columns.shape[1]}"
-        record("operator_jointly_fixed_is_fixed", exact(fixed), "exact", fixed, note)
+        # peripheral eigenvalues sit at +-1
+        worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in report.peripheral), default=0.0)
+        record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
+        # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
+        bi_dim = two_sided[j].count(1)
+        record("biharmonic_split", _EXACT[split_ok], "exact", split_ok, f"dim={bi_dim}")
+        # anti-harmonic functions exist iff a sign character is -1 on the support
+        anti_dim, har_dim = op.classes().count(-1), op.classes().count(1)
+        found = f"anti_dim={anti_dim},character={'yes' if chi else 'no'}"
+        record("anti_iff_character", found, "equivalent", (anti_dim > 0) == (chi is not None))
+        if chi is not None:
+            record("anti_dim_equals_har_dim", anti_dim, har_dim, anti_dim == har_dim)
+            record("anti_factors_through_character", _EXACT[factor_ok], "exact", factor_ok)
+        else:
+            dims, trivial = f"anti_dim={anti_dim},bi_dim={bi_dim}", anti_dim == 0 and bi_dim == 1
+            record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
+        # peripheral eigenvalues are k-th roots of unity for the first return
+        # time k, at most the order of a support element, so never above |G|
+        k = min_return(mu, n)
+        worst = max((abs(lam**k - 1) for lam in report.peripheral), default=0.0)
+        record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
+        # matrix-level: the fixed arrays of right o left on the squared walk's
+        # lift, one per class, are each checked exactly to be fixed by each side
+        if fixed:
+            note = f"solutions={classes[j].count(1)}"
+            record("operator_jointly_fixed_is_fixed", _EXACT[fixed[0]], "exact", fixed[0], note)
     return records
 
 
+_EXACT = {True: "exact", False: "violated"}
+
+
+def _stack(stencils, n):
+    """(coeffs, perms, scale) for exact stencils [(w, perm)] of walks on n
+    nodes each, side by side as component_kernel lays them out: at node x of
+    walk j (nodes j n .. j n + n - 1) term k adds coeffs[k, x] times the value
+    at perms[k, x], over scale[j]; shorter stencils get weight-0 terms."""
+    size, idle = max(map(len, stencils)), (Fraction(0), np.arange(n))
+    stencils = [terms + [idle] * (size - len(terms)) for terms in stencils]
+    scales = [math.lcm(*(w.denominator for w, _ in terms)) for terms in stencils]
+    nums = [[w.numerator * (c // w.denominator) for w, _ in terms] for c, terms in zip(scales, stencils)]
+    perms = np.array([[perm for _, perm in terms] for terms in stencils])
+    perms += n * np.arange(len(stencils))[:, None, None]
+    coeffs, scale = (_fit(np.array(x, dtype=object), max(scales)) for x in (nums, scales))
+    return np.repeat(coeffs.T, n, axis=1), perms.transpose(1, 0, 2).reshape(size, -1), scale[:, None, None]
+
+
+def _columns(bases):
+    """Each walk's integer basis rows as columns over its stacked nodes, zero
+    elsewhere (zero columns pass every homogeneous check)."""
+    n, width = bases[0].shape[1], max(len(basis) for basis in bases)
+    out = np.zeros((len(bases), n, width), dtype=np.int64)
+    for block, basis in zip(out, bases):
+        block[:, : len(basis)] = basis.T
+    return out.reshape(len(bases) * n, width)
+
+
+def _gather(stack, cols):
+    """The numerators of P v for the stacked walks P and each column v of
+    the integer array cols, over each walk's denominator, shaped (walks,
+    nodes, columns): in int64 when max|v| times the largest coefficient sum
+    stays below 2**63, else on Python ints."""
+    coeffs, perms, scale = stack
+    cols = _fit(cols, max(_max_abs(cols), 1) * _max_abs(coeffs.sum(axis=0)))
+    image = sum(c[:, None] * cols[perm] for c, perm in zip(coeffs, perms))
+    return image.reshape(len(scale), len(cols) // len(scale), cols.shape[1])
+
+
+def _certified(stack, cols, lam):
+    """(walks, columns) array: whether P v = lam v exactly on each walk's
+    nodes, for the stacked walks P and each integer column v of cols."""
+    image, scale = _gather(stack, cols), stack[2]
+    return (image == lam * scale * _fit(cols, _max_abs(scale) * _max_abs(cols)).reshape(image.shape)).all(axis=1)
+
+
 def _splits(right, left, cols):
-    """For each column f of the integer array cols, whether decompose(f, mu)
-    splits it into a constant and a two-sided anti-harmonic part, given the
-    stencils of mu's right walk P and left walk L: P^2 f = f, L P f = f,
-    t0 = (f + P f)/2 is constant, and P t1 = L t1 = -t1 for
-    t1 = (f - P f)/2.  A constant t0 gives P f = 2 t0 - f, so P^2 f = f and
-    P t1 = -t1, and then L t1 = -t1 exactly when L P f = f: two exact
-    checks cover the five identities, each on all columns at once.  Each
-    identity is linear and homogeneous, so a column may be any multiple of
-    its function (a numerator array over any denominator), and the columns
-    of a basis all pass exactly when its whole span does."""
-    image, den = _gather(right, cols, 1)  # P f = image / den
-    scaled = _fit(cols, 2 * den * max(_max_abs(cols), 1)) * den
-    twice_t0 = scaled + image  # 2 den t0
-    constant = (twice_t0 == twice_t0[:1]).all(axis=0)
-    return constant & _certified([left], scaled - image, -1)  # 2 den t1
+    """(walks, columns) array: for each column f of the integer array cols
+    on walk j's nodes, whether decompose(f, mu_j) splits it into a constant
+    and a two-sided anti-harmonic part, given the stacked right walks P and
+    left walks L: P^2 f = f, L P f = f, t0 = (f + P f)/2 is constant, and
+    P t1 = L t1 = -t1 for t1 = (f - P f)/2.  A constant t0 gives
+    P f = 2 t0 - f, so P^2 f = f and P t1 = -t1, and then L t1 = -t1 exactly
+    when L P f = f: two exact checks cover the five identities, each on all
+    columns at once.  Each identity is linear and homogeneous, so a column
+    may be any multiple of its function (a numerator array over any
+    denominator), and the columns of a basis all pass exactly when its
+    whole span does."""
+    image, scale = _gather(right, cols), right[2]  # P f = image / scale
+    scaled = _fit(cols, 2 * _max_abs(scale) * max(_max_abs(cols), 1)).reshape(image.shape) * scale
+    twice_t0 = scaled + image  # 2 scale t0
+    constant = (twice_t0 == twice_t0[:, :1]).all(axis=1)
+    return constant & _certified(left, (scaled - image).reshape(cols.shape), -1)  # 2 scale t1
 
 
 def _lifts(group, measures):
-    """(sides, classes) for the lift of nu = mu * mu of each measure (nu
-    holds the identity, as mu is symmetric): the lifted right and left
-    stencils and the classes of right o left, labelled in one call."""
-    nus = [convolve(mu, mu) for mu in measures]
-    sides = [[OperatorOnMatrices(group, nu, s).terms for s in ("right", "left")] for nu in nus]
-    return list(zip(sides, component_kernel(sides, group.order**2, f"of the lift on {group.name}")))
+    """(sides, classes) for the lift of nu = mu * mu of each measure: nu's
+    OperatorOnMatrices terms on each side and the classes of right o left,
+    labelled in one call, all read off the table table[h, x] = h x (columns
+    right_perm, rows left_perm); nu is summed on integer numerators."""
+    n = group.order
+    table = group._products(np.arange(n)[:, None], np.arange(n))
+    lifted = [(perm[:, :, None] * n + perm[:, None, :]).reshape(n, n * n) for perm in (table.T, table)]
+    sides = []
+    for mu in measures:
+        support = mu.support()
+        den = math.lcm(*(mu.weights[h].denominator for h in support))
+        nums = np.array([mu.weights[h].numerator * (den // mu.weights[h].denominator) for h in support], dtype=object)
+        square = np.zeros(n, dtype=object)
+        np.add.at(square, table[np.ix_(support, support)].ravel(), np.outer(nums, nums).ravel())
+        nu = [(g, Fraction(x, den * den)) for g, x in enumerate(square.tolist()) if x]
+        sides.append([[(w, perms[g]) for g, w in nu] for perms in lifted])
+    return list(zip(sides, component_kernel(sides, n * n, f"of the lift on {group.name}")))
 
 
 def _renamed(report, fixture):
@@ -629,11 +662,9 @@ CORPUS_SUITES = ("theorems", "foguel", "revuz")
 def _corpus_suites(names, corpus=None, seed=0, trials=100):
     """{name: report} for the named corpus suites, from one pass over the
     corpus (CorpusSpec(seed=seed) by default) that samples each measure
-    once.  Per group: its right walks, two-sided walks and lifts are
-    labelled by one call per kind and its spectra solved by one call before
-    fixture_theorem_checks runs on each fixture, the lazy fixtures get their
-    revuz records, and the foguel block is kept for one walk after the
-    pass.  Each suite keeps its order: theorems, then the non-symmetric
+    once.  Per group: `_theorem_records` emits the theorem records of all
+    its fixtures, the lazy fixtures get their revuz records, and the foguel
+    block is kept for one walk after the pass.  Each suite keeps its order: theorems, then the non-symmetric
     fixtures; foguel, then the Z4 control; the `trials` stochastic revuz
     pairs, then the revuz corpus."""
     records, blocks = {name: [] for name in names}, []
@@ -641,14 +672,7 @@ def _corpus_suites(names, corpus=None, seed=0, trials=100):
     for group, batch in itertools.groupby(fixtures, key=lambda item: item[1]):
         fids, _, measures = zip(*batch)
         if "theorems" in names:
-            ops = [right_operator(group, mu) for mu in measures]
-            label_walks(ops)
-            two_sided_classes(group, measures)
-            solve_spectra(ops)
-            small = group.order <= OPERATOR_CHECK_MAX_ORDER
-            lifts = _lifts(group, measures) if small else [None] * len(fids)
-            for fid, mu, lift in zip(fids, measures, lifts):
-                records["theorems"] += fixture_theorem_checks(fid, group, mu, lift)
+            records["theorems"] += _theorem_records(fids, group, measures)
         if "foguel" in names:
             blocks.append((fids, _foguel_block(group, measures)))
         if "revuz" in names:
@@ -688,14 +712,8 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
     right, right_interior = apply_truncated(ball, mu, f, "right")
     left, left_interior = apply_truncated(ball, mu, f, "left")
     both, both_interior = apply_truncated(ball, mu, right, "left")
-    size = len(right_interior)
-    records = [
-        CheckRecord(
-            fixture, "interior_size", size,
-            ">= 0" if expected_interior is None else expected_interior,
-            expected_interior is None or size == expected_interior,
-        )
-    ]
+    size, expected = len(right_interior), ">= 0" if expected_interior is None else expected_interior
+    records = [CheckRecord(fixture, "interior_size", size, expected, expected_interior in (None, size))]
     both_note = f"interior={len(both_interior)}"
     for name, out, interior, sign, note in (
         (f"right_convolution_negates{suffix}", right, right_interior, -1, ""),
@@ -703,9 +721,7 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
         ("two_sided_convolution_restores", both, both_interior, 1, both_note),
     ):
         ok = out.equals_on(f.scale(sign), interior)
-        records.append(
-            CheckRecord(fixture, name, "exact" if ok else "violated", "exact", ok, note=note)
-        )
+        records.append(CheckRecord(fixture, name, _EXACT[ok], "exact", ok, note=note))
     return records
 
 
@@ -714,11 +730,8 @@ def _ball_sign_checks(records, fixture, ball, mu, expected_interior):
     records.extend(ball_sign_records(fixture, ball, mu, f, expected_interior))
     chi = find_anti_character(ball, mu)
     chi_ok = chi is not None and chi.as_function() == f
-    records.append(
-        CheckRecord(
-            fixture, "sign_character_found", "parity" if chi_ok else "missing", "parity", chi_ok,
-        )
-    )
+    found = "parity" if chi_ok else "missing"
+    records.append(CheckRecord(fixture, "sign_character_found", found, "parity", chi_ok))
 
 
 def examples_suite():
@@ -728,13 +741,7 @@ def examples_suite():
     step = uniform(line, [line.index_of_form((1,)), line.index_of_form((-1,))])
     _ball_sign_checks(report.records, "Zball50", line, step, expected_interior=99)
     free = FreeBall(2, 6)
-    gens = [
-        free.index_of_form((1,)),
-        free.index_of_form((-1,)),
-        free.index_of_form((2,)),
-        free.index_of_form((-2,)),
-    ]
-    free_step = uniform(free, gens)
+    free_step = uniform(free, [free.index_of_form((letter,)) for letter in (1, -1, 2, -2)])
     report.records.append(
         CheckRecord("F2ball6", "ball_size", free.order, 1457, free.order == 1457)
     )
@@ -763,25 +770,11 @@ def stirling_suite(seed=0, trials=100):
         t = raw * (scale / operator_norm(raw))
         for n in (1, 10, 100):
             result = exp_bound_check(t, n)
-            report.records.append(
-                CheckRecord(
-                    f"contraction_{trial:03d}",
-                    f"exp_bound_n={n}",
-                    result.lhs,
-                    result.rhs,
-                    result.passed,
-                )
-            )
+            fixture = f"contraction_{trial:03d}"
+            report.records.append(CheckRecord(fixture, f"exp_bound_n={n}", result.lhs, result.rhs, result.passed))
     for n, ratio in stirling_trend():
-        report.records.append(
-            CheckRecord(
-                "stirling_trend",
-                f"ratio_n={n}",
-                ratio,
-                "0.9..1.1" if n == 200 else "monotone toward 1",
-                (0.9 <= ratio <= 1.1) if n == 200 else True,
-            )
-        )
+        bound, ok = ("0.9..1.1", 0.9 <= ratio <= 1.1) if n == 200 else ("monotone toward 1", True)
+        report.records.append(CheckRecord("stirling_trend", f"ratio_n={n}", ratio, bound, ok))
     return report
 
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import random
 import time
@@ -636,8 +637,7 @@ def test_whole_permutation_products_match_mul(group, data):
 
 
 def first_draw(group):
-    """The first seeded corpus draw on group, or the sampler's refusal (no
-    four inverse pairs generate the nested product)."""
+    """The first seeded corpus draw on group, or the sampler's refusal."""
     try:
         return random_symmetric_generating_measure(group, random.Random(0))
     except FixtureConstructionError as exc:
@@ -692,6 +692,38 @@ def test_finite_products_read_no_per_element_mul(group, monkeypatch):
         assert character_from_extremal(GroupFunction(group, [-float(v) for v in chi]), sign).values == chi
     for f in eigenspace(left, lam, tol=1e-8):
         assert np.allclose(apply(left, f).as_array(), lam * f.as_array())
+
+
+@functools.lru_cache(maxsize=None)
+def ranked_points(dim, radius):
+    """Every point of the ball in index order: by length, then lexicographically."""
+    return sorted(lattice_points(dim, radius), key=lambda p: (sum(map(abs, p)), p))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_lattice_index_is_the_rank_by_length_then_lexicographically(dim, radius, data):
+    """index_of_form (Python ints) and _lookup (arrays) against enumeration,
+    and None for a point outside the ball or of another dimension."""
+    ball = LatticeBall(dim, radius)
+    points = ranked_points(dim, radius)
+    assert [ball.index_of_form(p) for p in points] == list(range(ball.order))
+    assert ball._lookup(np.array(points, dtype=np.int32).reshape(-1, dim)).tolist() == list(range(ball.order))
+    assert forms(ball) == points
+    far = data.draw(st.lists(st.integers(-radius - 2, radius + 2), min_size=dim, max_size=dim))
+    if sum(map(abs, far)) > radius:
+        assert ball.index_of_form(far) is None
+    assert ball.index_of_form([0] * (dim + 1)) is None
+
+
+@pytest.mark.parametrize("dim, radius", [(1200, 1), (1, 100_000)])
+@settings(max_examples=5)
+@given(st.data())
+def test_lattice_rank_on_a_wide_and_a_long_ball(dim, radius, data):
+    ball, points = LatticeBall(dim, radius), ranked_points(dim, radius)
+    picks = data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20))
+    assert [ball.index_of_form(points[i]) for i in picks] == picks
+    assert ball._lookup(np.array([points[i] for i in picks], dtype=np.int32)).tolist() == picks
 
 
 @settings(max_examples=2)

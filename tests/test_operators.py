@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from groupwalk.verify import alternating_group
 
 from ball_reference import reference
 from linalg_reference import normalize_leading
+from walk_reference import certified_alone
 
 F = Fraction
 
@@ -437,6 +439,36 @@ def test_operators_refuse_a_measure_from_a_group_of_another_order(home, other):
     assert spectrum(right_operator(twin, mu)).peripheral == [1.0]
 
 
+def test_spectrum_power_sums_refuse_blocks_of_another_walk(monkeypatch):
+    """A residual is taken on the factored blocks, so it passes blocks that
+    do not belong to the walk (on 1 x 1 blocks it is 0 whatever they hold);
+    sum lambda = tr P and sum lambda^2 = tr P^2 do not: blocks that miss one
+    step of a symmetric measure, or hold the steps in the wrong coset
+    column, are refused."""
+    real = operators._character_blocks
+    z8, d5 = CyclicGroup(8), DihedralGroup(5)
+    lazy = make_measure(z8, [(1, Fraction(1, 4)), (4, Fraction(1, 2)), (7, Fraction(1, 4))])
+    turn = make_measure(d5, [(1, Fraction(1, 2)), (5, Fraction(1, 2))])
+
+    def without_step_4(ops):
+        [op] = ops
+        return real([SimpleNamespace(group=op.group, side=op.side, weights={1: Fraction(1, 4), 7: Fraction(1, 4)})])
+
+    monkeypatch.setattr(operators, "_character_blocks", without_step_4)
+    with pytest.raises(ComputationError, match=r"power sum 2 misses tr P\^2 by 2\.000e\+00 .* on Z8"):
+        spectrum(ConvolutionOperator(z8, lazy, "right"))
+    def steps_in_the_other_column(ops):  # D5's blocks are 2 x 2
+        ks, blocks = real(ops)
+        return ks, blocks[..., ::-1].copy()
+
+    monkeypatch.setattr(operators, "_character_blocks", steps_in_the_other_column)
+    with pytest.raises(ComputationError, match=r"power sum 1 misses tr P\^1 .* on D5"):
+        spectrum(ConvolutionOperator(d5, turn, "left"))
+    monkeypatch.undo()
+    for group, mu in ((z8, lazy), (d5, turn)):
+        assert spectrum(ConvolutionOperator(group, mu, "left")).peripheral
+
+
 def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
     g = DihedralGroup(6)  # six 2 x 2 character blocks
     mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
@@ -482,6 +514,25 @@ def test_dense_allocations_refused_over_budget(monkeypatch):
         spectrum(right_operator(g, mu))
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 16 * 3 * 2 * 2)
     assert sum(r.multiplicity for r in spectrum(right_operator(g, mu)).eigenvalues) == 6
+
+
+def test_stencils_of_one_group_share_one_product_per_side_and_element(monkeypatch):
+    """Operators on one group object built together share one permutation
+    per side and support element, row for row the group's own right_perm
+    and left_perm."""
+    g = DihedralGroup(5)
+    supports = ([1, 4], [1, 5, 6], [0, 7])
+    ops = [ConvolutionOperator(g, uniform(g, s), side) for s in supports for side in ("right", "left")]
+    expected = [
+        [(op.weights[h], (g.right_perm if op.side == "right" else g.left_perm)(h).tolist()) for h in sorted(op.weights)]
+        for op in ops
+    ]
+    calls, products = [], g._products
+    monkeypatch.setattr(g, "_products", lambda a, b: calls.append(1) or products(a, b))
+    operators._build_stencils(ops)
+    assert len(calls) == 2 * 6  # elements 0, 1, 4, 5, 6, 7 on each side
+    assert [[(w, perm.tolist()) for w, perm in op.stencil()] for op in ops] == expected
+    assert ops[0].stencil()[0][1] is ops[2].stencil()[0][1]  # both right walks step by 1
 
 
 def test_stencil_is_budgeted_before_it_is_built(monkeypatch):
@@ -1072,7 +1123,7 @@ def test_lift_kernel_matches_dense_nullspace(dense_lift, walk):
 @given(exact_walks(LIFT_GROUPS))
 def test_class_certificate_agrees_with_gather_oracle(walk):
     """Every array component_kernel certifies structurally also passes the
-    exact per-array check P v = lam v summed by `_gather` (`_certified`),
+    exact per-array check P v = lam v summed by `_gather` (`certified_alone`),
     on each walk, each side's lift and the lift of right o left."""
     group, mu = walk
     n = group.order
@@ -1083,7 +1134,7 @@ def test_class_certificate_agrees_with_gather_oracle(walk):
         for lam in (1, -1):
             basis = _kernel(stencils, size, lam)
             if len(basis):
-                assert operators._certified(stencils, np.stack(basis, axis=1), lam).all()
+                assert certified_alone(stencils, np.stack(basis, axis=1), lam).all()
 
 
 def test_class_certificate_rejects_split_and_false_bipartite_labels(monkeypatch):

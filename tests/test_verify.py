@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupwalk import operators, verify
@@ -57,6 +58,8 @@ from groupwalk.verify import (
     stirling_trend,
     verify_suite,
 )
+
+from walk_reference import theorem_records_by_fixture
 
 F = Fraction
 
@@ -243,6 +246,54 @@ def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
     assert [rec.to_json() for rec in report.records[: len(alone)]] == alone
 
 
+# every finite kind, orders on both sides of OPERATOR_CHECK_MAX_ORDER
+THEOREM_GROUPS = [
+    CyclicGroup(2), CyclicGroup(5), CyclicGroup(8), CyclicGroup(9), DihedralGroup(3), DihedralGroup(4),
+    DihedralGroup(5), SymmetricGroup(3), QuaternionGroup(), alternating_group(4),
+    ProductGroup([CyclicGroup(2), CyclicGroup(2)]), ProductGroup([CyclicGroup(2), SymmetricGroup(3)]),
+]
+
+
+def record_bits(records):
+    return [(r.fixture, r.quantity, repr(r.value), repr(r.threshold), r.passed, r.note) for r in records]
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(st.sampled_from(THEOREM_GROUPS), min_size=1, max_size=3, unique_by=id),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_theorem_batch_matches_the_fixture_by_fixture_reference(groups, per_group, seed):
+    """One pass per corpus group gives the records of each fixture checked
+    on its own walks alone (freshly sampled), float bits included."""
+    spec = CorpusSpec(groups=groups, measures_per_group=per_group, seed=seed)
+    batch = run_theorem_suite(spec).records
+    alone = [rec for fid, group, mu in corpus_fixtures(spec) for rec in theorem_records_by_fixture(fid, group, mu)]
+    assert record_bits(batch[: len(alone)]) == record_bits(alone)
+
+
+def test_theorem_suite_runs_each_certificate_once_per_group(monkeypatch):
+    """Per corpus group: one spectral pass, one split certificate (whose
+    left-walk check is one more `_certified` call), one factor certificate
+    and, at order <= 8, one certificate per lift side, each over all the
+    group's walks (nodes per walk, walks)."""
+    calls = []
+
+    def count(name, real, shape):
+        monkeypatch.setattr(verify, name, lambda *args: calls.append((name, *shape(args[0]))) or real(*args))
+
+    count("spectra", verify.spectra, lambda ops: (ops[0].group.name, len(ops)))
+    for name in ("_splits", "_certified"):
+        count(name, getattr(verify, name), lambda stack: (stack[1].shape[1] // len(stack[2]), len(stack[2])))
+    run_theorem_suite(CorpusSpec(groups=[CyclicGroup(4), DihedralGroup(5)], measures_per_group=3))
+    assert calls == [
+        ("spectra", "Z4", 3), ("_splits", 4, 3), ("_certified", 4, 3), ("_certified", 4, 3),
+        ("_certified", 16, 3), ("_certified", 16, 3),
+        ("spectra", "D5", 3), ("_splits", 10, 3), ("_certified", 10, 3), ("_certified", 10, 3),
+    ]
+
+
 def test_foguel_power_table_refused_over_budget(monkeypatch):
     g = CyclicGroup(4)
     # the 2 x 4 stencil fits; the walk's tables plus 500 gaps do not, 10 gaps do
@@ -347,6 +398,16 @@ def test_revuz_vacuous_when_no_fixed_points():
     assert report.passed
     assert len(report.records) == 1
     assert report.records[0].note == "no fixed points"
+
+
+def test_revuz_certifies_stochastic_contractions_by_row_sums(monkeypatch):
+    """Row sums of 1 certify both stochastic matrices as contractions, so
+    only the commutator takes a spectral norm (an SVD)."""
+    calls, norm = [], verify.operator_norm
+    monkeypatch.setattr(verify, "operator_norm", lambda m: calls.append(m.shape) or norm(m))
+    t2 = np.array([[0.5, 0.5], [0.25, 0.75]])
+    assert revuz_check((t2 + t2 @ t2) / 2, t2, 0.5).passed
+    assert calls == [(2, 2)]
 
 
 def test_revuz_rejects_bad_inputs():
@@ -499,6 +560,16 @@ def test_sampler_draws_are_pinned(group):
     assert [" ".join(f"{g}:{w}" for g, w in sorted(d.items())) for d in draws] == SAMPLER_DRAWS[group.name]
 
 
+def test_sampler_draws_as_many_pairs_as_the_group_needs_generators():
+    """Z2^12 needs 12 generators, each its own inverse: at most 4 draws
+    never generate it."""
+    group = ProductGroup([CyclicGroup(2)] * 12)
+    start = time.perf_counter()
+    mu = random_symmetric_generating_measure(group, random.Random(0))
+    assert time.perf_counter() - start < 2
+    assert is_symmetric(mu) and is_generating(mu) and len(set(mu.weights) - {0}) == 12
+
+
 def test_sampler_rejects_impossible_group():
     rng = random.Random(0)
     mu = random_symmetric_generating_measure(DihedralGroup(8), rng)
@@ -629,8 +700,8 @@ def test_split_columns_match_decompose_oracle(group, seed, generating):
         *(basis[0] + f for f in one_sided),
         *(GroupFunction._from_numerators(group, row) for row in indicators),
     ]
-    right, left = right_operator(group, mu).stencil(), left_operator(group, mu).stencil()
-    columns = verify._splits(right, left, np.column_stack([f._nums for f in functions])).tolist()
+    right, left = (verify._stack([op(group, mu).stencil()], group.order) for op in (right_operator, left_operator))
+    [columns] = verify._splits(right, left, np.column_stack([f._nums for f in functions])).tolist()
     assert columns == [five_identities(f, mu) for f in functions]
     if is_generating(mu):
         assert columns == [decompose_splits(f, mu) for f in functions]

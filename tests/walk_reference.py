@@ -1,13 +1,30 @@
-"""Per-element references for the set searches over permutation rows.
+"""Per-element and per-fixture references for the library's batched walks.
 
 The library's `closure` and `min_return` step whole sets along the rows
 of `right_perm`, and `_abelian_subgroup` labels the cycles of one
 `left_perm` row with `_classes`.  These loops take one element at a time
 (`closure` and `min_return` through the scalar `mul`) and are the tests'
-oracles.
+oracles.  `theorem_records_by_fixture` is the theorem suite's per-fixture
+body from before it ran once per corpus group: one spectrum, one split,
+factor and lift certificate per fixture, each stencil gathered alone, and
+the lift of mu * mu from `convolve`.
 """
 
 import numpy as np
+
+from groupwalk.harmonic import find_anti_character, two_sided_classes
+from groupwalk.measures import convolve, min_return
+from groupwalk.operators import (
+    OperatorOnMatrices,
+    _fit,
+    _gather,
+    _max_abs,
+    component_kernel,
+    left_operator,
+    right_operator,
+    spectrum,
+)
+from groupwalk.verify import OPERATOR_CHECK_MAX_ORDER, CheckRecord
 
 
 def closure_by_mul(group, seed_elements):
@@ -56,3 +73,76 @@ def abelian_subgroup_by_loop(group):
                 coset[x], kappa[x], x = label, m, step[x]
             label += 1
     return [size], np.array(coset), np.array(kappa)[:, None]
+
+
+def certified_alone(stencils, vecs, lam):
+    """For each column v of the integer array vecs, whether P v = lam v
+    exactly for the composite P = stencils[0] o stencils[1] o ... of one
+    walk's exact stencils (the last acts first)."""
+    image, den = vecs, 1
+    for terms in reversed(stencils):
+        image, den = _gather(terms, image, den)
+    return (image == lam * den * _fit(vecs, den * _max_abs(vecs))).all(axis=0)
+
+
+def splits_alone(right, left, cols):
+    """For each column f of cols, whether P^2 f = f, L P f = f, (f + P f)/2
+    is constant and the rest is negated by both walks, for one walk's right
+    stencil P and left stencil L."""
+    image, den = _gather(right, cols, 1)
+    scaled = _fit(cols, 2 * den * max(_max_abs(cols), 1)) * den
+    twice_t0 = scaled + image
+    constant = (twice_t0 == twice_t0[:1]).all(axis=0)
+    return constant & certified_alone([left], scaled - image, -1)
+
+
+def theorem_records_by_fixture(fixture_id, group, mu):
+    """The theorem records of one symmetric generating fixture, checked on
+    its own walks alone."""
+    records = []
+
+    def record(quantity, value, threshold, passed, note=""):
+        records.append(CheckRecord(fixture_id, quantity, value, threshold, passed, note))
+
+    def exact(ok):
+        return "exact" if ok else "violated"
+
+    right = right_operator(group, mu)
+    peripheral = spectrum(right).peripheral
+    worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in peripheral), default=0.0)
+    record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
+
+    two_sided = two_sided_classes(group, [mu])[0]
+    bi_dim = two_sided.count(1)
+    indicators = two_sided.basis(1, "in the reference").T
+    split_ok = bool(splits_alone(right.stencil(), left_operator(group, mu).stencil(), indicators).all())
+    record("biharmonic_split", exact(split_ok), "exact", split_ok, f"dim={bi_dim}")
+
+    walk = right.classes()
+    anti_dim, har_dim = walk.count(-1), walk.count(1)
+    chi = find_anti_character(group, mu)
+    found = f"anti_dim={anti_dim},character={'yes' if chi else 'no'}"
+    record("anti_iff_character", found, "equivalent", (anti_dim > 0) == (chi is not None))
+    if chi is not None:
+        record("anti_dim_equals_har_dim", anti_dim, har_dim, anti_dim == har_dim)
+        factors = walk.basis(-1, "in the reference").T * np.array(chi.values)[:, None]
+        factor_ok = bool(certified_alone([right.stencil()], factors, 1).all())
+        record("anti_factors_through_character", exact(factor_ok), "exact", factor_ok)
+    else:
+        dims = f"anti_dim={anti_dim},bi_dim={bi_dim}"
+        trivial = anti_dim == 0 and bi_dim == 1
+        record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
+
+    k = min_return(mu, group.order)
+    worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
+    record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
+
+    if group.order <= OPERATOR_CHECK_MAX_ORDER:
+        nu = convolve(mu, mu)
+        sides = [OperatorOnMatrices(group, nu, s).terms for s in ("right", "left")]
+        [classes] = component_kernel([sides], group.order**2, "in the reference")
+        columns = classes.basis(1, "in the reference").T
+        fixed = all(certified_alone([terms], columns, 1).all() for terms in sides)
+        note = f"solutions={columns.shape[1]}"
+        record("operator_jointly_fixed_is_fixed", exact(fixed), "exact", fixed, note)
+    return records
