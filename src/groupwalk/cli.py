@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -279,20 +280,47 @@ _SCALARS = {
     bool: lambda x: "true" if x else "false",
     type(None): lambda x: "null",
 }
+_SIGNS = {-1: "-1", 0: "0", 1: "1"}
 
 
-def _key(key):
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+@functools.lru_cache(maxsize=256, typed=True)
+def _template(indent, *keys):
+    """The %-format of a dict with these sorted keys at this indent."""
+    fields, inner = [], indent + "  "
+    for key in keys:
+        if not (key is None or isinstance(key, (str, int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        name = encode_basestring_ascii(key if isinstance(key, str) else _encode(key))
+        fields.append(name.replace("%", "%%") + ": %s")
+    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+
+
+def _items(values, indent):
+    """The texts of a nonempty list's entries at this indent, in one pass
+    where the entries allow: entries of one scalar type (-1, 0 and 1 from a
+    table, finite floats by repr), records with one set of string keys
+    column by column into their cached template, the rest one by one."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        try:
+            return [*map(_SIGNS.__getitem__, values)]
+        except KeyError:
+            pass
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if len(kinds) == 1 and kinds <= _SCALARS.keys():
+        return map(_SCALARS[kinds.pop()], values)
+    keys = sorted(values[0]) if kinds == {dict} else None
+    if keys and all(type(key) is str for key in keys) and all(r.keys() == values[0].keys() for r in values):
+        columns = [_items([record[key] for record in values], indent + "  ") for key in keys]
+        return map(_template(indent, *keys).__mod__, zip(*columns))
+    return [_encode(x, indent) for x in values]
 
 
 def _encode(obj, indent="\n"):
     """The text of json.dumps(obj, indent=2, sort_keys=True), built in
-    fewer steps: a list of only ints, only strings or only finite floats is
-    joined in one pass, and a dict's scalar values are encoded inline."""
+    fewer steps: a list's entries come from `_items`, and a dict's values,
+    scalars encoded inline, fill the cached template of its sorted keys."""
     encode = _SCALARS.get(type(obj))
     if encode is not None:
         return encode(obj)
@@ -300,23 +328,15 @@ def _encode(obj, indent="\n"):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {int} or kinds == {str}:
-            items = map(_SCALARS[kinds.pop()], obj)
-        elif kinds == {float} and all(map(math.isfinite, obj)):
-            items = map(float.__repr__, obj)
-        else:
-            items = [_encode(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return "[" + inner + ("," + inner).join(_items(obj, inner)) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key, value in sorted(obj.items()):
+        keys, values = sorted(obj), []
+        for value in map(obj.__getitem__, keys):
             encode = _SCALARS.get(type(value))
-            text = encode(value) if encode is not None else _encode(value, inner)
-            items.append(f"{_key(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+            values.append(encode(value) if encode is not None else _encode(value, inner))
+        return _template(indent, *keys) % tuple(values)
     for kind in (str, int, float):  # subclasses of the scalar types
         if isinstance(obj, kind):
             return _SCALARS[kind](obj)

@@ -119,6 +119,7 @@ class FiniteGroup:
     is_truncated = False
     _cosets = None
     _generators = None
+    _signs = None
     _inverse_list = None
 
     def elements(self):
@@ -186,6 +187,19 @@ class FiniteGroup:
                 array.flags.writeable = False
             self._generators = (tuple(gens), mask, relations, tuple(perms))
         return self._generators
+
+    def sign_vectors(self):
+        """The sign characters as sign vectors (bit i set: chi(t_i) = -1 for
+        generator_masks' t_i), in increasing order: the 2^r of the 2^k that
+        meet every relation mask with even parity, r the rank of the largest
+        elementary abelian 2-quotient.  Computed once, kept read-only."""
+        if self._signs is None:
+            signs = np.arange(1 << len(self.generator_masks()[0]))
+            for m in self.generator_masks()[2].tolist():
+                signs = signs[_parity(signs & m) == 0]
+            signs.flags.writeable = False
+            self._signs = signs
+        return self._signs
 
     def _element_orders(self):
         """The first k with g^k = 1 for every g: the powers of all pending
@@ -464,8 +478,8 @@ class LatticeBall(TruncatedGroup):
     Z^d of length <= k (0 at k = -1).  In this order the unit steps are the
     indices 1..2 dim (-e_i at 1 + i, +e_i at 2 dim - i), and negation
     reverses each sphere.  The step permutations g -> g +- e_i are built on
-    first use, one lookup per axis, and shared read-only by `right_perm`,
-    `left_perm` and `mul`.
+    first use from the point order, one pass per axis, and shared read-only
+    by `right_perm`, `left_perm` and `mul`.
     """
 
     family = "lattice"
@@ -555,14 +569,17 @@ class LatticeBall(TruncatedGroup):
         return 1 + axis if sign < 0 else 2 * self.dim - axis
 
     def _step(self, h):
-        """The shared read-only permutation g -> g + h of a unit step h.
-        The +e_i step costs one key lookup, and -e_i is its inverse partial
-        permutation."""
+        """The shared read-only permutation g -> g + h of a unit step h.  As
+        translation by e_i keeps lexicographic order, the points with x_i >= 0
+        below the outer sphere map in order onto those with x_i > 0, and those
+        with x_i < 0 onto those with x_i <= 0 below it; -e_i is the inverse."""
         step = self._steps.get(h)
         if step is None:
             axis = h - 1 if h <= self.dim else 2 * self.dim - h
-            plus = self._shifted(self._coords[self._unit(axis, 1)])
-            minus = np.full(self.order, -1, dtype=np.int64)
+            x, inner = self._coords[:, axis], self._starts[-2]
+            plus, minus = np.full((2, self.order), -1, dtype=np.int64)
+            plus[np.flatnonzero(x[:inner] >= 0)] = np.flatnonzero(x > 0)
+            plus[x < 0] = np.flatnonzero(x[:inner] <= 0)
             inside = plus >= 0
             minus[plus[inside]] = np.flatnonzero(inside)
             plus.flags.writeable = minus.flags.writeable = False
@@ -845,6 +862,13 @@ def _union(parent, lo, hi):
         a, b = a[apart], b[apart]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         lo, hi = lo[apart], hi[apart]
+
+
+def _parity(v):
+    """Bit parity of each entry of an array of integers below 2^16."""
+    for shift in (8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
 
 
 def _classes(n, perms):

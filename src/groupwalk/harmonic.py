@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError
+from .groups import ConstructionError, _parity
 from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
@@ -56,30 +56,36 @@ __all__ = [
 
 @dataclass
 class Character:
-    """Sign character: values in {+1, -1}, 1 at the identity, multiplicative."""
+    """Sign character: values in {+1, -1}, 1 at the identity, multiplicative.
+    `values` is a list; the methods read one read-only int64 array of them."""
 
     group: object
     values: list
 
     def __post_init__(self):
-        if len(self.values) != self.group.order:
+        chi = np.asarray(self.values)
+        if chi.shape != (self.group.order,):
             raise ValueError("character has the wrong number of values")
-        if not set(self.values) <= {1, -1}:
+        if not ((chi == 1) | (chi == -1)).all():
             raise ValueError("character values must be +1 or -1")
-        if self.values[self.group.identity] != 1:
+        if chi[self.group.identity] != 1:
             raise ValueError("character must be 1 at the identity")
+        self._chi = chi.astype(np.int64)
+        self._chi.flags.writeable = False
+        if not isinstance(self.values, list):
+            self.values = self._chi.tolist()
 
     def __call__(self, g):
         return self.values[g]
 
     def kernel(self):
-        return np.flatnonzero(np.array(self.values) == 1).tolist()
+        return np.flatnonzero(self._chi == 1).tolist()
 
     def as_function(self):
-        return GroupFunction._from_numerators(self.group, np.array(self.values, dtype=np.int64))
+        return GroupFunction._from_numerators(self.group, self._chi)
 
     def is_constant(self):
-        return all(v == 1 for v in self.values)
+        return bool((self._chi == 1).all())
 
     def validate(self):
         """Check exactly that chi is a homomorphism to {+1, -1}.
@@ -92,10 +98,7 @@ class Character:
         monotone lattice path), so chi is the restriction of a
         homomorphism and multiplicative wherever mul is defined.
         """
-        group = self.group
-        chi = np.array(self.values, dtype=np.int64)
-        if chi[group.identity] != 1:
-            raise ValueError("character must be 1 at the identity")
+        group, chi = self.group, self._chi
         gens = group.generators() if group.is_truncated else group.generator_masks()[0]
         perms = map(group.right_perm, gens) if group.is_truncated else group.generator_masks()[3]
         for t, perm in zip(gens, perms):
@@ -104,12 +107,12 @@ class Character:
             if len(bad):
                 raise ValueError(f"character is not multiplicative at ({bad[0]}, {t})")
         if not group.is_truncated and not self.is_constant():
-            if 2 * len(self.kernel()) != group.order:
+            if 2 * np.count_nonzero(chi == 1) != group.order:
                 raise ValueError("nonconstant character kernel must have index 2")
         return True
 
     def to_json(self):
-        return {"kernel_index": self.kernel(), "values": list(self.values)}
+        return {"kernel_index": self.kernel(), "values": self._chi.tolist()}
 
 
 @dataclass
@@ -280,29 +283,10 @@ def find_anti_character(group, mu):
     return mu._character
 
 
-def _parity(v):
-    """Bit parity of each entry of an array of integers below 2^16."""
-    for shift in (8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
-
-
-def _sign_vectors(group):
-    """The sign characters of a finite group as sign vectors (bit i set:
-    chi(t_i) = -1), in increasing order: the 2^r of the 2^k assignments
-    that meet every relation mask with even parity, r the rank of the
-    largest elementary abelian 2-quotient (so r elements at least generate)."""
-    gens, _, relations, _ = group.generator_masks()
-    signs = np.arange(1 << len(gens))
-    for m in relations.tolist():
-        signs = signs[_parity(signs & m) == 0]
-    return signs
-
-
 def _search_anti_character(group, mu):
     if group.is_truncated:
         return _find_anti_character_family(group, mu)
-    signs, mask = _sign_vectors(group), group.generator_masks()[1]
+    signs, mask = group.sign_vectors(), group.generator_masks()[1]
     for m in set(mask[mu.support()].tolist()):
         signs = signs[_parity(signs & m) == 1]
     for m in mask.tolist():
@@ -313,7 +297,7 @@ def _search_anti_character(group, mu):
             signs = signs[even]
     if not len(signs):
         return None
-    chi = Character(group, (1 - 2 * _parity(mask & signs[0])).tolist())
+    chi = Character(group, 1 - 2 * _parity(mask & signs[0]))
     chi.validate()
     return chi
 
@@ -332,7 +316,7 @@ def _find_anti_character_family(group, mu):
         else:
             axis = next(i for i, x in enumerate(form) if x != 0)
             forced[axis] = 1
-    chi = Character(group, (1 - 2 * group.parity(forced)).tolist())
+    chi = Character(group, 1 - 2 * group.parity(forced))
     chi.validate()
     return chi
 

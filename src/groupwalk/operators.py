@@ -410,6 +410,7 @@ class ConvolutionOperator:
         self._stencil = None
         self._eigen = None
         self._walk = None
+        self._reports = {}
 
     @property
     def measure(self):
@@ -586,6 +587,12 @@ def apply_truncated(group, mu, f, side):
     ball of the same family (matched by canonical form), which permits
     degenerate radii where the measure itself would not fit.
     """
+    out, interior = _apply_truncated(group, mu, f, side)
+    return out, interior.tolist()
+
+
+def _apply_truncated(group, mu, f, side):
+    """apply_truncated with the interior as an int64 index array."""
     if not group.is_truncated:
         raise ConstructionError("apply_truncated requires a ball truncation; use apply instead")
     if side not in ("right", "left"):  # checked here too: radius 0 returns before any operator
@@ -605,7 +612,7 @@ def apply_truncated(group, mu, f, side):
         }
         if None in weights:  # a step leaves the ball from every point (radius 0)
             nowhere = np.zeros(group.order, dtype=bool)
-            return GroupFunction._from_array(group, np.zeros(group.order), nowhere), []
+            return GroupFunction._from_array(group, np.zeros(group.order), nowhere), np.flatnonzero(nowhere)
         measure = GroupMeasure(group, weights, mu.exact)
     terms = _operator(group, measure, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
@@ -617,7 +624,7 @@ def apply_truncated(group, mu, f, side):
     else:
         total = _gather(terms, np.append(f._float(), 0))
         out = GroupFunction._from_array(group, np.where(inside, total, 0), inside)
-    return out, np.flatnonzero(inside).tolist()
+    return out, np.flatnonzero(inside)
 
 
 @dataclass(frozen=True)
@@ -711,8 +718,12 @@ def _clusters(values, owner=0):
 
 
 def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
-    """Full eigenvalue report with residual certificates: `spectra([op])`."""
-    return spectra([op], tol, peripheral_tol)[0]
+    """Full eigenvalue report with residual certificates: `spectra([op])`,
+    kept on op per tolerance pair (and their types) for every later caller."""
+    key = (type(tol), tol, type(peripheral_tol), peripheral_tol)
+    if key not in op._reports:
+        op._reports[key] = spectra([op], tol, peripheral_tol)[0]
+    return op._reports[key]
 
 
 def spectra(ops, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):

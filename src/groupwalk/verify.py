@@ -37,7 +37,7 @@ from .groups import (
     closure,
     generating_set,
 )
-from .harmonic import _sign_vectors, find_anti_character, two_sided_classes
+from .harmonic import find_anti_character, two_sided_classes
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
     is_generating,
@@ -50,8 +50,8 @@ from .operators import (
     GroupFunction,
     _fit,
     _max_abs,
+    _apply_truncated,
     _require_tolerance,
-    apply_truncated,
     component_kernel,
     label_walks,
     left_operator,
@@ -357,7 +357,7 @@ def random_symmetric_generating_measure(group, rng, max_pairs=4):
     """Seeded random symmetric generating measure, denominator <= 14 p.
 
     Samples up to p = max(max_pairs, r) non-identity elements, r the rank
-    of the sign characters (`_sign_vectors`; Z2^r needs r generators),
+    of the sign characters (`sign_vectors`; Z2^r needs r generators),
     closes the set under inverses (resampling until it has at most 2 p
     elements and generates the group), and gives each inverse pair a weight
     in 1..7.  The identity, included a quarter of the time, gets weight at
@@ -366,7 +366,7 @@ def random_symmetric_generating_measure(group, rng, max_pairs=4):
     n = group.order
     pairs = max_pairs
     if len(generating_set(group)) > max_pairs:  # r is at most the greedy |T|
-        pairs = max(pairs, len(_sign_vectors(group)).bit_length() - 1)
+        pairs = max(pairs, len(group.sign_vectors()).bit_length() - 1)
     for _ in range(1000):
         k = rng.randint(1, pairs)
         picks = rng.sample(range(1, n), min(k, n - 1))
@@ -709,9 +709,9 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
     or only reports it when that is None; `suffix` extends the names of the
     two negation records.
     """
-    right, right_interior = apply_truncated(ball, mu, f, "right")
-    left, left_interior = apply_truncated(ball, mu, f, "left")
-    both, both_interior = apply_truncated(ball, mu, right, "left")
+    right, right_interior = _apply_truncated(ball, mu, f, "right")
+    left, left_interior = _apply_truncated(ball, mu, f, "left")
+    both, both_interior = _apply_truncated(ball, mu, right, "left")
     size, expected = len(right_interior), ">= 0" if expected_interior is None else expected_interior
     records = [CheckRecord(fixture, "interior_size", size, expected, expected_interior in (None, size))]
     both_note = f"interior={len(both_interior)}"

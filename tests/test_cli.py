@@ -219,10 +219,13 @@ def test_analyze_high_dimensional_lattice_exits_zero(tmp_path, capsys):
         "measure": [{"g": json.dumps(axis), "w": "1/2"}, {"g": json.dumps([-x for x in axis]), "w": "1/2"}],
         "tasks": ["character"],
     }
+    start = time.perf_counter()  # 1200 unit steps of one pass each: a per-axis rank lookup took 25 s
     code, out, _ = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    elapsed = time.perf_counter() - start
     assert code == 0
     values = json.loads(out)["results"]["character"]["character"]["values"]
     assert len(values) == 2401 and values.count(-1) == 2
+    assert elapsed < 5, f"{elapsed:.2f} s"
 
 
 def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
@@ -248,11 +251,13 @@ def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
             "options": {"exact": False},
         }
     )
-    calls = []
-    eig = np.linalg.eig
+    calls, passes = [], []
+    eig, spectra = np.linalg.eig, operators.spectra
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    monkeypatch.setattr(operators, "spectra", lambda ops, *args: passes.append(args) or spectra(ops, *args))
     report = run_analysis(config)
     assert calls == [(32, 2, 2)]
+    assert len(passes) == 1  # one records pass, with its certificates, for both tasks
     assert report["results"]["verify"]["passed"]
     assert sum(r["multiplicity"] for r in report["results"]["spectrum"]["eigenvalues"]) == 64
 
@@ -585,6 +590,7 @@ JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
     st.sampled_from(["\u00e9\u4e2d\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f']),
 )
+RECORD_KEYS = ["%s", "100%", "%%d", '"q"', "back\\slash", "\u00e9t\u00e9", "\u4e2d", "\U0001f600", "plain"]
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.one_of(
@@ -596,6 +602,11 @@ JSON_VALUES = st.recursive(
         st.lists(st.floats(allow_nan=False, allow_infinity=False)),
         st.lists(st.floats()),
         st.lists(st.text()),
+        # int lists of -1, 0 and 1 take the sign table; bools and floats among them must not
+        st.lists(st.sampled_from([-1, 0, 1])),
+        st.lists(st.sampled_from([-1, 0, 1, True, False, 1.0, -1.0, 2, -2])),
+        # records of one shape share one dict template
+        st.lists(st.fixed_dictionaries({key: inner for key in RECORD_KEYS}), max_size=4),
     ),
     max_leaves=30,
 )
@@ -610,6 +621,8 @@ def test_encoder_edge_cases_match_json_dumps():
     cases = [
         [], {}, (), [[]], {"a": {}}, [1, True], [1.0, 2], [float("inf"), 1.0],
         {1: "int key", 2.5: "float key"}, {True: 1, False: 0}, {None: "null key"},
+        [True, 1, -1], [1, True, 0, False, -1], [1, -1, 0, 2], [-1, 0, 1, -2], [1.0, -1, 0],
+        [{1: "a"}, {True: "b"}, {1.0: "c"}, {"%s": 1, "%%": [1, -1]}, {"%s": 2, "%%": [0, 10**20]}],
         [np.float64(0.1), np.float64(float("nan"))], -0.0, 10**30,
     ]
     for payload in cases:

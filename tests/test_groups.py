@@ -726,6 +726,43 @@ def test_lattice_rank_on_a_wide_and_a_long_ball(dim, radius, data):
     assert ball._lookup(np.array([points[i] for i in picks], dtype=np.int32)).tolist() == picks
 
 
+def check_unit_steps(ball, axes, picks):
+    """Each unit step +-e_i along axes, built from the point order, equals
+    the rank oracle _shifted(+-e_i) at every point and index_of_form of
+    x +- e_i at the picked points (-1 outside); -e_i inverts +e_i."""
+    for axis in axes:
+        plus, minus = (ball._step(ball._unit(axis, sign)) for sign in (1, -1))
+        for sign, step in ((1, plus), (-1, minus)):
+            offset = np.zeros(ball.dim, dtype=np.int64)
+            offset[axis] = sign
+            assert np.array_equal(step, ball._shifted(offset))
+            for g in picks:
+                form = list(ball.canonical_form(g))
+                form[axis] += sign
+                target = ball.index_of_form(form)
+                assert step[g] == (-1 if target is None else target)
+        inside = np.flatnonzero(plus >= 0)
+        assert np.array_equal(minus[plus[inside]], inside)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 5), st.integers(0, 8), st.data())
+def test_lattice_unit_steps_from_the_point_order_match_the_ranks(dim, radius, data):
+    ball = LatticeBall(dim, radius)
+    picks = data.draw(st.lists(st.integers(0, ball.order - 1), max_size=40))
+    check_unit_steps(ball, range(dim), picks + [0, ball.order - 1])
+
+
+@pytest.mark.parametrize("dim, radius", [(1200, 1), (1, 100_000)])
+@settings(max_examples=3)
+@given(st.data())
+def test_lattice_unit_steps_on_a_wide_and_a_long_ball(dim, radius, data):
+    ball = LatticeBall(dim, radius)
+    axes = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+    picks = data.draw(st.lists(st.integers(0, ball.order - 1), max_size=20))
+    check_unit_steps(ball, axes, picks + [0, ball.order - 1])
+
+
 @settings(max_examples=2)
 @given(st.data())
 def test_whole_permutation_products_on_a_ball_too_wide_for_int64_keys(data):

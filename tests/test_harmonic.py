@@ -495,6 +495,41 @@ def test_character_certificate_rejects_every_single_flip(group, data):
         Character(group, values).validate()
 
 
+@pytest.mark.parametrize("group", CERTIFIED_GROUPS, ids=lambda g: g.name)
+def test_character_from_an_array_matches_one_from_a_list(group):
+    for values in VALID_CHARACTERS[group.name]:
+        listed, stacked = Character(group, list(values)), Character(group, np.array(values))
+        assert type(stacked.values) is list and stacked.values == listed.values == list(values)
+        assert stacked.kernel() == listed.kernel() == [g for g, v in enumerate(values) if v == 1]
+        assert stacked.to_json() == listed.to_json()
+        assert stacked.as_function() == listed.as_function()
+        assert stacked.validate() and listed.validate()
+
+
+def character_error(group, values):
+    """The message of the ValueError that building and validating raises."""
+    with pytest.raises(ValueError) as caught:
+        Character(group, values).validate()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, -1, 1], "wrong number of values"),
+        ([[1], [-1], [1], [-1]], "wrong number of values"),
+        ([1, 0, 1, 0], "must be +1 or -1"),
+        ([1, -1, 1, 2], "must be +1 or -1"),
+        ([1.0, -1.5, 1.0, -1.0], "must be +1 or -1"),
+        ([-1, 1, -1, 1], "1 at the identity"),
+        ([1, -1, -1, 1], "not multiplicative"),
+    ],
+)
+def test_character_from_an_array_raises_what_one_from_a_list_raises(values, message):
+    g = CyclicGroup(4)
+    assert message in character_error(g, values) == character_error(g, np.array(values))
+
+
 def test_character_certificate_rejects_a_far_flip_on_a_large_ball():
     # a random sample of 4096 pairs never touches the corner (30, 0, 0) of
     # this ball, so a sampled check accepts the flip
@@ -513,22 +548,24 @@ def test_ball_stencils_and_certificate_look_each_axis_up_once(monkeypatch):
     steps = [ball.index_of_form(p) for p in itertools.permutations((1, 0, 0))]
     steps += [ball.inv(t) for t in steps]
     mu = uniform(ball, steps)
-    lookups = []
-    lookup = LatticeBall._lookup
+    built = []
+    step = LatticeBall._step
 
-    def counted(self, points):
-        lookups.append(len(points))
-        return lookup(self, points)
+    def counted(self, h):
+        if h not in self._steps:
+            built.append(h)
+        return step(self, h)
 
-    def per_element(self, a, b):
-        raise AssertionError("per-element mul")
+    def refused(self, *args):
+        raise AssertionError("a unit step needs no rank lookup and no per-element mul")
 
-    monkeypatch.setattr(LatticeBall, "_lookup", counted)
-    monkeypatch.setattr(LatticeBall, "mul", per_element)
+    monkeypatch.setattr(LatticeBall, "_step", counted)
+    monkeypatch.setattr(LatticeBall, "_lookup", refused)
+    monkeypatch.setattr(LatticeBall, "mul", refused)
     right = ConvolutionOperator(ball, mu, "right").stencil()
     left = ConvolutionOperator(ball, mu, "left").stencil()
     chi = find_anti_character(ball, mu)
-    assert len(lookups) == 3  # one per axis: -e_i inverts +e_i, left is right
+    assert len(built) == 3  # one construction per axis: -e_i inverts +e_i, left is right
     assert all(r is l for (_, r), (_, l) in zip(right, left))
     assert all(chi(g) == -1 for g in steps)
 

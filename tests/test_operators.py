@@ -1,6 +1,7 @@
 import cmath
 import gc
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -484,6 +485,28 @@ def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
     assert second.to_json() == first.to_json()
     assert second.to_json() == spectrum(ConvolutionOperator(g, mu, "right")).to_json()
     assert calls == [(6, 2, 2)]
+
+
+def test_spectrum_is_kept_on_the_operator_per_tolerance_pair(monkeypatch):
+    g = DihedralGroup(6)
+    mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
+    op = right_operator(g, mu)
+    runs = []
+    real = operators.spectra
+    monkeypatch.setattr(operators, "spectra", lambda ops, *args: runs.append(args) or real(ops, *args))
+    first = spectrum(op)
+    assert spectrum(op) is first and spectrum(right_operator(g, mu)) is first
+    assert runs == [(1e-9, operators.PERIPHERAL_TOL)]
+    loose = spectrum(op, tol=1e-6)
+    assert loose is not first and loose.tol == 1e-6 and len(runs) == 2
+    assert loose.eigenvalues == first.eigenvalues
+    for _ in range(2):  # a tighter tol recomputes each time: a failed check is not kept
+        with pytest.raises(ComputationError, match="exceeds tol"):
+            spectrum(op, tol=1e-300)
+    assert len(runs) == 4 and spectrum(op) is first
+    # equal tolerances of other types write other reports
+    assert spectrum(op, tol=1).to_json()["tol"] == 1 and spectrum(op, tol=1.0).to_json()["tol"] == 1.0
+    assert json.dumps(spectrum(op, tol=1).to_json()) != json.dumps(spectrum(op, tol=1.0).to_json())
 
 
 def test_dense_matrix_is_shared_and_read_only():

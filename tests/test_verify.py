@@ -14,6 +14,7 @@ from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
+    FiniteGroup,
     LatticeBall,
     ProductGroup,
     QuaternionGroup,
@@ -244,6 +245,28 @@ def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
         for rec in fixture_theorem_checks(fid, group, mu)
     ]
     assert [rec.to_json() for rec in report.records[: len(alone)]] == alone
+
+
+def test_corpus_computes_each_groups_sign_vectors_once(monkeypatch):
+    """The sign vectors depend only on the group: the sampler (which reads
+    them on Z2^5, whose greedy generators outnumber max_pairs) and each
+    measure's character search share one computation per group."""
+    returned = {}
+    sign_vectors = FiniteGroup.sign_vectors
+
+    def kept(self):
+        out = sign_vectors(self)
+        returned.setdefault(self.name, []).append(out)
+        return out
+
+    monkeypatch.setattr(FiniteGroup, "sign_vectors", kept)
+    groups = [CyclicGroup(6), DihedralGroup(4), ProductGroup([CyclicGroup(2)] * 5)]
+    report = run_theorem_suite(CorpusSpec(groups=groups, measures_per_group=4))
+    assert report.passed
+    assert sorted(returned) == sorted(group.name for group in groups)
+    for outs in returned.values():  # one search per measure at least, all on one array
+        assert len(outs) >= 4 and all(out is outs[0] for out in outs)
+        assert not outs[0].flags.writeable
 
 
 # every finite kind, orders on both sides of OPERATOR_CHECK_MAX_ORDER
