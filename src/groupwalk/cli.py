@@ -386,7 +386,9 @@ def _seed(text):
     return seed
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="groupwalk",
         description="Spectral and harmonic analysis of convolution walks on groups.",

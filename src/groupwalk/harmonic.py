@@ -22,11 +22,11 @@ from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
-    _build_stencils,
     _fit,
     _function_values,
     _max_abs,
     _operator,
+    _two_sided,
     apply,
     component_kernel,
     eigenspace,
@@ -206,14 +206,13 @@ def jointly_biharmonic_space(group, mu):
 
 
 def two_sided_classes(group, measures):
-    """The classes of the two-sided walks left o right of several measures
-    on one group, labelled by one component_kernel call for those not yet
-    labelled and kept on each measure that lives on group."""
+    """The classes of the two-sided walks left o right (`_two_sided`) of
+    several measures on one group, labelled by one component_kernel call for
+    those not yet labelled and kept on each measure that lives on group."""
     out = [mu._two_sided if mu.group is group else None for mu in measures]
     todo = [i for i, walk in enumerate(out) if walk is None]
-    _build_stencils([_operator(group, measures[i], s) for i in todo for s in ("left", "right")])
-    walks = [[_operator(group, measures[i], s).stencil() for s in ("left", "right")] for i in todo]
-    for i, walk in zip(todo, component_kernel(walks, group.order, f"on {group.name}")):
+    walks = _two_sided(group, [measures[i] for i in todo])
+    for i, walk in zip(todo, component_kernel(walks, f"on {group.name}")):
         out[i] = walk
         if measures[i].group is group:
             measures[i]._two_sided = walk

@@ -231,7 +231,7 @@ def min_return(mu, cap):
     group = mu.group
     if group.is_truncated:
         raise MeasureError("min_return is only defined for finite groups")
-    rows = [perm.tolist() for _, perm in right_operator(group, mu).stencil()]
+    rows = [perm.tolist() for perm in right_operator(group, mu).stencil().perms]
     current = set(mu.support())
     for k in range(1, cap + 1):
         if group.identity in current:

@@ -1,24 +1,23 @@
 """Convolution Markov operators, their spectra, and the matrix-level lift.
 
 The right operator sends f to f * mu (steps multiply on the right), the
-left operator sends f to mu * f.  Both are weighted sums of permutations of
-the group's element indices, one per support element, and
-`_build_stencils` (behind `ConvolutionOperator.stencil()`) is the one place
-a measure becomes those permutations: whole-permutation products
-`right_perm(h)` or `left_perm(h)` of the group (-1 where a product leaves a
-ball truncation), each shared by the operators built together.  The private
-`_gather` applies every stencil: `apply`, `apply_truncated` and the lift
-`OperatorOnMatrices` (through the lifted permutations perm[i]*n + perm[j]).
-The exact +-1 eigenspaces of the walks and the exact +-1 arrays of the
-lift come from one kernel, `component_kernel`, which reads them off the
-connected classes of the graph x -- perm[x] over the n elements or the n^2
-entries, labelled by the numpy union-find that also clusters eigenvalues:
-one labelling per walk gives +1, -1 and generation, and is kept on the
-operator; several walks are labelled by one call.
+left operator f to mu * f.  Every operator here is one private walk value
+(`_Walk`), x -> sum_k w_k x[perm_k], whose weights are checked to sum to 1
+once, when `_walk` builds it.  `ConvolutionOperator.stencil()` is a
+measure's walk over the group's `right_perm(h)` or `left_perm(h)` (-1 where
+a product leaves a ball truncation), each row shared read-only by the
+operators built together; `_lifted` (perm[i]*n + perm[j] on the n^2 entries
+of an array), `_stacked` (a disjoint union, each walk keeping its own
+denominator) and `_two_sided` ([left, right]) build the others, and the one
+`_gather` applies them all.  `component_kernel` reads only the
+permutations: one labelling of the connected classes of x -- perm[x], by
+the numpy union-find that also clusters eigenvalues, gives a walk's exact
++-1 eigenspaces and generation, kept on the operator; several walks are
+labelled by one call.
 
 An exact `GroupFunction` is an integer numerator array over one positive
 denominator (plus a `defined` mask for partial ball results); `_gather`
-sums the stencil on the numerators, in int64 when no partial sum can reach
+sums the walk on the numerators, in int64 when no partial sum can reach
 2**63 and on Python ints otherwise.  No exact step builds a Fraction per
 entry; the `values` list is only a read view.
 
@@ -115,7 +114,7 @@ def _max_abs(nums):
     if not nums.size:
         return 0
     if nums.dtype == object:
-        return max(map(abs, nums.tolist()))
+        return max(map(abs, nums.ravel().tolist()))
     return int(np.abs(nums).max())
 
 
@@ -143,23 +142,82 @@ def _to_float(nums, den):
     return np.array([x / den for x in nums.tolist()], dtype=np.float64)
 
 
-def _gather(terms, vec, den=None):
-    """sum_h w_h * vec[perm_h] over a stencil [(w_h, perm_h)].
+class _Walk(NamedTuple):
+    """The Markov operator x -> sum_k w_k x[perms[k]] on n nodes: one float
+    weight and one int64 index array per term and, for exact weights,
+    integer numerators nums[k] over one denominator (per walk in a stack,
+    which has no float weights)."""
 
-    Exact when den is given: vec holds integer numerators over den, and the
-    result is (numerators, den * scale) with scale the least common
-    denominator of the weights; the sum runs in int64 when max|vec| times
-    the sum of the scaled weights stays below 2**63, else on Python ints.
-    Otherwise vec is a float or complex array (sequences are converted) and
-    the terms are added in stencil order starting from 0.
+    n: int
+    weights: tuple
+    perms: object
+    nums: object = None
+    den: object = None
+
+
+def _walk(n, perms, weights, where):
+    """The walk of one weight per permutation: exact when every weight is
+    an int or a Fraction, its numerators over their least common
+    denominator refused unless they sum to it (the one check that a walk's
+    weights sum to 1); float otherwise."""
+    parts = _exact_parts(weights)
+    if parts is None:
+        return _Walk(n, tuple(map(float, weights)), perms)
+    nums, den = parts
+    if sum(nums.tolist()) != den:
+        raise ComputationError(f"a stencil {where} has weights that do not sum to 1")
+    return _Walk(n, tuple(x / den for x in nums.tolist()), perms, nums, den)
+
+
+def _lifted(walk, what):
+    """The walk on the n^2 entries of a row-major n x n array, entry (i, j)
+    reading (perm[i], perm[j]), budgeted first (`what` names it)."""
+    n, perms = walk.n, np.array(walk.perms)
+    require_dense_budget((len(perms), n * n), 8, what)
+    return walk._replace(n=n * n, perms=(perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n))
+
+
+def _stacked(walks):
+    """The disjoint union of walks on n nodes each, walk j on the nodes
+    j n .. j n + n - 1: one walks x n index array per term, and numerators
+    and denominators per walk (no common denominator is formed), shaped to
+    broadcast over gathered blocks (walks x nodes x columns).  A walk with
+    fewer terms is padded with its first permutation at numerator 0."""
+    n, size = walks[0].n, max(len(walk.perms) for walk in walks)
+    pad = [size - len(walk.perms) for walk in walks]
+    perms = np.array([[*walk.perms, *[walk.perms[0]] * k] for walk, k in zip(walks, pad)]).transpose(1, 0, 2)
+    perms = perms + n * np.arange(len(walks))[:, None]
+    if any(walk.nums is None for walk in walks):
+        return _Walk(len(walks) * n, None, perms)
+    dtype = np.int64 if max(walk.den for walk in walks) < _INT64_LIMIT else object
+    nums = np.array([[*walk.nums.tolist(), *[0] * k] for walk, k in zip(walks, pad)], dtype=dtype)
+    den = np.array([walk.den for walk in walks], dtype=dtype)
+    return _Walk(len(walks) * n, None, perms, nums.T[..., None, None], den[:, None, None])
+
+
+def _two_sided(group, measures):
+    """The two-sided walks [left, right] (f -> mu * f * mu) of measures on
+    group, each operator built once, their stencils in one call."""
+    ops = [[_operator(group, mu, side) for side in ("left", "right")] for mu in measures]
+    _build_stencils([op for pair in ops for op in pair])
+    return [[op.stencil() for op in pair] for pair in ops]
+
+
+def _gather(walk, values, den=None):
+    """sum_k w_k * values[perms[k]] over a walk, for 1-D values or a row
+    block (nodes x columns; a stack takes row blocks and gives one block per
+    walk).  Exact when den is given: values holds integer numerators over
+    den, the result is (numerators, den * walk.den), and the sum runs in
+    int64 when max|values| times the largest denominator (the sum of the
+    numerators) stays below 2**63, else on Python ints.  Otherwise values is
+    a float or complex array (sequences are converted), summed in walk order
+    from 0.
     """
     if den is None:
-        vec = vec if isinstance(vec, np.ndarray) else _as_array(vec)
-        return sum(float(w) * vec[perm] for w, perm in terms)
-    scale = math.lcm(*(w.denominator for w, _ in terms))
-    coeffs = [w.numerator * (scale // w.denominator) for w, _ in terms]
-    vec = _fit(vec, max(_max_abs(vec), 1) * sum(coeffs))
-    return sum(c * vec[perm] for c, (_, perm) in zip(coeffs, terms)), den * scale
+        values = values if isinstance(values, np.ndarray) else _as_array(values)
+        return sum(w * values[perm] for w, perm in zip(walk.weights, walk.perms))
+    values = _fit(values, max(_max_abs(values), 1) * int(np.max(walk.den)))
+    return sum(c * values[perm] for c, perm in zip(walk.nums, walk.perms)), den * walk.den
 
 
 class GroupFunction:
@@ -418,9 +476,9 @@ class ConvolutionOperator:
         return self._measure()
 
     def stencil(self):
-        """[(weight, perm)] with one int64 index array per support element,
-        in sorted support order; perm[g] is g*h (right) or h*g (left), and
-        -1 where that product leaves a ball truncation (`_build_stencils`)."""
+        """The walk value (`_Walk`), one term per support element in sorted
+        support order; perm[g] is g*h (right) or h*g (left), and -1 where
+        that product leaves a ball truncation (`_build_stencils`)."""
         if self._stencil is None:
             _build_stencils([self])
         return self._stencil
@@ -430,11 +488,11 @@ class ConvolutionOperator:
         No run path builds it; it is the tests' elimination oracle."""
         if not self.exact:
             raise ComputationError(f"{self.side} operator on {self.group.name} has float weights")
-        n = self.group.order
+        n, walk = self.group.order, self.stencil()
         rows = [[Fraction(0)] * n for _ in range(n)]
-        for w, perm in self.stencil():
+        for num, perm in zip(walk.nums.tolist(), walk.perms):
             for g, x in enumerate(perm.tolist()):
-                rows[g][x] += w
+                rows[g][x] += Fraction(num, walk.den)
         return rows
 
     def as_array(self):
@@ -443,9 +501,9 @@ class ConvolutionOperator:
         if self._float_matrix is None:
             n = self.group.order
             require_dense_budget((n, n), 8, f"the {self.side} operator on {self.group.name}")
-            mat = np.zeros((n, n))
-            for w, perm in self.stencil():
-                mat[np.arange(n), perm] += float(w)
+            mat, walk = np.zeros((n, n)), self.stencil()
+            for w, perm in zip(walk.weights, walk.perms):
+                mat[np.arange(n), perm] += w
             mat.flags.writeable = False
             self._float_matrix = mat
         return self._float_matrix
@@ -614,15 +672,15 @@ def _apply_truncated(group, mu, f, side):
             nowhere = np.zeros(group.order, dtype=bool)
             return GroupFunction._from_array(group, np.zeros(group.order), nowhere), np.flatnonzero(nowhere)
         measure = GroupMeasure(group, weights, mu.exact)
-    terms = _operator(group, measure, side).stencil()
+    walk = _operator(group, measure, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.append(f._mask(), False)
-    inside = np.logical_and.reduce([defined[perm] for _, perm in terms])
+    inside = np.logical_and.reduce([defined[perm] for perm in walk.perms])
     if mu.exact and f.is_exact:
-        nums, den = _gather(terms, np.append(f._nums, 0), f._den)
+        nums, den = _gather(walk, np.append(f._nums, 0), f._den)
         out = GroupFunction._from_numerators(group, np.where(inside, nums, 0), den, inside)
     else:
-        total = _gather(terms, np.append(f._float(), 0))
+        total = _gather(walk, np.append(f._float(), 0))
         out = GroupFunction._from_array(group, np.where(inside, total, 0), inside)
     return out, np.flatnonzero(inside)
 
@@ -796,13 +854,11 @@ class WalkClasses(NamedTuple):
         return out
 
 
-def component_kernel(walks, n, where):
+def component_kernel(walks, where):
     """The certified classes (WalkClasses) of every walk P = stencils[0] o
     stencils[1] o ... in a list of walks with one number of stencils, each
-    stencil [(w, perm)] a positive combination of permutations of n nodes:
-    a convolution operator's stencil over the group's elements, or the
-    lifted terms of OperatorOnMatrices over the n^2 entries of an array.
-    They give the exact bases of ker(P - I) and ker(P + I).
+    a walk value on one number n of nodes, of which only the permutations
+    are read.  They give the exact bases of ker(P - I) and ker(P + I).
 
     P is a positive combination of the composite stencil's permutations
     (g -> q[perm[g]] over every pair of terms), so eigenspace's theorem
@@ -814,37 +870,26 @@ def component_kernel(walks, n, where):
     and P_j,i the composite that takes term i of stencil j instead,
     s_1,i_1 o ... o s_m,i_m = P_1,i_1 c^-1 P_2,i_2 c^-1 ... P_m,i_m, so both
     sets generate one group and have one set of classes, also on the cover,
-    where the flip rides on one factor.  Walk j holds the nodes j*n ..
-    j*n + n - 1 of one disjoint union labelled by one `_classes` call; a
-    stencil shorter than the longest at its place is padded with its first
-    term, which adds no edge.  A basis holds one array per class (per
-    bipartite class for -1), ordered by each class's largest index: its
-    indicator, or its colouring with +1 at its smallest index, as in the
-    free-column basis of rational_nullspace with each vector's first
-    nonzero entry scaled to 1.
+    where the flip rides on one factor.  The walks are labelled by one
+    `_classes` call on their `_stacked` union, whose padding adds no edge.
+    A basis holds one array per class (per bipartite class for -1), ordered
+    by each class's largest index: its indicator, or its colouring with +1
+    at its smallest index, as in the free-column basis of rational_nullspace
+    with each vector's first nonzero entry scaled to 1.
 
     Every array is certified P v = +-v exactly by one pass over the
-    composites q of all walks: each exact stencil's weights sum to exactly
-    1, every q keeps every class label and flips every sign on the
-    bipartite classes, so (P v)(g) = sum_q w_q v(q g) = +-v(g).  Float
-    weights play no part.  `where` names the nodes in messages ("on D4").
+    composites q of all walks: every q keeps every class label and flips
+    every sign on the bipartite classes, so (P v)(g) = sum_q w_q v(q g) =
+    +-v(g) for any weights that sum to 1.  `where` names the nodes in
+    messages ("on D4").
     """
     if not walks:
         return []
     if len({len(stencils) for stencils in walks}) > 1:
         raise ValueError(f"walks {where} must have one number of stencils")
-    total = len(walks) * n
-    shape = [max(len(stencils[j]) for stencils in walks) for j in range(len(walks[0]))]
-    require_dense_budget((math.prod(shape), total), 8, f"the composite stencil {where}")
-    for terms in (terms for stencils in walks for terms in stencils):
-        if all(isinstance(w, Fraction) for w, _ in terms):
-            scale = math.lcm(*(w.denominator for w, _ in terms))
-            if sum(w.numerator * (scale // w.denominator) for w, _ in terms) != scale:
-                raise ComputationError(f"a stencil {where} has weights that do not sum to 1")
-    offsets, stencils = np.arange(0, total, n)[:, None], []
-    for j, size in enumerate(shape):
-        padded = [[q for _, q in s[j]] + [s[j][0][1]] * (size - len(s[j])) for s in walks]
-        stencils.append((np.array(padded).transpose(1, 0, 2) + offsets).reshape(size, total))
+    n, total = walks[0][0].n, len(walks) * walks[0][0].n
+    stencils = [_stacked([s[j] for s in walks]).perms.reshape(-1, total) for j in range(len(walks[0]))]
+    require_dense_budget((math.prod(map(len, stencils)), total), 8, f"the composite stencil {where}")
     cover, inner = np.empty((0, 2 * total), dtype=np.int64), np.arange(total)
     for j, terms in enumerate(stencils):  # the composites that leave one first term
         part = terms[:, inner]
@@ -877,7 +922,7 @@ def component_kernel(walks, n, where):
 
 
 def _build_stencils(ops):
-    """Build, each budgeted first, the stencils that operators lack: one
+    """Build, each budgeted first, the walks that operators lack: one
     whole-permutation product per group, side and support element, read-only
     and shared by every operator that steps by it."""
     todo, perms = [op for op in ops if op._stencil is None], {}
@@ -889,7 +934,9 @@ def _build_stencils(ops):
                 perm = (op.group.right_perm if op.side == "right" else op.group.left_perm)(h)
                 perm.flags.writeable = False
                 perms[op.group, op.side, h] = perm
-        op._stencil = [(op.weights[h], perms[op.group, op.side, h]) for h in sorted(op.weights)]
+        support = sorted(op.weights)
+        op._stencil = _walk(op.group.order, tuple(perms[op.group, op.side, h] for h in support),
+                            [op.weights[h] for h in support], f"on {op.group.name}")
 
 
 def label_walks(ops):
@@ -901,7 +948,7 @@ def label_walks(ops):
     if todo:
         group = todo[0].group
         _build_stencils(todo)
-        walks = component_kernel([[op.stencil()] for op in todo], group.order, f"on {group.name}")
+        walks = component_kernel([[op.stencil()] for op in todo], f"on {group.name}")
         for op, walk in zip(todo, walks):
             op._walk = walk
 
@@ -953,9 +1000,9 @@ class OperatorOnMatrices:
 
     side "right": T -> sum_g mu(g) rho_g T rho_g^*, which on diagonal
     arrays reproduces f -> f * mu.  side "left": T -> sum_g mu(g)
-    lambda_g^* T lambda_g, reproducing f -> mu * f on diagonals.  The terms
-    are the stencil of the convolution operator on the same side, lifted to
-    the n^2 entries; component_kernel reads the exact +-1 arrays off them.
+    lambda_g^* T lambda_g, reproducing f -> mu * f on diagonals.  `walk` is
+    the walk of the convolution operator on the same side, lifted to the
+    n^2 entries; component_kernel reads the exact +-1 arrays off it.
     """
 
     def __init__(self, group, measure, side):
@@ -964,12 +1011,7 @@ class OperatorOnMatrices:
         self.group = group
         self.measure = measure
         self.side = side
-        n = group.order
-        stencil = _operator(group, measure, side).stencil()
-        what = f"the lifted {side} stencil on {group.name}"
-        require_dense_budget((len(stencil), n * n), 8, what)
-        # entry (i, j) of a row-major array reads (perm[i], perm[j])
-        self.terms = [(w, (perm[:, None] * n + perm).ravel()) for w, perm in stencil]
+        self.walk = _lifted(_operator(group, measure, side).stencil(), f"the lifted {side} stencil on {group.name}")
 
     def apply(self, T):
         """Apply to an order-by-order array: ndarrays give ndarrays and
@@ -979,9 +1021,9 @@ class OperatorOnMatrices:
         flat = T.ravel() if isinstance(T, np.ndarray) else [x for row in T for x in row]
         parts = _exact_parts(flat) if self.measure.exact else None
         if parts is None:
-            out = _gather(self.terms, flat)
+            out = _gather(self.walk, flat)
         else:
-            nums, den = _gather(self.terms, *parts)
+            nums, den = _gather(self.walk, *parts)
             out = np.array([Fraction(x, den) for x in nums.tolist()], dtype=object)
         out = out.reshape(n, n)
         return out if isinstance(T, np.ndarray) else out.tolist()

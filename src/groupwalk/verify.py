@@ -7,12 +7,12 @@ theorem, foguel and revuz suites share one pass over it: each group's
 measures are sampled once, and the pass emits the group's revuz records and
 its theorem records from one batch over all its measures (one labelling
 call per kind of walk, one spectral pass, and each exact certificate run
-once on the group's walks side by side), and keeps only the left stencils
-and weights of its measures.  After the pass one foguel walk runs every
-group's measures side by side, with no dense operator.  The stirling
-suite's exp bound takes its matrix exponential from linalg.expm, a scaling
-and squaring Padé approximant in numpy, so numpy is the only dependency at
-run time.
+once on a stack of the group's walks through `operators._gather`), and
+keeps only the left walks and weights of its measures.  After the pass one
+foguel walk runs every group's measures side by side, with no dense
+operator.  The stirling suite's exp bound takes its matrix exponential from
+linalg.expm, a scaling and squaring Padé approximant in numpy, so numpy is
+the only dependency at run time.
 """
 
 from __future__ import annotations
@@ -48,10 +48,14 @@ from .measures import (
 )
 from .operators import (
     GroupFunction,
-    _fit,
-    _max_abs,
     _apply_truncated,
+    _fit,
+    _gather,
+    _lifted,
+    _max_abs,
     _require_tolerance,
+    _stacked,
+    _walk,
     component_kernel,
     label_walks,
     left_operator,
@@ -191,7 +195,7 @@ def foguel_decays(group, measures, eps=1e-6, n_max=500):
 
 
 def _foguel_block(group, measures):
-    """(group, [(left stencil, weights)]): what the foguel walk reads of
+    """(group, [(left walk, weights)]): what the foguel walk reads of
     measures on group, so that their memos (labellings, spectra and lifts)
     need not be kept."""
     if group.is_truncated:
@@ -207,26 +211,26 @@ def _foguel_walk(blocks, eps, n_max, where):
     measure's first step with a gap <= eps (0 for none), from one walk of
     the powers of every block's measures side by side.  A step nu -> mu * nu
     reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the inverse of each
-    left stencil permutation (term k in row k) and adds the terms in
-    stencil order, as `operators._gather` does; shorter stencils are padded
+    left walk permutation (term k in row k) and adds the terms in walk
+    order, as `operators._gather` does; shorter walks are padded
     at the end with weight-0 terms, which leave every sum bit-identical.  Each gap
     is the last-axis np.add.reduce of a measure's n differences in a buffer
     of FOGUEL_CHUNK steps: numpy's pairwise sum over that row, as when the
     measure walks alone."""
-    walks = [(group.order, stencil, start) for group, entries in blocks for stencil, start in entries]
-    s, total = max(len(stencil) for _, stencil, _ in walks), sum(n for n, _, _ in walks)
+    walks = [entry for _, entries in blocks for entry in entries]  # (left walk, weights)
+    s, total = max(len(walk.perms) for walk, _ in walks), sum(walk.n for walk, _ in walks)
     # index, weight and term tables, two powers, the buffered differences, the gaps
     shape = ((3 * s + 2 + FOGUEL_CHUNK) * total + len(walks) * n_max,)
     require_dense_budget(shape, 8, f"the foguel walk on {where}")
     index, weights = np.zeros((s, total), dtype=np.int64), np.zeros((s, total))
     current, a = np.zeros(total), 0
-    for n, stencil, start in walks:
-        for k, (w, perm) in enumerate(stencil):
-            index[k, a + perm] = np.arange(a, a + n)
-            weights[k, a : a + n] = float(w)
+    for walk, start in walks:
+        for k, (w, perm) in enumerate(zip(walk.weights, walk.perms)):
+            index[k, a + perm] = np.arange(a, a + walk.n)
+            weights[k, a : a + walk.n] = w
         for h, w in start.items():
             current[a + h] = float(w)
-        a += n
+        a += walk.n
     nxt, diffs = np.empty(total), np.empty((FOGUEL_CHUNK, total))
     gaps = [np.empty((n_max, len(entries))) for _, entries in blocks]
     for step in range(n_max):
@@ -466,7 +470,7 @@ def _theorem_records(fids, group, measures):
     fixture order, from one pass: one labelling call per kind of walk (right,
     two-sided and, at order <= OPERATOR_CHECK_MAX_ORDER, lift), one `spectra`
     pass, and each identity as one exact column check over every walk's
-    basis side by side (`_stack`): `_splits` on the two-sided class
+    basis side by side (`operators._stacked`): `_splits` on the two-sided class
     indicators, `_certified` on the -1 arrays times chi (harmonic exactly
     when each anti-harmonic f is f1 * chi with f1 harmonic) and on each lift
     side's fixed arrays.  A wrong character fails records; it raises nothing."""
@@ -480,8 +484,8 @@ def _theorem_records(fids, group, measures):
     lifts = _lifts(group, measures) if n <= OPERATOR_CHECK_MAX_ORDER else []
     solve_spectra(ops)
     reports = spectra(ops)
-    right = _stack([op.stencil() for op in ops], n)
-    left = _stack([left_operator(group, mu).stencil() for mu in measures], n)
+    right = _stacked([op.stencil() for op in ops])
+    left = _stacked([left_operator(group, mu).stencil() for mu in measures])
     indicators = _columns([walk.basis(1, f"of the two-sided walk {where}") for walk in two_sided])
     split = _splits(right, left, indicators)
     chars = [find_anti_character(group, mu) for mu in measures]
@@ -490,7 +494,7 @@ def _theorem_records(fids, group, measures):
     if lifts:
         sides, classes = zip(*lifts)
         columns = _columns([walk.basis(1, f"of the lift {where}") for walk in classes])
-        checks.append(np.logical_and(*(_certified(_stack(side, n * n), columns, 1) for side in zip(*sides))))
+        checks.append(np.logical_and(*(_certified(_stacked(side), columns, 1) for side in zip(*sides))))
     oks = np.array([check.all(axis=1) for check in checks]).T.tolist()  # split, factor[, lift]
     records = []
     for j, (fid, mu, op, report, chi) in enumerate(zip(fids, measures, ops, reports, chars)):
@@ -531,86 +535,61 @@ def _theorem_records(fids, group, measures):
 _EXACT = {True: "exact", False: "violated"}
 
 
-def _stack(stencils, n):
-    """(coeffs, perms, scale) for exact stencils [(w, perm)] of walks on n
-    nodes each, side by side as component_kernel lays them out: at node x of
-    walk j (nodes j n .. j n + n - 1) term k adds coeffs[k, x] times the value
-    at perms[k, x], over scale[j]; shorter stencils get weight-0 terms."""
-    size, idle = max(map(len, stencils)), (Fraction(0), np.arange(n))
-    stencils = [terms + [idle] * (size - len(terms)) for terms in stencils]
-    scales = [math.lcm(*(w.denominator for w, _ in terms)) for terms in stencils]
-    nums = [[w.numerator * (c // w.denominator) for w, _ in terms] for c, terms in zip(scales, stencils)]
-    perms = np.array([[perm for _, perm in terms] for terms in stencils])
-    perms += n * np.arange(len(stencils))[:, None, None]
-    coeffs, scale = (_fit(np.array(x, dtype=object), max(scales)) for x in (nums, scales))
-    return np.repeat(coeffs.T, n, axis=1), perms.transpose(1, 0, 2).reshape(size, -1), scale[:, None, None]
-
-
 def _columns(bases):
-    """Each walk's integer basis rows as columns over its stacked nodes, zero
-    elsewhere (zero columns pass every homogeneous check)."""
+    """Each walk's integer basis rows as columns, one block per walk (walks x
+    nodes x columns), zero-padded (zero columns pass every homogeneous check)."""
     n, width = bases[0].shape[1], max(len(basis) for basis in bases)
     out = np.zeros((len(bases), n, width), dtype=np.int64)
     for block, basis in zip(out, bases):
         block[:, : len(basis)] = basis.T
-    return out.reshape(len(bases) * n, width)
-
-
-def _gather(stack, cols):
-    """The numerators of P v for the stacked walks P and each column v of
-    the integer array cols, over each walk's denominator, shaped (walks,
-    nodes, columns): in int64 when max|v| times the largest coefficient sum
-    stays below 2**63, else on Python ints."""
-    coeffs, perms, scale = stack
-    cols = _fit(cols, max(_max_abs(cols), 1) * _max_abs(coeffs.sum(axis=0)))
-    image = sum(c[:, None] * cols[perm] for c, perm in zip(coeffs, perms))
-    return image.reshape(len(scale), len(cols) // len(scale), cols.shape[1])
+    return out
 
 
 def _certified(stack, cols, lam):
     """(walks, columns) array: whether P v = lam v exactly on each walk's
-    nodes, for the stacked walks P and each integer column v of cols."""
-    image, scale = _gather(stack, cols), stack[2]
-    return (image == lam * scale * _fit(cols, _max_abs(scale) * _max_abs(cols)).reshape(image.shape)).all(axis=1)
+    nodes, for the stacked walks P (`operators._stacked`) and each integer
+    column v of cols[j] on walk j's nodes (walks x nodes x columns)."""
+    image, den = _gather(stack, cols.reshape(stack.n, -1), 1)
+    return (image == lam * den * _fit(cols, _max_abs(den) * _max_abs(cols))).all(axis=1)
 
 
 def _splits(right, left, cols):
-    """(walks, columns) array: for each column f of the integer array cols
-    on walk j's nodes, whether decompose(f, mu_j) splits it into a constant
-    and a two-sided anti-harmonic part, given the stacked right walks P and
-    left walks L: P^2 f = f, L P f = f, t0 = (f + P f)/2 is constant, and
-    P t1 = L t1 = -t1 for t1 = (f - P f)/2.  A constant t0 gives
-    P f = 2 t0 - f, so P^2 f = f and P t1 = -t1, and then L t1 = -t1 exactly
-    when L P f = f: two exact checks cover the five identities, each on all
-    columns at once.  Each identity is linear and homogeneous, so a column
-    may be any multiple of its function (a numerator array over any
-    denominator), and the columns of a basis all pass exactly when its
+    """(walks, columns) array: for each column f of cols[j] on walk j's
+    nodes (walks x nodes x columns), whether decompose(f, mu_j) splits it
+    into a constant and a two-sided anti-harmonic part, given the stacked
+    right walks P and left walks L: P^2 f = f, L P f = f, t0 = (f + P f)/2
+    is constant, and P t1 = L t1 = -t1 for t1 = (f - P f)/2.  A constant t0
+    gives P f = 2 t0 - f, so P^2 f = f and P t1 = -t1, and then L t1 = -t1
+    exactly when L P f = f: two exact checks cover the five identities,
+    each on all columns at once.  Each identity is linear and homogeneous,
+    so a column may be any multiple of its function (a numerator array over
+    any denominator), and the columns of a basis all pass exactly when its
     whole span does."""
-    image, scale = _gather(right, cols), right[2]  # P f = image / scale
-    scaled = _fit(cols, 2 * _max_abs(scale) * max(_max_abs(cols), 1)).reshape(image.shape) * scale
-    twice_t0 = scaled + image  # 2 scale t0
+    image, den = _gather(right, cols.reshape(right.n, -1), 1)  # P f = image / den
+    scaled = _fit(cols, 2 * _max_abs(den) * max(_max_abs(cols), 1)) * den
+    twice_t0 = scaled + image  # 2 den t0
     constant = (twice_t0 == twice_t0[:, :1]).all(axis=1)
-    return constant & _certified(left, (scaled - image).reshape(cols.shape), -1)  # 2 scale t1
+    return constant & _certified(left, scaled - image, -1)  # 2 den t1
 
 
 def _lifts(group, measures):
-    """(sides, classes) for the lift of nu = mu * mu of each measure: nu's
-    OperatorOnMatrices terms on each side and the classes of right o left,
-    labelled in one call, all read off the table table[h, x] = h x (columns
-    right_perm, rows left_perm); nu is summed on integer numerators."""
-    n = group.order
+    """(walks, classes) for the lift of nu = mu * mu of each measure: nu's
+    lifted walks [right, left] and the classes of right o left, labelled in
+    one call.  nu's numerators over the square of the denominator of mu's
+    walk are summed on the table table[h, x] = h x, whose columns are
+    right_perm and rows left_perm."""
+    n, where = group.order, f"of mu * mu on {group.name}"
     table = group._products(np.arange(n)[:, None], np.arange(n))
-    lifted = [(perm[:, :, None] * n + perm[:, None, :]).reshape(n, n * n) for perm in (table.T, table)]
-    sides = []
+    walks = []
     for mu in measures:
-        support = mu.support()
-        den = math.lcm(*(mu.weights[h].denominator for h in support))
-        nums = np.array([mu.weights[h].numerator * (den // mu.weights[h].denominator) for h in support], dtype=object)
-        square = np.zeros(n, dtype=object)
+        walk, support = right_operator(group, mu).stencil(), mu.support()
+        nums, square = walk.nums.astype(object), np.zeros(n, dtype=object)
         np.add.at(square, table[np.ix_(support, support)].ravel(), np.outer(nums, nums).ravel())
-        nu = [(g, Fraction(x, den * den)) for g, x in enumerate(square.tolist()) if x]
-        sides.append([[(w, perms[g]) for g, w in nu] for perms in lifted])
-    return list(zip(sides, component_kernel(sides, n * n, f"of the lift on {group.name}")))
+        nu = np.flatnonzero(square)
+        weights = [Fraction(x, walk.den**2) for x in square[nu].tolist()]
+        sides = (_walk(n, perms[nu], weights, where) for perms in (table.T, table))
+        walks.append([_lifted(side, f"the lifted stencil {where}") for side in sides])
+    return list(zip(walks, component_kernel(walks, f"of the lift on {group.name}")))
 
 
 def _renamed(report, fixture):

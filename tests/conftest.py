@@ -22,12 +22,13 @@ settings.load_profile("groupwalk")
 def _dense_lift(lift):
     """The dense n^2 x n^2 superoperator of an OperatorOnMatrices on
     row-major vectorized arrays: row i*n + j holds weight w at column
-    perm[i]*n + perm[j] for each term (distinct terms never share an
-    entry).  The library builds no such matrix; tests use it as the oracle."""
+    perm[i]*n + perm[j] for each term of its lifted walk (distinct terms
+    never share an entry).  The library builds no such matrix; tests use it
+    as the oracle."""
     size = lift.group.order ** 2
     mat = np.zeros((size, size))
-    for w, cols in lift.terms:
-        mat[np.arange(size), cols] += float(w)
+    for w, cols in zip(lift.walk.weights, lift.walk.perms):
+        mat[np.arange(size), cols] += w
     return mat
 
 
@@ -40,7 +41,7 @@ def _dense_eigen(op):
     """(eigenvalues, residuals) of a convolution operator in the form of
     `ConvolutionOperator.eigenvalues`, from LAPACK on the dense n x n
     matrix: eigh for a symmetric measure, eig otherwise, each residual
-    |P v - lambda v| / |v| gathered through the stencil.  The library
+    |P v - lambda v| / |v| gathered through the operator's walk.  The library
     solves one block per character of an abelian subgroup instead."""
     a = op.as_array()
     if op.symmetric:

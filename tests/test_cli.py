@@ -718,3 +718,17 @@ def test_parser_prog_and_missing_command(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+def test_two_main_calls_construct_one_parser(capsys, monkeypatch):
+    built, real = [], cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    assert main([]) == 2 and main(["verify", "nope"]) == 2
+    capsys.readouterr()
+    assert built.count("groupwalk") == 1

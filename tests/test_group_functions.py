@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import cli
+from groupwalk import cli, operators, verify
 from groupwalk.cli import main
 from groupwalk.groups import (
     CyclicGroup,
@@ -27,22 +27,28 @@ from groupwalk.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from groupwalk.harmonic import decompose, jointly_biharmonic_space, peripheral_boundary
-from groupwalk.measures import make_measure, uniform
+from groupwalk.harmonic import decompose, jointly_biharmonic_space, peripheral_boundary, two_sided_classes
+from groupwalk.measures import convolve, is_generating, make_measure, uniform
 from groupwalk.operators import (
     ConvolutionOperator,
     GroupFunction,
     _function_values,
     apply,
     apply_truncated,
+    left_operator,
+    right_operator,
 )
+
+from walk_reference import certified_alone, decompose_splits, splits_alone
 
 F = Fraction
 
 
-def fraction_gather(terms, values):
-    """The exact gather before numerator arrays: Python-int numerators in
-    an object array, then one Fraction per result entry."""
+def fraction_gather(op, values):
+    """The exact gather before numerator arrays, on the measure's Fraction
+    weights and the operator's permutations: Python-int numerators in an
+    object array, then one Fraction per result entry."""
+    terms = list(zip((op.weights[h] for h in sorted(op.weights)), op.stencil().perms))
     den = math.lcm(*(v.denominator for v in values))
     nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
     scale = math.lcm(*(w.denominator for w, _ in terms))
@@ -51,11 +57,11 @@ def fraction_gather(terms, values):
     return [Fraction(x, den) for x in total]
 
 
-def fraction_truncated_step(terms, values):
-    """apply_truncated's values before numerator arrays, on the stencil."""
+def fraction_truncated_step(op, values):
+    """apply_truncated's values before numerator arrays, on the operator."""
     defined = np.array([v is not None for v in values] + [False])
-    inside = np.logical_and.reduce([defined[perm] for _, perm in terms])
-    total = fraction_gather(terms, [0 if v is None else v for v in values] + [0])
+    inside = np.logical_and.reduce([defined[perm] for perm in op.stencil().perms])
+    total = fraction_gather(op, [0 if v is None else v for v in values] + [0])
     return [v if ok else None for v, ok in zip(total, inside.tolist())]
 
 
@@ -88,8 +94,8 @@ def exact_values(draw, n, big=False):
 
 
 @st.composite
-def exact_walks(draw, big=False):
-    group = draw(st.sampled_from(GROUPS))
+def exact_walks(draw, big=False, groups=GROUPS):
+    group = draw(st.sampled_from(groups))
     support = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True))
     top = 2**40 if big else 9
     weights = draw(st.lists(st.integers(1, top), min_size=len(support), max_size=len(support)))
@@ -103,7 +109,7 @@ def test_apply_matches_fraction_gather(walk):
     op = ConvolutionOperator(group, mu, side)
     out = apply(op, GroupFunction(group, values))
     assert out.is_exact and not out.is_partial
-    assert out.values == fraction_gather(op.stencil(), values)
+    assert out.values == fraction_gather(op, values)
     assert all(type(v) is Fraction for v in out.values)
 
 
@@ -113,11 +119,47 @@ def test_large_denominators_fall_back_to_python_ints(walk):
     op = ConvolutionOperator(group, mu, side)
     f, expected = GroupFunction(group, values), values
     for _ in range(3):
-        f, expected = apply(op, f), fraction_gather(op.stencil(), expected)
+        f, expected = apply(op, f), fraction_gather(op, expected)
         assert f.values == expected
     assert f.is_exact
     # the third step's denominator is about 2^160: far past int64
     assert f._nums.dtype == object
+
+
+@given(exact_walks(big=True), st.data())
+def test_stacked_certificates_fall_back_to_python_ints(walk, data):
+    """verify's `_certified` and `_splits` over a stack of 1-3 big-weight
+    walks on one group, each measure made symmetric as mu * mu' with
+    mu'(g) = mu(g^-1) (denominators up to about 2^84), run on Python ints
+    and agree walk by walk with the per-walk oracles: `certified_alone` and
+    `splits_alone`, and `decompose_splits` where the measure generates.
+    Each walk's columns: its two-sided class indicators and -1 arrays times
+    2^70, and a big random function alone and plus an indicator, zero-padded
+    to one width."""
+    group, first, _, values = walk
+    drawn = [first] + [data.draw(exact_walks(big=True, groups=[group]))[1] for _ in range(data.draw(st.integers(0, 2)))]
+    measures = [convolve(mu, make_measure(group, [(group.inv(g), w) for g, w in mu.weights.items()])) for mu in drawn]
+    noise = GroupFunction(group, values)._nums.astype(object)
+    blocks = []
+    for nu in measures:
+        indicators = two_sided_classes(group, [nu])[0].basis(1, "in the test").astype(object) * 2**70
+        anti = right_operator(group, nu).classes().basis(-1, "in the test").astype(object) * 2**70
+        blocks.append([*indicators, *anti, noise, noise + indicators[0]])
+    width = max(map(len, blocks))
+    cols = np.zeros((len(measures), group.order, width), dtype=object)
+    for block, vecs in zip(cols, blocks):
+        block[:, : len(vecs)] = np.array(vecs).T
+    walks = [[op(group, nu).stencil() for nu in measures] for op in (right_operator, left_operator)]
+    right, left = (operators._stacked(side) for side in walks)
+    assert operators._gather(right, cols.reshape(-1, width), 1)[0].dtype == object
+    for lam in (1, -1):
+        expected = [certified_alone([walk], block, lam).tolist() for walk, block in zip(walks[0], cols)]
+        assert verify._certified(right, cols, lam).tolist() == expected
+    splits = verify._splits(right, left, cols).tolist()
+    assert splits == [splits_alone(r, l, block).tolist() for r, l, block in zip(*walks, cols)]
+    for nu, block, row in zip(measures, cols, splits):
+        if is_generating(nu):
+            assert row == [decompose_splits(GroupFunction._from_numerators(group, col), nu) for col in block.T]
 
 
 @st.composite
@@ -142,13 +184,13 @@ def partial_ball_steps(draw):
 def test_apply_truncated_matches_fraction_gather(step):
     ball, mu, side, values = step
     out, interior = apply_truncated(ball, mu, GroupFunction(ball, values), side)
-    terms = ConvolutionOperator(ball, mu, side).stencil()
-    expected = fraction_truncated_step(terms, values)
+    op = ConvolutionOperator(ball, mu, side)
+    expected = fraction_truncated_step(op, values)
     assert out.values == expected
     assert interior == [g for g, v in enumerate(expected) if v is not None]
     assert out.is_exact and out.is_partial == (len(interior) < ball.order)
     twice, _ = apply_truncated(ball, mu, out, side)
-    assert twice.values == fraction_truncated_step(terms, expected)
+    assert twice.values == fraction_truncated_step(op, expected)
 
 
 @st.composite

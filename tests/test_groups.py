@@ -800,7 +800,7 @@ def test_lattice_ball_near_max_size_steps_off_its_edge():
     ball = LatticeBall(2, radius)
     assert ball.order == 1_046_905
     h = ball.index_of_form((1, 0))
-    [(_, perm)] = ConvolutionOperator(ball, delta(ball, h), "right").stencil()
+    [perm] = ConvolutionOperator(ball, delta(ball, h), "right").stencil().perms
     # the points (x, y) with x >= 0 and x + |y| = radius step off the edge
     assert np.count_nonzero(perm == -1) == 2 * radius + 1
     for g in random.Random(0).sample(range(ball.order), 2000):

@@ -33,6 +33,7 @@ from groupwalk.harmonic import (
     jointly_biharmonic_space,
     monotone_abs_check,
     peripheral_boundary,
+    two_sided_classes,
 )
 from groupwalk.linalg import (
     rational_matmul,
@@ -209,6 +210,22 @@ def test_biharmonic_basis_at_order_65536():
     assert basis[0].values == [F(1)] * g.order
     # g -> h1 g h2 keeps the parity of j + k: the odd class is the first indicator
     assert basis[1].values == [F((x % n + x // n) % 2) for x in range(g.order)]
+
+
+def test_two_sided_classes_build_each_step_once_for_a_measure_on_another_group(monkeypatch):
+    """A measure on another D5 object gets fresh, unmemoised operators: the
+    two-sided walk still builds each of its 3 steps once per side, and
+    labels it as the measure's own group does."""
+    d5, twin = DihedralGroup(5), DihedralGroup(5)
+    mu = uniform(d5, [1, 4, 5])
+    calls = []
+    for name in ("right_perm", "left_perm"):
+        real = getattr(twin, name)
+        monkeypatch.setattr(twin, name, lambda h, real=real, name=name: calls.append((name, h)) or real(h))
+    [walk] = two_sided_classes(twin, [mu])
+    assert sorted(calls) == [(name, h) for name in ("left_perm", "right_perm") for h in (1, 4, 5)]
+    [own] = two_sided_classes(d5, [mu])
+    assert np.array_equal(walk.rows, own.rows) and np.array_equal(walk.sign, own.sign)
 
 
 def constant_first(vectors, n):
@@ -566,7 +583,7 @@ def test_ball_stencils_and_certificate_look_each_axis_up_once(monkeypatch):
     left = ConvolutionOperator(ball, mu, "left").stencil()
     chi = find_anti_character(ball, mu)
     assert len(built) == 3  # one construction per axis: -e_i inverts +e_i, left is right
-    assert all(r is l for (_, r), (_, l) in zip(right, left))
+    assert all(r is l for r, l in zip(right.perms, left.perms))
     assert all(chi(g) == -1 for g in steps)
 
 

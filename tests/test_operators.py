@@ -547,15 +547,19 @@ def test_stencils_of_one_group_share_one_product_per_side_and_element(monkeypatc
     supports = ([1, 4], [1, 5, 6], [0, 7])
     ops = [ConvolutionOperator(g, uniform(g, s), side) for s in supports for side in ("right", "left")]
     expected = [
-        [(op.weights[h], (g.right_perm if op.side == "right" else g.left_perm)(h).tolist()) for h in sorted(op.weights)]
+        [(float(op.weights[h]), (g.right_perm if op.side == "right" else g.left_perm)(h).tolist()) for h in sorted(op.weights)]
         for op in ops
     ]
     calls, products = [], g._products
     monkeypatch.setattr(g, "_products", lambda a, b: calls.append(1) or products(a, b))
     operators._build_stencils(ops)
     assert len(calls) == 2 * 6  # elements 0, 1, 4, 5, 6, 7 on each side
-    assert [[(w, perm.tolist()) for w, perm in op.stencil()] for op in ops] == expected
-    assert ops[0].stencil()[0][1] is ops[2].stencil()[0][1]  # both right walks step by 1
+    walks = [op.stencil() for op in ops]
+    assert [[(w, perm.tolist()) for w, perm in zip(walk.weights, walk.perms)] for walk in walks] == expected
+    assert [[F(x, walk.den) for x in walk.nums.tolist()] for walk in walks] == [
+        [op.weights[h] for h in sorted(op.weights)] for op in ops
+    ]
+    assert walks[0].perms[0] is walks[2].perms[0]  # both right walks step by 1
 
 
 def test_stencil_is_budgeted_before_it_is_built(monkeypatch):
@@ -589,7 +593,7 @@ def test_stencil_calls_no_per_element_mul(group, monkeypatch):
         monkeypatch.setattr(cls, "mul", per_element)
     for side in ("right", "left"):
         stencil = ConvolutionOperator(group, mu, side).stencil()
-        assert [len(perm) for _, perm in stencil] == [group.order] * 3
+        assert [len(perm) for perm in stencil.perms] == [group.order] * 3
 
 
 def test_memoised_operator_dies_with_its_measure_without_gc():
@@ -993,7 +997,7 @@ def test_stencil_apply_matches_dense_matrices(dense_lift, walk, seed, numerators
     n = group.order
     op = ConvolutionOperator(group, mu, side)
     # right: perm[e] = e * h = h; left: perm[e] = h * e = h
-    assert [int(perm[group.identity]) for _, perm in op.stencil()] == mu.support()
+    assert [int(perm[group.identity]) for perm in op.stencil().perms] == mu.support()
 
     rng = np.random.default_rng(seed)
     real = rng.standard_normal(n)
@@ -1025,7 +1029,8 @@ def test_matrix_lift_nested_lists_match_ndarrays(walk, seed):
 
     exact = [[F(int(k), 7) for k in row] for row in rng.integers(-50, 50, (n, n))]
     expected = [
-        [sum(w * exact[perm[i]][perm[j]] for w, perm in ConvolutionOperator(group, mu, side).stencil())
+        [sum(mu.weights[h] * exact[perm[i]][perm[j]]
+             for h, perm in zip(mu.support(), ConvolutionOperator(group, mu, side).stencil().perms))
          for j in range(n)]
         for i in range(n)
     ]
@@ -1056,9 +1061,9 @@ def exact_walks(draw, groups=KERNEL_GROUPS):
     return group, make_measure(group, [(g, F(w, sum(weights))) for g, w in zip(support, weights)])
 
 
-def _kernel(stencils, size, lam):
+def _kernel(stencils, lam):
     """component_kernel's lam basis of one walk, labelled alone."""
-    return component_kernel([stencils], size, "under test")[0].basis(lam, "under test")
+    return component_kernel([stencils], "under test")[0].basis(lam, "under test")
 
 
 @given(exact_walks())
@@ -1131,7 +1136,7 @@ def test_lift_kernel_matches_dense_nullspace(dense_lift, walk):
     right, left = (OperatorOnMatrices(group, mu, side) for side in ("right", "left"))
     cases = [([right, left], 1)] + [([lift], lam) for lift in (right, left) for lam in (1, -1)]
     for lifts, lam in cases:
-        basis = _kernel([lift.terms for lift in lifts], size, lam)
+        basis = _kernel([lift.walk for lift in lifts], lam)
         dense = np.linalg.multi_dot([dense_lift(lift) for lift in lifts] + [np.eye(size)])
         null = float_nullspace(dense - lam * np.eye(size), tol=1e-9)
         assert len(basis) == null.shape[1]
@@ -1149,32 +1154,32 @@ def test_class_certificate_agrees_with_gather_oracle(walk):
     exact per-array check P v = lam v summed by `_gather` (`certified_alone`),
     on each walk, each side's lift and the lift of right o left."""
     group, mu = walk
-    n = group.order
-    walks = [([ConvolutionOperator(group, mu, side).stencil()], n) for side in ("right", "left")]
-    lifts = [OperatorOnMatrices(group, mu, side).terms for side in ("right", "left")]
-    walks += [([terms], n * n) for terms in lifts] + [(lifts, n * n)]
-    for stencils, size in walks:
+    walks = [[ConvolutionOperator(group, mu, side).stencil()] for side in ("right", "left")]
+    lifts = [OperatorOnMatrices(group, mu, side).walk for side in ("right", "left")]
+    walks += [[lift] for lift in lifts] + [lifts]
+    for stencils in walks:
         for lam in (1, -1):
-            basis = _kernel(stencils, size, lam)
+            basis = _kernel(stencils, lam)
             if len(basis):
                 assert certified_alone(stencils, np.stack(basis, axis=1), lam).all()
 
 
 def test_class_certificate_rejects_split_and_false_bipartite_labels(monkeypatch):
-    """On the odd cycle of Z5: weights summing to 1/2 are refused; labelling
-    every node its own class moves a label (+1); labelling the double cover
-    as two uniform sheets marks the one class bipartite with one colour,
-    and no step flips it (-1)."""
+    """On the odd cycle of Z5: weights summing to 1/2 are refused where the
+    walk is built; labelling every node its own class moves a label (+1);
+    labelling the double cover as two uniform sheets marks the one class
+    bipartite with one colour, and no step flips it (-1)."""
     g = CyclicGroup(5)
-    stencil = ConvolutionOperator(g, uniform(g, [1, 4]), "right").stencil()
+    mu = uniform(g, [1, 4])
+    stencil = ConvolutionOperator(g, mu, "right").stencil()
     with pytest.raises(ComputationError, match="do not sum to 1"):
-        component_kernel([[stencil[:1]]], 5, "on Z5")
+        operators._walk(5, stencil.perms[:1], [mu.weights[1]], "on Z5")
     monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n))
     with pytest.raises(ComputationError, match="failed P f = 1 f"):
-        component_kernel([[stencil]], 5, "on Z5")
+        component_kernel([[stencil]], "on Z5")
     monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n) // (n // 2) * (n // 2))
     with pytest.raises(ComputationError, match="failed P f = -1 f"):
-        component_kernel([[stencil]], 5, "on Z5")
+        component_kernel([[stencil]], "on Z5")
 
 
 BATCH_GROUPS = [*KERNEL_GROUPS, alternating_group(4)]  # every finite kind
@@ -1182,31 +1187,27 @@ BATCH_GROUPS = [*KERNEL_GROUPS, alternating_group(4)]  # every finite kind
 
 @st.composite
 def walk_batches(draw):
-    """(group, walks, size): 1-4 walks of one kind on one group, from exact
-    measures with support sizes that differ, generating or not: one-stencil
-    right or left walks, two-stencil walks left o right, or the lifts of
-    right o left over the order^2 entries of an array."""
+    """1-4 walks of one kind on one group, from exact measures with support
+    sizes that differ, generating or not: one-stencil right or left walks,
+    two-stencil walks left o right, or the lifts of right o left over the
+    order^2 entries of an array."""
     group = draw(st.sampled_from(BATCH_GROUPS))
     measures = [draw(exact_walks([group]))[1] for _ in range(draw(st.integers(1, 4)))]
     kind = draw(st.sampled_from(["right", "left", "two-sided", "lift"]))
     if kind == "lift":
-        walks = [[OperatorOnMatrices(group, mu, side).terms for side in ("right", "left")]
-                 for mu in measures]
-        return group, walks, group.order**2
+        return [[OperatorOnMatrices(group, mu, side).walk for side in ("right", "left")] for mu in measures]
     sides = ["left", "right"] if kind == "two-sided" else [kind]
-    walks = [[ConvolutionOperator(group, mu, side).stencil() for side in sides] for mu in measures]
-    return group, walks, group.order
+    return [[ConvolutionOperator(group, mu, side).stencil() for side in sides] for mu in measures]
 
 
 @given(walk_batches())
-def test_walks_labelled_together_match_each_labelled_alone(batch):
+def test_walks_labelled_together_match_each_labelled_alone(walks):
     """One labelling of a disjoint union of walks gives every walk the +1
     and -1 bases (and so the class counts) it gets alone."""
-    group, walks, size = batch
-    together = component_kernel(walks, size, "together")
+    together = component_kernel(walks, "together")
     assert len(together) == len(walks)
     for walk, classes in zip(walks, together):
-        alone = component_kernel([walk], size, "alone")[0]
+        alone = component_kernel([walk], "alone")[0]
         for lam in (1, -1):
             assert classes.count(lam) == alone.count(lam)
             assert np.array_equal(classes.basis(lam, "together"), alone.basis(lam, "alone"))
@@ -1216,17 +1217,17 @@ def test_batched_labelling_pads_and_offsets_each_walk():
     """On Z6: the bipartite walk on {1, 5} (one class, one -1 array) after
     a walk with three terms, so its stencil is padded; the lazy walk on
     {0, 3} keeps its three classes and no -1 array.  A weight sum short of
-    1 in any walk of a batch is refused."""
+    1 (one term of the walk on {1, 5}) is refused where the walk is built."""
     g = CyclicGroup(6)
     walks = [[ConvolutionOperator(g, uniform(g, support), "right").stencil()]
              for support in ([0, 2, 4], [1, 5], [0, 3])]
-    counts = [(c.count(1), c.count(-1)) for c in component_kernel(walks, 6, "on Z6")]
+    counts = [(c.count(1), c.count(-1)) for c in component_kernel(walks, "on Z6")]
     assert counts == [(2, 0), (1, 1), (3, 0)]
-    assert component_kernel([], 6, "on Z6") == []
+    assert component_kernel([], "on Z6") == []
     with pytest.raises(ComputationError, match="do not sum to 1"):
-        component_kernel([walks[0], [walks[1][0][:1]]], 6, "on Z6")
+        operators._walk(6, walks[1][0].perms[:1], [F(1, 2)], "on Z6")
     with pytest.raises(ValueError, match="one number of stencils"):
-        component_kernel([walks[0], walks[1] * 2], 6, "on Z6")
+        component_kernel([walks[0], walks[1] * 2], "on Z6")
 
 
 @st.composite
@@ -1318,11 +1319,11 @@ def test_lift_kernel_on_d128_has_one_array_per_class():
     group = DihedralGroup(128)
     mu = uniform(group, [1, 127, 128])
     nu = convolve(mu, mu)
-    sides = [OperatorOnMatrices(group, nu, side).terms for side in ("right", "left")]
+    sides = [OperatorOnMatrices(group, nu, side).walk for side in ("right", "left")]
     size = group.order**2
-    basis = _kernel(sides, size, 1)
+    basis = _kernel(sides, 1)
     nodes = np.arange(size)
-    targets = np.concatenate([perm for terms in sides for _, perm in terms])
+    targets = np.concatenate([perm for walk in sides for perm in walk.perms])
     graph = coo_matrix(
         (np.ones(len(targets)), (np.tile(nodes, len(targets) // size), targets)),
         shape=(size, size),
@@ -1393,15 +1394,15 @@ def test_superoperator_refused_over_budget(monkeypatch):
     with pytest.raises(ConstructionError, match="lifted right stencil on S4.*DENSE_BYTES_BUDGET"):
         OperatorOnMatrices(group, mu, "right")
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 24 * 24)
-    assert len(OperatorOnMatrices(group, mu, "right").terms) == 1
+    assert len(OperatorOnMatrices(group, mu, "right").walk.perms) == 1
     # right o left has 2 * 2 composite permutations of the 36 entries of a D3 array
     d3 = DihedralGroup(3)
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36 - 1)
-    sides = [OperatorOnMatrices(d3, uniform(d3, [1, 3]), side).terms for side in ("right", "left")]
+    sides = [OperatorOnMatrices(d3, uniform(d3, [1, 3]), side).walk for side in ("right", "left")]
     with pytest.raises(ConstructionError, match="composite stencil of the lift.*DENSE_BYTES_BUDGET"):
-        component_kernel([sides], 36, "of the lift on D3")
+        component_kernel([sides], "of the lift on D3")
     monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 4 * 36)
-    assert component_kernel([sides], 36, "of the lift on D3")[0].count(1) == 3
+    assert component_kernel([sides], "of the lift on D3")[0].count(1) == 3
 
 
 def test_conditional_expectation_intertwines():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupwalk import operators, verify
+from groupwalk import harmonic, operators, verify
 from groupwalk.groups import (
     ConstructionError,
     CyclicGroup,
@@ -22,11 +23,9 @@ from groupwalk.groups import (
 )
 from groupwalk.harmonic import (
     anti_harmonic_space,
-    decompose,
     jointly_biharmonic_space,
     two_sided_classes,
 )
-from groupwalk.linalg import ComputationError
 from groupwalk.measures import (
     convolve,
     delta,
@@ -60,7 +59,7 @@ from groupwalk.verify import (
     verify_suite,
 )
 
-from walk_reference import theorem_records_by_fixture
+from walk_reference import decompose_splits, theorem_records_by_fixture
 
 F = Fraction
 
@@ -117,22 +116,24 @@ def _step_loop(group, mu, eps, n_max, step):
 
 
 def foguel_step_oracle(group, mu, eps, n_max):
-    """The step loop through `_gather` over the inverse left stencil:
+    """The step loop through `_gather` over the inverse left walk:
     (mu * nu)(x) = sum_h mu(h) nu(h^-1 x)."""
+    walk = left_operator(group, mu).stencil()
     inverse = []
-    for w, perm in left_operator(group, mu).stencil():
+    for perm in walk.perms:
         inv = np.empty_like(perm)
         inv[perm] = np.arange(group.order)
-        inverse.append((w, inv))
+        inverse.append(inv)
+    inverse = walk._replace(perms=inverse)
     return _step_loop(group, mu, eps, n_max, lambda nu: operators._gather(inverse, nu))
 
 
 def foguel_dense_oracle(group, mu, eps, n_max):
     """The step loop through the dense column-stochastic matrix of mu * nu."""
     n = group.order
-    mat = np.zeros((n, n))
-    for w, perm in left_operator(group, mu).stencil():
-        mat[perm, np.arange(n)] += float(w)
+    mat, walk = np.zeros((n, n)), left_operator(group, mu).stencil()
+    for w, perm in zip(walk.weights, walk.perms):
+        mat[perm, np.arange(n)] += w
     return _step_loop(group, mu, eps, n_max, lambda nu: mat @ nu)
 
 
@@ -300,19 +301,41 @@ def test_theorem_suite_runs_each_certificate_once_per_group(monkeypatch):
     """Per corpus group: one spectral pass, one split certificate (whose
     left-walk check is one more `_certified` call), one factor certificate
     and, at order <= 8, one certificate per lift side, each over all the
-    group's walks (nodes per walk, walks)."""
-    calls = []
+    group's walks (nodes per walk, walks).  One weight check per walk built:
+    each measure's right and left walk and, at order <= 8, the two lifted
+    walks of mu * mu; none runs inside the labelling, the gather or a
+    certificate.  One labelling of each walk: right, two-sided (left o
+    right) and, at order <= 8, the lift (walks, stencils per walk).  The
+    non-symmetric fixtures, which build walks of their own, are left out."""
+    calls, inside = [], {"component_kernel", "_gather", "_certified", "_splits"}
 
-    def count(name, real, shape):
-        monkeypatch.setattr(verify, name, lambda *args: calls.append((name, *shape(args[0]))) or real(*args))
+    def count(module, name, shape):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append((name, *shape(*args))) or real(*args))
 
-    count("spectra", verify.spectra, lambda ops: (ops[0].group.name, len(ops)))
-    for name in ("_splits", "_certified"):
-        count(name, getattr(verify, name), lambda stack: (stack[1].shape[1] // len(stack[2]), len(stack[2])))
+    def callers():
+        frame, names = sys._getframe(2), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return names
+
+    count(verify, "spectra", lambda ops: (ops[0].group.name, len(ops)))
+    count(verify, "_splits", lambda right, left, cols: cols.shape[1::-1])
+    count(verify, "_certified", lambda stack, cols, lam: cols.shape[1::-1])
+    for module in (operators, harmonic, verify):
+        count(module, "component_kernel", lambda walks, where: (len(walks), len(walks[0])))
+    for module in (operators, verify):
+        count(module, "_walk", lambda n, perms, weights, where: (n, where, bool(callers() & inside)))
+    monkeypatch.setattr(verify, "nonsymmetric_fixtures", lambda: [])
     run_theorem_suite(CorpusSpec(groups=[CyclicGroup(4), DihedralGroup(5)], measures_per_group=3))
+    z4, lift, d5 = (("_walk", n, where, False) for n, where in ((4, "on Z4"), (4, "of mu * mu on Z4"), (10, "on D5")))
     assert calls == [
+        *[z4] * 3, ("component_kernel", 3, 1), *[z4] * 3, ("component_kernel", 3, 2),  # right, then left
+        *[lift] * 6, ("component_kernel", 3, 2),
         ("spectra", "Z4", 3), ("_splits", 4, 3), ("_certified", 4, 3), ("_certified", 4, 3),
         ("_certified", 16, 3), ("_certified", 16, 3),
+        *[d5] * 3, ("component_kernel", 3, 1), *[d5] * 3, ("component_kernel", 3, 2),
         ("spectra", "D5", 3), ("_splits", 10, 3), ("_certified", 10, 3), ("_certified", 10, 3),
     ]
 
@@ -666,16 +689,6 @@ SPLIT_GROUPS = [
 ]
 
 
-def decompose_splits(f, mu):
-    """The per-function oracle: decompose, then both walks negate t1."""
-    try:
-        dec = decompose(f, mu)
-    except (ValueError, ComputationError):
-        return False
-    walks = (right_operator(f.group, mu), left_operator(f.group, mu))
-    return dec.constant is not None and all(apply(op, dec.anti_part) == -dec.anti_part for op in walks)
-
-
 def five_identities(f, mu):
     """P^2 f = f, L P f = f, t0 constant, P t1 = -t1 and L t1 = -t1, one
     `apply` at a time, for any measure."""
@@ -723,8 +736,8 @@ def test_split_columns_match_decompose_oracle(group, seed, generating):
         *(basis[0] + f for f in one_sided),
         *(GroupFunction._from_numerators(group, row) for row in indicators),
     ]
-    right, left = (verify._stack([op(group, mu).stencil()], group.order) for op in (right_operator, left_operator))
-    [columns] = verify._splits(right, left, np.column_stack([f._nums for f in functions])).tolist()
+    right, left = (operators._stacked([op(group, mu).stencil()]) for op in (right_operator, left_operator))
+    [columns] = verify._splits(right, left, np.column_stack([f._nums for f in functions])[None]).tolist()
     assert columns == [five_identities(f, mu) for f in functions]
     if is_generating(mu):
         assert columns == [decompose_splits(f, mu) for f in functions]

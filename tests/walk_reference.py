@@ -6,19 +6,22 @@ of `right_perm`, and `_abelian_subgroup` labels the cycles of one
 (`closure` and `min_return` through the scalar `mul`) and are the tests'
 oracles.  `theorem_records_by_fixture` is the theorem suite's per-fixture
 body from before it ran once per corpus group: one spectrum, one split,
-factor and lift certificate per fixture, each stencil gathered alone, and
-the lift of mu * mu from `convolve`.
+factor and lift certificate per fixture, each walk value gathered alone
+through `operators._gather` (no stack), and the lift of mu * mu from
+`convolve`.  `decompose_splits` is the per-function split oracle.
 """
 
 import numpy as np
 
-from groupwalk.harmonic import find_anti_character, two_sided_classes
+from groupwalk.harmonic import decompose, find_anti_character, two_sided_classes
+from groupwalk.linalg import ComputationError
 from groupwalk.measures import convolve, min_return
 from groupwalk.operators import (
     OperatorOnMatrices,
     _fit,
     _gather,
     _max_abs,
+    apply,
     component_kernel,
     left_operator,
     right_operator,
@@ -78,7 +81,7 @@ def abelian_subgroup_by_loop(group):
 def certified_alone(stencils, vecs, lam):
     """For each column v of the integer array vecs, whether P v = lam v
     exactly for the composite P = stencils[0] o stencils[1] o ... of one
-    walk's exact stencils (the last acts first)."""
+    walk's exact walk values (the last acts first)."""
     image, den = vecs, 1
     for terms in reversed(stencils):
         image, den = _gather(terms, image, den)
@@ -87,13 +90,23 @@ def certified_alone(stencils, vecs, lam):
 
 def splits_alone(right, left, cols):
     """For each column f of cols, whether P^2 f = f, L P f = f, (f + P f)/2
-    is constant and the rest is negated by both walks, for one walk's right
-    stencil P and left stencil L."""
+    is constant and the rest is negated by both walks, for one measure's
+    right walk P and left walk L."""
     image, den = _gather(right, cols, 1)
     scaled = _fit(cols, 2 * den * max(_max_abs(cols), 1)) * den
     twice_t0 = scaled + image
     constant = (twice_t0 == twice_t0[:1]).all(axis=0)
     return constant & certified_alone([left], scaled - image, -1)
+
+
+def decompose_splits(f, mu):
+    """The per-function oracle: decompose, then both walks negate t1."""
+    try:
+        dec = decompose(f, mu)
+    except (ValueError, ComputationError):
+        return False
+    walks = (right_operator(f.group, mu), left_operator(f.group, mu))
+    return dec.constant is not None and all(apply(op, dec.anti_part) == -dec.anti_part for op in walks)
 
 
 def theorem_records_by_fixture(fixture_id, group, mu):
@@ -139,8 +152,8 @@ def theorem_records_by_fixture(fixture_id, group, mu):
 
     if group.order <= OPERATOR_CHECK_MAX_ORDER:
         nu = convolve(mu, mu)
-        sides = [OperatorOnMatrices(group, nu, s).terms for s in ("right", "left")]
-        [classes] = component_kernel([sides], group.order**2, "in the reference")
+        sides = [OperatorOnMatrices(group, nu, s).walk for s in ("right", "left")]
+        [classes] = component_kernel([sides], "in the reference")
         columns = classes.basis(1, "in the reference").T
         fixed = all(certified_alone([terms], columns, 1).all() for terms in sides)
         note = f"solutions={columns.shape[1]}"
