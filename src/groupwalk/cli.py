@@ -1,11 +1,14 @@
 """Command line front end: `analyze` runs tasks from a JSON config, `verify`
-runs a named check suite.  JSON in, JSON out, optional CSV side tables."""
+runs a named check suite.  JSON in, JSON out, optional CSV side tables.  The
+report is written as it is encoded, a dict key by key and a list 512 entries
+at a time, with the bytes of json.dumps(report, indent=2, sort_keys=True)."""
 
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -281,25 +284,29 @@ _SCALARS = {
     type(None): lambda x: "null",
 }
 _SIGNS = {-1: "-1", 0: "0", 1: "1"}
+_BATCH = 512  # list entries encoded and written at a time
 
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _template(indent, *keys):
     """The %-format of a dict with these sorted keys at this indent."""
-    fields, inner = [], indent + "  "
-    for key in keys:
-        if not (key is None or isinstance(key, (str, int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        name = encode_basestring_ascii(key if isinstance(key, str) else _encode(key))
-        fields.append(name.replace("%", "%%") + ": %s")
-    return "{" + inner + ("," + inner).join(fields) + indent + "}"
+    fields = [_name(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + indent + "  " + ("," + indent + "  ").join(fields) + indent + "}"
+
+
+def _name(key):
+    """A dict key's text as json.dumps writes it."""
+    if not (key is None or isinstance(key, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _encode(key))
 
 
 def _items(values, indent):
     """The texts of a nonempty list's entries at this indent, in one pass
     where the entries allow: entries of one scalar type (-1, 0 and 1 from a
-    table, finite floats by repr), records with one set of string keys
-    column by column into their cached template, the rest one by one."""
+    table, finite floats by repr), check records as dicts, and records with
+    string keys column by column per key tuple; the rest one by one."""
+    values = [record.to_json() for record in values] if type(values[0]) is CheckRecord else values
     kinds = set(map(type, values))
     if kinds == {int}:
         try:
@@ -310,25 +317,28 @@ def _items(values, indent):
         return map(float.__repr__, values)
     if len(kinds) == 1 and kinds <= _SCALARS.keys():
         return map(_SCALARS[kinds.pop()], values)
-    keys = sorted(values[0]) if kinds == {dict} else None
-    if keys and all(type(key) is str for key in keys) and all(r.keys() == values[0].keys() for r in values):
-        columns = [_items([record[key] for record in values], indent + "  ") for key in keys]
-        return map(_template(indent, *keys).__mod__, zip(*columns))
+    parts, texts = {}, {}
+    for i, record in enumerate(values if kinds == {dict} else ()):
+        parts.setdefault(tuple(record), []).append(i)
+    if parts and all(shape and all(type(key) is str for key in shape) for shape in parts):
+        for shape, rows in parts.items():
+            keys = sorted(shape)
+            columns = [_items([values[i][key] for i in rows], indent + "  ") for key in keys]
+            texts.update(zip(rows, map(_template(indent, *keys).__mod__, zip(*columns))))
+        return map(texts.__getitem__, range(len(values)))
     return [_encode(x, indent) for x in values]
 
 
 def _encode(obj, indent="\n"):
     """The text of json.dumps(obj, indent=2, sort_keys=True), built in
-    fewer steps: a list's entries come from `_items`, and a dict's values,
+    fewer steps: a list's entries come from `_chunks`, and a dict's values,
     scalars encoded inline, fill the cached template of its sorted keys."""
     encode = _SCALARS.get(type(obj))
     if encode is not None:
         return encode(obj)
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_items(obj, inner)) + indent + "]"
+        return "".join(_chunks(obj, indent)) if obj else "[]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -343,13 +353,37 @@ def _encode(obj, indent="\n"):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(payload, out_path):
-    text = _encode(payload) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _chunks(obj, indent="\n"):
+    """The text of `_encode(obj, indent)` in pieces: a dict key by key, a
+    list one batch of _BATCH entries at a time, the rest whole."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + inner + _name(key) + ": "
+            yield from _chunks(obj[key], inner)
+        yield indent + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for start in range(0, len(obj), _BATCH):
+            yield ("," if start else "[") + inner + ("," + inner).join(_items(obj[start:start + _BATCH], inner))
+        yield indent + "]"
     else:
-        sys.stdout.write(text)
+        yield _encode(obj, indent)
+
+
+def _emit(payload, out_path):
+    """Write the report and a newline piece by piece (`_chunks`).  A report
+    that fails to encode or to write leaves no file at out_path."""
+    pieces = itertools.chain(_chunks(payload), ["\n"])
+    if not out_path:
+        return sys.stdout.writelines(pieces)
+    fh = open(out_path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except BaseException:
+        if os.path.isfile(out_path) and not os.path.islink(out_path):
+            os.remove(out_path)
+        raise
 
 
 def _run_analyze(args):
@@ -371,7 +405,7 @@ def _run_analyze(args):
 
 def _run_verify(args):
     report = verify_suite(args.suite, seed=args.seed)
-    _emit(report.to_json(), args.out)
+    _emit({"suite": report.suite, "passed": report.passed, "checks": report.records}, args.out)
     return 0 if report.passed else 1
 
 

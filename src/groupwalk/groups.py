@@ -36,6 +36,7 @@ import numpy as np
 MAX_ORDER = 1 << 16
 MAX_BALL_SIZE = 1 << 20
 MAX_FREE_RANK = 26
+BLOCK_ENTRIES = 1 << 20  # int64 entries of edges or composites handled at once
 
 __all__ = [
     "ConstructionError",
@@ -873,10 +874,13 @@ def _parity(v):
 
 def _classes(n, perms):
     """Each index's class label in the graph with edges g -- perm[g] for
-    every perm: the smallest index of its connected class.  All edges are
-    joined by one `_union`."""
-    parent = np.arange(n)
-    _union(parent, np.tile(np.arange(n), len(perms)), np.asarray(perms, dtype=np.int64).ravel())
+    every perm: the smallest index of its connected class.  The edges are
+    joined by one `_union` per block of BLOCK_ENTRIES (at least one perm),
+    so its edge-sized temporaries stay within a few blocks."""
+    parent, perms = np.arange(n), np.asarray(perms, dtype=np.int64).reshape(-1, n)
+    step = max(1, BLOCK_ENTRIES // n)
+    for block in np.split(perms, range(step, len(perms), step)):
+        _union(parent, np.tile(np.arange(n), len(block)), block.ravel())
     return _roots(parent, np.arange(n))
 
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import ConstructionError, _classes, _roots, _union
+from .groups import BLOCK_ENTRIES, ConstructionError, _classes, _roots, _union
 from .linalg import ComputationError
 from .measures import GroupMeasure, is_symmetric
 
@@ -877,11 +877,11 @@ def component_kernel(walks, where):
     at its smallest index, as in the free-column basis of rational_nullspace
     with each vector's first nonzero entry scaled to 1.
 
-    Every array is certified P v = +-v exactly by one pass over the
-    composites q of all walks: every q keeps every class label and flips
-    every sign on the bipartite classes, so (P v)(g) = sum_q w_q v(q g) =
-    +-v(g) for any weights that sum to 1.  `where` names the nodes in
-    messages ("on D4").
+    Every array is certified P v = +-v exactly by a pass over the
+    composites q of all walks, a block of BLOCK_ENTRIES (at least one first
+    term) at a time: every q keeps every class label and flips every sign
+    on the bipartite classes, so (P v)(g) = sum_q w_q v(q g) = +-v(g) for
+    any weights that sum to 1.  `where` names the nodes in messages ("on D4").
     """
     if not walks:
         return []
@@ -889,7 +889,8 @@ def component_kernel(walks, where):
         raise ValueError(f"walks {where} must have one number of stencils")
     n, total = walks[0][0].n, len(walks) * walks[0][0].n
     stencils = [_stacked([s[j] for s in walks]).perms.reshape(-1, total) for j in range(len(walks[0]))]
-    require_dense_budget((math.prod(map(len, stencils)), total), 8, f"the composite stencil {where}")
+    step = max(1, BLOCK_ENTRIES // (math.prod(map(len, stencils[1:])) * total))  # first terms per block
+    require_dense_budget((min(step, len(stencils[0])), *map(len, stencils[1:]), total), 8, f"the composite stencil {where}")
     cover, inner = np.empty((0, 2 * total), dtype=np.int64), np.arange(total)
     for j, terms in enumerate(stencils):  # the composites that leave one first term
         part = terms[:, inner]
@@ -902,13 +903,14 @@ def component_kernel(walks, where):
     classes = np.minimum(even, odd)
     sign = np.where(even == classes, 1, -1)
     bipartite = even != odd
-    perms = np.arange(total)[None]
-    for terms in stencils:
-        perms = terms[:, perms].reshape(-1, total)
-    if not (classes[perms] == classes).all():
-        raise ComputationError(f"a class vector {where} failed P f = 1 f")
-    if not (sign[perms] == -sign)[:, bipartite].all():
-        raise ComputationError(f"a class vector {where} failed P f = -1 f")
+    for start in range(0, len(stencils[0]), step):
+        perms = stencils[0][start:start + step]
+        for terms in stencils[1:]:
+            perms = terms[:, perms].reshape(-1, total)
+        if not (classes[perms] == classes).all():
+            raise ComputationError(f"a class vector {where} failed P f = 1 f")
+        if not (sign[perms] == -sign)[:, bipartite].all():
+            raise ComputationError(f"a class vector {where} failed P f = -1 f")
     rows, rank = np.full((2, total), -1), np.empty(total, dtype=np.int64)
     for row, kept in zip(rows, (np.ones(total, dtype=bool), bipartite)):
         last = np.full(total, -1)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -607,6 +613,9 @@ JSON_VALUES = st.recursive(
         st.lists(st.sampled_from([-1, 0, 1, True, False, 1.0, -1.0, 2, -2])),
         # records of one shape share one dict template
         st.lists(st.fixed_dictionaries({key: inner for key in RECORD_KEYS}), max_size=4),
+        # records of two shapes (with and without "note") take one template per shape
+        st.lists(st.fixed_dictionaries({key: inner for key in RECORD_KEYS[-2:]}, optional={"note": inner}),
+                 max_size=6),
     ),
     max_leaves=30,
 )
@@ -630,6 +639,78 @@ def test_encoder_edge_cases_match_json_dumps():
     for bad in ([np.int64(1)], {(1, 2): 3}):
         with pytest.raises(TypeError):
             cli._encode(bad)
+
+
+EMIT_CASES = [
+    [], {}, (), [[]], {"a": {}}, {"a": []}, [(), {}], (1, (2, [3])), None, True, -0.0, 10**30, "top \u00e9",
+    {1: "int key", 2.5: "float key"}, {True: 1, False: 0}, {None: "null key"}, {"%s": [1, -1, 0, 2]},
+    [1, True, 0, False, -1], [float("inf"), 1.0, float("nan")], [np.float64(0.1), 2.5, -1e300],
+    [{"fixture": "f", "passed": True}, {"fixture": "g", "passed": False, "note": "n"}, {}, {"x": 1}] * 3,
+    {"checks": [{"a": [1, 2, 3, 4], "b": {"c": (5, 6)}}] * 5, "rows": tuple(range(7))},
+]
+
+
+def _emitted(payload, batch, out_path=None):
+    """What _emit writes with _BATCH = batch: the file's text, or stdout's."""
+    with mock.patch.object(cli, "_BATCH", batch):
+        if out_path is not None:
+            cli._emit(payload, out_path)
+            return Path(out_path).read_text(encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit(payload, None)
+        return out.getvalue()
+
+
+@given(JSON_VALUES, st.integers(1, 3))
+def test_streamed_report_matches_json_dumps(payload, batch):
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as directory:
+        assert _emitted(payload, batch, os.path.join(directory, "r.json")) == expected
+    assert _emitted(payload, batch) == expected
+
+
+def test_streamed_edge_cases_match_json_dumps(tmp_path):
+    for batch in (1, 2, 3, cli._BATCH):
+        for payload in EMIT_CASES:
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert _emitted(payload, batch, str(tmp_path / "r.json")) == expected
+            assert _emitted(payload, batch) == expected
+
+
+def test_check_records_stream_as_their_dicts(tmp_path):
+    records = [verify.CheckRecord("f", f"q{i}", i / 3, 1e-8, i % 2 == 0, note="n" * (i % 3)) for i in range(7)]
+    report = verify.VerificationReport("suite", records)
+    payload = {"suite": report.suite, "passed": report.passed, "checks": report.records}
+    expected = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    for batch in (1, 2, 3, cli._BATCH):
+        assert _emitted(payload, batch, str(tmp_path / "r.json")) == expected
+
+
+def test_unencodable_report_leaves_no_file(tmp_path):
+    """A value json cannot write, deep in a long list, fails after the
+    first batches are written; the partial file is removed."""
+    out = tmp_path / "r.json"
+    payload = {"a": [1.5] * (3 * cli._BATCH) + [{"b": [[np.int64(1)]]}], "z": 1}
+    with pytest.raises(TypeError):
+        cli._emit(payload, str(out))
+    assert not out.exists()
+    with pytest.raises(TypeError):
+        _emitted(payload, 2)
+
+
+def test_streamed_report_memory_follows_one_batch(tmp_path):
+    """_emit of a 60,000-record list (a 5.4 MB report) holds one batch of
+    texts at a time, not the report."""
+    rows = [{"im": 0.0, "multiplicity": 1, "peripheral": i == 0, "re": math.cos(i / 7)} for i in range(60000)]
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        cli._emit({"eigenvalues": rows}, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8") == json.dumps({"eigenvalues": rows}, indent=2, sort_keys=True) + "\n"
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------- verify subcommand

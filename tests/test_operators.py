@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from groupwalk.verify import alternating_group
 
 from ball_reference import reference
 from linalg_reference import normalize_leading
-from walk_reference import certified_alone
+from walk_reference import certified_alone, classes_one_pass
 
 F = Fraction
 
@@ -1211,6 +1212,51 @@ def test_walks_labelled_together_match_each_labelled_alone(walks):
         for lam in (1, -1):
             assert classes.count(lam) == alone.count(lam)
             assert np.array_equal(classes.basis(lam, "together"), alone.basis(lam, "alone"))
+
+
+@given(walk_batches(), st.integers(1, 40))
+def test_labelling_in_blocks_matches_one_pass(walks, block):
+    """With BLOCK_ENTRIES patched down to a few entries, `_classes` joins a
+    walk's edges one or a few permutations at a time and component_kernel
+    checks its composites a few first terms at a time; the labels equal the
+    one-pass labelling's and the certified classes those of one block."""
+    whole = component_kernel(walks, "in one block")
+    with mock.patch("groupwalk.groups.BLOCK_ENTRIES", block), mock.patch.object(operators, "BLOCK_ENTRIES", block):
+        for walk in walks:
+            perms = np.concatenate([stencil.perms for stencil in walk])
+            assert np.array_equal(operators._classes(walk[0].n, perms), classes_one_pass(walk[0].n, perms))
+        blocked = component_kernel(walks, "in blocks")
+    for classes, alone in zip(blocked, whole):
+        assert np.array_equal(classes.rows, alone.rows) and np.array_equal(classes.sign, alone.sign)
+
+
+def test_certificate_checks_every_block(monkeypatch):
+    """On Z4 with mu on {0, 1}, a labelling with one class per node passes
+    for the first term (the identity) and fails for +1; with one first term
+    per block, the second block refuses it."""
+    g = CyclicGroup(4)
+    stencil = ConvolutionOperator(g, uniform(g, [0, 1]), "right").stencil()
+    monkeypatch.setattr(operators, "BLOCK_ENTRIES", 4)
+    monkeypatch.setattr(operators, "_classes", lambda n, perms: np.arange(n) % (n // 2))
+    with pytest.raises(ComputationError, match="failed P f = 1 f"):
+        component_kernel([[stencil]], "on Z4")
+
+
+def test_classes_peak_memory_follows_the_block():
+    """`_classes` of 32 perms of 2^15 nodes (8 MiB of edges) joined two
+    perms at a time holds a few blocks of edges (the one-pass labelling
+    peaks at 52 MB), not several copies of the edge list."""
+    rng = np.random.default_rng(5)
+    n, perms = 1 << 15, np.array([rng.permutation(1 << 15) for _ in range(32)])
+    with mock.patch("groupwalk.groups.BLOCK_ENTRIES", 1 << 16):
+        tracemalloc.start()
+        try:
+            labels = operators._classes(n, perms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(labels, classes_one_pass(n, perms))
+    assert peak < 12 * 8 * (1 << 16), peak
 
 
 def test_batched_labelling_pads_and_offsets_each_walk():

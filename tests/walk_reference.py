@@ -8,11 +8,14 @@ oracles.  `theorem_records_by_fixture` is the theorem suite's per-fixture
 body from before it ran once per corpus group: one spectrum, one split,
 factor and lift certificate per fixture, each walk value gathered alone
 through `operators._gather` (no stack), and the lift of mu * mu from
-`convolve`.  `decompose_splits` is the per-function split oracle.
+`convolve`.  `decompose_splits` is the per-function split oracle, and
+`classes_one_pass` labels a permutation graph with one union of all its
+edges.
 """
 
 import numpy as np
 
+from groupwalk.groups import _roots, _union
 from groupwalk.harmonic import decompose, find_anti_character, two_sided_classes
 from groupwalk.linalg import ComputationError
 from groupwalk.measures import convolve, min_return
@@ -76,6 +79,14 @@ def abelian_subgroup_by_loop(group):
                 coset[x], kappa[x], x = label, m, step[x]
             label += 1
     return [size], np.array(coset), np.array(kappa)[:, None]
+
+
+def classes_one_pass(n, perms):
+    """`groups._classes` with every edge joined by one `_union` call, the
+    oracle of the labelling that joins them a block at a time."""
+    parent = np.arange(n)
+    _union(parent, np.tile(np.arange(n), len(perms)), np.asarray(perms, dtype=np.int64).ravel())
+    return _roots(parent, np.arange(n))
 
 
 def certified_alone(stencils, vecs, lam):
