@@ -1,7 +1,8 @@
 """Command line front end: `analyze` runs tasks from a JSON config, `verify`
 runs a named check suite.  JSON in, JSON out, optional CSV side tables.  The
-report is written as it is encoded, a dict key by key and a list 512 entries
-at a time, with the bytes of json.dumps(report, indent=2, sort_keys=True)."""
+report has the bytes of json.dumps(report, indent=2, sort_keys=True): json's
+own encoder spells every value, and this module lays the values out and
+streams them, a dict key by key and a list 512 entries at a time."""
 
 from __future__ import annotations
 
@@ -10,12 +11,9 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -120,18 +118,6 @@ def load_config(path):
     return parse_config(obj)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _build_inputs(config):
     try:
         group = build_group(config.group_spec)
@@ -189,7 +175,7 @@ def _task_biharmonic(group, mu, config):
         decompositions.append(
             {
                 "function": _function_values(f),
-                "constant": _jsonable(dec.constant),
+                "constant": None if dec.constant is None else str(dec.constant),  # a Fraction: weights are exact
                 "harmonic_part": _function_values(dec.harmonic_part),
                 "anti_part": _function_values(dec.anti_part),
             }
@@ -270,104 +256,67 @@ def _write_csv_tables(report, directory):
                 csv.writer(fh).writerows([header, *rows(report["results"][task])])
 
 
-def _json_float(x):
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
-}
-_SIGNS = {-1: "-1", 0: "0", 1: "1"}
 _BATCH = 512  # list entries encoded and written at a time
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _template(indent, *keys):
-    """The %-format of a dict with these sorted keys at this indent."""
-    fields = [_name(key).replace("%", "%%") + ": %s" for key in keys]
-    return "{" + indent + "  " + ("," + indent + "  ").join(fields) + indent + "}"
+@functools.cache
+def _flat(inner):
+    """json's own encoder with `inner` after each comma.  It writes a scalar
+    as json.dumps does, and a container of scalars as json.dumps(indent=2)
+    does at this indent but for the line breaks inside its brackets.  Only
+    such flat values reach it, so it skips the check for cycles."""
+    return json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True, check_circular=False).encode
+
+
+def _is_flat(values):
+    """Whether none of these values is a container."""
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values)))
 
 
 def _name(key):
-    """A dict key's text as json.dumps writes it."""
-    if not (key is None or isinstance(key, (str, int, float))):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else _encode(key))
-
-
-def _items(values, indent):
-    """The texts of a nonempty list's entries at this indent, in one pass
-    where the entries allow: entries of one scalar type (-1, 0 and 1 from a
-    table, finite floats by repr), check records as dicts, and records with
-    string keys column by column per key tuple; the rest one by one."""
-    values = [record.to_json() for record in values] if type(values[0]) is CheckRecord else values
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        try:
-            return [*map(_SIGNS.__getitem__, values)]
-        except KeyError:
-            pass
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    if len(kinds) == 1 and kinds <= _SCALARS.keys():
-        return map(_SCALARS[kinds.pop()], values)
-    parts, texts = {}, {}
-    for i, record in enumerate(values if kinds == {dict} else ()):
-        parts.setdefault(tuple(record), []).append(i)
-    if parts and all(shape and all(type(key) is str for key in shape) for shape in parts):
-        for shape, rows in parts.items():
-            keys = sorted(shape)
-            columns = [_items([values[i][key] for i in rows], indent + "  ") for key in keys]
-            texts.update(zip(rows, map(_template(indent, *keys).__mod__, zip(*columns))))
-        return map(texts.__getitem__, range(len(values)))
-    return [_encode(x, indent) for x in values]
+    """A dict key's text as json.dumps writes it: '"key"' of '{"key": null}'."""
+    return _flat("")({key: None})[1:-7]
 
 
 def _encode(obj, indent="\n"):
-    """The text of json.dumps(obj, indent=2, sort_keys=True), built in
-    fewer steps: a list's entries come from `_chunks`, and a dict's values,
-    scalars encoded inline, fill the cached template of its sorted keys."""
-    encode = _SCALARS.get(type(obj))
-    if encode is not None:
-        return encode(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        return "".join(_chunks(obj, indent)) if obj else "[]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys, values = sorted(obj), []
-        for value in map(obj.__getitem__, keys):
-            encode = _SCALARS.get(type(value))
-            values.append(encode(value) if encode is not None else _encode(value, inner))
-        return _template(indent, *keys) % tuple(values)
-    for kind in (str, int, float):  # subclasses of the scalar types
-        if isinstance(obj, kind):
-            return _SCALARS[kind](obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at this indent."""
+    return "".join(_chunks(obj, indent))
 
 
 def _chunks(obj, indent="\n"):
-    """The text of `_encode(obj, indent)` in pieces: a dict key by key, a
-    list one batch of _BATCH entries at a time, the rest whole."""
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
+    """The text of `_encode(obj, indent)` in pieces: a dict of scalars whole,
+    any other dict key by key, and a list one batch of _BATCH entries at a
+    time.  A batch of scalars takes one call to json's encoder, a batch of
+    nonempty dicts of scalars (check records as their dicts) one more, and
+    any other batch one piece per entry."""
+    inner, deeper = indent + "  ", indent + "    "
+    if isinstance(obj, dict) and obj and not _is_flat(obj.values()):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + inner + _name(key) + ": "
             yield from _chunks(obj[key], inner)
         yield indent + "}"
     elif isinstance(obj, (list, tuple)) and obj:
         for start in range(0, len(obj), _BATCH):
-            yield ("," if start else "[") + inner + ("," + inner).join(_items(obj[start:start + _BATCH], inner))
+            batch = obj[start:start + _BATCH]
+            batch = [record.to_json() for record in batch] if type(batch[0]) is CheckRecord else batch
+            yield "," if start else "["
+            if _is_flat(batch):
+                yield inner + _flat(inner)(batch)[1:-1]
+            elif set(map(type, batch)) == {dict} and all(batch) and _is_flat(itertools.chain(*map(dict.values, batch))):
+                # encode_basestring_ascii escapes every control character, so
+                # a raw line break comes only from a separator: "}," + deeper
+                # + "{" is exactly where one record ends and the next begins
+                text = _flat(deeper)(batch)[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+                yield inner + "{" + deeper + text + inner + "}"
+            else:
+                for i, entry in enumerate(batch):
+                    yield ("," if i else "") + inner
+                    yield from _chunks(entry, inner)
         yield indent + "]"
+    elif isinstance(obj, dict) and obj:
+        yield "{" + inner + _flat(inner)(obj)[1:-1] + indent + "}"
     else:
-        yield _encode(obj, indent)
+        yield _flat(inner)(obj)
 
 
 def _emit(payload, out_path):

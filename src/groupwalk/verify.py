@@ -61,7 +61,6 @@ from .operators import (
     left_operator,
     require_dense_budget,
     right_operator,
-    solve_spectra,
     spectra,
     spectrum,
 )
@@ -482,7 +481,6 @@ def _theorem_records(fids, group, measures):
     n, where = group.order, f"on {group.name}"
     two_sided = two_sided_classes(group, measures)
     lifts = _lifts(group, measures) if n <= OPERATOR_CHECK_MAX_ORDER else []
-    solve_spectra(ops)
     reports = spectra(ops)
     right = _stacked([op.stencil() for op in ops])
     left = _stacked([left_operator(group, mu).stencil() for mu in measures])

@@ -597,25 +597,50 @@ JSON_SCALARS = st.one_of(
     st.sampled_from(["\u00e9\u4e2d\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f']),
 )
 RECORD_KEYS = ["%s", "100%", "%%d", '"q"', "back\\slash", "\u00e9t\u00e9", "\u4e2d", "\U0001f600", "plain"]
+# texts that look like the seam between two records of a batch, or need escapes
+SEAM_TEXTS = st.sampled_from(["},", "{", "},\n      {", '"', "\\", "\n", "\x00", "\u00e9\u4e2d\U0001f600", "a},\n  {b"])
+# flat records: one key type per record, as sorting needs; values among the float edge cases
+FLAT_RECORDS = st.one_of(
+    st.dictionaries(st.one_of(SEAM_TEXTS, st.text()), st.one_of(SEAM_TEXTS, JSON_SCALARS), min_size=1),
+    *(st.dictionaries(keys, st.one_of(JSON_SCALARS, st.floats().map(np.float64), st.just(10**30)), min_size=1)
+      for keys in (st.integers(), st.floats(), st.booleans(), st.none())),
+)
+
+
+class _Record(dict):
+    """A dict subclass, which json writes as a dict."""
+
+
+class _Text(str):
+    """A str subclass, which json writes as a str."""
+
+
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.one_of(
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.dictionaries(st.text(), inner),
-        # homogeneous lists take the one-pass joins
+        # homogeneous lists take one encoder call per batch
         st.lists(st.integers()),
         st.lists(st.floats(allow_nan=False, allow_infinity=False)),
         st.lists(st.floats()),
         st.lists(st.text()),
-        # int lists of -1, 0 and 1 take the sign table; bools and floats among them must not
+        # int lists of -1, 0 and 1, and bools and floats among them
         st.lists(st.sampled_from([-1, 0, 1])),
         st.lists(st.sampled_from([-1, 0, 1, True, False, 1.0, -1.0, 2, -2])),
-        # records of one shape share one dict template
+        # records of one shape, with keys that need escapes
         st.lists(st.fixed_dictionaries({key: inner for key in RECORD_KEYS}), max_size=4),
-        # records of two shapes (with and without "note") take one template per shape
+        # records of two shapes (with and without "note")
         st.lists(st.fixed_dictionaries({key: inner for key in RECORD_KEYS[-2:]}, optional={"note": inner}),
                  max_size=6),
+        # batches of flat records take one encoder call; mixed with an empty
+        # dict, a record holding a list or a dict subclass they go one by one
+        st.lists(FLAT_RECORDS, max_size=6),
+        st.lists(st.one_of(FLAT_RECORDS, st.just({}), st.dictionaries(st.text(), st.lists(inner), min_size=1),
+                           FLAT_RECORDS.map(_Record)), max_size=6),
+        # scalar lists with numpy floats, bools among ints and str subclasses
+        st.lists(st.one_of(st.integers(), st.booleans(), st.floats().map(np.float64), st.text().map(_Text))),
     ),
     max_leaves=30,
 )
@@ -647,6 +672,11 @@ EMIT_CASES = [
     [1, True, 0, False, -1], [float("inf"), 1.0, float("nan")], [np.float64(0.1), 2.5, -1e300],
     [{"fixture": "f", "passed": True}, {"fixture": "g", "passed": False, "note": "n"}, {}, {"x": 1}] * 3,
     {"checks": [{"a": [1, 2, 3, 4], "b": {"c": (5, 6)}}] * 5, "rows": tuple(range(7))},
+    [{"},\n      {": "},\n      {", "{": "}", 'q"\\': "\x00\u00e9\n", "\u4e2d\U0001f600": "a},\n    {b"}] * 4,
+    [{1: 0.5, -2: float("nan")}, {2.5: float("inf"), -1.0: -float("inf")}, {True: -0.0, False: 10**30},
+     {None: np.float64(0.1)}, {3: np.float64(float("-inf"))}],
+    [{"a": 1}, {}, {"b": [1, 2]}, _Record(c=3), {"d": None}, {"e": {}}, _Record(), {"f": "g"}],
+    [np.float64(0.25), 1, True, 0, False, -1, _Text("sub"), "plain", np.float64(float("nan"))],
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupwalk import cli, operators, verify
+from groupwalk import operators, verify
 from groupwalk.cli import main
 from groupwalk.groups import (
     CyclicGroup,
@@ -294,8 +294,9 @@ def test_biharmonic_split_builds_no_fraction_per_entry(monkeypatch, n):
 
 def fraction_formatted(f):
     """The report's entries before numerator formatting: one Fraction (via
-    the `values` view) and one str per exact entry."""
-    return [cli._jsonable(v) for v in f.values]
+    the `values` view) and one str per exact entry, [re, im] per complex one."""
+    return [str(v) if isinstance(v, Fraction) else [v.real, v.imag] if isinstance(v, complex) else v
+            for v in f.values]
 
 
 @given(partial_ball_steps(), st.booleans())

@@ -232,10 +232,10 @@ def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
     2 * order^2 * 3 for the lifts), one spectra batch per group, and the
     records of fixture_theorem_checks on each fixture alone, in corpus order."""
     labelled, solved = [], []
-    classes, solve = operators._classes, verify.solve_spectra
+    classes, solve = operators._classes, verify.spectra
     monkeypatch.setattr(operators, "_classes", lambda n, perms: labelled.append(n) or classes(n, perms))
     monkeypatch.setattr(
-        verify, "solve_spectra", lambda ops: solved.append((ops[0].group.name, len(ops))) or solve(ops)
+        verify, "spectra", lambda ops: solved.append((ops[0].group.name, len(ops))) or solve(ops)
     )
     report = run_theorem_suite(TINY_CORPUS)
     assert labelled == [24, 24, 96, 30, 30, 150]
