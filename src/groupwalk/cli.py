@@ -49,17 +49,15 @@ class AnalysisConfig:
     tasks: list
     tol: float
     exact: bool
-    max_power: int
-    seed: int
 
     def to_json(self):
-        options = {"tol": self.tol, "exact": self.exact, "max_power": self.max_power, "seed": self.seed}
+        options = {"tol": self.tol, "exact": self.exact}
         return {"group": self.group_spec.to_json(), "measure": self.measure_entries, "tasks": list(self.tasks),
                 "options": options}
 
 
 def _parse_options(obj):
-    defaults = {"tol": 1e-9, "exact": True, "max_power": 64, "seed": 0}
+    defaults = {"tol": 1e-9, "exact": True}
     if obj is None:
         return defaults
     if not isinstance(obj, dict):
@@ -72,10 +70,6 @@ def _parse_options(obj):
     _require_tolerance("options.tol:", out["tol"], ConfigError)
     if not isinstance(out["exact"], bool):
         raise ConfigError(f"options.exact: must be a boolean, got {out['exact']!r}")
-    if not isinstance(out["max_power"], int) or isinstance(out["max_power"], bool) or out["max_power"] < 1:
-        raise ConfigError(f"options.max_power: must be a positive integer, got {out['max_power']!r}")
-    if not isinstance(out["seed"], int) or isinstance(out["seed"], bool):
-        raise ConfigError(f"options.seed: must be an integer, got {out['seed']!r}")
     return out
 
 
@@ -103,8 +97,7 @@ def parse_config(obj):
     if bad:
         raise ConfigError(f"tasks: unknown task {bad[0]!r}; choose from {', '.join(TASK_ORDER)}")
     options = _parse_options(obj.get("options"))
-    tol, exact, max_power, seed = float(options["tol"]), options["exact"], options["max_power"], options["seed"]
-    return AnalysisConfig(group_spec, measure_entries, tasks, tol, exact, max_power, seed)
+    return AnalysisConfig(group_spec, measure_entries, tasks, float(options["tol"]), options["exact"])
 
 
 def load_config(path):
@@ -211,8 +204,7 @@ def _task_verify(group, mu, config):
     elif mu.exact and is_symmetric(mu) and is_generating(mu):
         records = fixture_theorem_checks("config", group, mu)
     elif is_generating(mu):
-        cap = max(config.max_power, group.order)
-        records = _renamed(root_of_unity_check(group, mu, cap=cap), "config")
+        records = _renamed(root_of_unity_check(group, mu), "config")
     else:
         raise ConfigError(
             "measure: verify task needs a generating measure "

@@ -29,6 +29,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ MAX_ORDER = 1 << 16
 MAX_BALL_SIZE = 1 << 20
 MAX_FREE_RANK = 26
 BLOCK_ENTRIES = 1 << 20  # int64 entries of edges or composites handled at once
+RANK_ENTRIES = 1 << 14  # lattice coordinates ranked at once: each temporary stays in cache
 
 __all__ = [
     "ConstructionError",
@@ -508,6 +510,7 @@ class LatticeBall(TruncatedGroup):
         for d in range(1, dim):  # |x_1| = 0 keeps k, each |x_1| = t > 0 twice leaves k - t
             sizes[d, 1:] = sizes[d - 1, 1:] + 2 * np.cumsum(sizes[d - 1])[:-1]
         self._steps = {}
+        self._start_array = np.array(starts)
 
     @staticmethod
     def _sphere_size(dim, r):
@@ -542,18 +545,23 @@ class LatticeBall(TruncatedGroup):
         return coords[np.argsort(radius - budget, kind="stable")]
 
     def _lookup(self, points):
-        """Indices of rows of points that all lie in the ball, one pass per
-        axis: with b the length left from axis i on and d axes after it, the
-        sphere points sharing x's earlier coordinates with y_i < x_i number
-        sizes[d, b - |x_i|] for x_i <= 0, and for x_i > 0 (y_i < 0, then
-        0 <= y_i < x_i) sizes[d, b] + sizes[d, b + 1] - sizes[d, b + 1 - x_i]."""
-        budget = np.abs(points).sum(axis=1, dtype=np.int64)
-        index = np.array(self._starts)[budget]
-        for axis, sizes in zip(range(self.dim), self._sizes[::-1]):
-            x = points[:, axis].astype(np.int64)
-            up = np.maximum(x, 0)
-            index += sizes[budget + x - up] + (x > 0) * (sizes[budget + 1] - sizes[budget + 1 - up])
-            budget -= np.abs(x)
+        """Indices of rows of points that all lie in the ball, RANK_ENTRIES
+        coordinates at a time: with b the length left from axis i on and d
+        axes after it, the sphere points sharing x's earlier coordinates
+        with y_i < x_i number sizes[d, b - |x_i|] for x_i <= 0, and for
+        x_i > 0 (y_i < 0, then 0 <= y_i < x_i) sizes[d, b] + sizes[d, b + 1]
+        - sizes[d, b + 1 - x_i]; the index is the start of x's sphere plus
+        their sum over the axes."""
+        sizes = self._sizes[::-1].ravel()  # row i holds d = dim - 1 - i
+        rows = np.arange(self.dim) * self._sizes.shape[1]
+        index = np.empty(len(points), dtype=np.int64)
+        step = max(1, RANK_ENTRIES // self.dim)
+        for start in range(0, len(points), step):
+            x = points[start:start + step].astype(np.int64)
+            left = np.cumsum(np.abs(x)[:, ::-1], axis=1)[:, ::-1]  # b at each axis
+            at, up = rows + left, np.maximum(x, 0)  # at: where sizes[d, b] lies in sizes
+            terms = sizes[at + x - up] + (x > 0) * (sizes[at + 1] - sizes[at + 1 - up])
+            index[start:start + step] = self._start_array[left[:, 0]] + terms.sum(axis=1)
         return index
 
     def _shifted(self, offset):
@@ -600,16 +608,11 @@ class LatticeBall(TruncatedGroup):
 
     def index_of_form(self, form):
         """Index of a point given as dim integers, None outside the ball:
-        `_lookup`'s rank summed on Python ints."""
-        budget = sum(abs(x) for x in form)
-        if len(form) != self.dim or budget > self.radius:
+        `_lookup`'s rank of the one point."""
+        form = [operator.index(x) for x in form]  # refuses 1.5, which int64 would truncate
+        if len(form) != self.dim or sum(map(abs, form)) > self.radius:
             return None
-        index, size = self._starts[budget], self._sizes.item
-        for d, x in zip(range(self.dim - 1, -1, -1), form):
-            up = max(x, 0)
-            index += size(d, budget + x - up) + (x > 0) * (size(d, budget + 1) - size(d, budget + 1 - up))
-            budget -= abs(x)
-        return index
+        return self._lookup(np.array([form], dtype=np.int64)).item()
 
     def mul(self, a, b):
         """a + b, None outside the ball: a unit step b reads its step

@@ -402,12 +402,10 @@ def _projection(f, walk, lam):
 
 
 def _combination(group, coeffs, functions):
-    """sum c * f over exact coefficients and functions, on their numerators."""
-    total = GroupFunction.constant(group, Fraction(0))
-    for c, fn in zip(coeffs, functions):
-        if c != 0:
-            total = total + fn.scale(c)
-    return total
+    """sum c * f over exact coefficients and functions, in one exact
+    combination seeded with the zero function (an empty sum is zero)."""
+    zero = GroupFunction.constant(group, Fraction(0))
+    return zero._combine([(0, zero), *zip(coeffs, functions)])
 
 
 def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):

@@ -192,16 +192,13 @@ def tv_distance(mu, nu):
     return total / 2
 
 
-def is_symmetric(mu, tol=SYMMETRY_TOL):
-    """Whether mu(g) equals mu(g^-1) for every g (exactly, or within tol).
-    The answer at the default tol is kept on mu; another tol recomputes."""
-    if tol == SYMMETRY_TOL and mu._symmetric is not None:
-        return mu._symmetric
-    pairs = ((w, mu.weight(mu.group.inv(g))) for g, w in mu.weights.items())
-    symmetric = all(w == v if mu.exact else abs(w - v) <= tol for w, v in pairs)
-    if tol == SYMMETRY_TOL:
-        mu._symmetric = symmetric
-    return symmetric
+def is_symmetric(mu):
+    """Whether mu(g) equals mu(g^-1) for every g (exactly, or within
+    SYMMETRY_TOL for float weights).  The answer is kept on mu."""
+    if mu._symmetric is None:
+        pairs = ((w, mu.weight(mu.group.inv(g))) for g, w in mu.weights.items())
+        mu._symmetric = all(w == v if mu.exact else abs(w - v) <= SYMMETRY_TOL for w, v in pairs)
+    return mu._symmetric
 
 
 def is_generating(mu):

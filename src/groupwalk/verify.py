@@ -67,6 +67,8 @@ from .operators import (
 
 EXP_BOUND_MAX_N = 500
 OPERATOR_CHECK_MAX_ORDER = 8
+MAX_PAIRS = 4  # inverse pairs a corpus measure samples, unless the group needs more generators
+TRIALS = 100  # seeded random matrices of the revuz and stirling suites
 
 __all__ = [
     "CheckRecord",
@@ -255,14 +257,13 @@ def _foguel_walk(blocks, eps, n_max, where):
     return results
 
 
-def root_of_unity_check(group, mu, tol=1e-6, cap=None):
+def root_of_unity_check(group, mu, tol=1e-6):
     """Peripheral eigenvalues must be k-th roots of unity, k the first
-    return time of the support walk to the identity."""
-    cap = group.order if cap is None else cap
-    k = min_return(mu, cap)
-    if k is None:
-        raise ValueError(f"support of the measure does not return to the identity within {cap} steps")
-    records = [CheckRecord(group.name, "min_return", k, cap, True)]
+    return time of the support walk to the identity.  The walk returns by
+    step |G|: k is at most the order of a support element, which divides
+    |G|, so |G| is the min_return record's threshold."""
+    k = min_return(mu, group.order)
+    records = [CheckRecord(group.name, "min_return", k, group.order, True)]
     for lam in spectrum(right_operator(group, mu)).peripheral:
         err = abs(lam**k - 1)
         quantity = f"|lambda^{k} - 1| at {lam:.6f}"
@@ -356,10 +357,10 @@ def default_corpus_groups():
     return groups
 
 
-def random_symmetric_generating_measure(group, rng, max_pairs=4):
+def random_symmetric_generating_measure(group, rng):
     """Seeded random symmetric generating measure, denominator <= 14 p.
 
-    Samples up to p = max(max_pairs, r) non-identity elements, r the rank
+    Samples up to p = max(MAX_PAIRS, r) non-identity elements, r the rank
     of the sign characters (`sign_vectors`; Z2^r needs r generators),
     closes the set under inverses (resampling until it has at most 2 p
     elements and generates the group), and gives each inverse pair a weight
@@ -367,8 +368,8 @@ def random_symmetric_generating_measure(group, rng, max_pairs=4):
     most 3 to keep the lazy component small enough for the decay checks.
     """
     n = group.order
-    pairs = max_pairs
-    if len(generating_set(group)) > max_pairs:  # r is at most the greedy |T|
+    pairs = MAX_PAIRS
+    if len(generating_set(group)) > MAX_PAIRS:  # r is at most the greedy |T|
         pairs = max(pairs, len(group.sign_vectors()).bit_length() - 1)
     for _ in range(1000):
         k = rng.randint(1, pairs)
@@ -619,11 +620,11 @@ def _foguel_records(blocks):
     return records + [control]
 
 
-def _revuz_trials(seed, trials):
-    """revuz_check on seeded random commuting stochastic pairs."""
+def _revuz_trials(seed):
+    """revuz_check on TRIALS seeded random commuting stochastic pairs."""
     rng = np.random.default_rng(seed)
     records = []
-    for trial in range(trials):
+    for trial in range(TRIALS):
         dim = int(rng.integers(2, 13))
         raw = rng.random((dim, dim)) + 1e-3
         t2 = raw / raw.sum(axis=1, keepdims=True)
@@ -636,16 +637,18 @@ def _revuz_trials(seed, trials):
 CORPUS_SUITES = ("theorems", "foguel", "revuz")
 
 
-def _corpus_suites(names, corpus=None, seed=0, trials=100):
+def _corpus_suites(names, corpus=None):
     """{name: report} for the named corpus suites, from one pass over the
-    corpus (CorpusSpec(seed=seed) by default) that samples each measure
-    once.  Per group: `_theorem_records` emits the theorem records of all
-    its fixtures, the lazy fixtures get their revuz records, and the foguel
-    block is kept for one walk after the pass.  Each suite keeps its order: theorems, then the non-symmetric
-    fixtures; foguel, then the Z4 control; the `trials` stochastic revuz
-    pairs, then the revuz corpus."""
+    corpus (CorpusSpec() by default) that samples each measure once.  Per
+    group: `_theorem_records` emits the theorem records of all its
+    fixtures, the lazy fixtures get their revuz records, and the foguel
+    block is kept for one walk after the pass.  Each suite keeps its order:
+    theorems, then the non-symmetric fixtures; foguel, then the Z4 control;
+    the TRIALS stochastic revuz pairs, drawn from the corpus seed, then the
+    revuz corpus."""
+    corpus = corpus or CorpusSpec()
     records, blocks = {name: [] for name in names}, []
-    fixtures = _iter_corpus(corpus or CorpusSpec(seed=seed))
+    fixtures = _iter_corpus(corpus)
     for group, batch in itertools.groupby(fixtures, key=lambda item: item[1]):
         fids, _, measures = zip(*batch)
         if "theorems" in names:
@@ -663,7 +666,7 @@ def _corpus_suites(names, corpus=None, seed=0, trials=100):
     if "foguel" in names:
         records["foguel"] = _foguel_records(blocks)
     if "revuz" in names:
-        records["revuz"][:0] = _revuz_trials(seed, trials)
+        records["revuz"][:0] = _revuz_trials(corpus.seed)
     return {name: VerificationReport(name, records[name]) for name in names}
 
 
@@ -731,16 +734,17 @@ def foguel_suite(corpus=None):
     return _corpus_suites(("foguel",), corpus)["foguel"]
 
 
-def revuz_suite(seed=0, trials=100, corpus=None):
-    """Random commuting stochastic pairs plus convolution-operator blends."""
-    return _corpus_suites(("revuz",), corpus, seed, trials)["revuz"]
+def revuz_suite(corpus=None):
+    """TRIALS random commuting stochastic pairs, seeded by the corpus seed,
+    plus convolution-operator blends over the corpus."""
+    return _corpus_suites(("revuz",), corpus)["revuz"]
 
 
-def stirling_suite(seed=0, trials=100):
-    """Exp-bound certification for seeded contractions, plus the trend."""
+def stirling_suite(seed=0):
+    """Exp-bound certification for TRIALS seeded contractions, plus the trend."""
     rng = np.random.default_rng(seed)
     report = VerificationReport("stirling")
-    for trial in range(trials):
+    for trial in range(TRIALS):
         dim = int(rng.integers(2, 13))
         raw = rng.standard_normal((dim, dim))
         scale = float(rng.uniform(0.5, 1.0))
@@ -766,7 +770,7 @@ def verify_suite(name, seed=0):
     names = ("examples", *CORPUS_SUITES, "stirling") if name == "all" else (name,)
     corpus = [n for n in names if n in CORPUS_SUITES]
     reports = {"examples": examples_suite()} if "examples" in names else {}  # run in report order
-    reports.update(_corpus_suites(corpus, seed=seed) if corpus else {})
+    reports.update(_corpus_suites(corpus, CorpusSpec(seed=seed)) if corpus else {})
     if "stirling" in names:
         reports["stirling"] = stirling_suite(seed=seed)
     if name != "all":

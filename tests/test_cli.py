@@ -248,6 +248,31 @@ def test_analyze_nonsymmetric_verify_uses_roots_of_unity(tmp_path, capsys):
     assert all(c["passed"] for c in checks)
 
 
+def test_analyze_nonsymmetric_verify_reports_the_group_order_as_threshold(tmp_path, capsys):
+    """The first return time is at most |G|, so |G| is the min_return
+    record's threshold, on a group of order below 64 too."""
+    config = {
+        "group": {"kind": "cyclic", "n": 12},
+        "measure": [{"g": "5", "w": "1/2"}, {"g": "2", "w": "1/2"}],
+        "tasks": ["verify"],
+    }
+    code, out, _ = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["options"] == {"tol": 1e-9, "exact": True}
+    checks = report["results"]["verify"]["checks"]
+    assert checks[0]["quantity"] == "min_return" and checks[0]["threshold"] == 12
+    assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("options", [{"max_power": 64}, {"seed": 0}])
+def test_analyze_refuses_the_dropped_options(tmp_path, capsys, options):
+    config = {**Z4_CONFIG, "options": options}
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 2 and out == ""
+    assert f"options: unknown key {next(iter(options))!r}" in err
+
+
 def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
     config = parse_config(
         {
@@ -577,17 +602,16 @@ def test_parse_config_option_validation():
         parse_config({**base, "options": {"mystery": 1}})
     with pytest.raises(ConfigError):
         parse_config({**base, "options": {"exact": "yes"}})
-    with pytest.raises(ConfigError):
-        parse_config({**base, "options": {"max_power": 0}})
-    with pytest.raises(ConfigError):
-        parse_config({**base, "options": {"seed": True}})
+    for dropped in ({"max_power": 64}, {"seed": 0}):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config({**base, "options": dropped})
     with pytest.raises(ConfigError):
         parse_config({**base, "tasks": []})
-    config = parse_config({**base, "options": {"tol": 1e-6, "max_power": 10}})
+    config = parse_config({**base, "options": {"tol": 1e-6}})
     assert isinstance(config, AnalysisConfig)
     assert config.tol == 1e-6
-    assert config.max_power == 10
     assert config.exact is True
+    assert config.to_json()["options"] == {"tol": 1e-6, "exact": True}
 
 
 # ---------------------------------------------------------------- report encoder

@@ -371,9 +371,9 @@ BALL_CONFIG = {
         (["verify", "examples", "--seed", "0"], None,
          "7ea55b01fe16a9162abc947e3723b9e692095f550d29655b632f5ca241a1f692"),
         (["analyze"], S4_CONFIG,
-         "56c4bebe195cd481b16766e5e74d0f4a4df389e45ec542597f1484f9d8f1f276"),
+         "f2ac6b6e7bec92d446fb31418d607d9bffc071d62f508db853a1b5bd999e250a"),
         (["analyze"], BALL_CONFIG,
-         "c3f8cff6e52efef27b00a9d54fb5d2c5e2fabfc7233090cb9b3ea71e7872026d"),
+         "33aad9ec203d4b80423c0f0e9b9bebeaa2afa2e8d56a78458759c2a09768427f"),
         (["verify", "foguel", "--seed", "0"], None,
          "a57be67e52f85c575242ef7fc4f3fa38fcf331908cf170b52ff92dc6124e3df6"),
         (["verify", "theorems", "--seed", "0"], None,
@@ -411,7 +411,9 @@ def test_report_bytes_match_pinned_digest(tmp_path, argv, config, digest):
     seed 7 `verify foguel` digests were taken from the suites that sampled
     the corpus once per suite, walked each group's foguel measures apart
     and split each bi-harmonic basis function through decompose; one pass
-    over the corpus reproduces them byte for byte."""
+    over the corpus reproduces them byte for byte.  The two analyze digests
+    were taken again when the options `max_power` and `seed`, which changed
+    no result, left the report's config echo; nothing else in them moved."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

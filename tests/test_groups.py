@@ -703,8 +703,9 @@ def ranked_points(dim, radius):
 @settings(max_examples=40)
 @given(st.integers(1, 4), st.integers(0, 6), st.data())
 def test_lattice_index_is_the_rank_by_length_then_lexicographically(dim, radius, data):
-    """index_of_form (Python ints) and _lookup (arrays) against enumeration,
-    and None for a point outside the ball or of another dimension."""
+    """index_of_form (one point) and _lookup (arrays) against enumeration,
+    None for a point outside the ball or of another dimension, and a
+    TypeError for a non-integer entry."""
     ball = LatticeBall(dim, radius)
     points = ranked_points(dim, radius)
     assert [ball.index_of_form(p) for p in points] == list(range(ball.order))
@@ -714,6 +715,8 @@ def test_lattice_index_is_the_rank_by_length_then_lexicographically(dim, radius,
     if sum(map(abs, far)) > radius:
         assert ball.index_of_form(far) is None
     assert ball.index_of_form([0] * (dim + 1)) is None
+    with pytest.raises(TypeError):  # not truncated to a lattice point
+        ball.index_of_form([1.5] + [0] * (dim - 1))
 
 
 @pytest.mark.parametrize("dim, radius", [(1200, 1), (1, 100_000)])
@@ -724,6 +727,22 @@ def test_lattice_rank_on_a_wide_and_a_long_ball(dim, radius, data):
     picks = data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20))
     assert [ball.index_of_form(points[i]) for i in picks] == picks
     assert ball._lookup(np.array([points[i] for i in picks], dtype=np.int32)).tolist() == picks
+
+
+def test_lattice_rank_of_one_point_takes_no_pass_per_axis():
+    """index_of_form ranks every unit step of Z^1200 and 2000 points of the
+    radius-100000 line in well under 2 s.  One numpy pass per axis costs
+    about 11 ms a point on Z^1200, and a copy of the sphere starts about
+    3 ms a point on the line: 26 s and 6 s here."""
+    wide, long = LatticeBall(1200, 1), LatticeBall(1, 100_000)
+    start = time.perf_counter()
+    steps = [wide.index_of_form([0] * axis + [sign] + [0] * (1199 - axis))
+             for axis in range(1200) for sign in (1, -1)]
+    line = [long.index_of_form((x,)) for x in range(-1000, 1000)]
+    elapsed = time.perf_counter() - start
+    assert sorted(steps) == list(range(1, 2401))
+    assert line == [2 * abs(x) - (x < 0) for x in range(-1000, 1000)]
+    assert elapsed < 2, f"{elapsed:.2f} s"
 
 
 def check_unit_steps(ball, axes, picks):

@@ -250,7 +250,7 @@ def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
 
 def test_corpus_computes_each_groups_sign_vectors_once(monkeypatch):
     """The sign vectors depend only on the group: the sampler (which reads
-    them on Z2^5, whose greedy generators outnumber max_pairs) and each
+    them on Z2^5, whose greedy generators outnumber MAX_PAIRS) and each
     measure's character search share one computation per group."""
     returned = {}
     sign_vectors = FiniteGroup.sign_vectors
@@ -413,12 +413,6 @@ def test_root_of_unity_bipartite_period_two():
     assert report.passed
     assert report.records[0].value == 2
     assert len(report.records) == 3  # min_return plus lambda in {+1, -1}
-
-
-def test_root_of_unity_cap_too_small():
-    g = CyclicGroup(5)
-    with pytest.raises(ValueError):
-        root_of_unity_check(g, delta(g, 1), cap=4)
 
 
 # ---------------------------------------------------------------- revuz / exp bound
@@ -788,16 +782,19 @@ def test_foguel_suite_includes_negative_control():
 
 
 def test_revuz_suite_mixes_random_and_corpus():
-    report = revuz_suite(seed=1, trials=5, corpus=TINY_CORPUS)
+    report = revuz_suite(corpus=TINY_CORPUS)
     assert report.passed
     fixtures = {r.fixture for r in report.records}
-    assert "stochastic_pair_000" in fixtures
+    assert {f"stochastic_pair_{trial:03d}" for trial in range(verify.TRIALS)} <= fixtures
     assert any(f.endswith("/sided_operators") for f in fixtures)
 
 
 def test_stirling_suite_has_trend_records():
-    report = stirling_suite(seed=2, trials=5)
+    report = stirling_suite(seed=2)
     assert report.passed
+    bounds = [r for r in report.records if r.fixture.startswith("contraction_")]
+    assert [r.quantity for r in bounds[:3]] == ["exp_bound_n=1", "exp_bound_n=10", "exp_bound_n=100"]
+    assert len(bounds) == 3 * verify.TRIALS
     trend = [r for r in report.records if r.fixture == "stirling_trend"]
     assert [r.quantity for r in trend] == [
         "ratio_n=10",
