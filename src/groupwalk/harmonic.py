@@ -26,6 +26,7 @@ from .operators import (
     _function_values,
     _max_abs,
     _operator,
+    _require_own_group,
     _two_sided,
     apply,
     component_kernel,
@@ -207,16 +208,14 @@ def jointly_biharmonic_space(group, mu):
 
 def two_sided_classes(group, measures):
     """The classes of the two-sided walks left o right (`_two_sided`) of
-    several measures on one group, labelled by one component_kernel call for
-    those not yet labelled and kept on each measure that lives on group."""
-    out = [mu._two_sided if mu.group is group else None for mu in measures]
-    todo = [i for i, walk in enumerate(out) if walk is None]
-    walks = _two_sided(group, [measures[i] for i in todo])
-    for i, walk in zip(todo, component_kernel(walks, f"on {group.name}")):
-        out[i] = walk
-        if measures[i].group is group:
-            measures[i]._two_sided = walk
-    return out
+    several measures on group, labelled by one component_kernel call for
+    those not yet labelled and kept on each measure."""
+    for mu in measures:
+        _require_own_group(group, mu)
+    todo = [mu for mu in measures if mu._two_sided is None]
+    for mu, walk in zip(todo, component_kernel(_two_sided(group, todo), f"on {group.name}")):
+        mu._two_sided = walk
+    return [mu._two_sided for mu in measures]
 
 
 def _close(f, g, exact, tol):
@@ -272,11 +271,10 @@ def find_anti_character(group, mu):
     order, keeping chi(g) = +1 wherever that is still open, which gives the
     lexicographically smallest character; validate() certifies it.  Ball
     truncations use one unknown per family generator; free-group generators
-    carry no relations and lattice relations are vacuous.  The answer is
-    kept on mu when mu lives on group.
+    carry no relations and lattice relations are vacuous.  mu must live on
+    group itself, and the answer is kept on mu.
     """
-    if group is not mu.group:
-        return _search_anti_character(group, mu)
+    _require_own_group(group, mu)
     if mu._character is _UNSEARCHED:
         mu._character = _search_anti_character(group, mu)
     return mu._character
@@ -304,12 +302,12 @@ def _search_anti_character(group, mu):
 def _find_anti_character_family(group, mu):
     forced = np.zeros(group.family_key()[1], dtype=np.int64)
     for s in mu.support():
-        length = mu.group.length(s)
+        length = group.length(s)
         if length == 0:
             return None  # identity in the support forces chi(e) = -1
         if length != 1:
             raise ValueError("truncated measures must be supported on word length <= 1")
-        form = mu.group.canonical_form(s)
+        form = group.canonical_form(s)
         if group.family == "free":
             forced[abs(form[0]) - 1] = 1
         else:

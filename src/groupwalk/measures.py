@@ -156,21 +156,26 @@ def _require_same_kind(mu, nu):
 def convolve(mu, nu):
     """Convolution (mu * nu)(g) = sum_h mu(h) nu(h^-1 g).
 
-    On ball truncations the product is computed only while every pairwise
+    Exact weights are summed as integer numerators over one denominator.  On
+    ball truncations the product is computed only while every pairwise
     product of support elements stays inside the ball.
     """
     _require_same_kind(mu, nu)
-    group = mu.group
-    out = {}
-    for h, wh in mu.weights.items():
-        for x, wx in nu.weights.items():
+    group, out = mu.group, {}
+    d = math.lcm(*(w.denominator for m in (mu, nu) for w in m.weights.values())) if mu.exact else 1
+    left, right = ({g: w.numerator * (d // w.denominator) if mu.exact else w for g, w in m.weights.items()}
+                   for m in (mu, nu))
+    for h, wh in left.items():
+        for x, wx in right.items():
             g = group.mul(h, x)
             if g is None:
                 raise MeasureError(
                     "convolution leaves the ball: "
                     f"product of support elements {h} and {x} is undefined"
                 )
-            out[g] = out.get(g, Fraction(0) if mu.exact else 0.0) + wh * wx
+            out[g] = out.get(g, 0) + wh * wx
+    if mu.exact:
+        out = {g: Fraction(w, d * d) for g, w in out.items()}
     return GroupMeasure(group, out, mu.exact)
 
 

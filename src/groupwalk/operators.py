@@ -21,15 +21,17 @@ sums the walk on the numerators, in int64 when no partial sum can reach
 2**63 and on Python ints otherwise.  No exact step builds a Fraction per
 entry; the `values` list is only a read view.
 
-`right_operator` and `left_operator` return one memoised operator per
-(measure, side), kept on the measure, so every task on one measure shares
-its stencil, its read-only dense matrix and its eigenvalues and eigenpair
-residuals, solved once on every finite group by one path: one r x r block
-per character of an abelian subgroup of index r, built once by one fftn
-and factored, residuals included, by one batched eigensolve for all the
-operators of one `solve_spectra` call, with no n x n matrix; `eigenspace`
-off +-1 lifts the null vectors v of the same blocks to f(a^kappa g_i) =
-chi_k(a^kappa) v_i (at x^-1 for the left walk).
+Every walk acts on its measure's own group object and refuses any other
+(`_require_own_group`).  `right_operator` and `left_operator` return one
+memoised operator per (measure, side), kept on the measure, so every task
+on one measure shares its stencil, its read-only dense matrix and its
+eigenvalues and eigenpair residuals, solved once on every finite group by
+one path: one r x r block per character of an abelian subgroup of index
+r, built once by one fftn and factored, residuals included, by one
+batched eigensolve for all the operators of one `solve_spectra` call,
+with no n x n matrix; `eigenspace` off +-1 lifts the null vectors v of
+the same blocks to f(a^kappa g_i) = chi_k(a^kappa) v_i (at x^-1 for the
+left walk).
 Dense allocations are estimated first and refused above DENSE_BYTES_BUDGET.
 """
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from .groups import BLOCK_ENTRIES, ConstructionError, _classes, _roots, _union
 from .linalg import ComputationError
-from .measures import GroupMeasure, is_symmetric
+from .measures import is_symmetric
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
@@ -446,18 +448,14 @@ class ConvolutionOperator:
     """Convolution operator on a finite group, stored as weighted permutations.
 
     (P f)(g) = sum over the support of mu(h) f(perm_h[g]), where perm_h[g]
-    is g*h for the right walk and h*g for the left walk.  The measure may
-    live on another object of the group, not on a group of another order.
+    is g*h for the right walk and h*g for the left walk.  The measure must
+    live on this group object (`_require_own_group`).
     """
 
     def __init__(self, group, measure, side):
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        if measure.group.order != group.order:
-            raise ValueError(
-                f"a measure on {measure.group.name} (order {measure.group.order}) has no "
-                f"{side} operator on {group.name} (order {group.order})"
-            )
+        _require_own_group(group, measure)
         self.group = group
         self.side = side
         self.weights = measure.weights
@@ -599,11 +597,15 @@ def _require_finite(group, what):
         raise ConstructionError(f"{what} requires a finite group; use apply_truncated on balls")
 
 
+def _require_own_group(group, mu):
+    """Refuse a walk of mu on any group object but its own, so every memo on mu holds for one group."""
+    if mu.group is not group:
+        raise ValueError(f"a measure on {mu.group.name} does not walk on {group.name}: not its group object")
+
+
 def _operator(group, mu, side):
-    """mu's memoised operator on one side; uncached when mu lives on
-    another group object."""
-    if group is not mu.group:
-        return ConvolutionOperator(group, mu, side)
+    """mu's memoised operator on one side, on mu's own group."""
+    _require_own_group(group, mu)
     op = mu._operators.get(side)
     if op is None:
         op = mu._operators[side] = ConvolutionOperator(group, mu, side)
@@ -637,13 +639,11 @@ def apply(op, f):
 
 
 def apply_truncated(group, mu, f, side):
-    """Apply one convolution step on a ball truncation.
+    """Apply one convolution step of a measure on a ball truncation.
 
     Returns (result, interior) where interior lists the indices g at which
     every required product stays in the ball and f is defined there; the
-    result holds None outside the interior.  The measure may live on any
-    ball of the same family (matched by canonical form), which permits
-    degenerate radii where the measure itself would not fit.
+    result holds None outside the interior.
     """
     out, interior = _apply_truncated(group, mu, f, side)
     return out, interior.tolist()
@@ -653,26 +653,12 @@ def _apply_truncated(group, mu, f, side):
     """apply_truncated with the interior as an int64 index array."""
     if not group.is_truncated:
         raise ConstructionError("apply_truncated requires a ball truncation; use apply instead")
-    if side not in ("right", "left"):  # checked here too: radius 0 returns before any operator
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if not mu.group.is_truncated or mu.group.family_key() != group.family_key():
-        raise ValueError(
-            f"measure on {mu.group.name} cannot act on {group.name}: different family"
-        )
+    _require_own_group(group, mu)
     if f.group is not group:
         raise ValueError("function and ball live on different groups")
-    if any(mu.group.length(h) > 1 for h in mu.weights):
+    if any(group.length(h) > 1 for h in mu.weights):
         raise ValueError("truncated measures must be supported on word length <= 1")
-    measure = mu
-    if mu.group is not group:
-        weights = {
-            group.index_of_form(mu.group.canonical_form(h)): w for h, w in mu.weights.items()
-        }
-        if None in weights:  # a step leaves the ball from every point (radius 0)
-            nowhere = np.zeros(group.order, dtype=bool)
-            return GroupFunction._from_array(group, np.zeros(group.order), nowhere), np.flatnonzero(nowhere)
-        measure = GroupMeasure(group, weights, mu.exact)
-    walk = _operator(group, measure, side).stencil()
+    walk = _operator(group, mu, side).stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.append(f._mask(), False)
     inside = np.logical_and.reduce([defined[perm] for perm in walk.perms])

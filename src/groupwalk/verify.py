@@ -33,13 +33,13 @@ from .groups import (
     LatticeBall,
     QuaternionGroup,
     SymmetricGroup,
-    TableGroup,
     closure,
     generating_set,
 )
 from .harmonic import find_anti_character, two_sided_classes
 from .linalg import expm, float_nullspace, operator_norm
 from .measures import (
+    convolve,
     is_generating,
     is_symmetric,
     make_measure,
@@ -47,6 +47,7 @@ from .measures import (
     uniform,
 )
 from .operators import (
+    PERIPHERAL_TOL,
     GroupFunction,
     _apply_truncated,
     _fit,
@@ -55,7 +56,7 @@ from .operators import (
     _max_abs,
     _require_tolerance,
     _stacked,
-    _walk,
+    _two_sided,
     component_kernel,
     label_walks,
     left_operator,
@@ -69,6 +70,9 @@ EXP_BOUND_MAX_N = 500
 OPERATOR_CHECK_MAX_ORDER = 8
 MAX_PAIRS = 4  # inverse pairs a corpus measure samples, unless the group needs more generators
 TRIALS = 100  # seeded random matrices of the revuz and stirling suites
+ROOT_OF_UNITY_TOL = 1e-6  # |lambda^k - 1| of a peripheral eigenvalue
+REVUZ_TOL = 1e-7  # residual |T x - x| of a fixed vector of the blend
+STIRLING_NS = (10, 50, 100, 200)  # the n of the stirling trend
 
 __all__ = [
     "CheckRecord",
@@ -257,7 +261,7 @@ def _foguel_walk(blocks, eps, n_max, where):
     return results
 
 
-def root_of_unity_check(group, mu, tol=1e-6):
+def root_of_unity_check(group, mu):
     """Peripheral eigenvalues must be k-th roots of unity, k the first
     return time of the support walk to the identity.  The walk returns by
     step |G|: k is at most the order of a support element, which divides
@@ -267,11 +271,11 @@ def root_of_unity_check(group, mu, tol=1e-6):
     for lam in spectrum(right_operator(group, mu)).peripheral:
         err = abs(lam**k - 1)
         quantity = f"|lambda^{k} - 1| at {lam:.6f}"
-        records.append(CheckRecord(group.name, quantity, float(err), tol, bool(err <= tol)))
+        records.append(CheckRecord(group.name, quantity, float(err), ROOT_OF_UNITY_TOL, bool(err <= ROOT_OF_UNITY_TOL)))
     return VerificationReport("root_of_unity", records)
 
 
-def revuz_check(t1, t2, a, tol=1e-7):
+def revuz_check(t1, t2, a):
     """Fixed vectors of a strict blend of commuting contractions are fixed
     by both contractions.
 
@@ -303,7 +307,7 @@ def revuz_check(t1, t2, a, tol=1e-7):
         for name, t in (("T1", t1), ("T2", t2)):
             r = float(np.linalg.norm(t @ x - x))
             quantity = f"fixed_vector_{i}_{name}_residual"
-            report.records.append(CheckRecord(fixture, quantity, r, tol, bool(r <= tol)))
+            report.records.append(CheckRecord(fixture, quantity, r, REVUZ_TOL, bool(r <= REVUZ_TOL)))
     return report
 
 
@@ -333,21 +337,22 @@ def exp_bound_check(t, n):
     return ExpBoundResult(n, float(lhs), float(rhs), bool(lhs <= rhs + 1e-10), float(ratio))
 
 
-def stirling_trend(ns=(10, 50, 100, 200)):
-    """rhs * sqrt(2 pi n) / 2 for each n; the values drift toward 1."""
-    return [(n, _exp_bound_rhs(n) * math.sqrt(2 * math.pi * n) / 2.0) for n in ns]
+def stirling_trend():
+    """rhs * sqrt(2 pi n) / 2 for each n of STIRLING_NS; the values drift toward 1."""
+    return [(n, _exp_bound_rhs(n) * math.sqrt(2 * math.pi * n) / 2.0) for n in STIRLING_NS]
 
 
 def alternating_group(n=4):
-    """Even permutations of n symbols as an explicit-table group: the even
-    rows of S_n in lexicographic order, tabled by one elementwise product
-    and ranked among themselves."""
-    sym = SymmetricGroup(n)
+    """Even permutations of n symbols: S_n cut to its even rows, in
+    lexicographic order, whose base-n codes stay sorted, so S_n's compose
+    and rank serve A_n unchanged."""
+    group = SymmetricGroup(n)
     i, j = np.triu_indices(n, 1)
-    even = np.flatnonzero((sym._rows[:, i] > sym._rows[:, j]).sum(axis=1) % 2 == 0)
-    require_dense_budget((even.size, even.size, n), 8, f"the A{n} table's composed rows")
-    table = np.searchsorted(even, sym._products(even[:, None], even))
-    return TableGroup(table.tolist(), name=f"A{n}")
+    even = (group._rows[:, i] > group._rows[:, j]).sum(axis=1) % 2 == 0
+    group.perms = list(itertools.compress(group.perms, even))
+    group._rows, group._codes = group._rows[even], group._codes[even]
+    group.order, group.name = len(group.perms), f"A{n}"
+    return group
 
 
 def default_corpus_groups():
@@ -504,7 +509,7 @@ def _theorem_records(fids, group, measures):
 
         # peripheral eigenvalues sit at +-1
         worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in report.peripheral), default=0.0)
-        record("peripheral_pm1", float(worst), 1e-8, bool(worst <= 1e-8))
+        record("peripheral_pm1", float(worst), PERIPHERAL_TOL, bool(worst <= PERIPHERAL_TOL))
         # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
         bi_dim = two_sided[j].count(1)
         record("biharmonic_split", _EXACT[split_ok], "exact", split_ok, f"dim={bi_dim}")
@@ -522,7 +527,7 @@ def _theorem_records(fids, group, measures):
         # time k, at most the order of a support element, so never above |G|
         k = min_return(mu, n)
         worst = max((abs(lam**k - 1) for lam in report.peripheral), default=0.0)
-        record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
+        record(f"roots_of_unity_k={k}", float(worst), ROOT_OF_UNITY_TOL, bool(worst <= ROOT_OF_UNITY_TOL))
         # matrix-level: the fixed arrays of right o left on the squared walk's
         # lift, one per class, are each checked exactly to be fixed by each side
         if fixed:
@@ -572,22 +577,11 @@ def _splits(right, left, cols):
 
 
 def _lifts(group, measures):
-    """(walks, classes) for the lift of nu = mu * mu of each measure: nu's
-    lifted walks [right, left] and the classes of right o left, labelled in
-    one call.  nu's numerators over the square of the denominator of mu's
-    walk are summed on the table table[h, x] = h x, whose columns are
-    right_perm and rows left_perm."""
-    n, where = group.order, f"of mu * mu on {group.name}"
-    table = group._products(np.arange(n)[:, None], np.arange(n))
-    walks = []
-    for mu in measures:
-        walk, support = right_operator(group, mu).stencil(), mu.support()
-        nums, square = walk.nums.astype(object), np.zeros(n, dtype=object)
-        np.add.at(square, table[np.ix_(support, support)].ravel(), np.outer(nums, nums).ravel())
-        nu = np.flatnonzero(square)
-        weights = [Fraction(x, walk.den**2) for x in square[nu].tolist()]
-        sides = (_walk(n, perms[nu], weights, where) for perms in (table.T, table))
-        walks.append([_lifted(side, f"the lifted stencil {where}") for side in sides])
+    """(walks, classes) for nu = mu * mu of each measure: nu's [right, left]
+    stencils, built in one call and lifted (`operators._lifted`), and the
+    classes of right o left, labelled in one call."""
+    pairs = _two_sided(group, [convolve(mu, mu) for mu in measures])  # [left, right] each
+    walks = [[_lifted(step, f"the lifted stencil on {group.name}") for step in pair[::-1]] for pair in pairs]
     return list(zip(walks, component_kernel(walks, f"of the lift on {group.name}")))
 
 

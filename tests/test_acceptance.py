@@ -290,7 +290,7 @@ def test_09_blend_fixed_points_and_exp_bound():
         t2 = raw / raw.sum(axis=1, keepdims=True)
         t1 = (t2 + t2 @ t2) / 2.0
         a = float(rng.uniform(0.1, 0.9))
-        if not revuz_check(t1, t2, a, tol=1e-7).passed:
+        if not revuz_check(t1, t2, a).passed:
             blend_ok = False
 
     rng = np.random.default_rng(1)

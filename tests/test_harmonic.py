@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -46,13 +47,15 @@ from groupwalk.operators import (
     ComputationError,
     ConvolutionOperator,
     GroupFunction,
+    OperatorOnMatrices,
     _operator,
     apply,
+    apply_truncated,
     eigenspace,
     left_operator,
     right_operator,
 )
-from groupwalk.verify import CorpusSpec, alternating_group, corpus_fixtures
+from groupwalk.verify import CorpusSpec, alternating_group, corpus_fixtures, foguel_decay, root_of_unity_check
 
 from gf2_reference import GF2System, per_element_character
 from linalg_reference import normalize_leading
@@ -213,19 +216,74 @@ def test_biharmonic_basis_at_order_65536():
 
 
 def test_two_sided_classes_build_each_step_once_for_a_measure_on_another_group(monkeypatch):
-    """A measure on another D5 object gets fresh, unmemoised operators: the
-    two-sided walk still builds each of its 3 steps once per side, and
-    labels it as the measure's own group does."""
+    """A measure on another D5 object is refused before any step is built,
+    and again once its own group has labelled it (the memo holds for that
+    group alone); its own group builds each of its 3 steps once per side."""
     d5, twin = DihedralGroup(5), DihedralGroup(5)
     mu = uniform(d5, [1, 4, 5])
     calls = []
-    for name in ("right_perm", "left_perm"):
-        real = getattr(twin, name)
-        monkeypatch.setattr(twin, name, lambda h, real=real, name=name: calls.append((name, h)) or real(h))
-    [walk] = two_sided_classes(twin, [mu])
+    for group in (d5, twin):
+        for name in ("right_perm", "left_perm"):
+            real = getattr(group, name)
+            monkeypatch.setattr(group, name, lambda h, real=real, name=name: calls.append((name, h)) or real(h))
+    with pytest.raises(ValueError, match="measure on D5 does not walk on D5: not its group object"):
+        two_sided_classes(twin, [mu])
+    assert calls == []
+    [walk] = two_sided_classes(d5, [mu])
     assert sorted(calls) == [(name, h) for name in ("left_perm", "right_perm") for h in (1, 4, 5)]
-    [own] = two_sided_classes(d5, [mu])
-    assert np.array_equal(walk.rows, own.rows) and np.array_equal(walk.sign, own.sign)
+    with pytest.raises(ValueError, match="measure on D5 does not walk on D5: not its group object"):
+        two_sided_classes(twin, [mu])
+    [again] = two_sided_classes(d5, [mu])
+    assert again is walk and len(calls) == 6
+
+
+def _one(group):
+    return GroupFunction.constant(group, F(1))
+
+
+# each walk on (group, mu), and the kinds of group it accepts
+WALK_ENTRY_POINTS = {
+    "ConvolutionOperator": (lambda g, mu: ConvolutionOperator(g, mu, "left"), "finite ball"),
+    "find_anti_character": (find_anti_character, "finite ball"),
+    "apply_truncated": (lambda g, mu: apply_truncated(g, mu, _one(g), "right"), "ball"),
+    "right_operator": (right_operator, "finite"),
+    "left_operator": (left_operator, "finite"),
+    "harmonic_space": (harmonic_space, "finite"),
+    "anti_harmonic_space": (anti_harmonic_space, "finite"),
+    "jointly_biharmonic_space": (jointly_biharmonic_space, "finite"),
+    "two_sided_classes": (lambda g, mu: two_sided_classes(g, [mu]), "finite"),
+    "peripheral_boundary": (peripheral_boundary, "finite"),
+    "foguel_decay": (foguel_decay, "finite"),
+    "root_of_unity_check": (root_of_unity_check, "finite"),
+    "decompose": (lambda g, mu: decompose(_one(g), mu), "finite"),
+    "diamond": (lambda g, mu: diamond(mu, _one(g), 1, _one(g), 1), "finite"),
+    "OperatorOnMatrices": (lambda g, mu: OperatorOnMatrices(g, mu, "right"), "finite"),
+}
+# (kind, group, another object of its family that holds the measure)
+OTHER_GROUP_OBJECTS = {
+    "twin D4": ("finite", lambda: (DihedralGroup(4), DihedralGroup(4))),
+    "lattice radii": ("ball", lambda: (LatticeBall(2, 3), LatticeBall(2, 2))),
+    "free radii": ("ball", lambda: (FreeBall(2, 2), FreeBall(2, 3))),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [(entry, case) for entry, (_, kinds) in WALK_ENTRY_POINTS.items()
+     for case, (kind, _) in OTHER_GROUP_OBJECTS.items() if kind in kinds],
+)
+def test_every_walk_refuses_a_measure_on_another_group_object(entry, case):
+    """A measure walks on its own group object only: each entry point runs
+    on it (filling whatever memo it keeps on the measure) and then refuses
+    another object of the same group or another ball of the same family."""
+    call, _ = WALK_ENTRY_POINTS[entry]
+    group, home = OTHER_GROUP_OBJECTS[case][1]()
+    steps = [1, 3, 4] if case == "twin D4" else [h for h in home.elements() if home.length(h) == 1]
+    mu = uniform(home, steps)
+    call(home, mu)
+    refusal = f"measure on {re.escape(home.name)} does not walk on {re.escape(group.name)}: not its group object"
+    with pytest.raises(ValueError, match=refusal):
+        call(group, mu)
 
 
 def constant_first(vectors, n):
@@ -830,7 +888,8 @@ def _compose(basis, coeffs, idx, left_side):
 def test_boundary_table_matches_diamond():
     groups = [CyclicGroup(6), CyclicGroup(8), DihedralGroup(4), QuaternionGroup()]
     fixtures = [(g, mu) for _, g, mu in corpus_fixtures(CorpusSpec(groups, 3, seed=5))]
-    fixtures.append((CyclicGroup(6), uniform(CyclicGroup(6), [1, 5])))
+    z6 = CyclicGroup(6)
+    fixtures.append((z6, uniform(z6, [1, 5])))
     anti_seen = 0
     for group, mu in fixtures:
         basis = peripheral_boundary(group, mu)

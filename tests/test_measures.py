@@ -122,6 +122,11 @@ def test_convolution_matches_double_sum():
         mu = uniform(g, support_a)
         nu = uniform(g, support_b)
         assert convolve(mu, nu).weights == brute_convolve(g, mu, nu)
+        # weights over unlike denominators, summed on integer numerators
+        nums = [rng.randint(1, 50) for _ in support_a]
+        mu = make_measure(g, [(h, F(k, sum(nums))) for h, k in zip(support_a, nums)])
+        nu = make_measure(g, [(support_b[0], F(1, 7)), (support_b[1], F(6, 7))])
+        assert convolve(mu, nu).weights == brute_convolve(g, mu, nu)
 
 
 def test_convolution_z4_squares_to_even_support():

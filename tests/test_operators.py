@@ -424,8 +424,10 @@ def test_operators_are_memoised_per_measure_and_side():
     ]
     assert all(op is not right for op in others)
     assert len({id(op) for op in others}) == 3
-    twin = DihedralGroup(4)  # mu lives on another group object: no caching
-    assert right_operator(twin, mu) is not right_operator(twin, mu)
+    twin = DihedralGroup(4)  # another object of the group: refused, memo or not
+    with pytest.raises(ValueError, match="measure on D4 does not walk on D4: not its group object"):
+        right_operator(twin, mu)
+    assert right_operator(g, mu) is right
 
 
 @pytest.mark.parametrize("home, other", [(4, 5), (5, 4)])
@@ -435,10 +437,12 @@ def test_operators_refuse_a_measure_from_a_group_of_another_order(home, other):
     group, mu = CyclicGroup(other), uniform(CyclicGroup(home), [0, 1, home - 1])
     for build in (right_operator, left_operator, ConvolutionOperator):
         args = (group, mu, "right") if build is ConvolutionOperator else (group, mu)
-        with pytest.raises(ValueError, match=f"measure on Z{home} .* on Z{other} "):
+        with pytest.raises(ValueError, match=f"measure on Z{home} does not walk on Z{other}: "):
             build(*args)
-    twin = CyclicGroup(home)  # another object of the same group stays allowed
-    assert spectrum(right_operator(twin, mu)).peripheral == [1.0]
+    twin = CyclicGroup(home)  # another object of the same group is refused too
+    with pytest.raises(ValueError, match=f"measure on Z{home} does not walk on Z{home}: "):
+        right_operator(twin, mu)
+    assert spectrum(right_operator(mu.group, mu)).peripheral == [1.0]
 
 
 def test_spectrum_power_sums_refuse_blocks_of_another_walk(monkeypatch):
@@ -847,24 +851,33 @@ def test_apply_truncated_free_ball():
 
 
 def test_apply_truncated_measure_from_smaller_ball():
+    """A measure on a smaller ball of the family is refused; on the big
+    ball itself the step averages x - 1 and x + 1 back to x."""
     small = LatticeBall(1, 1)
     big = LatticeBall(1, 4)
     mu = uniform(small, [small.index_of_form((1,)), small.index_of_form((-1,))])
     f = GroupFunction(big, [F(big.canonical_form(g)[0]) for g in big.elements()])
-    stepped, interior = apply_truncated(big, mu, f, "right")
+    with pytest.raises(ValueError, match=r"measure on Z\^1ball1 does not walk on Z\^1ball4: "):
+        apply_truncated(big, mu, f, "right")
+    own = uniform(big, [big.index_of_form((1,)), big.index_of_form((-1,))])
+    stepped, interior = apply_truncated(big, own, f, "right")
     assert len(interior) == 7  # radius-3 sub-ball
     for g in interior:
-        assert stepped.values[g] == f.values[g]  # averaging x-1 and x+1 returns x
+        assert stepped.values[g] == f.values[g]
 
 
 def test_apply_truncated_radius_zero_has_empty_interior():
+    """A measure on a bigger ball is refused on the radius-0 ball, whose
+    only measure is the point mass at the identity: its step keeps the point."""
     point = FreeBall(2, 0)
     src = FreeBall(2, 1)
     mu = uniform(src, [src.index_of_form(w) for w in ((1,), (-1,), (2,), (-2,))])
     f = GroupFunction(point, [F(1)])
-    stepped, interior = apply_truncated(point, mu, f, "right")
-    assert interior == []
-    assert stepped.values == [None]
+    with pytest.raises(ValueError, match="measure on F2ball1 does not walk on F2ball0: "):
+        apply_truncated(point, mu, f, "right")
+    stepped, interior = apply_truncated(point, uniform(point, [0]), f, "right")
+    assert interior == [0]
+    assert stepped.values == [F(1)]
 
 
 def test_ball_sign_records_build_each_side_once(monkeypatch):
@@ -937,19 +950,18 @@ def _ball(family, size, radius):
 @st.composite
 def truncated_steps(draw):
     """(ball, measure, function, side): lattice dims 1-3 or free ranks 1-2,
-    radii 0-4, the measure on the same ball or on another ball of the
-    family, exact (numerators up to 2^80) or float values with None holes."""
+    radii 0-4, the measure on the ball itself, exact (numerators up to
+    2^80) or float values with None holes."""
     family = draw(st.sampled_from(["lattice", "free"]))
     size = draw(st.integers(1, 3 if family == "lattice" else 2))
     ball = _ball(family, size, draw(st.integers(0, 4)))
-    home = ball if draw(st.booleans()) else _ball(family, size, draw(st.integers(0, 4)))
-    steps = [h for h in home.elements() if home.length(h) <= 1]
+    steps = [h for h in ball.elements() if ball.length(h) <= 1]
     support = draw(st.lists(st.sampled_from(steps), min_size=1, max_size=len(steps), unique=True))
     weights = draw(st.lists(st.integers(1, 7), min_size=len(support), max_size=len(support)))
     if draw(st.booleans()):
-        mu = make_measure(home, [(h, F(w, sum(weights))) for h, w in zip(support, weights)])
+        mu = make_measure(ball, [(h, F(w, sum(weights))) for h, w in zip(support, weights)])
     else:
-        mu = make_measure(home, [(h, w / sum(weights)) for h, w in zip(support, weights)])
+        mu = make_measure(ball, [(h, w / sum(weights)) for h, w in zip(support, weights)])
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     holes = draw(st.sampled_from([0.0, 0.1, 0.5]))
     if draw(st.booleans()):
@@ -1316,7 +1328,8 @@ def test_solve_spectra_refuses_operators_on_two_groups():
     ops = [right_operator(z6, uniform(z6, [1, 5])), right_operator(s3, uniform(s3, [1, 2]))]
     with pytest.raises(ValueError, match="one group object, got Z6, S3"):
         solve_spectra(ops)
-    twin = ConvolutionOperator(CyclicGroup(6), uniform(z6, [1, 5]), "right")
+    z6_twin = CyclicGroup(6)
+    twin = ConvolutionOperator(z6_twin, uniform(z6_twin, [1, 5]), "right")
     with pytest.raises(ValueError, match="one group object, got Z6, Z6"):
         solve_spectra([ops[0], twin])
     assert all(op._eigen is None for op in (*ops, twin))
