@@ -8,6 +8,7 @@ i.e. when the support avoids an index-2 subgroup.
 """
 
 from groupwalk import (
+    AlternatingGroup,
     CyclicGroup,
     DihedralGroup,
     FreeBall,
@@ -16,7 +17,6 @@ from groupwalk import (
     harmonic_space,
     uniform,
 )
-from groupwalk.verify import alternating_group
 
 # Even cycle, odd steps: the parity character works.
 z6 = CyclicGroup(6)
@@ -42,7 +42,7 @@ print()
 
 # A4 is the classic counterexample: it has no subgroup of index 2, so no
 # generating measure on it ever admits a sign character.
-a4 = alternating_group(4)
+a4 = AlternatingGroup(4)
 three_cycle = next(g for g in a4.elements() if g != 0 and a4.mul(g, a4.mul(g, g)) == 0)
 print("A4, generated by a 3-cycle and its inverse:",
       find_anti_character(a4, uniform(a4, sorted({three_cycle, a4.inv(three_cycle)}))))

@@ -140,13 +140,8 @@ def _gate_tasks(group, mu, tasks):
 
 def _task_spectrum(group, mu, config):
     report = spectrum(right_operator(group, mu), tol=config.tol)
-    eigenvalues = []
-    for rec in report.eigenvalues:
-        row = rec.to_json()
-        row["peripheral"] = abs(rec.value) >= 1 - report.peripheral_tol
-        eigenvalues.append(row)
     return {
-        "eigenvalues": eigenvalues,
+        "eigenvalues": [rec.to_json() for rec in report.eigenvalues],
         "peripheral": [[lam.real, lam.imag] for lam in report.peripheral],
     }
 

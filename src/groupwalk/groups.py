@@ -47,6 +47,7 @@ __all__ = [
     "CyclicGroup",
     "DihedralGroup",
     "SymmetricGroup",
+    "AlternatingGroup",
     "QuaternionGroup",
     "TableGroup",
     "ProductGroup",
@@ -328,6 +329,24 @@ class SymmetricGroup(FiniteGroup):
     def _inverses(self, a):
         """The inverse of a row is its argsort."""
         return np.searchsorted(self._codes, np.argsort(self._rows[a], axis=-1) @ self._radix)
+
+
+class AlternatingGroup(SymmetricGroup):
+    """The even permutations of {0..n-1}: S_n cut to its even rows, still in
+    lexicographic order, whose base-n codes stay sorted, so S_n's products
+    and inverses serve A_n unchanged."""
+
+    def __init__(self, n):
+        if n < 1:
+            raise ConstructionError(f"alternating group needs n >= 1, got {n}")
+        if any(order > MAX_ORDER for order in itertools.accumulate(range(3, n + 1), operator.mul)):  # n!/2
+            raise ConstructionError(f"alternating group order {n}!/2 exceeds the supported bound {MAX_ORDER}")
+        super().__init__(n)
+        i, j = np.triu_indices(n, 1)
+        even = (self._rows[:, i] > self._rows[:, j]).sum(axis=1) % 2 == 0
+        self.perms = list(itertools.compress(self.perms, even))
+        self._rows, self._codes = self._rows[even], self._codes[even]
+        self.order, self.name = len(self.perms), f"A{n}"
 
 
 class TableGroup(FiniteGroup):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConstructionError, _parity
+from .groups import _parity
 from .measures import _UNSEARCHED, is_generating, is_symmetric
 from .operators import (
     ComputationError,
@@ -26,6 +26,7 @@ from .operators import (
     _function_values,
     _max_abs,
     _operator,
+    _require_finite,
     _require_own_group,
     _two_sided,
     apply,
@@ -166,8 +167,7 @@ class MonotoneAbsReport:
 
 
 def _require_exact_finite(group, mu, what):
-    if group.is_truncated:
-        raise ConstructionError(f"{what} requires a finite group")
+    _require_finite(group, what)
     if not mu.exact:
         raise ValueError(f"{what} requires exact rational weights; use eigenspace for floats")
 
@@ -234,12 +234,10 @@ def decompose(f, mu, tol=1e-9):
     not constant.
     """
     group = f.group
-    if group.is_truncated:
-        raise ConstructionError("decompose requires a finite group")
+    r_op = right_operator(group, mu)
     exact = mu.exact and f.is_exact
     if not exact:
         f = GroupFunction._from_array(group, f.as_array())
-    r_op = right_operator(group, mu)
     rf = apply(r_op, f)
     rrf = apply(r_op, rf)
     if not _close(rrf, f, exact, tol):
@@ -327,8 +325,7 @@ def character_from_extremal(f, mu, tol=1e-9):
     on the support; anything else raises.
     """
     group = f.group
-    if group.is_truncated:
-        raise ConstructionError("character_from_extremal requires a finite group")
+    op = right_operator(group, mu)
     if any(isinstance(v, complex) for v in f.values):
         raise ValueError("character_from_extremal needs a real-valued function")
     sup = f.sup_norm()
@@ -336,7 +333,7 @@ def character_from_extremal(f, mu, tol=1e-9):
         raise ValueError(f"sup norm {float(sup)} exceeds 1 + tol")
     if sup < 1 - tol:
         raise ValueError(f"max modulus {float(sup)} falls short of 1 - tol")
-    rf = apply(right_operator(group, mu), f)
+    rf = apply(op, f)
     residual = max(abs(a + b) for a, b in zip(rf.values, f.values))
     if residual > tol:
         raise ValueError(f"function is not anti-harmonic within tol (residual {float(residual)})")
@@ -414,14 +411,12 @@ def diamond(mu, f1, lam1, f2, lam2, tol=1e-9):
     exact when mu, f1 and f2 are exact.
     """
     group = f1.group
-    if group.is_truncated:
-        raise ConstructionError("diamond requires a finite group")
+    op = right_operator(group, mu)
     if not is_symmetric(mu):
         raise ValueError("diamond requires a symmetric measure")
     if lam1 not in (1, -1) or lam2 not in (1, -1):
         raise ValueError("diamond eigenvalues must be +1 or -1")
     exact = mu.exact and f1.is_exact and f2.is_exact
-    op = right_operator(group, mu)
     for f, lam in ((f1, lam1), (f2, lam2)):
         rf = apply(op, f)
         target = f.scale(Fraction(lam) if exact else float(lam))

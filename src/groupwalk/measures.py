@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .groups import ConstructionError, parse_element
+from .groups import ConstructionError, format_element, parse_element
 
 FLOAT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -214,32 +214,25 @@ def is_generating(mu):
     (weights play no part in it, so float measures share it)."""
     from .operators import right_operator
 
-    if mu.group.is_truncated:
-        raise MeasureError("is_generating is only defined for finite groups")
     return right_operator(mu.group, mu).classes().count(1) == 1
 
 
-def min_return(mu, cap):
-    """Least k <= cap with the identity in the support of the k-th power,
-    None when the identity is not reached within cap steps.
+def min_return(mu):
+    """Least k >= 1 with the identity in the support of the k-th power: at
+    most the order of any support element (the support is not empty, its
+    weights sum to 1), so at most |G|.
 
     Works on supports only, each stepped from the last along the rows
     g -> g*h of the right operator's stencil, which its spectrum reads too.
     """
     from .operators import right_operator
 
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise MeasureError(f"min_return needs an integer cap >= 1, got {cap}")
     group = mu.group
-    if group.is_truncated:
-        raise MeasureError("min_return is only defined for finite groups")
     rows = [perm.tolist() for perm in right_operator(group, mu).stencil().perms]
-    current = set(mu.support())
-    for k in range(1, cap + 1):
-        if group.identity in current:
-            return k
-        current = {row[g] for g in current for row in rows}
-    return None
+    current, k = set(mu.support()), 1
+    while group.identity not in current:
+        current, k = {row[g] for g in current for row in rows}, k + 1
+    return k
 
 
 def measure_from_json(group, entries):
@@ -269,8 +262,6 @@ def measure_from_json(group, entries):
 
 
 def measure_to_json(mu):
-    from .groups import format_element
-
     out = []
     for g in mu.support():
         w = mu.weights[g]

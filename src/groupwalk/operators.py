@@ -22,9 +22,10 @@ sums the walk on the numerators, in int64 when no partial sum can reach
 entry; the `values` list is only a read view.
 
 Every walk acts on its measure's own group object and refuses any other
-(`_require_own_group`).  `right_operator` and `left_operator` return one
-memoised operator per (measure, side), kept on the measure, so every task
-on one measure shares its stencil, its read-only dense matrix and its
+(`_require_own_group`); only a finite group takes one (`_require_finite`).
+`right_operator` and `left_operator` return one memoised operator per
+(measure, side), kept on the measure, so every task on one measure shares
+its stencil, its read-only dense matrix, its spectrum report and its
 eigenvalues and eigenpair residuals, solved once on every finite group by
 one path: one r x r block per character of an abelian subgroup of index
 r, built once by one fftn and factored, residuals included, by one
@@ -466,7 +467,7 @@ class ConvolutionOperator:
         self._stencil = None
         self._eigen = None
         self._walk = None
-        self._reports = {}
+        self._report = None
 
     @property
     def measure(self):
@@ -653,12 +654,12 @@ def _apply_truncated(group, mu, f, side):
     """apply_truncated with the interior as an int64 index array."""
     if not group.is_truncated:
         raise ConstructionError("apply_truncated requires a ball truncation; use apply instead")
-    _require_own_group(group, mu)
+    op = _operator(group, mu, side)
     if f.group is not group:
         raise ValueError("function and ball live on different groups")
     if any(group.length(h) > 1 for h in mu.weights):
         raise ValueError("truncated measures must be supported on word length <= 1")
-    walk = _operator(group, mu, side).stencil()
+    walk = op.stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.append(f._mask(), False)
     inside = np.logical_and.reduce([defined[perm] for perm in walk.perms])
@@ -676,6 +677,7 @@ class EigenvalueRecord:
     value: complex
     multiplicity: int
     residual: float
+    peripheral: bool  # modulus >= 1 - PERIPHERAL_TOL
 
     def to_json(self):
         return {
@@ -683,6 +685,7 @@ class EigenvalueRecord:
             "im": self.value.imag,
             "multiplicity": self.multiplicity,
             "residual": self.residual,
+            "peripheral": self.peripheral,
         }
 
 
@@ -690,16 +693,6 @@ class EigenvalueRecord:
 class SpectralReport:
     eigenvalues: list
     peripheral: list
-    tol: float
-    peripheral_tol: float = PERIPHERAL_TOL
-
-    def to_json(self):
-        return {
-            "eigenvalues": [rec.to_json() for rec in self.eigenvalues],
-            "peripheral": [{"re": z.real, "im": z.imag} for z in self.peripheral],
-            "tol": self.tol,
-            "peripheral_tol": self.peripheral_tol,
-        }
 
 
 def _sort_key(z):
@@ -761,30 +754,25 @@ def _clusters(values, owner=0):
     return order[grouped], labels[grouped]
 
 
-def spectrum(op, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
-    """Full eigenvalue report with residual certificates: `spectra([op])`,
-    kept on op per tolerance pair (and their types) for every later caller."""
-    key = (type(tol), tol, type(peripheral_tol), peripheral_tol)
-    if key not in op._reports:
-        op._reports[key] = spectra([op], tol, peripheral_tol)[0]
-    return op._reports[key]
+def spectrum(op, tol=1e-9):
+    """Full eigenvalue report with residual certificates: `spectra([op], tol)`."""
+    return spectra([op], tol)[0]
 
 
-def spectra(ops, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
-    """One SpectralReport per operator (all on one group object), from one
-    array pass over their eigenvalues (`solve_spectra`, done once).
+def spectra(ops, tol=1e-9):
+    """One SpectralReport per operator (all on one group object), built once
+    per operator by one array pass over the eigenvalues (`solve_spectra`,
+    done once) of those that have none, and kept on it.
 
     Eigenvalues of one operator joined by a chain of steps of at most
     CLUSTER_TOL (1e-7) form one record: their mean, with the cluster size
-    as multiplicity.  The peripheral list keeps every representative with
-    modulus >= 1 - peripheral_tol.  Checked against this call's tol: the
-    residuals, and for each operator on n elements, within n tol, sum
-    lambda = tr P = n mu(e) and sum lambda^2 = tr P^2 = n sum_h mu(h)
-    mu(h^-1), which tie the blocks to the walk where a residual on 1 x 1
-    blocks cannot.  Both tolerances must be finite positive numbers."""
+    as multiplicity, flagged peripheral at modulus >= 1 - PERIPHERAL_TOL;
+    the peripheral list keeps the flagged values.  Every call checks every
+    operator against its own tol, a finite positive number: the residuals,
+    and for each operator on n elements, within n tol, sum lambda = tr P =
+    n mu(e) and sum lambda^2 = tr P^2 = n sum_h mu(h) mu(h^-1), which tie
+    the blocks to the walk where a residual on 1 x 1 blocks cannot."""
     _require_tolerance("tol", tol)
-    _require_tolerance("peripheral_tol", peripheral_tol)
-    _require_one_group(ops, "spectra")
     solve_spectra(ops)
     group, n = ops[0].group, ops[0].group.order
     eigvals, residuals = (np.array([op._eigen[i] for op in ops]) for i in (0, 1))
@@ -798,7 +786,11 @@ def spectra(ops, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
         for power, gap in enumerate((abs(total - n * trace) for total, trace in zip(sums, traces)), 1):
             if not gap <= n * tol:
                 raise ComputationError(f"eigenvalue power sum {power} misses tr P^{power} by {gap:.3e} {where}")
-    owner = np.repeat(np.arange(len(ops)), n)
+    fresh = [j for j, op in enumerate(ops) if op._report is None]
+    if not fresh:
+        return [op._report for op in ops]
+    todo, eigvals, residuals = [ops[j] for j in fresh], eigvals[fresh], residuals[fresh]
+    owner = np.repeat(np.arange(len(todo)), n)
     members, labels = _clusters(eigvals.ravel(), owner)
     sizes = np.bincount(labels)
     # np.add.at adds in member order from 0, as sum() does; dividing each
@@ -811,13 +803,13 @@ def spectra(ops, tol=1e-9, peripheral_tol=PERIPHERAL_TOL):
     np.maximum.at(worst, labels, residuals.ravel()[members])
     owner = owner[members[np.cumsum(sizes) - sizes]]  # each cluster's operator
     values, counts, worst, owners = means.tolist(), sizes.tolist(), worst.tolist(), owner.tolist()
-    records = [[] for _ in ops]
+    records = [[] for _ in todo]
     for i in _sort_order(means, owner).tolist():
-        records[owners[i]].append(EigenvalueRecord(values[i], counts[i], worst[i]))
-    return [
-        SpectralReport(recs, [r.value for r in recs if abs(r.value) >= 1.0 - peripheral_tol], tol, peripheral_tol)
-        for recs in records
-    ]
+        peripheral = abs(values[i]) >= 1.0 - PERIPHERAL_TOL
+        records[owners[i]].append(EigenvalueRecord(values[i], counts[i], worst[i], peripheral))
+    for op, recs in zip(todo, records):
+        op._report = SpectralReport(recs, [r.value for r in recs if r.peripheral])
+    return [op._report for op in ops]
 
 
 class WalkClasses(NamedTuple):
@@ -994,8 +986,7 @@ class OperatorOnMatrices:
     """
 
     def __init__(self, group, measure, side):
-        if group.is_truncated:
-            raise ConstructionError("matrix-level operators require a finite group")
+        _require_finite(group, "OperatorOnMatrices")
         self.group = group
         self.measure = measure
         self.side = side

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import (
-    ConstructionError,
+    AlternatingGroup,
     CyclicGroup,
     DihedralGroup,
     FreeBall,
@@ -89,7 +89,6 @@ __all__ = [
     "exp_bound_check",
     "stirling_trend",
     "default_corpus_groups",
-    "alternating_group",
     "random_symmetric_generating_measure",
     "corpus_fixtures",
     "nonsymmetric_fixtures",
@@ -203,8 +202,6 @@ def _foguel_block(group, measures):
     """(group, [(left walk, weights)]): what the foguel walk reads of
     measures on group, so that their memos (labellings, spectra and lifts)
     need not be kept."""
-    if group.is_truncated:
-        raise ConstructionError("foguel_decay requires a finite group")
     return group, [(left_operator(group, mu).stencil(), mu.weights) for mu in measures]
 
 
@@ -263,10 +260,9 @@ def _foguel_walk(blocks, eps, n_max, where):
 
 def root_of_unity_check(group, mu):
     """Peripheral eigenvalues must be k-th roots of unity, k the first
-    return time of the support walk to the identity.  The walk returns by
-    step |G|: k is at most the order of a support element, which divides
-    |G|, so |G| is the min_return record's threshold."""
-    k = min_return(mu, group.order)
+    return time of the support walk to the identity, at most |G|
+    (`min_return`): |G| is the min_return record's threshold."""
+    k = min_return(mu)
     records = [CheckRecord(group.name, "min_return", k, group.order, True)]
     for lam in spectrum(right_operator(group, mu)).peripheral:
         err = abs(lam**k - 1)
@@ -342,23 +338,10 @@ def stirling_trend():
     return [(n, _exp_bound_rhs(n) * math.sqrt(2 * math.pi * n) / 2.0) for n in STIRLING_NS]
 
 
-def alternating_group(n=4):
-    """Even permutations of n symbols: S_n cut to its even rows, in
-    lexicographic order, whose base-n codes stay sorted, so S_n's compose
-    and rank serve A_n unchanged."""
-    group = SymmetricGroup(n)
-    i, j = np.triu_indices(n, 1)
-    even = (group._rows[:, i] > group._rows[:, j]).sum(axis=1) % 2 == 0
-    group.perms = list(itertools.compress(group.perms, even))
-    group._rows, group._codes = group._rows[even], group._codes[even]
-    group.order, group.name = len(group.perms), f"A{n}"
-    return group
-
-
 def default_corpus_groups():
     groups = [CyclicGroup(n) for n in range(2, 17)]
     groups += [DihedralGroup(n) for n in range(3, 9)]
-    groups += [SymmetricGroup(3), SymmetricGroup(4), QuaternionGroup(), alternating_group(4)]
+    groups += [SymmetricGroup(3), SymmetricGroup(4), QuaternionGroup(), AlternatingGroup(4)]
     return groups
 
 
@@ -445,7 +428,7 @@ def nonsymmetric_fixtures():
     """Hand-picked non-symmetric generating measures for the root-of-unity
     check, each uniform on its support; on A4 the first three-cycle and the
     first double swap."""
-    s3, s4, a4 = SymmetricGroup(3), SymmetricGroup(4), alternating_group(4)
+    s3, s4, a4 = SymmetricGroup(3), SymmetricGroup(4), AlternatingGroup(4)
     orders = a4._element_orders()
     a4_support = [int(np.flatnonzero(orders == k)[0]) for k in (3, 2)]
     cases = [
@@ -523,9 +506,8 @@ def _theorem_records(fids, group, measures):
         else:
             dims, trivial = f"anti_dim={anti_dim},bi_dim={bi_dim}", anti_dim == 0 and bi_dim == 1
             record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
-        # peripheral eigenvalues are k-th roots of unity for the first return
-        # time k, at most the order of a support element, so never above |G|
-        k = min_return(mu, n)
+        # peripheral eigenvalues are k-th roots of unity for the first return time k
+        k = min_return(mu)
         worst = max((abs(lam**k - 1) for lam in report.peripheral), default=0.0)
         record(f"roots_of_unity_k={k}", float(worst), ROOT_OF_UNITY_TOL, bool(worst <= ROOT_OF_UNITY_TOL))
         # matrix-level: the fixed arrays of right o left on the squared walk's

@@ -283,14 +283,32 @@ def test_analyze_runs_one_eigensolve_for_spectrum_and_verify(monkeypatch):
         }
     )
     calls, passes = [], []
-    eig, spectra = np.linalg.eig, operators.spectra
+    eig, clusters = np.linalg.eig, operators._clusters
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
-    monkeypatch.setattr(operators, "spectra", lambda ops, *args: passes.append(args) or spectra(ops, *args))
+    monkeypatch.setattr(operators, "_clusters", lambda *args: passes.append(args) or clusters(*args))
     report = run_analysis(config)
     assert calls == [(32, 2, 2)]
-    assert len(passes) == 1  # one records pass, with its certificates, for both tasks
+    assert len(passes) == 1  # one records pass for both tasks
     assert report["results"]["verify"]["passed"]
     assert sum(r["multiplicity"] for r in report["results"]["spectrum"]["eigenvalues"]) == 64
+
+
+def test_analyze_runs_one_records_pass_for_spectrum_and_theorem_verify(monkeypatch):
+    """On a symmetric exact walk the verify task runs the theorem checks,
+    whose `spectra` pass reuses the spectrum task's report."""
+    config = parse_config(
+        {
+            "group": {"kind": "dihedral", "n": 6},
+            "measure": [{"g": "1", "w": "1/4"}, {"g": "5", "w": "1/4"}, {"g": "6", "w": "1/2"}],
+            "tasks": ["spectrum", "verify"],
+        }
+    )
+    passes, clusters = [], operators._clusters
+    monkeypatch.setattr(operators, "_clusters", lambda *args: passes.append(args) or clusters(*args))
+    report = run_analysis(config)
+    checks = report["results"]["verify"]["checks"]
+    assert report["results"]["verify"]["passed"] and checks[0]["quantity"] == "peripheral_pm1"
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize(

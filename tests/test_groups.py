@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from groupwalk.groups import (
     MAX_ORDER,
+    AlternatingGroup,
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
@@ -31,7 +32,7 @@ from groupwalk.groups import (
 from groupwalk.harmonic import character_from_extremal, find_anti_character
 from groupwalk.measures import delta, min_return, uniform
 from groupwalk.operators import ConvolutionOperator, GroupFunction, apply, eigenspace, left_operator
-from groupwalk.verify import FixtureConstructionError, alternating_group, random_symmetric_generating_measure
+from groupwalk.verify import FixtureConstructionError, random_symmetric_generating_measure
 
 from ball_reference import lattice_points, reduced_words, reference
 from gf2_reference import closure_generating_set
@@ -651,7 +652,7 @@ FINITE_KINDS = [
     DihedralGroup(6),
     *[SymmetricGroup(n) for n in range(1, 7)],
     QuaternionGroup(),
-    alternating_group(4),
+    AlternatingGroup(4),
     ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
     _nested_product(),
 ]
@@ -682,7 +683,7 @@ def test_finite_products_read_no_per_element_mul(group, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "mul", per_element)
     assert [(group.right_perm(h).tolist(), group.left_perm(h).tolist()) for h in hs] == expected
     assert group._element_orders().tolist() == orders == [len(closure(group, [g])) for g in group.elements()]
-    assert (closure(group, gens), min_return(mu, group.order)) == searched
+    assert (closure(group, gens), min_return(mu)) == searched
     got = FiniteGroup._abelian_subgroup(group)
     assert got[0] == cosets[0] and all(np.array_equal(x, y) for x, y in zip(got[1:], cosets[1:]))
     assert first_draw(group) == sampled
@@ -949,16 +950,16 @@ def test_inverses_match_an_independent_model(group, data):
 def test_closure_and_min_return_match_the_per_element_references(group, data):
     """On supports that generate (the greedy generating set) and that may
     not (a few drawn elements), with and without the identity, closure and
-    min_return at any cap equal the searches by one mul per element."""
+    min_return equal the searches by one mul per element (min_return's at
+    cap |G|, which every first return time meets)."""
     index = st.integers(0, group.order - 1)
     drawn = data.draw(st.one_of(st.just(generating_set(group)), st.lists(index, min_size=1, max_size=3)))
     support = {g for g in drawn if g != group.identity}
     if data.draw(st.booleans()) or not support:
         support.add(group.identity)
-    cap = data.draw(st.integers(1, group.order))
     mu = uniform(group, support)
     assert closure(group, support) == closure_by_mul(group, support)
-    assert min_return(mu, cap) == min_return_by_mul(mu, cap)
+    assert min_return(mu) == min_return_by_mul(mu, group.order)
 
 
 @pytest.mark.parametrize("group", FINITE_KINDS + [S3_TABLE], ids=lambda g: g.name)
@@ -974,7 +975,7 @@ def test_scalar_mul_and_inv_read_the_elementwise_product(group):
 
 
 def _tuple_alternating_table(n, rows=None):
-    """The A_n table built from permutation tuples, as alternating_group did
+    """The A_n table built from permutation tuples, as AlternatingGroup did
     before it ranked the even rows of S_n (only the given rows, if any)."""
     perms = []
     for p in itertools.permutations(range(n)):
@@ -990,7 +991,7 @@ def _tuple_alternating_table(n, rows=None):
 def test_alternating_group_matches_the_tuple_construction(n):
     """The Cayley table of `_products` is the tuple-built table (on A7, whose
     tuple table takes seconds, on 40 seeded rows)."""
-    group = alternating_group(n)
+    group = AlternatingGroup(n)
     rows = sorted(random.Random(n).sample(range(group.order), 40)) if n == 7 else range(group.order)
     table = group._products(np.array(rows)[:, None], np.arange(group.order))
     assert group.name == f"A{n}" and table.dtype == np.int64
@@ -1001,8 +1002,9 @@ def test_alternating_group_builds_a8():
     """A8 (order 20160), whose Cayley table was over the dense budget, holds
     its even rows in lexicographic order; each of a seeded sample of
     products and inverses is the composed or inverted row."""
-    group = alternating_group(8)
+    group = AlternatingGroup(8)
     assert (group.order, group.name, len(group.perms)) == (20160, "A8", 20160)
+    assert repr(group) == "<AlternatingGroup A8 order=20160>"
     assert group.perms == sorted(group.perms) and group._rows.tolist() == [list(p) for p in group.perms]
     rng = random.Random(8)
     x, y = (np.array(rng.sample(range(group.order), 100)) for _ in range(2))
@@ -1011,6 +1013,23 @@ def test_alternating_group_builds_a8():
         p, q = group.perms[a], group.perms[b]
         assert group.perms[ab] == tuple(p[q[i]] for i in range(8))
         assert [p[i] for i in group.perms[inv]] == list(range(8))
+
+
+def test_alternating_group_is_its_own_kind():
+    """A_n is named as itself, A1 and A2 are trivial, and A9 (order 181440)
+    and A0 are refused by the alternating group's own messages, not S_n's;
+    A_(10^6) is refused at its first partial product past the bound."""
+    a4 = AlternatingGroup(4)
+    assert repr(a4) == "<AlternatingGroup A4 order=12>" and isinstance(a4, SymmetricGroup)
+    assert [(AlternatingGroup(n).order, AlternatingGroup(n).perms) for n in (1, 2)] == [(1, [(0,)]), (1, [(0, 1)])]
+    with pytest.raises(ConstructionError, match=rf"^alternating group order 9!/2 exceeds the supported bound {MAX_ORDER}$"):
+        AlternatingGroup(9)
+    with pytest.raises(ConstructionError, match="^alternating group needs n >= 1, got 0$"):
+        AlternatingGroup(0)
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match="alternating group order 1000000!/2 exceeds"):
+        AlternatingGroup(10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_symmetric_order_bound_stops_multiplying_at_the_bound():

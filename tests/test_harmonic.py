@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupwalk.groups import (
+    AlternatingGroup,
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
@@ -42,7 +43,7 @@ from groupwalk.linalg import (
     rational_rref,
     rational_solve,
 )
-from groupwalk.measures import delta, make_measure, uniform
+from groupwalk.measures import delta, is_generating, make_measure, min_return, uniform
 from groupwalk.operators import (
     ComputationError,
     ConvolutionOperator,
@@ -55,7 +56,7 @@ from groupwalk.operators import (
     left_operator,
     right_operator,
 )
-from groupwalk.verify import CorpusSpec, alternating_group, corpus_fixtures, foguel_decay, root_of_unity_check
+from groupwalk.verify import CorpusSpec, corpus_fixtures, foguel_decay, root_of_unity_check
 
 from gf2_reference import GF2System, per_element_character
 from linalg_reference import normalize_leading
@@ -178,6 +179,34 @@ def test_spaces_demand_finite_group():
     mu = uniform(ball, [ball.index_of_form((1,)), ball.index_of_form((-1,))])
     with pytest.raises(ConstructionError):
         harmonic_space(ball, mu)
+
+
+FINITE_ONLY = {  # each takes (ball, mu, f) and walks mu on a finite group only
+    "right_operator": lambda ball, mu, f: right_operator(ball, mu),
+    "left_operator": lambda ball, mu, f: left_operator(ball, mu),
+    "harmonic_space": lambda ball, mu, f: harmonic_space(ball, mu),
+    "anti_harmonic_space": lambda ball, mu, f: anti_harmonic_space(ball, mu),
+    "jointly_biharmonic_space": lambda ball, mu, f: jointly_biharmonic_space(ball, mu),
+    "peripheral_boundary": lambda ball, mu, f: peripheral_boundary(ball, mu),
+    "decompose": lambda ball, mu, f: decompose(f, mu),
+    "diamond": lambda ball, mu, f: diamond(mu, f, 1, f, 1),
+    "character_from_extremal": lambda ball, mu, f: character_from_extremal(f, mu),
+    "is_generating": lambda ball, mu, f: is_generating(mu),
+    "min_return": lambda ball, mu, f: min_return(mu),
+    "foguel_decay": lambda ball, mu, f: foguel_decay(ball, mu),
+    "OperatorOnMatrices": lambda ball, mu, f: OperatorOnMatrices(ball, mu, "right"),
+}
+
+
+@pytest.mark.parametrize("entry", FINITE_ONLY)
+def test_finite_only_entry_points_refuse_a_ball_with_one_message(entry):
+    """Every walk that needs a finite group is refused on a ball by the one
+    refusal of the operators, with its message, before any other check."""
+    ball = LatticeBall(1, 3)
+    mu = uniform(ball, [ball.index_of_form((1,)), ball.index_of_form((-1,))])
+    f = GroupFunction.constant(ball, F(1))
+    with pytest.raises(ConstructionError, match="requires a finite group; use apply_truncated on balls"):
+        FINITE_ONLY[entry](ball, mu, f)
 
 
 def test_biharmonic_z4():
@@ -425,9 +454,9 @@ CHARACTER_GROUPS = [
     ProductGroup([QuaternionGroup(), CyclicGroup(2)]),
     ProductGroup([DihedralGroup(3), CyclicGroup(4)]),
     SymmetricGroup(3),
-    alternating_group(4),
+    AlternatingGroup(4),
     ProductGroup([ProductGroup([CyclicGroup(2), DihedralGroup(3)]), CyclicGroup(2)]),
-    ProductGroup([alternating_group(4), CyclicGroup(2)]),
+    ProductGroup([AlternatingGroup(4), CyclicGroup(2)]),
 ]
 
 
@@ -478,9 +507,7 @@ def test_find_anti_character_odd_cycle_has_none():
 
 
 def test_find_anti_character_a4_has_none():
-    from groupwalk.verify import alternating_group
-
-    a4 = alternating_group(4)
+    a4 = AlternatingGroup(4)
     rng = random.Random(2)
     for _ in range(5):
         support = rng.sample(range(1, 12), 2)
@@ -790,7 +817,7 @@ def gram_coefficients(basis, f):
 # every finite kind: cyclic, dihedral, symmetric, Q8, a table group, products
 PROJECTION_GROUPS = [
     CyclicGroup(1), CyclicGroup(5), CyclicGroup(8), DihedralGroup(4), SymmetricGroup(3),
-    QuaternionGroup(), alternating_group(4), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+    QuaternionGroup(), AlternatingGroup(4), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
 ]
 
 

@@ -35,3 +35,28 @@ def test_the_stale_import_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert _stale_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _redundant_local_imports(source):
+    """The sibling modules that a function imports from although its file
+    already imports from them at top level, with the line of each local
+    import.  A local import from a module the file does not import at top
+    level breaks an import cycle and is not one."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    local = {node for func in functions for node in ast.walk(func) if isinstance(node, ast.ImportFrom) and node.level}
+    return sorted((node.lineno, node.module) for node in local if node.module in top)
+
+
+def test_the_local_import_check_sees_only_modules_imported_at_top_level():
+    source = (
+        "from .groups import a\nimport os\n"
+        "def f():\n    from .groups import b\n    from .operators import c\n    import os\n    return a, b, c, os\n"
+    )
+    assert _redundant_local_imports(source) == [(4, "groups")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_function_imports_from_a_module_its_file_imports_at_top_level(path):
+    assert _redundant_local_imports(path.read_text(encoding="utf-8")) == []

@@ -1,7 +1,6 @@
 import cmath
 import gc
 import itertools
-import json
 import math
 import random
 import tracemalloc
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from groupwalk import operators
 from groupwalk.groups import (
+    AlternatingGroup,
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
@@ -47,7 +47,6 @@ from groupwalk.operators import (
     solve_spectra,
     spectrum,
 )
-from groupwalk.verify import alternating_group
 
 from ball_reference import reference
 from linalg_reference import normalize_leading
@@ -391,15 +390,17 @@ def test_spectrum_refuses_bad_tol(tol):
         spectrum(right_operator(g, uniform(g, [1, 5])), tol=tol)
 
 
-@pytest.mark.parametrize("peripheral_tol", BAD_TOLERANCES)
-def test_spectrum_refuses_bad_peripheral_tol(peripheral_tol):
-    """Z6 with mu uniform on {1, 5} has the peripheral eigenvalues +-1; a NaN
-    peripheral_tol would list none of them and True every eigenvalue."""
+def test_spectrum_flags_exactly_the_records_at_pm1():
+    """Z6 with mu uniform on {1, 5} has the eigenvalues cos(2 pi k / 6):
+    the records at +-1 are flagged peripheral, those at +-1/2 are not, the
+    peripheral list holds the flagged values, and to_json writes the flag."""
     g = CyclicGroup(6)
-    op = right_operator(g, uniform(g, [1, 5]))
-    assert sorted(z.real for z in spectrum(op).peripheral) == pytest.approx([-1, 1], abs=1e-12)
-    with pytest.raises(ValueError, match="peripheral_tol must be a finite positive number"):
-        spectrum(op, peripheral_tol=peripheral_tol)
+    report = spectrum(right_operator(g, uniform(g, [1, 5])))
+    flagged = [rec for rec in report.eigenvalues if rec.peripheral]
+    assert sorted(rec.value.real for rec in flagged) == pytest.approx([-1, 1], abs=1e-12)
+    assert sorted(abs(rec.value) for rec in report.eigenvalues if not rec.peripheral) == pytest.approx([0.5, 0.5])
+    assert report.peripheral == [rec.value for rec in flagged]
+    assert [rec.to_json()["peripheral"] for rec in report.eigenvalues] == [True, True, False, False]
 
 
 def test_spectrum_requires_finite():
@@ -487,31 +488,33 @@ def test_cached_spectrum_rechecks_tol_and_matches_fresh_operator(monkeypatch):
         spectrum(op, tol=1e-300)
     second = spectrum(op)
     assert calls == []  # both calls reuse the operator's eigensolve
-    assert second.to_json() == first.to_json()
-    assert second.to_json() == spectrum(ConvolutionOperator(g, mu, "right")).to_json()
+    fresh = spectrum(ConvolutionOperator(g, mu, "right"))
+    for report in (second, fresh):
+        assert (report.eigenvalues, report.peripheral) == (first.eigenvalues, first.peripheral)
     assert calls == [(6, 2, 2)]
 
 
 def test_spectrum_is_kept_on_the_operator_per_tolerance_pair(monkeypatch):
+    """One report per operator, from one records pass, shared by every tol
+    that passes (1e-9, 1e-6, 1 and 1.0); a tol that fails raises on every
+    call, before the report is built or after it is kept."""
     g = DihedralGroup(6)
     mu = make_measure(g, [(1, 0.5), (2, 0.3), (7, 0.2)])
     op = right_operator(g, mu)
-    runs = []
-    real = operators.spectra
-    monkeypatch.setattr(operators, "spectra", lambda ops, *args: runs.append(args) or real(ops, *args))
-    first = spectrum(op)
-    assert spectrum(op) is first and spectrum(right_operator(g, mu)) is first
-    assert runs == [(1e-9, operators.PERIPHERAL_TOL)]
-    loose = spectrum(op, tol=1e-6)
-    assert loose is not first and loose.tol == 1e-6 and len(runs) == 2
-    assert loose.eigenvalues == first.eigenvalues
-    for _ in range(2):  # a tighter tol recomputes each time: a failed check is not kept
+    passes = []
+    real = operators._clusters
+    monkeypatch.setattr(operators, "_clusters", lambda *args: passes.append(args) or real(*args))
+    for _ in range(2):  # a failed check keeps nothing
         with pytest.raises(ComputationError, match="exceeds tol"):
             spectrum(op, tol=1e-300)
-    assert len(runs) == 4 and spectrum(op) is first
-    # equal tolerances of other types write other reports
-    assert spectrum(op, tol=1).to_json()["tol"] == 1 and spectrum(op, tol=1.0).to_json()["tol"] == 1.0
-    assert json.dumps(spectrum(op, tol=1).to_json()) != json.dumps(spectrum(op, tol=1.0).to_json())
+    assert op._report is None and passes == []
+    first = spectrum(op)
+    assert all(spectrum(op, tol=tol) is first for tol in (1e-9, 1e-6, 1, 1.0))
+    assert spectrum(right_operator(g, mu)) is first and operators.spectra([op, op], 1e-6) == [first, first]
+    for _ in range(2):
+        with pytest.raises(ComputationError, match="exceeds tol"):
+            spectrum(op, tol=1e-300)
+    assert len(passes) == 1 and spectrum(op) is first
 
 
 def test_dense_matrix_is_shared_and_read_only():
@@ -653,7 +656,7 @@ def _is_abelian(group):
         DihedralGroup(5),
         SymmetricGroup(4),
         QuaternionGroup(),
-        alternating_group(4),
+        AlternatingGroup(4),
         ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]),
     ],
     ids=lambda g: g.name,
@@ -700,7 +703,7 @@ def test_real_characters_give_exactly_real_eigenvalues(group):
         DihedralGroup(4),
         SymmetricGroup(3),
         QuaternionGroup(),
-        alternating_group(4),
+        AlternatingGroup(4),
         ProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
     ],
     ids=lambda g: g.name,
@@ -750,7 +753,7 @@ NONABELIAN_GROUPS = [
     SymmetricGroup(3),
     SymmetricGroup(4),
     QuaternionGroup(),
-    alternating_group(4),
+    AlternatingGroup(4),
     ProductGroup([SymmetricGroup(3), CyclicGroup(4)]),
     ProductGroup([DihedralGroup(3), ProductGroup([CyclicGroup(2), QuaternionGroup()])]),
 ]
@@ -1108,7 +1111,7 @@ def test_float_pm1_eigenspaces_span_the_dense_nullspace(walk):
                 assert np.abs(vecs - null @ (null.conj().T @ vecs)).max() <= 1e-9
 
 
-EIGEN_GROUPS = [*KERNEL_GROUPS, alternating_group(4), SymmetricGroup(4)]
+EIGEN_GROUPS = [*KERNEL_GROUPS, AlternatingGroup(4), SymmetricGroup(4)]
 
 
 @given(exact_walks(EIGEN_GROUPS), st.data())
@@ -1195,7 +1198,7 @@ def test_class_certificate_rejects_split_and_false_bipartite_labels(monkeypatch)
         component_kernel([[stencil]], "on Z5")
 
 
-BATCH_GROUPS = [*KERNEL_GROUPS, alternating_group(4)]  # every finite kind
+BATCH_GROUPS = [*KERNEL_GROUPS, AlternatingGroup(4)]  # every finite kind
 
 
 @st.composite

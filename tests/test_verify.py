@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from groupwalk import harmonic, operators, verify
 from groupwalk.groups import (
+    AlternatingGroup,
     ConstructionError,
     CyclicGroup,
     DihedralGroup,
@@ -40,7 +41,6 @@ from groupwalk.verify import (
     CheckRecord,
     CorpusSpec,
     VerificationReport,
-    alternating_group,
     corpus_fixtures,
     examples_suite,
     exp_bound_check,
@@ -273,7 +273,7 @@ def test_corpus_computes_each_groups_sign_vectors_once(monkeypatch):
 # every finite kind, orders on both sides of OPERATOR_CHECK_MAX_ORDER
 THEOREM_GROUPS = [
     CyclicGroup(2), CyclicGroup(5), CyclicGroup(8), CyclicGroup(9), DihedralGroup(3), DihedralGroup(4),
-    DihedralGroup(5), SymmetricGroup(3), QuaternionGroup(), alternating_group(4),
+    DihedralGroup(5), SymmetricGroup(3), QuaternionGroup(), AlternatingGroup(4),
     ProductGroup([CyclicGroup(2), CyclicGroup(2)]), ProductGroup([CyclicGroup(2), SymmetricGroup(3)]),
 ]
 
@@ -509,7 +509,7 @@ def test_stirling_trend_increases_toward_one():
 # ---------------------------------------------------------------- corpus
 
 def test_alternating_group_matches_permutation_oracle():
-    a4 = alternating_group(4)
+    a4 = AlternatingGroup(4)
     assert a4.order == 12
 
     def inversions(p):
@@ -525,7 +525,7 @@ def test_alternating_group_matches_permutation_oracle():
 
 
 def test_alternating_group_has_no_sign_character():
-    a4 = alternating_group(4)
+    a4 = AlternatingGroup(4)
     n = a4.order
     for bits in itertools.product((1, -1), repeat=n - 1):
         values = (1,) + bits
@@ -679,7 +679,7 @@ def test_fixture_split_check_fails_violations_and_propagates_errors(monkeypatch)
 # every finite kind; orders >= 3, so no delta is jointly bi-harmonic
 SPLIT_GROUPS = [
     CyclicGroup(3), CyclicGroup(6), CyclicGroup(8), DihedralGroup(3), DihedralGroup(4),
-    SymmetricGroup(3), QuaternionGroup(), alternating_group(4),
+    SymmetricGroup(3), QuaternionGroup(), AlternatingGroup(4),
     ProductGroup([CyclicGroup(2), CyclicGroup(2)]), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
 ]
 

@@ -157,7 +157,7 @@ def theorem_records_by_fixture(fixture_id, group, mu):
         trivial = anti_dim == 0 and bi_dim == 1
         record("no_character_trivial_anti", dims, "anti_dim=0,bi_dim=1", trivial)
 
-    k = min_return(mu, group.order)
+    k = min_return(mu)
     worst = max((abs(lam**k - 1) for lam in peripheral), default=0.0)
     record(f"roots_of_unity_k={k}", float(worst), 1e-6, bool(worst <= 1e-6))
 
