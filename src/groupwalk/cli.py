@@ -346,7 +346,8 @@ def _run_verify(args):
 
 
 def _seed(text):
-    """--seed's type: a non-negative integer, as numpy's seeded generators need."""
+    """--seed's type: a non-negative integer, the text that seeds every
+    suite's random.Random."""
     try:
         seed = int(text)
     except ValueError:

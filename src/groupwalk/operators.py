@@ -392,13 +392,12 @@ class GroupFunction:
         bound = max(
             max(_max_abs(self._nums), 1) * other._den, max(_max_abs(other._nums), 1) * self._den
         )
-        return bool(
-            np.array_equal(self._mask()[idx], other._mask()[idx])
-            and np.array_equal(
-                _fit(self._nums[idx], bound) * other._den,
-                _fit(other._nums[idx], bound) * self._den,
-            )
-        )
+        if not np.array_equal(self._mask()[idx], other._mask()[idx]):
+            return False
+        mine, theirs = _fit(self._nums[idx], bound), _fit(other._nums[idx], bound)
+        mine *= other._den  # in place: indexing made both arrays fresh copies
+        theirs *= self._den
+        return bool(np.array_equal(mine, theirs))
 
     def _check_peer(self, other):
         if not isinstance(other, GroupFunction) or other.group is not self.group:
@@ -774,6 +773,8 @@ def spectra(ops, tol=1e-9):
     the blocks to the walk where a residual on 1 x 1 blocks cannot."""
     _require_tolerance("tol", tol)
     solve_spectra(ops)
+    if not ops:
+        return []
     group, n = ops[0].group, ops[0].group.order
     eigvals, residuals = (np.array([op._eigen[i] for op in ops]) for i in (0, 1))
     power_sums = zip(eigvals.sum(axis=1).tolist(), (eigvals * eigvals).sum(axis=1).tolist())

@@ -12,7 +12,10 @@ keeps only the left walks and weights of its measures.  After the pass one
 foguel walk runs every group's measures side by side, with no dense
 operator.  The stirling suite's exp bound takes its matrix exponential from
 linalg.expm, a scaling and squaring Padé approximant in numpy, so numpy is
-the only dependency at run time.
+the only dependency at run time.  Every suite draws from the standard
+library's random.Random, seeded by text: the corpus from f"{seed}|{group}",
+the revuz and stirling trials from f"{seed}|revuz" and f"{seed}|stirling".
+numpy's bit generators are never loaded.
 """
 
 from __future__ import annotations
@@ -345,20 +348,84 @@ def default_corpus_groups():
     return groups
 
 
+def _prime_factors(n):
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] * (n > 1)
+
+
+def _echelon_mod_p(rows, p):
+    """Pivot rows over F_p spanning the integer rows: for each column in
+    turn, the first row nonzero there, scaled to 1 at it, is cleared from
+    every row nonzero there and kept; rows that reach zero drop out."""
+    rows, pivots = rows % p, []
+    for col in range(rows.shape[1]):
+        rows = rows[rows.any(axis=1)]
+        hit = np.flatnonzero(rows[:, col])
+        if hit.size:
+            pivot = rows[hit[0]] * pow(int(rows[hit[0], col]), -1, p) % p
+            rows[hit] = (rows[hit] - np.outer(rows[hit, col], pivot)) % p
+            pivots.append(pivot)
+    return np.array(pivots, dtype=np.int64).reshape(-1, rows.shape[1])
+
+
+def _elementary_quotient_rank(group):
+    """The largest rank r_p of an elementary abelian p-quotient of a finite
+    group, over the primes p dividing its order; Z_p^r needs r generators.
+
+    With t_1 .. t_k the greedy generators (`generator_masks`) and vec(g) the
+    exponent counts of each t_i in g's word along a breadth-first search of
+    their right steps from the identity, G / G'G^p is F_p^k modulo the span
+    of the relators vec(g) + e_i - vec(g t_i) (Schreier's lemma on the
+    search tree), so r_p = k - their rank over F_p.  Each generator's n
+    relators join the echelon rows of the earlier ones, so no step holds
+    more than n + k rows.  r_2 is the rank of the sign characters
+    (`sign_vectors`)."""
+    perms = group.generator_masks()[3]
+    n, k = group.order, len(perms)
+    if not k:
+        return 0
+    vec = np.full((n, k), -1, dtype=np.int64)
+    vec[group.identity], frontier = 0, np.array([group.identity])
+    while frontier.size:
+        reached = []
+        for i, perm in enumerate(perms):
+            image = perm[frontier]
+            fresh = vec[image, 0] < 0
+            vec[image[fresh]] = vec[frontier[fresh]]
+            vec[image[fresh], i] += 1
+            reached.append(image[fresh])
+        frontier = np.concatenate(reached)
+    best = 0
+    for p in _prime_factors(n):
+        rows = np.zeros((0, k), dtype=np.int64)
+        for i, perm in enumerate(perms):
+            if len(rows) < k:
+                rows = _echelon_mod_p(np.vstack([rows, vec - vec[perm] + np.eye(k, dtype=np.int64)[i]]), p)
+        best = max(best, k - len(rows))
+    return best
+
+
 def random_symmetric_generating_measure(group, rng):
     """Seeded random symmetric generating measure, denominator <= 14 p.
 
-    Samples up to p = max(MAX_PAIRS, r) non-identity elements, r the rank
-    of the sign characters (`sign_vectors`; Z2^r needs r generators),
-    closes the set under inverses (resampling until it has at most 2 p
-    elements and generates the group), and gives each inverse pair a weight
-    in 1..7.  The identity, included a quarter of the time, gets weight at
-    most 3 to keep the lazy component small enough for the decay checks.
+    Samples up to p = max(MAX_PAIRS, r) non-identity elements, r the
+    largest rank of an elementary abelian quotient
+    (`_elementary_quotient_rank`; Z_q^r needs r generators), closes the set
+    under inverses (resampling until it has at most 2 p elements and
+    generates the group), and gives each inverse pair a weight in 1..7.
+    The identity, included a quarter of the time, gets weight at most 3 to
+    keep the lazy component small enough for the decay checks.
     """
     n = group.order
     pairs = MAX_PAIRS
     if len(generating_set(group)) > MAX_PAIRS:  # r is at most the greedy |T|
-        pairs = max(pairs, len(group.sign_vectors()).bit_length() - 1)
+        pairs = max(pairs, _elementary_quotient_rank(group))
     for _ in range(1000):
         k = rng.randint(1, pairs)
         picks = rng.sample(range(1, n), min(k, n - 1))
@@ -597,15 +664,16 @@ def _foguel_records(blocks):
 
 
 def _revuz_trials(seed):
-    """revuz_check on TRIALS seeded random commuting stochastic pairs."""
-    rng = np.random.default_rng(seed)
+    """revuz_check on TRIALS random commuting stochastic pairs, drawn from
+    random.Random(f"{seed}|revuz")."""
+    rng = random.Random(f"{seed}|revuz")
     records = []
     for trial in range(TRIALS):
-        dim = int(rng.integers(2, 13))
-        raw = rng.random((dim, dim)) + 1e-3
+        dim = rng.randint(2, 12)
+        raw = np.array([rng.random() for _ in range(dim * dim)]).reshape(dim, dim) + 1e-3
         t2 = raw / raw.sum(axis=1, keepdims=True)
         t1 = (t2 + t2 @ t2) / 2.0
-        a = float(rng.uniform(0.1, 0.9))
+        a = rng.uniform(0.1, 0.9)
         records += _renamed(revuz_check(t1, t2, a), f"stochastic_pair_{trial:03d}")
     return records
 
@@ -663,21 +731,19 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
     Each identity is checked exactly on the interior of its own side.  The
     interior_size record compares the right interior with expected_interior,
     or only reports it when that is None; `suffix` extends the names of the
-    two negation records.
+    two negation records.  Each side's interior is dropped when the next
+    side is built, so the three are never held at once.
     """
-    right, right_interior = _apply_truncated(ball, mu, f, "right")
-    left, left_interior = _apply_truncated(ball, mu, f, "left")
-    both, both_interior = _apply_truncated(ball, mu, right, "left")
-    size, expected = len(right_interior), ">= 0" if expected_interior is None else expected_interior
+    negated = f.scale(-1)
+    right, interior = _apply_truncated(ball, mu, f, "right")
+    size, expected = len(interior), ">= 0" if expected_interior is None else expected_interior
+    checks = [(f"right_convolution_negates{suffix}", right.equals_on(negated, interior), "")]
+    left, interior = _apply_truncated(ball, mu, f, "left")
+    checks.append((f"left_convolution_negates{suffix}", left.equals_on(negated, interior), ""))
+    both, interior = _apply_truncated(ball, mu, right, "left")
+    checks.append(("two_sided_convolution_restores", both.equals_on(f, interior), f"interior={len(interior)}"))
     records = [CheckRecord(fixture, "interior_size", size, expected, expected_interior in (None, size))]
-    both_note = f"interior={len(both_interior)}"
-    for name, out, interior, sign, note in (
-        (f"right_convolution_negates{suffix}", right, right_interior, -1, ""),
-        (f"left_convolution_negates{suffix}", left, left_interior, -1, ""),
-        ("two_sided_convolution_restores", both, both_interior, 1, both_note),
-    ):
-        ok = out.equals_on(f.scale(sign), interior)
-        records.append(CheckRecord(fixture, name, _EXACT[ok], "exact", ok, note=note))
+    records += [CheckRecord(fixture, name, _EXACT[ok], "exact", ok, note=note) for name, ok, note in checks]
     return records
 
 
@@ -717,13 +783,14 @@ def revuz_suite(corpus=None):
 
 
 def stirling_suite(seed=0):
-    """Exp-bound certification for TRIALS seeded contractions, plus the trend."""
-    rng = np.random.default_rng(seed)
+    """Exp-bound certification for TRIALS random contractions, drawn from
+    random.Random(f"{seed}|stirling"), plus the trend."""
+    rng = random.Random(f"{seed}|stirling")
     report = VerificationReport("stirling")
     for trial in range(TRIALS):
-        dim = int(rng.integers(2, 13))
-        raw = rng.standard_normal((dim, dim))
-        scale = float(rng.uniform(0.5, 1.0))
+        dim = rng.randint(2, 12)
+        raw = np.array([rng.gauss(0.0, 1.0) for _ in range(dim * dim)]).reshape(dim, dim)
+        scale = rng.uniform(0.5, 1.0)
         t = raw * (scale / operator_norm(raw))
         for n in (1, 10, 100):
             result = exp_bound_check(t, n)

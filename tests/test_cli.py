@@ -848,6 +848,27 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     assert done.stdout.strip() == "[[], [], []]"
 
 
+RANDOM_GUARD = """
+import sys
+from groupwalk.cli import main
+assert main(["verify", "all", "--seed", "0", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in ("numpy.random", "secrets") if m in sys.modules))
+"""
+
+
+def test_verify_all_loads_neither_numpy_random_nor_secrets(tmp_path):
+    """Every suite draws from the standard library's random.Random, so a
+    fresh interpreter that runs `verify all` never loads numpy's bit
+    generators or the secrets module they import."""
+    src = str(Path(groupwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", RANDOM_GUARD, str(tmp_path / "all.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_verify_subcommand_unknown_suite(capsys):
     code, _, err = run_main(capsys, ["verify", "nope"])
     assert code == 2
@@ -856,8 +877,8 @@ def test_verify_subcommand_unknown_suite(capsys):
 
 @pytest.mark.parametrize("seed", ["-1", "-7", "x", "1.5"])
 def test_verify_refuses_a_bad_seed_before_any_suite_runs(capsys, monkeypatch, seed):
-    """numpy's seeded generators take no negative seed: the parser refuses
-    it with exit 2 and a message naming --seed, and no suite starts."""
+    """--seed is a non-negative integer: the parser refuses anything else
+    with exit 2 and a message naming --seed, and no suite starts."""
     monkeypatch.setattr(cli, "verify_suite", lambda *args, **kwargs: pytest.fail("a suite ran"))
     code, out, err = run_main(capsys, ["verify", "all", "--seed", seed])
     assert code == 2 and out == ""

@@ -1352,6 +1352,16 @@ def test_label_walks_refuses_operators_on_two_groups():
     assert all(op._stencil is None and op._walk is None for op in ops)
 
 
+@pytest.mark.parametrize(
+    "batch, out", [(operators.spectra, []), (solve_spectra, None), (label_walks, None)],
+    ids=["spectra", "solve_spectra", "label_walks"],
+)
+def test_batch_entry_points_accept_no_operators(batch, out):
+    """An empty batch is no work: spectra gives no reports, and the other
+    two have nothing to solve or label."""
+    assert batch([]) == out
+
+
 @pytest.mark.parametrize("order", [4096, 12000])
 def test_uniform_walk_spectrum_in_small_memory(order):
     """P f is the mean of f: 1 once and 0 n - 1 times, from n 1 x 1 blocks

@@ -21,6 +21,7 @@ from groupwalk.groups import (
     ProductGroup,
     QuaternionGroup,
     SymmetricGroup,
+    closure,
 )
 from groupwalk.harmonic import (
     anti_harmonic_space,
@@ -249,9 +250,9 @@ def test_theorem_suite_labels_and_solves_each_group_once(monkeypatch):
 
 
 def test_corpus_computes_each_groups_sign_vectors_once(monkeypatch):
-    """The sign vectors depend only on the group: the sampler (which reads
-    them on Z2^5, whose greedy generators outnumber MAX_PAIRS) and each
-    measure's character search share one computation per group."""
+    """The sign vectors depend only on the group: each measure's character
+    search shares one computation per group, on Z2^5 too, whose greedy
+    generators outnumber MAX_PAIRS."""
     returned = {}
     sign_vectors = FiniteGroup.sign_vectors
 
@@ -611,6 +612,46 @@ def test_sampler_draws_as_many_pairs_as_the_group_needs_generators():
     assert is_symmetric(mu) and is_generating(mu) and len(set(mu.weights) - {0}) == 12
 
 
+@pytest.mark.parametrize("factor, rank", [(3, 5), (5, 4)], ids=["Z3^5", "Z5^4"])
+def test_sampler_draws_odd_prime_elementary_abelian_groups(factor, rank):
+    """Z_p^r needs r generators whatever p is: on Z3^5 the sampler draws five
+    pairs, where the sign characters' 2-rank (0) would allow only four."""
+    group = ProductGroup([CyclicGroup(factor)] * rank)
+    mu = random_symmetric_generating_measure(group, random.Random(0))
+    assert is_symmetric(mu) and is_generating(mu)
+
+
+def _quotient_rank_by_closure(group, p):
+    """r_p from the subgroup G'G^p, the closure of every commutator and
+    p-th power (each set is closed under conjugation): |G / G'G^p| = p^r_p."""
+    mul, inv = group.mul, group.inv
+    seeds = {mul(mul(a, b), mul(inv(a), inv(b))) for a in group.elements() for b in group.elements()}
+    for g in group.elements():
+        power = group.identity
+        for _ in range(p):
+            power = mul(power, g)
+        seeds.add(power)
+    return round(math.log(group.order // len(closure(group, seeds)), p))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(1), CyclicGroup(12), DihedralGroup(6), SymmetricGroup(4), QuaternionGroup(),
+     AlternatingGroup(4), ProductGroup([CyclicGroup(4), CyclicGroup(2), CyclicGroup(6)]),
+     ProductGroup([CyclicGroup(3)] * 3), ProductGroup([SymmetricGroup(3), CyclicGroup(3)]),
+     ProductGroup([CyclicGroup(5), CyclicGroup(5)])],
+    ids=lambda g: g.name,
+)
+def test_elementary_quotient_rank_matches_the_commutator_closure(group):
+    """The relator rank against an oracle that never reads the generators,
+    and against the sign characters at p = 2."""
+    primes = [p for p in (2, 3, 5) if group.order % p == 0]
+    expected = max([_quotient_rank_by_closure(group, p) for p in primes], default=0)
+    assert verify._elementary_quotient_rank(group) == expected
+    if 2 in primes:
+        assert _quotient_rank_by_closure(group, 2) == len(group.sign_vectors()).bit_length() - 1
+
+
 def test_sampler_rejects_impossible_group():
     rng = random.Random(0)
     mu = random_symmetric_generating_measure(DihedralGroup(8), rng)
@@ -803,6 +844,26 @@ def test_stirling_suite_has_trend_records():
         "ratio_n=100",
         "ratio_n=200",
     ]
+
+
+@pytest.mark.parametrize(
+    "trials", [stirling_suite, verify._revuz_trials], ids=["stirling_suite", "revuz_trials"]
+)
+def test_trials_repeat_for_a_seed_and_move_with_it(trials):
+    """The trial matrices come from random.Random seeded by text, so equal
+    seeds give equal records and seeds 3 and 4 give different ones."""
+    def drawn(seed):
+        out = trials(seed)
+        return [rec.to_json() for rec in getattr(out, "records", out)]
+
+    assert drawn(3) == drawn(3)
+    assert drawn(3) != drawn(4)
+
+
+@pytest.mark.parametrize("suite", ["revuz", "stirling"])
+@pytest.mark.parametrize("seed", range(10))
+def test_trial_suites_pass_at_the_first_ten_seeds(suite, seed):
+    assert verify_suite(suite, seed=seed).passed
 
 
 def test_verify_all_samples_each_fixture_once_and_matches_the_suites_alone(monkeypatch):
