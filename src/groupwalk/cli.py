@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,12 +180,7 @@ def _task_boundary(group, mu, config):
 
 
 def _task_foguel(group, mu, config):
-    result = foguel_decay(group, mu)
-    return {
-        "distances": result.distances,
-        "first_below": result.first_below,
-        "identity_in_support": result.identity_in_support,
-    }
+    return asdict(foguel_decay(group, mu))
 
 
 def _task_verify(group, mu, config):
@@ -265,17 +260,12 @@ def _name(key):
     return _flat("")({key: None})[1:-7]
 
 
-def _encode(obj, indent="\n"):
-    """The text of json.dumps(obj, indent=2, sort_keys=True) at this indent."""
-    return "".join(_chunks(obj, indent))
-
-
 def _chunks(obj, indent="\n"):
-    """The text of `_encode(obj, indent)` in pieces: a dict of scalars whole,
-    any other dict key by key, and a list one batch of _BATCH entries at a
-    time.  A batch of scalars takes one call to json's encoder, a batch of
-    nonempty dicts of scalars (check records as their dicts) one more, and
-    any other batch one piece per entry."""
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at this indent,
+    in pieces: a dict of scalars whole, any other dict key by key, and a list
+    one batch of _BATCH entries at a time.  A batch of scalars takes one call
+    to json's encoder, a batch of nonempty dicts of scalars (check records as
+    their dicts) one more, and any other batch one piece per entry."""
     inner, deeper = indent + "  ", indent + "    "
     if isinstance(obj, dict) and obj and not _is_flat(obj.values()):
         for i, key in enumerate(sorted(obj)):

@@ -628,7 +628,7 @@ class LatticeBall(TruncatedGroup):
     def index_of_form(self, form):
         """Index of a point given as dim integers, None outside the ball:
         `_lookup`'s rank of the one point."""
-        form = [operator.index(x) for x in form]  # refuses 1.5, which int64 would truncate
+        form = _integer_form(form)
         if len(form) != self.dim or sum(map(abs, form)) > self.radius:
             return None
         return self._lookup(np.array([form], dtype=np.int64)).item()
@@ -749,6 +749,7 @@ class FreeBall(TruncatedGroup):
     def index_of_form(self, form):
         """Index of a reduced word given as signed letters, None when the
         word is not reduced or lies outside the ball."""
+        form = _integer_form(form)
         if len(form) > self.radius:
             return None
         g = 0
@@ -838,6 +839,13 @@ def build_group(spec):
             raise ConstructionError(f"{kind} spec requires radius >= 1")
         return (LatticeBall if kind == "lattice" else FreeBall)(getattr(spec, size), spec.radius)
     raise ConstructionError(f"unknown group kind {kind!r}")
+
+
+def _integer_form(form):
+    """A ball form's entries as ints; a float or a bool raises TypeError."""
+    if any(isinstance(x, bool) for x in form):  # operator.index reads True as 1
+        raise TypeError(f"form entries must be integers, got {form!r}")
+    return [operator.index(x) for x in form]
 
 
 def _require_int(value, field, kind):

@@ -19,7 +19,8 @@ An exact `GroupFunction` is an integer numerator array over one positive
 denominator (plus a `defined` mask for partial ball results); `_gather`
 sums the walk on the numerators, in int64 when no partial sum can reach
 2**63 and on Python ints otherwise.  No exact step builds a Fraction per
-entry; the `values` list is only a read view.
+entry; the `values` list is only a read view.  `apply` steps a function on
+a finite group, `apply_truncated` on a ball: its interior is an int64 array.
 
 Every walk acts on its measure's own group object and refuses any other
 (`_require_own_group`); only a finite group takes one (`_require_finite`).
@@ -641,16 +642,10 @@ def apply(op, f):
 def apply_truncated(group, mu, f, side):
     """Apply one convolution step of a measure on a ball truncation.
 
-    Returns (result, interior) where interior lists the indices g at which
-    every required product stays in the ball and f is defined there; the
-    result holds None outside the interior.
+    Returns (result, interior) where interior is the int64 array of the
+    indices g at which every required product stays in the ball and f is
+    defined there; the result holds None outside the interior.
     """
-    out, interior = _apply_truncated(group, mu, f, side)
-    return out, interior.tolist()
-
-
-def _apply_truncated(group, mu, f, side):
-    """apply_truncated with the interior as an int64 index array."""
     if not group.is_truncated:
         raise ConstructionError("apply_truncated requires a ball truncation; use apply instead")
     op = _operator(group, mu, side)

@@ -9,13 +9,13 @@ its theorem records from one batch over all its measures (one labelling
 call per kind of walk, one spectral pass, and each exact certificate run
 once on a stack of the group's walks through `operators._gather`), and
 keeps only the left walks and weights of its measures.  After the pass one
-foguel walk runs every group's measures side by side, with no dense
-operator.  The stirling suite's exp bound takes its matrix exponential from
-linalg.expm, a scaling and squaring Padé approximant in numpy, so numpy is
-the only dependency at run time.  Every suite draws from the standard
-library's random.Random, seeded by text: the corpus from f"{seed}|{group}",
-the revuz and stirling trials from f"{seed}|revuz" and f"{seed}|stirling".
-numpy's bit generators are never loaded.
+`_foguel_walk`, the walk of `foguel_decay`, runs every group's measures side
+by side with no dense operator.  The stirling suite's exp bound takes its
+matrix exponential from linalg.expm, a scaling and squaring Padé
+approximant in numpy, so numpy is the only dependency at run time.  Every
+suite draws from the standard library's random.Random (never numpy's bit
+generators), seeded by text: the corpus from f"{seed}|{group}", the revuz
+and stirling trials from f"{seed}|revuz" and f"{seed}|stirling".
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .measures import (
 from .operators import (
     PERIPHERAL_TOL,
     GroupFunction,
-    _apply_truncated,
     _fit,
     _gather,
     _lifted,
@@ -60,6 +59,7 @@ from .operators import (
     _require_tolerance,
     _stacked,
     _two_sided,
+    apply_truncated,
     component_kernel,
     label_walks,
     left_operator,
@@ -76,6 +76,8 @@ TRIALS = 100  # seeded random matrices of the revuz and stirling suites
 ROOT_OF_UNITY_TOL = 1e-6  # |lambda^k - 1| of a peripheral eigenvalue
 REVUZ_TOL = 1e-7  # residual |T x - x| of a fixed vector of the blend
 STIRLING_NS = (10, 50, 100, 200)  # the n of the stirling trend
+FOGUEL_EPS = 1e-6  # the total-variation gap a lazy walk must reach
+FOGUEL_STEPS = 500  # steps of the foguel walk
 
 __all__ = [
     "CheckRecord",
@@ -85,7 +87,6 @@ __all__ = [
     "ExpBoundResult",
     "CorpusSpec",
     "foguel_decay",
-    "foguel_decays",
     "root_of_unity_check",
     "revuz_check",
     "ball_sign_records",
@@ -153,11 +154,6 @@ class VerificationReport:
             "checks": [r.to_json() for r in self.records],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        fields = ("fixture", "quantity", "value", "threshold", "passed")
-        return cls(obj["suite"], [CheckRecord(*(c[f] for f in fields), c.get("note", "")) for c in obj["checks"]])
-
     def summary_lines(self):
         return [r.summary_line() for r in self.records]
 
@@ -175,30 +171,19 @@ class FoguelDecayResult:
         return not self.identity_in_support
 
 
-def foguel_decay(group, mu, eps=1e-6, n_max=500):
-    """Track d_n = tv(mu^n, mu^(n+1)) for n = 1..n_max.
+def foguel_decay(group, mu, eps=FOGUEL_EPS, n_max=FOGUEL_STEPS):
+    """Track d_n = tv(mu^n, mu^(n+1)) for n = 1..n_max, n_max an int >= 1.
 
-    When the identity carries mass the sequence must reach eps; otherwise
-    the result is observational (bipartite walks stay at 1).  Distances are
-    computed in floating point by walking mu's left stencil (`foguel_decays`
-    with one measure); no dense operator or table of powers is built.
+    When the identity carries mass the sequence must reach eps (finite,
+    > 0); otherwise the result is observational (bipartite walks stay at 1).
+    Distances are computed in floating point by walking mu's left stencil
+    (`_foguel_walk`); no dense operator or table of powers is built.
     """
-    return foguel_decays(group, [mu], eps, n_max)[0]
-
-
-def foguel_decays(group, measures, eps=1e-6, n_max=500):
-    """foguel_decay for several measures on one group, in one walk
-    (`_foguel_walk`); eps must be finite and > 0, n_max an int >= 1, measures non-empty."""
     _require_tolerance("eps", eps)
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
-    if not len(measures):
-        raise ValueError("measures must hold at least one measure")
-    [(gaps, first)] = _foguel_walk([_foguel_block(group, measures)], eps, n_max, group.name)
-    return [
-        FoguelDecayResult(gaps[:, j].tolist(), first[j] or None, group.identity in mu.weights)
-        for j, mu in enumerate(measures)
-    ]
+    [(gaps, [first])] = _foguel_walk([_foguel_block(group, [mu])], eps, n_max, group.name)
+    return FoguelDecayResult(gaps[:, 0].tolist(), first or None, group.identity in mu.weights)
 
 
 def _foguel_block(group, measures):
@@ -266,7 +251,7 @@ def root_of_unity_check(group, mu):
     return time of the support walk to the identity, at most |G|
     (`min_return`): |G| is the min_return record's threshold."""
     k = min_return(mu)
-    records = [CheckRecord(group.name, "min_return", k, group.order, True)]
+    records = [CheckRecord(group.name, "min_return", k, group.order, bool(k <= group.order))]
     for lam in spectrum(right_operator(group, mu)).peripheral:
         err = abs(lam**k - 1)
         quantity = f"|lambda^{k} - 1| at {lam:.6f}"
@@ -646,13 +631,13 @@ def _foguel_records(blocks):
     (blocks holds (fixture ids, `_foguel_block`) in corpus order), then the
     bipartite Z4 control, whose gaps stay at 1."""
     records, note = [], "observation: identity not in support"
-    walked = _foguel_walk([block for _, block in blocks], 1e-6, 500, "the corpus")
+    walked = _foguel_walk([block for _, block in blocks], FOGUEL_EPS, FOGUEL_STEPS, "the corpus")
     for (fids, (group, entries)), (gaps, first) in zip(blocks, walked):
         in_range = ((gaps >= -1e-12) & (gaps <= 1 + 1e-12)).all(axis=0).tolist()
         for fid, (_, start), ok, k in zip(fids, entries, in_range, first):
             if group.identity in start:
                 reached = ok and k > 0
-                records.append(CheckRecord(fid, "tv_gap_reaches_eps", k or "never", 500, reached))
+                records.append(CheckRecord(fid, "tv_gap_reaches_eps", k or "never", FOGUEL_STEPS, reached))
             else:
                 value = "ok" if ok else "out of range"
                 records.append(CheckRecord(fid, "tv_gap_in_unit_range", value, "[0, 1]", ok, note))
@@ -735,12 +720,12 @@ def ball_sign_records(fixture, ball, mu, f, expected_interior=None, suffix=""):
     side is built, so the three are never held at once.
     """
     negated = f.scale(-1)
-    right, interior = _apply_truncated(ball, mu, f, "right")
+    right, interior = apply_truncated(ball, mu, f, "right")
     size, expected = len(interior), ">= 0" if expected_interior is None else expected_interior
     checks = [(f"right_convolution_negates{suffix}", right.equals_on(negated, interior), "")]
-    left, interior = _apply_truncated(ball, mu, f, "left")
+    left, interior = apply_truncated(ball, mu, f, "left")
     checks.append((f"left_convolution_negates{suffix}", left.equals_on(negated, interior), ""))
-    both, interior = _apply_truncated(ball, mu, right, "left")
+    both, interior = apply_truncated(ball, mu, right, "left")
     checks.append(("two_sided_convolution_restores", both.equals_on(f, interior), f"interior={len(interior)}"))
     records = [CheckRecord(fixture, "interior_size", size, expected, expected_interior in (None, size))]
     records += [CheckRecord(fixture, name, _EXACT[ok], "exact", ok, note=note) for name, ok, note in checks]
@@ -771,20 +756,10 @@ def examples_suite():
     return report
 
 
-def foguel_suite(corpus=None):
-    """tv(mu^n, mu^(n+1)) over the corpus in one walk, plus the Z4 control."""
-    return _corpus_suites(("foguel",), corpus)["foguel"]
-
-
-def revuz_suite(corpus=None):
-    """TRIALS random commuting stochastic pairs, seeded by the corpus seed,
-    plus convolution-operator blends over the corpus."""
-    return _corpus_suites(("revuz",), corpus)["revuz"]
-
-
 def stirling_suite(seed=0):
     """Exp-bound certification for TRIALS random contractions, drawn from
-    random.Random(f"{seed}|stirling"), plus the trend."""
+    random.Random(f"{seed}|stirling"), plus the trend: each ratio below 1
+    and below the next, the last in 0.9..1.1."""
     rng = random.Random(f"{seed}|stirling")
     report = VerificationReport("stirling")
     for trial in range(TRIALS):
@@ -796,8 +771,9 @@ def stirling_suite(seed=0):
             result = exp_bound_check(t, n)
             fixture = f"contraction_{trial:03d}"
             report.records.append(CheckRecord(fixture, f"exp_bound_n={n}", result.lhs, result.rhs, result.passed))
-    for n, ratio in stirling_trend():
-        bound, ok = ("0.9..1.1", 0.9 <= ratio <= 1.1) if n == 200 else ("monotone toward 1", True)
+    for (n, ratio), (_, after) in itertools.pairwise([*stirling_trend(), (None, None)]):
+        last = after is None
+        bound, ok = ("0.9..1.1", 0.9 <= ratio <= 1.1) if last else ("monotone toward 1", ratio < min(1, after))
         report.records.append(CheckRecord("stirling_trend", f"ratio_n={n}", ratio, bound, ok))
     return report
 

@@ -690,7 +690,7 @@ JSON_VALUES = st.recursive(
 
 @given(JSON_VALUES)
 def test_encoder_matches_json_dumps(payload):
-    assert cli._encode(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(cli._chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_encoder_edge_cases_match_json_dumps():
@@ -702,10 +702,10 @@ def test_encoder_edge_cases_match_json_dumps():
         [np.float64(0.1), np.float64(float("nan"))], -0.0, 10**30,
     ]
     for payload in cases:
-        assert cli._encode(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert "".join(cli._chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
     for bad in ([np.int64(1)], {(1, 2): 3}):
         with pytest.raises(TypeError):
-            cli._encode(bad)
+            "".join(cli._chunks(bad))
 
 
 EMIT_CASES = [

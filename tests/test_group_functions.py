@@ -187,7 +187,8 @@ def test_apply_truncated_matches_fraction_gather(step):
     op = ConvolutionOperator(ball, mu, side)
     expected = fraction_truncated_step(op, values)
     assert out.values == expected
-    assert interior == [g for g, v in enumerate(expected) if v is not None]
+    assert interior.dtype == np.int64
+    assert interior.tolist() == [g for g, v in enumerate(expected) if v is not None]
     assert out.is_exact and out.is_partial == (len(interior) < ball.order)
     twice, _ = apply_truncated(ball, mu, out, side)
     assert twice.values == fraction_truncated_step(op, expected)

@@ -537,6 +537,18 @@ def test_ball_forms_outside_the_ball_have_no_index():
         parse_element(free, "aaaAb")
 
 
+@pytest.mark.parametrize(
+    "ball, form",
+    [(LatticeBall(2, 3), (True, 0)), (LatticeBall(2, 3), (0, False)), (FreeBall(2, 2), (True,)),
+     (FreeBall(2, 2), (1, False)), (FreeBall(2, 2), (1.0,))],
+    ids=["lattice-True", "lattice-False", "free-True", "free-False", "free-float"],
+)
+def test_ball_forms_refuse_bool_and_float_entries(ball, form):
+    """operator.index reads True as 1, so a bool would name a point or a word."""
+    with pytest.raises(TypeError, match="integer"):
+        ball.index_of_form(form)
+
+
 def test_ball_products_that_leave_the_ball_are_none():
     lat = LatticeBall(2, 3)
     far = lat.index_of_form((2, 1))

@@ -60,3 +60,61 @@ def test_the_local_import_check_sees_only_modules_imported_at_top_level():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_function_imports_from_a_module_its_file_imports_at_top_level(path):
     assert _redundant_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+TRACER = SRC.parent.parent / "bench" / "tracer.py"
+
+
+def _list_value(tree, name):
+    """The value node of a module-level `name = [...]`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return node.value
+    raise LookupError(name)
+
+
+def _uncalled(sources, exported, targets):
+    """(module, name) of each module-level function, outside `__init__`,
+    that no module of `sources` ({module: source}) reads outside the
+    function's own body, that `exported` does not hold and that no
+    (module, name) of `targets` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = []  # (module, name, node) of each name read as a value or an attribute
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.id, node))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.attr, node))
+    uncalled = []
+    for module, tree in trees.items():
+        for func in tree.body if module != "__init__" else []:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = set(map(id, ast.walk(func)))
+            read = any(name == func.name and not (where == module and id(node) in own) for where, name, node in reads)
+            if not (read or func.name in exported or (module, func.name) in targets):
+                uncalled.append((module, func.name))
+    return sorted(uncalled)
+
+
+def test_the_caller_check_sees_functions_only_their_own_body_reads():
+    sources = {
+        "a": "def called():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+             "def exported():\n    pass\n\ndef traced():\n    pass\n",
+        "b": "from .a import called\nimport a\n\ndef user():\n    return called(), a.attribute_read()\n\n"
+             "def attribute_read():\n    pass\n",
+    }
+    assert _uncalled(sources, {"exported"}, {("a", "traced")}) == [("a", "recursive"), ("b", "user")]
+
+
+def test_every_function_in_src_has_a_caller_an_export_or_a_trace_target():
+    """A function that only tests call belongs in the tests: the package,
+    groupwalk.__all__ and bench/tracer.py's TARGETS are its callers."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    exported = set(ast.literal_eval(_list_value(ast.parse(sources["__init__"]), "__all__")))
+    targets = set()
+    for node in ast.walk(_list_value(ast.parse(TRACER.read_text(encoding="utf-8")), "TARGETS")):
+        if isinstance(node, ast.Tuple) and all(isinstance(elt, ast.Constant) for elt in node.elts[:2]):
+            targets.add((node.elts[0].value, node.elts[1].value))
+    assert _uncalled(sources, exported, targets) == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -47,12 +48,9 @@ from groupwalk.verify import (
     exp_bound_check,
     fixture_theorem_checks,
     foguel_decay,
-    foguel_decays,
-    foguel_suite,
     nonsymmetric_fixtures,
     random_symmetric_generating_measure,
     revuz_check,
-    revuz_suite,
     root_of_unity_check,
     run_theorem_suite,
     stirling_suite,
@@ -65,6 +63,11 @@ from walk_reference import decompose_splits, theorem_records_by_fixture
 F = Fraction
 
 TINY_CORPUS = CorpusSpec(groups=[CyclicGroup(4), CyclicGroup(5)], measures_per_group=3)
+
+
+def _corpus_suite(name, corpus=TINY_CORPUS):
+    """One corpus suite's report, from the pass that `verify all` runs."""
+    return verify._corpus_suites((name,), corpus)[name]
 
 
 # ---------------------------------------------------------------- foguel
@@ -189,23 +192,24 @@ def test_foguel_decay_matches_dense_matvec_loop(group, seed, exact, eps, n_max):
     st.integers(1, 80),
 )
 def test_foguel_decays_matches_one_walk_per_measure(group, seed, exact_flags, n_max):
-    """Mixed support sizes (weight-0 padding), exact and float weights."""
+    """The corpus walk of several measures side by side gives each measure
+    the gaps of its own foguel_decay: mixed support sizes (weight-0
+    padding), exact and float weights."""
     rng = random.Random(seed)
     measures = [_random_measure(group, rng, exact) for exact in exact_flags]
-    batched = foguel_decays(group, measures, n_max=n_max)
-    for mu, result in zip(measures, batched):
+    block = verify._foguel_block(group, measures)
+    [(gaps, first)] = verify._foguel_walk([block], verify.FOGUEL_EPS, n_max, group.name)
+    for j, mu in enumerate(measures):
         alone = foguel_decay(group, mu, n_max=n_max)
-        assert result.distances == alone.distances
-        assert (result.first_below, result.identity_in_support) == (
-            alone.first_below, alone.identity_in_support,
-        )
+        assert gaps[:, j].tolist() == alone.distances
+        assert (first[j] or None) == alone.first_below
 
 
 def test_foguel_decay_builds_no_dense_operator():
     g = DihedralGroup(6)
     mu = make_measure(g, [(0, F(1, 2)), (1, F(1, 4)), (6, F(1, 4))])
     foguel_decay(g, mu)
-    foguel_decays(g, [mu, uniform(g, [1, 11])])
+    verify._foguel_walk([verify._foguel_block(g, [mu, uniform(g, [1, 11])])], 1e-6, 10, g.name)
     assert left_operator(g, mu)._float_matrix is None
     assert right_operator(g, mu)._float_matrix is None
 
@@ -220,7 +224,7 @@ def test_foguel_suite_walks_each_group_once(monkeypatch):
         return real(blocks, *args)
 
     monkeypatch.setattr(verify, "_foguel_walk", counting)
-    report = foguel_suite(TINY_CORPUS)
+    report = _corpus_suite("foguel")
     assert walks == [[("Z4", 3), ("Z5", 3)], [("Z4", 1)]]
     assert [r.fixture for r in report.records] == [
         "Z4/sym00", "Z4/sym01", "Z4/sym02", "Z5/sym00", "Z5/sym01", "Z5/sym02", "Z4/bipartite",
@@ -359,7 +363,7 @@ def test_foguel_suite_fails_gaps_out_of_the_unit_range(monkeypatch):
         return walked
 
     monkeypatch.setattr(verify, "_foguel_walk", bent)
-    records = foguel_suite(TINY_CORPUS).records
+    records = _corpus_suite("foguel").records
     assert not any(r.passed for r in records)
     observed = {r.value for r in records if r.quantity == "tv_gap_in_unit_range"}
     assert observed == {"out of range"}
@@ -368,26 +372,26 @@ def test_foguel_suite_fails_gaps_out_of_the_unit_range(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs, name",
     [({"n_max": 0}, "n_max"), ({"n_max": -1}, "n_max"), ({"n_max": 2.5}, "n_max"),
-     ({"n_max": True}, "n_max"), ({"measures": []}, "measures"),
+     ({"n_max": True}, "n_max"),
      ({"eps": 0}, "eps"), ({"eps": -1e-6}, "eps"), ({"eps": math.nan}, "eps"),
      ({"eps": math.inf}, "eps"), ({"eps": True}, "eps")],
-    ids=["n_max=0", "n_max=-1", "n_max=2.5", "n_max=True", "no-measures",
+    ids=["n_max=0", "n_max=-1", "n_max=2.5", "n_max=True",
          "eps=0", "eps=-1e-6", "eps=nan", "eps=inf", "eps=True"],
 )
 def test_foguel_decays_refuses_bad_arguments_before_any_allocation(monkeypatch, kwargs, name):
     g = CyclicGroup(4)
     monkeypatch.setattr(verify, "_foguel_block", lambda *args: pytest.fail("a walk was built"))
     with pytest.raises(ValueError, match=name):
-        foguel_decays(g, **{"measures": [uniform(g, [0, 1])], **kwargs})
+        foguel_decay(g, uniform(g, [0, 1]), **kwargs)
 
 
 @pytest.mark.parametrize("home, other", [(4, 5), (5, 4)])
 def test_foguel_refuses_a_measure_from_a_group_of_another_order(home, other):
     mu = uniform(CyclicGroup(home), [0, 1, home - 1])
     with pytest.raises(ValueError, match=f"measure on Z{home} does not walk on Z{other}: "):
-        foguel_decays(CyclicGroup(other), [mu])
+        foguel_decay(CyclicGroup(other), mu)
     with pytest.raises(ValueError, match=f"measure on Z{home} does not walk on Z{home}: "):
-        foguel_decays(CyclicGroup(home), [mu])  # another object of the same group
+        foguel_decay(CyclicGroup(home), mu)  # another object of the same group
     assert foguel_decay(mu.group, mu).first_below is not None
 
 
@@ -415,6 +419,15 @@ def test_root_of_unity_bipartite_period_two():
     assert report.passed
     assert report.records[0].value == 2
     assert len(report.records) == 3  # min_return plus lambda in {+1, -1}
+
+
+def test_root_of_unity_min_return_record_fails_above_the_order(monkeypatch):
+    g = CyclicGroup(4)
+    monkeypatch.setattr(verify, "min_return", lambda mu: g.order + 1)
+    report = root_of_unity_check(g, uniform(g, [1, 3]))
+    assert (report.records[0].quantity, report.records[0].value) == ("min_return", 5)
+    assert not report.records[0].passed
+    assert not report.passed
 
 
 # ---------------------------------------------------------------- revuz / exp bound
@@ -816,7 +829,7 @@ def test_examples_suite_ball_counts():
 
 
 def test_foguel_suite_includes_negative_control():
-    report = foguel_suite(TINY_CORPUS)
+    report = _corpus_suite("foguel")
     assert report.passed
     control = [r for r in report.records if r.fixture == "Z4/bipartite"]
     assert len(control) == 1
@@ -824,7 +837,7 @@ def test_foguel_suite_includes_negative_control():
 
 
 def test_revuz_suite_mixes_random_and_corpus():
-    report = revuz_suite(corpus=TINY_CORPUS)
+    report = _corpus_suite("revuz")
     assert report.passed
     fixtures = {r.fixture for r in report.records}
     assert {f"stochastic_pair_{trial:03d}" for trial in range(verify.TRIALS)} <= fixtures
@@ -844,6 +857,15 @@ def test_stirling_suite_has_trend_records():
         "ratio_n=100",
         "ratio_n=200",
     ]
+    assert [r.threshold for r in trend] == ["monotone toward 1"] * 3 + ["0.9..1.1"]
+
+
+def test_stirling_trend_records_fail_off_the_monotone_trend(monkeypatch):
+    """Each ratio but the last must sit below 1 and below the next one."""
+    trend = [(10, 0.995), (50, 0.99), (100, 1.0), (200, 0.9995)]
+    monkeypatch.setattr(verify, "stirling_trend", lambda: trend)
+    records = [r for r in stirling_suite(seed=0).records if r.fixture == "stirling_trend"]
+    assert [r.passed for r in records] == [False, True, False, True]
 
 
 @pytest.mark.parametrize(
@@ -895,16 +917,17 @@ def test_verify_suite_dispatch_and_determinism():
 # ---------------------------------------------------------------- reports
 
 def test_report_json_round_trip():
+    """The report's JSON text carries its suite, verdict and records."""
     g = CyclicGroup(4)
     report = root_of_unity_check(g, uniform(g, [1, 3]))
-    back = VerificationReport.from_json(report.to_json())
-    assert back.suite == report.suite
-    assert back.passed == report.passed
-    assert len(back.records) == len(report.records)
-    for mine, theirs in zip(report.records, back.records):
-        assert mine.fixture == theirs.fixture
-        assert mine.quantity == theirs.quantity
-        assert mine.passed == theirs.passed
+    back = json.loads(json.dumps(report.to_json()))
+    assert back["suite"] == report.suite
+    assert back["passed"] == report.passed
+    assert len(back["checks"]) == len(report.records)
+    for mine, theirs in zip(report.records, back["checks"]):
+        assert mine.fixture == theirs["fixture"]
+        assert mine.quantity == theirs["quantity"]
+        assert mine.passed == theirs["passed"]
 
 
 def test_check_record_summary_lines():
