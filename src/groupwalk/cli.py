@@ -125,17 +125,11 @@ def _build_inputs(config):
     return group, mu
 
 
-def _gate_tasks(group, mu, tasks):
+def _gate_tasks(group, tasks):
     if group.is_truncated:
         for task in ("spectrum", "biharmonic", "boundary", "foguel"):
             if task in tasks:
                 raise ConfigError(f"tasks: {task} requires finite group; use verify/truncated tasks")
-    else:
-        if not mu.exact and ("biharmonic" in tasks or "boundary" in tasks):
-            raise ConfigError(
-                "measure: biharmonic and boundary tasks need exact rational weights "
-                '(write them as strings like "1/2") with options.exact left on'
-            )
 
 
 def _task_spectrum(group, mu, config):
@@ -163,7 +157,7 @@ def _task_biharmonic(group, mu, config):
         decompositions.append(
             {
                 "function": _function_values(f),
-                "constant": None if dec.constant is None else str(dec.constant),  # a Fraction: weights are exact
+                "constant": None if dec.constant is None else str(dec.constant),  # "1/2", or "0.5" on float weights
                 "harmonic_part": _function_values(dec.harmonic_part),
                 "anti_part": _function_values(dec.anti_part),
             }
@@ -216,7 +210,7 @@ _TASK_RUNNERS = {
 def run_analysis(config):
     """Execute the configured tasks in fixed order and build the report dict."""
     group, mu = _build_inputs(config)
-    _gate_tasks(group, mu, config.tasks)
+    _gate_tasks(group, config.tasks)
     results = {}
     for task in TASK_ORDER:
         if task in config.tasks:
@@ -314,11 +308,6 @@ def _emit(payload, out_path):
 
 def _run_analyze(args):
     config = load_config(args.config)
-    if args.tol is not None:
-        _require_tolerance("options.tol:", args.tol, ConfigError)
-        config.tol = args.tol
-    if args.no_exact:
-        config.exact = False
     report = run_analysis(config)
     if args.csv:
         _write_csv_tables(report, args.csv)
@@ -359,10 +348,6 @@ def build_parser():
     analyze.add_argument("config", help="path to the JSON config")
     analyze.add_argument("--out", help="write the report here instead of stdout")
     analyze.add_argument("--csv", help="directory for eigenvalue/decay CSV tables")
-    analyze.add_argument("--tol", type=float, default=None, help="override options.tol")
-    analyze.add_argument(
-        "--no-exact", action="store_true", help="force floating-point arithmetic"
-    )
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     verify.add_argument("--seed", type=_seed, default=0, help="corpus seed, a non-negative integer")

@@ -6,7 +6,8 @@ to sign characters that are -1 on the support; the peripheral boundary
 packages the +1 and -1 eigenspaces with their projected product.  The
 exact eigenspaces are read off the connected classes of the walk
 (operators.component_kernel): indicators of the classes for +1, +-1
-colourings of the bipartite classes for -1.
+colourings of the bipartite classes for -1.  The labelling reads no
+weights, so a float measure gets the exact bases of its exact twin.
 """
 
 from __future__ import annotations
@@ -161,16 +162,6 @@ class MonotoneAbsReport:
     monotone: list
     sup_gaps: list
 
-    @property
-    def all_monotone(self):
-        return all(self.monotone)
-
-
-def _require_exact_finite(group, mu, what):
-    _require_finite(group, what)
-    if not mu.exact:
-        raise ValueError(f"{what} requires exact rational weights; use eigenspace for floats")
-
 
 def _fixed_space(group, walk):
     """The fixed-space layout of a walk's classes C_0 .. C_(m-1) (in basis
@@ -189,20 +180,20 @@ def _fixed_coefficients(means):
 def harmonic_space(group, mu, side="right"):
     """Exact basis of the fixed space {f : P f = f} in the _fixed_space
     layout of the walk's classes."""
-    _require_exact_finite(group, mu, "harmonic_space")
+    _require_finite(group, "harmonic_space")
     return _fixed_space(group, _operator(group, mu, side).classes())
 
 
 def anti_harmonic_space(group, mu, side="right"):
     """Exact basis of {f : P f = -f}; empty when -1 is not an eigenvalue."""
-    _require_exact_finite(group, mu, "anti_harmonic_space")
+    _require_finite(group, "anti_harmonic_space")
     return eigenspace(_operator(group, mu, side), -1)
 
 
 def jointly_biharmonic_space(group, mu):
     """Exact basis of {f : mu * f * mu = f} in the _fixed_space layout of
     the classes of the two-sided walk g -> h1 g h2 (kept on mu)."""
-    _require_exact_finite(group, mu, "jointly_biharmonic_space")
+    _require_finite(group, "jointly_biharmonic_space")
     return _fixed_space(group, two_sided_classes(group, [mu])[0])
 
 
@@ -433,7 +424,7 @@ def peripheral_boundary(group, mu):
     onto the block of sign tag_i * tag_j: its class means over the -1
     arrays, through _fixed_coefficients over the +1 layout.
     """
-    _require_exact_finite(group, mu, "peripheral_boundary")
+    _require_finite(group, "peripheral_boundary")
     if not is_symmetric(mu):
         raise ValueError("peripheral_boundary requires a symmetric measure")
     if not is_generating(mu):

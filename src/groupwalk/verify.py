@@ -166,10 +166,6 @@ class FoguelDecayResult:
     first_below: int | None
     identity_in_support: bool
 
-    @property
-    def observation_only(self):
-        return not self.identity_in_support
-
 
 def foguel_decay(group, mu, eps=FOGUEL_EPS, n_max=FOGUEL_STEPS):
     """Track d_n = tv(mu^n, mu^(n+1)) for n = 1..n_max, n_max an int >= 1.
@@ -542,14 +538,18 @@ def _theorem_records(fids, group, measures):
         def record(*fields):
             records.append(CheckRecord(fid, *fields))
 
-        # peripheral eigenvalues sit at +-1
+        anti_dim, har_dim = op.classes().count(-1), op.classes().count(1)
+        # peripheral eigenvalues sit at +-1, as many as the labelling counts
         worst = max((min(abs(lam - 1), abs(lam + 1)) for lam in report.peripheral), default=0.0)
-        record("peripheral_pm1", float(worst), PERIPHERAL_TOL, bool(worst <= PERIPHERAL_TOL))
+        found = sum(rec.multiplicity for rec in report.eigenvalues if rec.peripheral)
+        exact = har_dim + anti_dim
+        note = "" if found == exact else f"peripheral multiplicity {found}, classes {exact}"
+        ok = bool(worst <= PERIPHERAL_TOL) and found == exact
+        record("peripheral_pm1", float(worst), PERIPHERAL_TOL, ok, note)
         # jointly bi-harmonic functions split as constant + two-sided anti-harmonic
         bi_dim = two_sided[j].count(1)
         record("biharmonic_split", _EXACT[split_ok], "exact", split_ok, f"dim={bi_dim}")
         # anti-harmonic functions exist iff a sign character is -1 on the support
-        anti_dim, har_dim = op.classes().count(-1), op.classes().count(1)
         found = f"anti_dim={anti_dim},character={'yes' if chi else 'no'}"
         record("anti_iff_character", found, "equivalent", (anti_dim > 0) == (chi is not None))
         if chi is not None:

@@ -449,7 +449,7 @@ def test_12_jensen_and_modulus_monotonicity(corpus):
         for big_f in anti_harmonic_space(group, mu):
             sup = max(abs(v) for v in big_f.values)
             scaled = big_f.scale(F(1) / sup)
-            if not monotone_abs_check(scaled, mu, 50).all_monotone:
+            if not all(monotone_abs_check(scaled, mu, 50).monotone):
                 monotone_ok = False
             anti_count += 1
 

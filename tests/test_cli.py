@@ -169,17 +169,15 @@ def test_run_path_reaches_no_fraction_elimination(tmp_path, capsys, monkeypatch)
     assert run_theorem_suite(CorpusSpec([CyclicGroup(4), DihedralGroup(3)], 3)).passed
 
 
-def test_analyze_no_exact_flag(tmp_path, capsys):
-    config = {
-        "group": {"kind": "cyclic", "n": 4},
-        "measure": [{"g": "1", "w": "1/2"}, {"g": "3", "w": "1/2"}],
-        "tasks": ["character"],
-    }
-    code, out, _ = run_main(capsys, ["analyze", write_config(tmp_path, config), "--no-exact"])
-    assert code == 0
-    result = json.loads(out)["results"]["character"]
-    assert result["character"]["values"] == [1, -1, 1, -1]
-    assert result["har_dim"] is None  # dimension counts need exact weights
+@pytest.mark.parametrize(
+    "flags", [["--no-exact"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]],
+    ids=["no-exact", "tol=-1", "tol=nan", "tol=inf"],
+)
+def test_analyze_refuses_the_dropped_flags(tmp_path, capsys, flags):
+    """options.exact and options.tol are the only way to set these values."""
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, Z4_CONFIG), *flags])
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_analyze_ball_character_and_verify(tmp_path, capsys):
@@ -309,6 +307,24 @@ def test_analyze_runs_one_records_pass_for_spectrum_and_theorem_verify(monkeypat
     checks = report["results"]["verify"]["checks"]
     assert report["results"]["verify"]["passed"] and checks[0]["quantity"] == "peripheral_pm1"
     assert len(passes) == 1
+
+
+def test_analyze_verify_fails_when_the_spectrum_misses_a_peripheral_eigenvalue(tmp_path, capsys):
+    """On Z20000 the lazy walk's eigenvalues next to 1 lie about 1e-8 apart,
+    chain into one cluster below 1 - PERIPHERAL_TOL, and leave the peripheral
+    list empty; peripheral_pm1 compares that count with the labelling's one
+    class and fails."""
+    config = {
+        "group": {"kind": "cyclic", "n": 20000},
+        "measure": [{"g": "0", "w": "1/2"}, {"g": "1", "w": "1/4"}, {"g": "19999", "w": "1/4"}],
+        "tasks": ["spectrum", "verify"],
+    }
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert code == 1, err
+    results = json.loads(out)["results"]
+    assert results["spectrum"]["peripheral"] == [] and not results["verify"]["passed"]
+    [record] = [rec for rec in results["verify"]["checks"] if rec["quantity"] == "peripheral_pm1"]
+    assert not record["passed"] and record["note"] == "peripheral multiplicity 0, classes 1"
 
 
 @pytest.mark.parametrize(
@@ -497,15 +513,19 @@ def test_analyze_rejects_spectrum_on_ball(tmp_path, capsys):
     assert "spectrum requires finite group; use verify/truncated tasks" in err
 
 
-def test_analyze_rejects_float_biharmonic(tmp_path, capsys):
-    config = {
-        "group": {"kind": "cyclic", "n": 4},
-        "measure": [{"g": "1", "w": 0.5}, {"g": "3", "w": 0.5}],
-        "tasks": ["biharmonic"],
-    }
-    code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
-    assert code == 2
-    assert "measure" in err and "exact" in err
+def test_analyze_float_biharmonic_and_boundary_match_the_exact_twin(tmp_path, capsys):
+    """The +-1 spaces read no weights: float weights, or exact ones under
+    options.exact false, write the exact config's boundary block."""
+    exact = dict(Z4_CONFIG, tasks=["biharmonic", "boundary"])
+    floats = dict(exact, measure=[{"g": "1", "w": 0.5}, {"g": "3", "w": 0.5}])
+    results = []
+    for config in (exact, floats, dict(exact, options={"exact": False})):
+        code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+        assert code == 0, err
+        results.append(json.loads(out)["results"])
+    assert results[1]["boundary"] == results[2]["boundary"] == results[0]["boundary"]
+    constants = [[d["constant"] for d in r["biharmonic"]["decompositions"]] for r in results]
+    assert constants == [["1", "1/2"], ["1.0", "0.5"], ["1.0", "0.5"]]  # float weights give float constants
 
 
 def test_analyze_rejects_nongenerating_verify(tmp_path, capsys):
@@ -546,14 +566,6 @@ def test_analyze_missing_and_invalid_files(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
-def test_analyze_rejects_bad_tol_override(tmp_path, capsys):
-    code, _, err = run_main(
-        capsys, ["analyze", write_config(tmp_path, Z4_CONFIG), "--tol", "-1"]
-    )
-    assert code == 2
-    assert "options.tol" in err
-
-
 def test_analyze_refuses_a_huge_symmetric_group_at_once(tmp_path, capsys):
     config = dict(Z4_CONFIG, group={"kind": "symmetric", "n": 10**6}, tasks=["spectrum"])
     start = time.perf_counter()
@@ -581,14 +593,7 @@ def test_unwritable_outputs_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_analyze_rejects_non_finite_tol_override(tmp_path, capsys, tol):
-    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, Z4_CONFIG), "--tol", tol])
-    assert code == 2 and out == ""
-    assert "options.tol: must be a finite positive number" in err
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 10**400])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 10**400, -1])
 def test_analyze_rejects_non_finite_tol_option(tmp_path, capsys, tol):
     config = dict(Z4_CONFIG, options={"tol": tol})
     code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])

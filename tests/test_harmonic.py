@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -49,6 +50,7 @@ from groupwalk.operators import (
     ConvolutionOperator,
     GroupFunction,
     OperatorOnMatrices,
+    _function_values,
     _operator,
     apply,
     apply_truncated,
@@ -165,13 +167,21 @@ def test_harmonic_space_non_generating_measure():
         assert apply(right_operator(g, mu), f).values == f.values
 
 
-def test_spaces_demand_exact_weights():
-    g = CyclicGroup(4)
-    mu = make_measure(g, [(1, 0.5), (3, 0.5)])
-    with pytest.raises(ValueError):
-        harmonic_space(g, mu)
-    with pytest.raises(ValueError):
-        jointly_biharmonic_space(g, mu)
+def test_spaces_and_boundary_give_a_float_measure_its_exact_twins_output():
+    """The +-1 spaces come from the walk's classes, which read the step
+    permutations and never the weights: a corpus measure and its float twin
+    get the same exact bases and the same boundary table."""
+    spaces = [functools.partial(space, side=side) for space in (harmonic_space, anti_harmonic_space)
+              for side in ("right", "left")] + [jointly_biharmonic_space]
+    anti_seen = 0
+    for fid, g, mu in corpus_fixtures(CorpusSpec(measures_per_group=2, seed=0)):
+        nu = mu.as_float()
+        for space in spaces:
+            assert [_function_values(f) for f in space(g, nu)] == [_function_values(f) for f in space(g, mu)], fid
+        boundary = peripheral_boundary(g, nu).to_json()
+        assert boundary == peripheral_boundary(g, mu).to_json(), fid
+        anti_seen += -1 in boundary["tags"]
+    assert anti_seen >= 5
 
 
 def test_spaces_demand_finite_group():
@@ -944,7 +954,7 @@ def test_monotone_abs_scaled_character():
     mu = uniform(g, [1, 3])
     f = GroupFunction(g, [F(7, 10), F(-7, 10), F(7, 10), F(-7, 10)])
     report = monotone_abs_check(f, mu, 5)
-    assert report.all_monotone
+    assert all(report.monotone)
     assert report.sup_gaps == [F(3, 10)] * 6  # |f| is already P-invariant
 
 
@@ -954,7 +964,7 @@ def test_monotone_abs_strict_growth():
     mu = uniform(g, [2])
     f = GroupFunction(g, [F(1), F(0), F(-1), F(0)])  # f(g+2) = -f(g)
     report = monotone_abs_check(f, mu, 3)
-    assert report.all_monotone
+    assert all(report.monotone)
     assert report.sup_gaps[0] == 1  # min |f| = 0 at odd points
     assert report.sup_gaps[1] == 1  # P|f| swaps the plateaus, min stays 0
 

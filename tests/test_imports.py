@@ -62,7 +62,8 @@ def test_no_function_imports_from_a_module_its_file_imports_at_top_level(path):
     assert _redundant_local_imports(path.read_text(encoding="utf-8")) == []
 
 
-TRACER = SRC.parent.parent / "bench" / "tracer.py"
+ROOT = SRC.parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _list_value(tree, name):
@@ -108,13 +109,72 @@ def test_the_caller_check_sees_functions_only_their_own_body_reads():
     assert _uncalled(sources, {"exported"}, {("a", "traced")}) == [("a", "recursive"), ("b", "user")]
 
 
-def test_every_function_in_src_has_a_caller_an_export_or_a_trace_target():
-    """A function that only tests call belongs in the tests: the package,
-    groupwalk.__all__ and bench/tracer.py's TARGETS are its callers."""
+def _package():
+    """The sources of src/groupwalk ({module: source}), the names in
+    groupwalk.__all__ and the (module, name) pairs of bench/tracer.py's
+    TARGETS."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     exported = set(ast.literal_eval(_list_value(ast.parse(sources["__init__"]), "__all__")))
     targets = set()
     for node in ast.walk(_list_value(ast.parse(TRACER.read_text(encoding="utf-8")), "TARGETS")):
         if isinstance(node, ast.Tuple) and all(isinstance(elt, ast.Constant) for elt in node.elts[:2]):
             targets.add((node.elts[0].value, node.elts[1].value))
-    assert _uncalled(sources, exported, targets) == []
+    return sources, exported, targets
+
+
+def test_every_function_in_src_has_a_caller_an_export_or_a_trace_target():
+    """A function that only tests call belongs in the tests: the package,
+    groupwalk.__all__ and bench/tracer.py's TARGETS are its callers."""
+    assert _uncalled(*_package()) == []
+
+
+def _unread_members(sources, readers, exported, targets):
+    """(module, "Class.name") of each method or property, dunders aside, of a
+    module-level class of `sources` ({module: source}) whose name no module
+    of `sources` reads as an attribute outside the member's own body and no
+    source of `readers` reads, whose class `exported` does not hold and that
+    no (module, "Class.name") of `targets` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    for tree in map(ast.parse, readers):
+        reads += [(node.attr, node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        reads += [(node.id, node) for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in exported:
+                continue
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    continue
+                own = set(map(id, ast.walk(member)))
+                read = any(name == member.name and id(node) not in own for name, node in reads)
+                if not (read or (module, f"{cls.name}.{member.name}") in targets):
+                    unread.append((module, f"{cls.name}.{member.name}"))
+    return sorted(unread)
+
+
+def test_the_member_check_sees_methods_only_their_own_body_or_a_write_reads():
+    sources = {
+        "a": "class A:\n    def __init__(self):\n        self.written = 1\n\n    def read(self):\n        pass\n\n"
+             "    @property\n    def recursive(self):\n        return self.recursive\n\n"
+             "    def written(self):\n        pass\n\n    def traced(self):\n        pass\n\n"
+             "    def demo(self):\n        pass\n\n"
+             "class Exported:\n    def unread(self):\n        pass\n",
+        "b": "from .a import A\n\ndef user():\n    return A().read()\n",
+    }
+    readers = ["from groupwalk import A\nprint(A().demo())\n"]
+    assert _unread_members(sources, readers, {"Exported"}, {("a", "A.traced")}) == [
+        ("a", "A.recursive"), ("a", "A.written")]
+
+
+def test_every_method_in_src_has_a_reader_an_exported_class_or_a_trace_target():
+    """A method or property that only tests read belongs in the tests: the
+    package's attribute reads, demos/, bench/, the classes groupwalk.__all__
+    exports and bench/tracer.py's TARGETS are its readers."""
+    sources, exported, targets = _package()
+    readers = [path.read_text(encoding="utf-8") for folder in ("demos", "bench") for path in (ROOT / folder).glob("*.py")]
+    assert _unread_members(sources, readers, exported, targets) == []

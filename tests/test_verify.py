@@ -77,7 +77,6 @@ def test_foguel_lazy_walk_decays():
     mu = make_measure(g, [(0, F(1, 2)), (1, F(1, 4)), (5, F(1, 4))])
     result = foguel_decay(g, mu)
     assert result.identity_in_support
-    assert not result.observation_only
     assert result.first_below is not None
     assert result.distances[-1] <= 1e-6
     assert all(0 <= d <= 1 for d in result.distances)
@@ -86,7 +85,7 @@ def test_foguel_lazy_walk_decays():
 def test_foguel_bipartite_stays_at_one():
     g = CyclicGroup(4)
     result = foguel_decay(g, uniform(g, [1, 3]))
-    assert result.observation_only
+    assert not result.identity_in_support
     assert result.first_below is None
     assert all(d == 1.0 for d in result.distances)
 
