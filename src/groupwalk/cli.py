@@ -143,7 +143,7 @@ def _task_spectrum(group, mu, config):
 def _task_character(group, mu, config):
     chi = find_anti_character(group, mu)
     out = {"character": chi.to_json() if chi is not None else None, "har_dim": None, "anti_dim": None}
-    if not group.is_truncated and mu.exact:
+    if not group.is_truncated:
         walk = right_operator(group, mu).classes()
         out["har_dim"], out["anti_dim"] = walk.count(1), walk.count(-1)
     return out

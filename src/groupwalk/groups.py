@@ -6,7 +6,8 @@ that returns ``None`` when the result leaves the ball.
 
 Walk stencils come from whole-permutation products: `right_perm(h)` and
 `left_perm(h)` return g*h and h*g for every element g at once, as one int64
-array with -1 where a ball product leaves the ball.  Each finite kind
+array on a finite group and one int32 array on a ball (MAX_BALL_SIZE fits),
+with -1 where a ball product leaves the ball.  Each finite kind
 defines one elementwise product `_products(a, b)` and one elementwise
 inverse `_inverses(a)` over index arrays, from which `FiniteGroup` derives
 both permutations, every element's order, the scalar `mul` (the product at
@@ -499,9 +500,9 @@ class LatticeBall(TruncatedGroup):
     summed axis by axis from `_sizes[d, k + 1]`, the number of points of
     Z^d of length <= k (0 at k = -1).  In this order the unit steps are the
     indices 1..2 dim (-e_i at 1 + i, +e_i at 2 dim - i), and negation
-    reverses each sphere.  The step permutations g -> g +- e_i are built on
-    first use from the point order, one pass per axis, and shared read-only
-    by `right_perm`, `left_perm` and `mul`.
+    reverses each sphere.  The int32 step permutations g -> g +- e_i are
+    built on first use from the point order, one pass per axis, and shared
+    read-only by `right_perm`, `left_perm` and `mul`.
     """
 
     family = "lattice"
@@ -588,7 +589,7 @@ class LatticeBall(TruncatedGroup):
         the ball, so those are looked up; the rest are -1."""
         shifted = self._coords + offset
         inside = np.abs(shifted).sum(axis=1) <= self.radius
-        perm = np.full(self.order, -1, dtype=np.int64)
+        perm = np.full(self.order, -1, dtype=np.int32)
         perm[inside] = self._lookup(shifted[inside])
         return perm
 
@@ -605,7 +606,7 @@ class LatticeBall(TruncatedGroup):
         if step is None:
             axis = h - 1 if h <= self.dim else 2 * self.dim - h
             x, inner = self._coords[:, axis], self._starts[-2]
-            plus, minus = np.full((2, self.order), -1, dtype=np.int64)
+            plus, minus = np.full((2, self.order), -1, dtype=np.int32)
             plus[np.flatnonzero(x[:inner] >= 0)] = np.flatnonzero(x > 0)
             plus[x < 0] = np.flatnonzero(x[:inner] <= 0)
             inside = plus >= 0
@@ -670,7 +671,7 @@ class FreeBall(TruncatedGroup):
     holds its inverse.  The BFS that enumerates the ball keeps, per word,
     its parent (the word without its last letter), the slot of its last
     letter and its child per slot (-1 where none is in the ball); these
-    three arrays are all the ball holds.
+    three int32 arrays are all the ball holds.
     """
 
     family = "free"
@@ -690,15 +691,15 @@ class FreeBall(TruncatedGroup):
                     f"free ball rank={rank} radius={radius} exceeds {MAX_BALL_SIZE} elements"
                 )
         order = starts[-1]
-        parent = np.full(order, -1, dtype=np.int64)
-        last = np.full(order, -1, dtype=np.int64)
+        parent = np.full(order, -1, dtype=np.int32)
+        last = np.full(order, -1, dtype=np.int32)
         for lo, hi, top in zip(starts, starts[1:], starts[2:]):
             words = np.repeat(np.arange(lo, hi), slots)
             letter = np.tile(np.arange(slots), hi - lo)
             keep = letter != last[words] ^ 1
             parent[hi:top] = words[keep]
             last[hi:top] = letter[keep]
-        child = np.full((order, slots), -1, dtype=np.int64)
+        child = np.full((order, slots), -1, dtype=np.int32)
         child[parent[1:], last[1:]] = np.arange(1, order)
         super().__init__(starts, radius, f"F{rank}ball{radius}")
         self._parent, self._last, self._child = parent, last, child
@@ -782,7 +783,7 @@ class FreeBall(TruncatedGroup):
         """l*g for the letter l in slot s and every word g, one sphere at a
         time: l*(p*t) = (l*p)*t, where l*p is in the ball because p is
         shorter than the radius."""
-        out = np.empty(self.order, dtype=np.int64)
+        out = np.empty(self.order, dtype=np.int32)
         out[0] = self._child[0, s]
         for lo, hi in self._spheres[1:]:
             out[lo:hi] = self._right_step(out[self._parent[lo:hi]], self._last[lo:hi])
@@ -792,7 +793,7 @@ class FreeBall(TruncatedGroup):
         """Follow one-letter permutations in turn.  A product inside the
         ball never leaves it on the way (lengths fall while letters cancel,
         then rise), so a -1 on the way is final."""
-        perm = np.arange(self.order)
+        perm = np.arange(self.order, dtype=np.int32)
         for step in steps:
             inside = perm >= 0
             perm[inside] = step[perm[inside]]

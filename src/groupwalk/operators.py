@@ -148,9 +148,9 @@ def _to_float(nums, den):
 
 class _Walk(NamedTuple):
     """The Markov operator x -> sum_k w_k x[perms[k]] on n nodes: one float
-    weight and one int64 index array per term and, for exact weights,
-    integer numerators nums[k] over one denominator (per walk in a stack,
-    which has no float weights)."""
+    weight and one index array per term (int32 on a ball, else int64) and,
+    for exact weights, integer numerators nums[k] over one denominator (per
+    walk in a stack, which has no float weights)."""
 
     n: int
     weights: tuple

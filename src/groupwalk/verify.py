@@ -10,7 +10,9 @@ call per kind of walk, one spectral pass, and each exact certificate run
 once on a stack of the group's walks through `operators._gather`), and
 keeps only the left walks and weights of its measures.  After the pass one
 `_foguel_walk`, the walk of `foguel_decay`, runs every group's measures side
-by side with no dense operator.  The stirling suite's exp bound takes its
+by side with no dense operator, and `_foguel_verdicts` folds each chunk of
+its gaps into per-measure verdicts as the walk yields it, so no table of
+gaps is kept.  The stirling suite's exp bound takes its
 matrix exponential from linalg.expm, a scaling and squaring Padé
 approximant in numpy, so numpy is the only dependency at run time.  Every
 suite draws from the standard library's random.Random (never numpy's bit
@@ -178,8 +180,11 @@ def foguel_decay(group, mu, eps=FOGUEL_EPS, n_max=FOGUEL_STEPS):
     _require_tolerance("eps", eps)
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be an int >= 1, got {n_max!r}")
-    [(gaps, [first])] = _foguel_walk([_foguel_block(group, [mu])], eps, n_max, group.name)
-    return FoguelDecayResult(gaps[:, 0].tolist(), first or None, group.identity in mu.weights)
+    distances = []  # the walk budgets these n_max floats beside its own buffers
+    for gaps in _foguel_walk([_foguel_block(group, [mu])], n_max, group.name, kept=n_max):
+        distances += gaps[:, 0].tolist()
+    first = next((n for n, d in enumerate(distances, 1) if d <= eps), None)
+    return FoguelDecayResult(distances, first, group.identity in mu.weights)
 
 
 def _foguel_block(group, measures):
@@ -192,21 +197,24 @@ def _foguel_block(group, measures):
 FOGUEL_CHUNK = 10  # steps of differences buffered between two gap reductions
 
 
-def _foguel_walk(blocks, eps, n_max, where):
-    """(gaps, first) per `_foguel_block`: its n_max x m gaps and each
-    measure's first step with a gap <= eps (0 for none), from one walk of
-    the powers of every block's measures side by side.  A step nu -> mu * nu
-    reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the inverse of each
-    left walk permutation (term k in row k) and adds the terms in walk
-    order, as `operators._gather` does; shorter walks are padded
-    at the end with weight-0 terms, which leave every sum bit-identical.  Each gap
-    is the last-axis np.add.reduce of a measure's n differences in a buffer
-    of FOGUEL_CHUNK steps: numpy's pairwise sum over that row, as when the
-    measure walks alone."""
+def _foguel_walk(blocks, n_max, where, kept=0):
+    """Walk the powers of every `_foguel_block`'s measures side by side for
+    n_max steps and yield, every FOGUEL_CHUNK steps (fewer at the end), the
+    (rows x measures) gaps of those steps, measures in block order.  Each
+    yield is a view of one buffer that the next chunk overwrites, so a
+    caller copies what it keeps; no table of n_max gaps is built, and the
+    budget covers `kept` floats that the caller holds besides.  A step
+    nu -> mu * nu reads (mu * nu)(x) = sum_h mu(h) nu(h^-1 x) through the
+    inverse of each left walk permutation (term k in row k) and adds the
+    terms in walk order, as `operators._gather` does; shorter walks are
+    padded at the end with weight-0 terms, which leave every sum
+    bit-identical.  Each gap is the last-axis np.add.reduce of a measure's
+    n differences in a buffer of FOGUEL_CHUNK steps: numpy's pairwise sum
+    over that row, as when the measure walks alone."""
     walks = [entry for _, entries in blocks for entry in entries]  # (left walk, weights)
     s, total = max(len(walk.perms) for walk, _ in walks), sum(walk.n for walk, _ in walks)
-    # index, weight and term tables, two powers, the buffered differences, the gaps
-    shape = ((3 * s + 2 + FOGUEL_CHUNK) * total + len(walks) * n_max,)
+    # index, weight and term tables, two powers, the buffered differences and gaps
+    shape = ((3 * s + 2 + FOGUEL_CHUNK) * total + FOGUEL_CHUNK * len(walks) + kept,)
     require_dense_budget(shape, 8, f"the foguel walk on {where}")
     index, weights = np.zeros((s, total), dtype=np.int64), np.zeros((s, total))
     current, a = np.zeros(total), 0
@@ -218,7 +226,7 @@ def _foguel_walk(blocks, eps, n_max, where):
             current[a + h] = float(w)
         a += walk.n
     nxt, diffs = np.empty(total), np.empty((FOGUEL_CHUNK, total))
-    gaps = [np.empty((n_max, len(entries))) for _, entries in blocks]
+    gaps = np.empty((FOGUEL_CHUNK, len(walks)))
     for step in range(n_max):
         terms = current[index]
         np.multiply(terms, weights, out=terms)
@@ -228,18 +236,29 @@ def _foguel_walk(blocks, eps, n_max, where):
         current, nxt = nxt, current
         rows = step % FOGUEL_CHUNK + 1
         if rows == FOGUEL_CHUNK or step == n_max - 1:
-            a = 0
-            for (group, entries), out in zip(blocks, gaps):
+            a = c = 0
+            for group, entries in blocks:
                 m, n = len(entries), group.order
                 chunk = diffs[:rows, a : a + m * n].reshape(rows, m, n)
-                np.add.reduce(chunk, axis=-1, out=out[step + 1 - rows : step + 1])
-                a += m * n
-    results = []
-    for out in gaps:
-        out *= 0.5
-        below = out <= eps
-        results.append((out, np.where(below.any(axis=0), below.argmax(axis=0) + 1, 0).tolist()))
-    return results
+                np.add.reduce(chunk, axis=-1, out=gaps[:rows, c : c + m])
+                a, c = a + m * n, c + m
+            gaps[:rows] *= 0.5
+            yield gaps[:rows]
+
+
+def _foguel_verdicts(chunks, m, eps):
+    """Fold the chunks of one `_foguel_walk` of m measures into two lists
+    over them: whether every gap lies in [0, 1] (up to 1e-12), and the first
+    step with a gap <= eps (0 for none).  Each chunk is folded once, across
+    every measure."""
+    in_range, first, step = np.ones(m, dtype=bool), np.zeros(m, dtype=np.int64), 0
+    for gaps in chunks:
+        in_range &= ((gaps >= -1e-12) & (gaps <= 1 + 1e-12)).all(axis=0)
+        below = gaps <= eps
+        hit = (first == 0) & below.any(axis=0)
+        first[hit] = step + 1 + below[:, hit].argmax(axis=0)
+        step += len(gaps)
+    return in_range.tolist(), first.tolist()
 
 
 def root_of_unity_check(group, mu):
@@ -628,19 +647,19 @@ def _renamed(report, fixture):
 
 def _foguel_records(blocks):
     """The foguel records from one walk of every corpus group's block
-    (blocks holds (fixture ids, `_foguel_block`) in corpus order), then the
-    bipartite Z4 control, whose gaps stay at 1."""
+    (blocks holds (fixture ids, `_foguel_block`) in corpus order), folded
+    chunk by chunk into per-measure verdicts, then the bipartite Z4
+    control, whose gaps stay at 1."""
     records, note = [], "observation: identity not in support"
-    walked = _foguel_walk([block for _, block in blocks], FOGUEL_EPS, FOGUEL_STEPS, "the corpus")
-    for (fids, (group, entries)), (gaps, first) in zip(blocks, walked):
-        in_range = ((gaps >= -1e-12) & (gaps <= 1 + 1e-12)).all(axis=0).tolist()
-        for fid, (_, start), ok, k in zip(fids, entries, in_range, first):
-            if group.identity in start:
-                reached = ok and k > 0
-                records.append(CheckRecord(fid, "tv_gap_reaches_eps", k or "never", FOGUEL_STEPS, reached))
-            else:
-                value = "ok" if ok else "out of range"
-                records.append(CheckRecord(fid, "tv_gap_in_unit_range", value, "[0, 1]", ok, note))
+    walk = _foguel_walk([block for _, block in blocks], FOGUEL_STEPS, "the corpus")
+    fixtures = [(fid, group, start) for fids, (group, entries) in blocks for fid, (_, start) in zip(fids, entries)]
+    for (fid, group, start), ok, k in zip(fixtures, *_foguel_verdicts(walk, len(fixtures), FOGUEL_EPS)):
+        if group.identity in start:
+            reached = ok and k > 0
+            records.append(CheckRecord(fid, "tv_gap_reaches_eps", k or "never", FOGUEL_STEPS, reached))
+        else:
+            value = "ok" if ok else "out of range"
+            records.append(CheckRecord(fid, "tv_gap_in_unit_range", value, "[0, 1]", ok, note))
     z4 = CyclicGroup(4)
     stuck = all(d == 1.0 for d in foguel_decay(z4, uniform(z4, [1, 3])).distances)
     value = "constant" if stuck else "decayed"

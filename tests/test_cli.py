@@ -528,6 +528,24 @@ def test_analyze_float_biharmonic_and_boundary_match_the_exact_twin(tmp_path, ca
     assert constants == [["1", "1/2"], ["1.0", "0.5"], ["1.0", "0.5"]]  # float weights give float constants
 
 
+@pytest.mark.parametrize("weights, dims", [({"1": "1/2", "3": "1/2"}, (1, 1)),
+                                           ({"0": "1/2", "1": "1/4", "3": "1/4"}, (1, 0))],
+                         ids=["bipartite", "lazy"])
+def test_analyze_float_character_reports_the_exact_twins_dimensions(tmp_path, capsys, weights, dims):
+    """har_dim and anti_dim count the walk's +-1 classes, which read no
+    weights: float weights, or exact ones under options.exact false, report
+    the exact config's character block."""
+    exact = dict(Z4_CONFIG, measure=[{"g": g, "w": w} for g, w in weights.items()], tasks=["character"])
+    floats = dict(exact, measure=[{"g": g, "w": float(Fraction(w))} for g, w in weights.items()])
+    results = []
+    for config in (exact, floats, dict(exact, options={"exact": False})):
+        code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+        assert code == 0, err
+        results.append(json.loads(out)["results"]["character"])
+    assert results[1] == results[2] == results[0]
+    assert (results[0]["har_dim"], results[0]["anti_dim"]) == dims
+
+
 def test_analyze_rejects_nongenerating_verify(tmp_path, capsys):
     config = {
         "group": {"kind": "cyclic", "n": 4},

@@ -197,7 +197,10 @@ def test_foguel_decays_matches_one_walk_per_measure(group, seed, exact_flags, n_
     rng = random.Random(seed)
     measures = [_random_measure(group, rng, exact) for exact in exact_flags]
     block = verify._foguel_block(group, measures)
-    [(gaps, first)] = verify._foguel_walk([block], verify.FOGUEL_EPS, n_max, group.name)
+    gaps = np.vstack([chunk.copy() for chunk in verify._foguel_walk([block], n_max, group.name)])
+    in_range, first = verify._foguel_verdicts(verify._foguel_walk([block], n_max, group.name), len(measures),
+                                              verify.FOGUEL_EPS)
+    assert all(in_range)
     for j, mu in enumerate(measures):
         alone = foguel_decay(group, mu, n_max=n_max)
         assert gaps[:, j].tolist() == alone.distances
@@ -208,7 +211,8 @@ def test_foguel_decay_builds_no_dense_operator():
     g = DihedralGroup(6)
     mu = make_measure(g, [(0, F(1, 2)), (1, F(1, 4)), (6, F(1, 4))])
     foguel_decay(g, mu)
-    verify._foguel_walk([verify._foguel_block(g, [mu, uniform(g, [1, 11])])], 1e-6, 10, g.name)
+    for _ in verify._foguel_walk([verify._foguel_block(g, [mu, uniform(g, [1, 11])])], 10, g.name):
+        pass
     assert left_operator(g, mu)._float_matrix is None
     assert right_operator(g, mu)._float_matrix is None
 
@@ -218,9 +222,9 @@ def test_foguel_suite_walks_each_group_once(monkeypatch):
     walks = []
     real = verify._foguel_walk
 
-    def counting(blocks, *args):
+    def counting(blocks, *args, **kwargs):
         walks.append([(group.name, len(entries)) for group, entries in blocks])
-        return real(blocks, *args)
+        yield from real(blocks, *args, **kwargs)
 
     monkeypatch.setattr(verify, "_foguel_walk", counting)
     report = _corpus_suite("foguel")
@@ -352,14 +356,25 @@ def test_foguel_power_table_refused_over_budget(monkeypatch):
     assert foguel_decay(g, uniform(g, [0, 1]), n_max=10).first_below is None
 
 
+def test_foguel_suite_holds_no_table_of_gaps(monkeypatch):
+    """The corpus walk keeps FOGUEL_CHUNK rows of gaps, not FOGUEL_STEPS:
+    on the 27 nodes and 6 measures of TINY_CORPUS (supports of at most 5
+    elements) its tables and chunk buffers need at most (3 * 5 + 2 + 10) *
+    27 + 10 * 6 = 789 floats and the Z4 control 582, where a 500 x 6 table
+    of gaps alone needs 3000."""
+    monkeypatch.setattr(operators, "DENSE_BYTES_BUDGET", 8 * 1000)
+    report = _corpus_suite("foguel")
+    assert report.passed and len(report.records) == 7
+
+
 def test_foguel_suite_fails_gaps_out_of_the_unit_range(monkeypatch):
     real = verify._foguel_walk
 
-    def bent(blocks, *args):
-        walked = real(blocks, *args)
-        for gaps, _ in walked:
-            gaps[-1] = 1.5
-        return walked
+    def bent(blocks, n_max, *args, **kwargs):
+        for chunk, gaps in enumerate(real(blocks, n_max, *args, **kwargs)):
+            if (chunk + 1) * verify.FOGUEL_CHUNK >= n_max:  # the last chunk's last step
+                gaps[-1] = 1.5
+            yield gaps
 
     monkeypatch.setattr(verify, "_foguel_walk", bent)
     records = _corpus_suite("foguel").records
