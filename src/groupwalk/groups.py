@@ -248,14 +248,20 @@ class FiniteGroup:
         return f"<{type(self).__name__} {self.name} order={self.order}>"
 
 
+def _require_order(kind, n, order, shown):
+    """Refuse a finite group of size parameter n < 1 or of order above
+    MAX_ORDER; shown is the order as the message writes it."""
+    if n < 1:
+        raise ConstructionError(f"{kind} group needs n >= 1, got {n}")
+    if order > MAX_ORDER:
+        raise ConstructionError(f"{kind} group order {shown} exceeds the supported bound {MAX_ORDER}")
+
+
 class CyclicGroup(FiniteGroup):
     """Integers mod n under addition."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ConstructionError(f"cyclic group needs n >= 1, got {n}")
-        if n > MAX_ORDER:
-            raise ConstructionError(f"cyclic order {n} exceeds the supported bound {MAX_ORDER}")
+        _require_order("cyclic", n, n, n)
         self.n = n
         self.order = n
         self.name = f"Z{n}"
@@ -275,10 +281,7 @@ class DihedralGroup(FiniteGroup):
     """Symmetries of a regular n-gon; index j + n*k for rotation^j reflect^k."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ConstructionError(f"dihedral group needs n >= 1, got {n}")
-        if 2 * n > MAX_ORDER:
-            raise ConstructionError(f"dihedral order {2 * n} exceeds the supported bound {MAX_ORDER}")
+        _require_order("dihedral", n, 2 * n, 2 * n)
         self.n = n
         self.order = 2 * n
         self.name = f"D{n}"
@@ -308,15 +311,10 @@ class SymmetricGroup(FiniteGroup):
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise ConstructionError(f"symmetric group needs n >= 1, got {n}")
-        order = 1
-        for i in range(2, n + 1):  # stops at the first partial product past the bound
-            order *= i
-            if order > MAX_ORDER:
-                raise ConstructionError(f"symmetric group order {n}! exceeds the supported bound {MAX_ORDER}")
+        # 9! already exceeds the bound, so a huge n is refused without its factorial
+        _require_order("symmetric", n, math.factorial(min(max(n, 0), 9)), f"{n}!")
         self.n = n
-        self.order = order
+        self.order = math.factorial(n)
         self.name = f"S{n}"
         self.perms = list(itertools.permutations(range(n)))
         self._rows = np.array(self.perms, dtype=np.int64)
@@ -338,10 +336,7 @@ class AlternatingGroup(SymmetricGroup):
     and inverses serve A_n unchanged."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ConstructionError(f"alternating group needs n >= 1, got {n}")
-        if any(order > MAX_ORDER for order in itertools.accumulate(range(3, n + 1), operator.mul)):  # n!/2
-            raise ConstructionError(f"alternating group order {n}!/2 exceeds the supported bound {MAX_ORDER}")
+        _require_order("alternating", n, math.factorial(min(max(n, 0), 9)) // 2, f"{n}!/2")
         super().__init__(n)
         i, j = np.triu_indices(n, 1)
         even = (self._rows[:, i] > self._rows[:, j]).sum(axis=1) % 2 == 0
@@ -358,8 +353,7 @@ class TableGroup(FiniteGroup):
         n = len(table)
         if n == 0:
             raise ConstructionError("multiplication table is empty")
-        if n > MAX_ORDER:
-            raise ConstructionError(f"table order {n} exceeds the supported bound {MAX_ORDER}")
+        _require_order("table", n, n, n)
         rows = [list(r) for r in table]
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -423,11 +417,8 @@ class ProductGroup(FiniteGroup):
             raise ConstructionError("product group needs at least two factors")
         if any(f.is_truncated for f in factors):
             raise ConstructionError("product factors must be finite groups")
-        order = 1
-        for f in factors:
-            order *= f.order
-        if order > MAX_ORDER:
-            raise ConstructionError(f"product order {order} exceeds the supported bound {MAX_ORDER}")
+        order = math.prod(f.order for f in factors)
+        _require_order("product", len(factors), order, order)
         self.factors = list(factors)
         self.order = order
         self.name = "x".join(f.name for f in factors)
@@ -849,6 +840,19 @@ def _integer_form(form):
     return [operator.index(x) for x in form]
 
 
+def _require_finite(group, what):
+    if group.is_truncated:
+        raise ConstructionError(f"{what} requires a finite group; use apply_truncated on balls")
+
+
+def _element(group, g, error=ConstructionError, what="element"):
+    """g, when it is an index of group: an int (not a bool) in
+    0..order-1; otherwise raise error."""
+    if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < group.order:
+        raise error(f"{what} {g!r} is not a valid index for {group.name}")
+    return g
+
+
 def _require_int(value, field, kind):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConstructionError(f"{kind} spec requires integer field '{field}', got {value!r}")
@@ -862,8 +866,7 @@ def closure(group, seed_elements):
     automatically contains inverses and, when the seed set is nonempty, the
     identity, so it is then a subgroup.
     """
-    if group.is_truncated:
-        raise ConstructionError("closure is only defined for finite groups")
+    _require_finite(group, "closure")
     seeds = sorted(set(seed_elements))
     rows = [group.right_perm(s).tolist() for s in seeds]
     reached, frontier = set(seeds), seeds
@@ -919,8 +922,7 @@ def generating_set(group):
     """Greedy generating set of a finite group: in index order, each element
     that the subgroup of the elements chosen so far has not reached joins
     (FiniteGroup.generator_masks)."""
-    if group.is_truncated:
-        raise ConstructionError("generating_set is only defined for finite groups")
+    _require_finite(group, "generating_set")
     return list(group.generator_masks()[0])
 
 
@@ -931,8 +933,7 @@ def format_element(group, a):
     print as JSON integer arrays, free-group words print as letters with
     a..z for generators and A..Z for inverses (empty string = identity).
     """
-    if not (0 <= a < group.order):
-        raise ConstructionError(f"element index {a} out of range for {group.name}")
+    _element(group, a)
     if isinstance(group, LatticeBall):
         return json.dumps(list(group.canonical_form(a)), separators=(",", ":"))
     if isinstance(group, FreeBall):
@@ -979,10 +980,10 @@ def parse_element(group, text):
         if idx is None:
             raise ConstructionError(f"word {text!r} reduces outside the radius-{group.radius} ball")
         return idx
-    try:
+    try:  # only the text format_element writes: ASCII digits, no sign, space, underscore or leading zero
         a = int(text)
-    except ValueError as exc:
-        raise ConstructionError(f"element of {group.name} must be a decimal index, got {text!r}") from exc
-    if not (0 <= a < group.order):
-        raise ConstructionError(f"element index {a} out of range 0..{group.order - 1} for {group.name}")
-    return a
+    except ValueError:
+        a = None
+    if a is None or str(a) != text:
+        raise ConstructionError(f"element of {group.name} must be a decimal index, got {text!r}")
+    return _element(group, a)

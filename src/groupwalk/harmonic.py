@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import _parity
-from .measures import _UNSEARCHED, is_generating, is_symmetric
+from .groups import _parity, _require_finite
+from .measures import _UNSEARCHED, _require_unit_steps, is_generating, is_symmetric
 from .operators import (
     ComputationError,
     GroupFunction,
@@ -27,7 +27,6 @@ from .operators import (
     _function_values,
     _max_abs,
     _operator,
-    _require_finite,
     _require_own_group,
     _two_sided,
     apply,
@@ -289,13 +288,11 @@ def _search_anti_character(group, mu):
 
 
 def _find_anti_character_family(group, mu):
+    _require_unit_steps(group, mu.weights)
     forced = np.zeros(group.family_key()[1], dtype=np.int64)
     for s in mu.support():
-        length = group.length(s)
-        if length == 0:
+        if s == group.identity:
             return None  # identity in the support forces chi(e) = -1
-        if length != 1:
-            raise ValueError("truncated measures must be supported on word length <= 1")
         form = group.canonical_form(s)
         if group.family == "free":
             forced[abs(form[0]) - 1] = 1

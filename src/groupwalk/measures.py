@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .groups import ConstructionError, format_element, parse_element
+from .groups import ConstructionError, _element, format_element, parse_element
 
 FLOAT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -107,8 +107,7 @@ def make_measure(group, entries):
     weights = {}
     kinds = set()
     for g, w in entries:
-        if not (isinstance(g, int) and 0 <= g < group.order):
-            raise MeasureError(f"support element {g!r} is not a valid index for {group.name}")
+        _element(group, g, MeasureError, "support element")
         if g in weights:
             raise MeasureError(f"duplicate support element {g}")
         value, exact = _classify_weight(w)
@@ -125,13 +124,15 @@ def make_measure(group, entries):
             raise MeasureError(f"exact weights must sum to 1, got {total}")
     elif abs(total - 1.0) > FLOAT_SUM_TOL:
         raise MeasureError(f"float weights must sum to 1 within {FLOAT_SUM_TOL}, got {total!r}")
-    if group.is_truncated:
-        for g in weights:
-            if group.length(g) > 1:
-                raise MeasureError(
-                    f"support element {g} has word length {group.length(g)} > 1 on a ball truncation"
-                )
+    _require_unit_steps(group, weights)
     return GroupMeasure(group, weights, exact)
+
+
+def _require_unit_steps(group, support):
+    """Refuse, on a ball truncation, a support element of word length > 1."""
+    for g in support if group.is_truncated else ():
+        if group.length(g) > 1:
+            raise MeasureError(f"support element {g} has word length {group.length(g)} > 1 on a ball truncation")
 
 
 def delta(group, g):
@@ -181,7 +182,7 @@ def convolve(mu, nu):
 
 def power(mu, n):
     """n-fold convolution power, n >= 1."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MeasureError(f"power needs an integer n >= 1, got {n}")
     out = mu
     for _ in range(n - 1):

@@ -49,9 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import BLOCK_ENTRIES, ConstructionError, _classes, _roots, _union
+from .groups import BLOCK_ENTRIES, ConstructionError, _classes, _require_finite, _roots, _union
 from .linalg import ComputationError
-from .measures import is_symmetric
+from .measures import _require_unit_steps, is_symmetric
 
 PERIPHERAL_TOL = 1e-8
 CLUSTER_TOL = 1e-7
@@ -593,11 +593,6 @@ def solve_spectra(ops):
         op._eigen = (values, tuple(res.tolist()))
 
 
-def _require_finite(group, what):
-    if group.is_truncated:
-        raise ConstructionError(f"{what} requires a finite group; use apply_truncated on balls")
-
-
 def _require_own_group(group, mu):
     """Refuse a walk of mu on any group object but its own, so every memo on mu holds for one group."""
     if mu.group is not group:
@@ -651,8 +646,7 @@ def apply_truncated(group, mu, f, side):
     op = _operator(group, mu, side)
     if f.group is not group:
         raise ValueError("function and ball live on different groups")
-    if any(group.length(h) > 1 for h in mu.weights):
-        raise ValueError("truncated measures must be supported on word length <= 1")
+    _require_unit_steps(group, mu.weights)
     walk = op.stencil()
     # index -1 (a product outside the ball) reads the undefined last slot
     defined = np.append(f._mask(), False)

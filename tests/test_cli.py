@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,7 +29,7 @@ from groupwalk.cli import (
     parse_config,
     run_analysis,
 )
-from groupwalk.groups import CyclicGroup, DihedralGroup, SymmetricGroup
+from groupwalk.groups import CyclicGroup, DihedralGroup, GroupSpec, SymmetricGroup, build_group
 from groupwalk.harmonic import Character
 from groupwalk.measures import delta
 from groupwalk.operators import GroupFunction
@@ -500,6 +501,35 @@ def test_analyze_rejects_bad_measure_sum(tmp_path, capsys):
     code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
     assert code == 2
     assert "measure" in err
+
+
+def test_analyze_refuses_an_element_text_that_int_would_read(tmp_path, capsys):
+    """"1_0" is 10 to int() but no element text: one error line, exit 2."""
+    config = dict(Z4_CONFIG, group={"kind": "cyclic", "n": 20},
+                  measure=[{"g": "1_0", "w": "1/2"}, {"g": "0", "w": "1/2"}])
+    code, out, err = run_main(capsys, ["analyze", write_config(tmp_path, config)])
+    assert (code, out) == (2, "")
+    assert err == "error: measure: measure entry 0: element of Z20 must be a decimal index, got '1_0'\n"
+
+
+def test_readme_example_config_and_group_kinds(tmp_path, capsys):
+    """README's example config analyzes with exit 0, and every kind its
+    "Groups are declared by kind" list names builds from a minimal spec."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    code, _, err = run_main(capsys, ["analyze", write_config(tmp_path, json.loads(example)),
+                                     "--out", str(tmp_path / "report.json")])
+    assert (code, err) == (0, "")
+    listed = re.search(r"Groups are declared by kind \((.*?)\)", readme, re.S).group(1)
+    minimal = {
+        "cyclic": {"n": 1}, "dihedral": {"n": 1}, "symmetric": {"n": 1}, "quaternion8": {},
+        "table": {"table": [[0]]}, "product": {"factors": [{"kind": "cyclic", "n": 1}] * 2},
+        "lattice": {"dim": 1, "radius": 1}, "free": {"rank": 1, "radius": 1},
+    }
+    kinds = re.findall(r"`(\w+)`", listed)
+    assert sorted(kinds) == sorted(minimal)
+    for kind in kinds:
+        assert build_group(GroupSpec.from_json({"kind": kind, **minimal[kind]})).order >= 1
 
 
 def test_analyze_rejects_spectrum_on_ball(tmp_path, capsys):

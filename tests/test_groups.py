@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -463,6 +464,57 @@ def test_parse_rejects_garbage():
         parse_element(FreeBall(2, 2), "c")  # rank 2 has letters a, b only
     with pytest.raises(ConstructionError):
         parse_element(FreeBall(2, 2), "aaa")  # reduces outside the ball
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 7", "+3", "07", ""])
+def test_parse_refuses_what_format_never_writes(text):
+    """int() reads an underscore, an Arabic-Indic digit, a space, a sign and
+    a leading zero; a finite element is only the decimal index as written."""
+    with pytest.raises(ConstructionError, match="must be a decimal index"):
+        parse_element(CyclicGroup(20), text)
+
+
+@given(st.sampled_from([CyclicGroup(20), DihedralGroup(7), SymmetricGroup(4),
+                        ProductGroup([DihedralGroup(3), CyclicGroup(4)])]),
+       st.text(alphabet="0123456789+-_ \u0663\n", max_size=5))
+def test_parse_accepts_only_the_text_format_writes(group, text):
+    try:
+        a = parse_element(group, text)
+    except ConstructionError:
+        return
+    assert format_element(group, a) == text
+
+
+def test_format_refuses_a_bool_and_parse_names_the_index():
+    with pytest.raises(ConstructionError, match="^element True is not a valid index for Z20$"):
+        format_element(CyclicGroup(20), True)
+    with pytest.raises(ConstructionError, match="^element 20 is not a valid index for Z20$"):
+        parse_element(CyclicGroup(20), "20")
+
+
+@pytest.mark.parametrize(
+    "empty, empty_message, over, over_message",
+    [
+        ({"kind": "cyclic", "n": 0}, "cyclic group needs n >= 1, got 0",
+         {"kind": "cyclic", "n": MAX_ORDER + 1}, "cyclic group order 65537"),
+        ({"kind": "dihedral", "n": 0}, "dihedral group needs n >= 1, got 0",
+         {"kind": "dihedral", "n": MAX_ORDER // 2 + 1}, "dihedral group order 65538"),
+        ({"kind": "symmetric", "n": 0}, "symmetric group needs n >= 1, got 0",
+         {"kind": "symmetric", "n": 9}, "symmetric group order 9!"),
+        ({"kind": "table", "table": []}, "multiplication table is empty",
+         {"kind": "table", "table": [[0]] * (MAX_ORDER + 1)}, "table group order 65537"),
+        ({"kind": "product", "factors": [{"kind": "cyclic", "n": 0}, {"kind": "cyclic", "n": 2}]},
+         "cyclic group needs n >= 1, got 0",
+         {"kind": "product", "factors": [{"kind": "cyclic", "n": 256}, {"kind": "cyclic", "n": 257}]},
+         "product group order 65792"),
+    ],
+    ids=["cyclic", "dihedral", "symmetric", "table", "product"],
+)
+def test_every_finite_kind_refuses_its_size(empty, empty_message, over, over_message):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(empty_message)}$"):
+        build_group(GroupSpec.from_json(empty))
+    with pytest.raises(ConstructionError, match=f"^{re.escape(over_message)} exceeds the supported bound 65536$"):
+        build_group(GroupSpec.from_json(over))
 
 
 # ---------------------------------------------------------------- ball API against tuple forms

@@ -95,6 +95,17 @@ def test_make_measure_rejects_nonpositive_and_duplicates():
         make_measure(g, [(9, F(1))])
 
 
+def test_a_bool_is_no_element_and_no_power():
+    """True is an int to Python, but not element 1 and not the power 1: the
+    measure would write it back as "True", which no parser reads."""
+    g = CyclicGroup(4)
+    for build in (lambda: make_measure(g, [(True, F(1))]), lambda: uniform(g, [True, 3]), lambda: delta(g, True)):
+        with pytest.raises(MeasureError, match="^support element True is not a valid index for Z4$"):
+            build()
+    with pytest.raises(MeasureError, match="power needs an integer n >= 1, got True"):
+        power(uniform(g, [1, 3]), True)
+
+
 def test_make_measure_rejects_non_finite_float_weights():
     g = CyclicGroup(2)
     for bad in (float("nan"), float("inf")):
